@@ -10,10 +10,12 @@ turns a dead run's journal back into a finished figure
 from repro.durable.journal import (
     BATCH_FSYNC_INTERVAL,
     ENV_FSYNC,
+    EXEC_KIND,
     FSYNC_POLICIES,
     HEADER_RECORD,
     JOURNAL_NAME,
     JOURNAL_SCHEMA,
+    RecordScanner,
     RunJournal,
     check_header,
     frame,
@@ -23,7 +25,6 @@ from repro.durable.journal import (
     unframe,
 )
 from repro.durable.resume import (
-    EXEC_KIND,
     JournalError,
     RunState,
     journal_path_for,
@@ -40,6 +41,7 @@ __all__ = [
     "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
     "JournalError",
+    "RecordScanner",
     "RunJournal",
     "RunState",
     "check_header",

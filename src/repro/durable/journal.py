@@ -8,11 +8,15 @@ a crc32-framed record::
 The crc is computed over the exact payload bytes, so a torn tail (a
 writer SIGKILLed mid-``write``), a truncated file, or a flipped byte is
 detected on read instead of being half-parsed.  :func:`read_records`
-scans a journal conservatively: it stops at the first record that fails
-the frame check and reports how much it trusted — everything before the
-bad record is intact (appends never rewrite earlier bytes), everything
-after is unknown and treated as never-happened, which for a write-ahead
-log is always the safe direction (work is re-done, never skipped).
+(and :class:`RecordScanner`, its incremental form for readers tailing a
+live file) scans a journal conservatively: it stops at the first record
+that fails the frame check and reports how much it trusted — everything
+before the bad record is intact (appends never rewrite earlier bytes),
+everything after is unknown and treated as never-happened, which for a
+write-ahead log is always the safe direction (work is re-done, never
+skipped).  It is the only parser of run records: ``resume``, ``watch``,
+``spans`` and the gateway's recovery all read through it (the manifest
+is folded from the same records while they are still in memory).
 
 Durability is configurable per journal (:data:`FSYNC_POLICIES`):
 
@@ -39,7 +43,7 @@ import json
 import os
 import warnings
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Journal layout version, embedded in the header record; readers reject
 #: versions they do not understand instead of mis-parsing.
@@ -47,6 +51,9 @@ JOURNAL_SCHEMA = 1
 
 #: Discriminator record type written as the first line of every journal.
 HEADER_RECORD = "journal_header"
+
+#: Header kind of an exec-engine run record (see ``JobRunner``).
+EXEC_KIND = "exec_run"
 
 FSYNC_POLICIES = ("always", "batch", "off")
 ENV_FSYNC = "REPRO_JOURNAL_FSYNC"
@@ -127,6 +134,11 @@ class RunJournal:
         ``errors`` and permanently disables the journal — the caller's
         run continues, merely without crash-safety from here on.
         """
+        return self.extend((record,))
+
+    def extend(self, records: Sequence[Dict[str, Any]]) -> bool:
+        """Append *records* with one write and at most one fsync (a
+        traced run's span records land in a single batch)."""
         if self._disabled:
             return False
         try:
@@ -134,23 +146,23 @@ class RunJournal:
                 os.makedirs(os.path.dirname(self.path) or ".",
                             exist_ok=True)
                 self._fh = open(self.path, self._mode)
-            self._fh.write(frame(record))
+            self._fh.write("".join(frame(record) for record in records))
             self._fh.flush()
-            self._maybe_fsync()
+            self._maybe_fsync(len(records))
         except (OSError, ValueError) as exc:
             self._fail(exc)
             return False
-        self.records_written += 1
+        self.records_written += len(records)
         return True
 
     def record(self, rec: str, **fields: Any) -> bool:
         """Append ``{"rec": rec, **fields}``."""
         return self.append(dict(fields, rec=rec))
 
-    def _maybe_fsync(self) -> None:
+    def _maybe_fsync(self, appended: int) -> None:
         if self.policy == "off":
             return
-        self._since_fsync += 1
+        self._since_fsync += appended
         if (self.policy == "always"
                 or self._since_fsync >= BATCH_FSYNC_INTERVAL):
             os.fsync(self._fh.fileno())
@@ -209,6 +221,50 @@ class RunJournal:
         self.close()
 
 
+class RecordScanner:
+    """Incremental :func:`read_records` for a journal read in chunks.
+
+    :meth:`feed` takes text split anywhere.  Complete lines are unframed
+    in order; the first one that fails the frame check and every line
+    after it are distrusted (counted in ``bad_lines``), so ``records``
+    is always the journal's trusted prefix.  A last line still missing
+    its newline is held back until the rest arrives — a writer caught
+    mid-append, not corruption — unless :meth:`close` declares the input
+    finished, which makes it a torn tail.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[Dict[str, Any]] = []
+        self.bad_lines = 0
+        self._partial = ""
+
+    @property
+    def truncated(self) -> bool:
+        return self.bad_lines > 0
+
+    def feed(self, text: str) -> List[Dict[str, Any]]:
+        """Consume *text*; return the records it completed."""
+        lines = (self._partial + text).split("\n")
+        self._partial = lines.pop()
+        return self._scan(lines)
+
+    def close(self) -> List[Dict[str, Any]]:
+        """End of input: a held-back partial line counts as torn."""
+        tail, self._partial = self._partial, ""
+        return self._scan([tail] if tail else [])
+
+    def _scan(self, lines: List[str]) -> List[Dict[str, Any]]:
+        fresh = []
+        for line in lines:
+            record = None if self.bad_lines else unframe(line)
+            if record is None:
+                self.bad_lines += 1
+            else:
+                fresh.append(record)
+        self.records.extend(fresh)
+        return fresh
+
+
 def read_records(path: str) -> Tuple[List[Dict[str, Any]], int, bool]:
     """Scan a journal file; returns ``(records, bad_lines, truncated)``.
 
@@ -219,20 +275,16 @@ def read_records(path: str) -> Tuple[List[Dict[str, Any]], int, bool]:
     are exactly the journal's durable prefix.  A missing file reads as
     an empty, untruncated journal.
     """
+    scanner = RecordScanner()
     try:
-        with open(path) as fh:
-            lines = fh.read().split("\n")
+        # Undecodable bytes become U+FFFD, which then fails the crc:
+        # damage is distrusted like any other, never a traceback.
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            scanner.feed(fh.read())
     except FileNotFoundError:
         return [], 0, False
-    if lines and lines[-1] == "":
-        lines.pop()
-    records: List[Dict[str, Any]] = []
-    for index, line in enumerate(lines):
-        record = unframe(line)
-        if record is None:
-            return records, len(lines) - index, True
-        records.append(record)
-    return records, 0, False
+    scanner.close()
+    return scanner.records, scanner.bad_lines, scanner.truncated
 
 
 def header_record(kind: str, **fields: Any) -> Dict[str, Any]:

@@ -32,13 +32,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set
 
 from repro.durable.journal import (
+    EXEC_KIND,
     JOURNAL_NAME,
     check_header,
     read_records,
 )
-
-#: Journal kind written by the exec engine (see ``JobRunner``).
-EXEC_KIND = "exec_run"
 
 
 class JournalError(RuntimeError):
@@ -173,8 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(results are digit-exact either way)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the completed figure results as JSON")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="append per-job telemetry events as JSONL")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS", help="per-job timeout")
     parser.add_argument("--no-cache", action="store_true",
@@ -218,23 +214,23 @@ def resume_main(argv=None) -> int:
               f"was written (code/schema drift); those cells re-run from "
               f"scratch", file=sys.stderr)
 
-    from repro.exec import ExecOptions, JobRunner
+    from repro.exec import ExecOptions, JobRunner, JournalAnnouncer
     from repro.perf.manifest import runs_root as resolve_root
 
+    root = resolve_root(args.runs_root)
     options = ExecOptions(
         jobs=args.jobs or state.workers or 1,
         cache=not args.no_cache,
         timeout=args.timeout,
-        trace_path=args.trace,
         progress=args.progress,
-        manifest_dir=resolve_root(args.runs_root),
+        manifest_dir=root,
         backend=args.backend,
         run_meta={"experiment": state.experiment,
                   "argv": ["resume", state.run_id],
                   "seed": state.seed,
                   "resumed_from": state.run_id},
     )
-    runner = JobRunner(options)
+    runner = JobRunner(options, sinks=[JournalAnnouncer(root)])
     results = runner.run(jobs, resume=state)
 
     failures = sum(1 for result in results

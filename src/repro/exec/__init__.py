@@ -4,8 +4,9 @@ The harness's figures are grids of independent, deterministic simulation
 cells; this package turns each cell into a :class:`SimJob`, schedules the
 grid through a :class:`JobRunner` (process pool, retries, per-job
 timeout, serial fallback), memoizes results in an on-disk
-:class:`ResultCache` keyed by the job's content hash, and reports
-structured :mod:`~repro.exec.telemetry` events for every scheduling step.
+:class:`ResultCache` keyed by the job's content hash, reports structured
+:mod:`~repro.exec.telemetry` events for every scheduling step, and keeps
+each run's record (journal and manifest, see :mod:`repro.exec.engine`).
 
 ``python -m repro.exec cache stats|purge`` manages the on-disk store.
 """
@@ -22,7 +23,6 @@ from repro.exec.engine import (
     JobFailedError,
     JobRunner,
     JobTimeoutError,
-    JournalSink,
     TransientJobError,
 )
 from repro.exec.job import (
@@ -34,28 +34,22 @@ from repro.exec.job import (
 from repro.exec.telemetry import (
     DRAINED,
     REPLAYED,
-    RUN_HEADER,
-    TELEMETRY_SCHEMA,
     CollectingSink,
     JobEvent,
-    JsonlTraceSink,
+    JournalAnnouncer,
     MultiSink,
     ProgressPrinter,
     RunTelemetry,
     git_sha,
-    run_header_record,
 )
 
 __all__ = [
     "DEFAULT_BENCH_PATH",
     "DRAINED",
     "REPLAYED",
-    "RUN_HEADER",
-    "TELEMETRY_SCHEMA",
     "atomic_write_json",
     "git_sha",
     "record_run",
-    "run_header_record",
     "SCHEMA_VERSION",
     "SimJob",
     "execute_job",
@@ -70,8 +64,7 @@ __all__ = [
     "JobTimeoutError",
     "JobFailedError",
     "JobEvent",
-    "JournalSink",
-    "JsonlTraceSink",
+    "JournalAnnouncer",
     "CollectingSink",
     "MultiSink",
     "ProgressPrinter",

@@ -35,8 +35,18 @@ when ``options.install_signal_handlers`` is set) stops the run admitting
 new work — in-flight jobs finish and are stored/recorded normally,
 not-yet-started jobs are given up with a ``drained`` telemetry event,
 and the run returns partial results (``None`` for drained slots) after
-flushing the telemetry trace and the run manifest.  Before this, a
-killed pool could drop the trailing JSONL events and leave no manifest.
+closing the run record and writing the run manifest.
+
+The run record: every run keeps one ordered list of records in
+:attr:`JobRunner.records` — a ``journal_header``, the ``run_start`` grid,
+one record per job boundary (``job_start`` / ``job_finish`` /
+``job_fail`` / ``job_retry`` / ``job_drained`` / ``pool_broken``),
+``run_end`` with the run's counts, then the ``span`` records of a
+sampled run.  A run with a directory (``options.manifest_dir``) appends
+each record through a :class:`repro.durable.RunJournal` to
+``<root>/<run_id>/journal.jsonl`` as it happens and, at ``run_end``,
+folds the in-memory records into ``manifest.json``.  That journal is
+the one file ``watch``, ``resume`` and ``spans`` read.
 """
 
 from __future__ import annotations
@@ -65,25 +75,14 @@ from repro.exec.telemetry import (
     REPLAYED,
     RETRIED,
     STARTED,
-    CollectingSink,
     JobEvent,
-    JsonlTraceSink,
     MultiSink,
-    NullSink,
     ProgressPrinter,
     RunTelemetry,
-    run_header_record,
+    git_sha,
 )
 from repro.sanitize.violation import InvariantViolation
-from repro.trace import (
-    ENV_PARENT,
-    ENV_SAMPLE,
-    ENV_SPANS,
-    clear_ambient,
-    flight,
-    maybe_tracer,
-    set_ambient,
-)
+from repro.trace import clear_ambient, flight, maybe_tracer, set_ambient
 
 
 class TransientJobError(RuntimeError):
@@ -113,29 +112,23 @@ class ExecOptions:
     timeout: Optional[float] = None     # seconds per job
     retries: int = 2                    # extra attempts after the first
     backoff: float = 0.25               # seconds; doubles per retry
-    trace_path: Optional[str] = None    # JSONL event dump
     progress: bool = False              # live stderr progress meter
-    #: Root directory for cross-run manifests (repro.perf): each run()
-    #: writes ``<manifest_dir>/<run_id>/manifest.json``.  None disables.
+    #: Root directory for run records: each run() appends its records to
+    #: ``<manifest_dir>/<run_id>/journal.jsonl`` as it goes (so a killed
+    #: grid can be continued with ``harness resume <run_id>``) and folds
+    #: them into ``manifest.json`` at the end.  None keeps the records in
+    #: memory only.
     manifest_dir: Optional[str] = None
-    #: Run provenance merged into the telemetry header and the manifest
-    #: (experiment name, CLI argv, seed, ...).
+    #: Run provenance carried in the journal header and the manifest
+    #: (experiment name, CLI argv, seed, resumed_from, ...).
     run_meta: Optional[Dict[str, Any]] = None
     #: Install SIGTERM/SIGINT handlers for the duration of each run()
     #: (main thread only): the first signal requests a graceful drain,
     #: a second one raises KeyboardInterrupt.  Off by default so library
     #: callers and tests never have their signal disposition touched.
     install_signal_handlers: bool = False
-    #: Write-ahead run journal (repro.durable): each run() appends
-    #: crc32-framed job start/finish/fail records to
-    #: ``<journal_dir>/<run_id>/journal.jsonl`` so a killed grid can be
-    #: continued with ``harness resume <run_id>``.  Active only when a
-    #: journal directory resolves (``journal_dir``, else ``manifest_dir``);
-    #: set False to switch journaling off even then.
-    journal: bool = True
-    journal_dir: Optional[str] = None
-    #: fsync policy for the journal ("always" | "batch" | "off"); None
-    #: defers to ``REPRO_JOURNAL_FSYNC``, then "always".
+    #: fsync policy for the run journal ("always" | "batch" | "off");
+    #: None defers to ``REPRO_JOURNAL_FSYNC``, then "always".
     journal_fsync: Optional[str] = None
     #: Simulation backend for bar jobs ("interp" | "vec", see
     #: :mod:`repro.vec`); None defers to ``REPRO_BACKEND``.  Plumbed
@@ -153,51 +146,54 @@ class ExecOptions:
     #: sampling rate; an unsampled parent disables tracing (head-based
     #: sampling — the caller's decision wins).
     trace_parent: Optional[str] = None
-    #: Span JSONL destination override.  None (the default) places spans
-    #: next to the run's other artifacts: ``<root>/<run_id>/spans.jsonl``.
-    spans_path: Optional[str] = None
+
+
+#: Scheduler events that become run records, by record name.  Because
+#: the engine stores a result in the cache *before* emitting FINISHED, a
+#: journaled ``job_finish`` implies the result is durably cached — the
+#: invariant ``harness resume`` relies on to skip completed cells.
+_RECORDS = {STARTED: "job_start", FINISHED: "job_finish",
+            FAILED: "job_fail", RETRIED: "job_retry",
+            DRAINED: "job_drained", POOL_BROKEN: "pool_broken"}
+
+#: Result fields that are *simulated* outputs (deterministic given the
+#: job) for bar cells: the subset a ``job_finish`` record carries.
+_BAR_SIM_FIELDS = (
+    "cycles", "busy", "cache_stall", "other_stall", "app_instructions",
+    "handler_instructions", "handler_invocations", "l1_miss_rate",
+)
+
+
+def _sim_view(result: Dict[str, Any]) -> Dict[str, Any]:
+    """The deterministic (simulated) slice of a job result dict."""
+    if all(name in result for name in _BAR_SIM_FIELDS):
+        return {name: result[name] for name in _BAR_SIM_FIELDS}
+    # Non-bar kinds (access_control, apps, test payloads): every field
+    # the executor returned is simulated output.
+    return dict(result)
 
 
 def _timed_call(execute: Callable[[SimJob], Dict[str, Any]],
-                job: SimJob):
+                job: SimJob, traceparent: Optional[str] = None):
     """Worker-side wrapper: run *execute* and measure its wall time.
 
-    Module-level so the process pool can pickle it by reference.
+    Module-level so the process pool can pickle it by reference.  A pool
+    worker of a sampled run is handed its job span's *traceparent*: the
+    call then runs under a tracer continuing that context, and the
+    finished span records travel back with ``(result, wall, spans)``.
     """
+    tracer = maybe_tracer(parent=traceparent) if traceparent else None
+    if tracer is not None:
+        set_ambient(tracer, None)
     start = time.perf_counter()
-    result = execute(job)
-    return result, time.perf_counter() - start
-
-
-class JournalSink:
-    """Telemetry sink that mirrors job lifecycle events into a
-    :class:`repro.durable.RunJournal`.
-
-    Because the engine stores a result in the cache *before* emitting
-    FINISHED, a journaled ``job_finish`` implies the result is durably
-    cached — the invariant ``harness resume`` relies on to skip
-    completed cells.  Append failures are absorbed by the journal itself
-    (counted, never raised), so this sink can never take a run down.
-    """
-
-    _RECORDS = {STARTED: "job_start", FINISHED: "job_finish",
-                FAILED: "job_fail", RETRIED: "job_retry",
-                DRAINED: "job_drained", POOL_BROKEN: "pool_broken"}
-
-    def __init__(self, journal) -> None:
-        self.journal = journal
-
-    def emit(self, event: JobEvent) -> None:
-        rec = self._RECORDS.get(event.event)
-        if rec is None:
-            return
-        fields: Dict[str, Any] = {"key": event.key, "label": event.label,
-                                  "attempt": event.attempt}
-        if event.cache is not None:
-            fields["cache"] = event.cache
-        if event.error is not None:
-            fields["error"] = event.error
-        self.journal.record(rec, **fields)
+    try:
+        result = execute(job)
+    finally:
+        if tracer is not None:
+            clear_ambient()
+    wall = time.perf_counter() - start
+    spans = tracer.records(time.time()) if tracer is not None else None
+    return result, wall, spans
 
 
 class FlightSink:
@@ -223,7 +219,9 @@ class JobRunner:
 
     ``execute`` is pluggable (module-level callable taking a SimJob) so
     tests can inject flaky or slow payloads; it defaults to
-    :func:`repro.exec.job.execute_job`.
+    :func:`repro.exec.job.execute_job`.  *sinks* see every
+    :class:`JobEvent` before the engine keeps it as a run record; those
+    with a ``record`` method also receive each record once it is kept.
     """
 
     def __init__(self, options: Optional[ExecOptions] = None, *,
@@ -239,6 +237,8 @@ class JobRunner:
             os.environ[BACKEND_ENV] = resolve_backend(self.options.backend)
         self.execute = execute
         self.extra_sinks = list(sinks)
+        self._record_sinks = [sink for sink in self.extra_sinks
+                              if hasattr(sink, "record")]
         if cache is not None:
             self.cache: Optional[ResultCache] = cache
         elif self.options.cache:
@@ -247,25 +247,26 @@ class JobRunner:
         else:
             self.cache = None
         self.stats = RunTelemetry()
+        #: The most recent run's records, in order (see the module doc).
+        self.records: List[Dict[str, Any]] = []
         #: Path of the most recent run's manifest.json (repro.perf), when
         #: ``options.manifest_dir`` is set and the write succeeded.
         self.last_manifest: Optional[str] = None
-        #: Run id and journal path of the most recent run(), when
-        #: journaling was active (``harness resume <last_run_id>``
-        #: continues that run after a kill).
+        #: Run id and journal path of the most recent run() — the journal
+        #: path is set as the run opens and cleared at its end if nothing
+        #: reached the disk (``harness resume <last_run_id>`` continues
+        #: that run after a kill).
         self.last_run_id: Optional[str] = None
         self.last_journal: Optional[str] = None
-        #: Span JSONL path of the most recent run(), when it was sampled
-        #: (``harness spans <run_id>`` reads it via the manifest).
-        self.last_spans: Optional[str] = None
-        self._trace_opened = False
+        self._journal = None
         self._drain = False
         #: repro.trace state for the duration of one run(): the sampled
         #: tracer (None → tracing off, the common case), the run-root
-        #: span, the span sink path, and the flight-dump directory.
+        #: span, and the flight-dump directory.
         self._tr = None
         self._run_span = None
-        self._spans_path: Optional[str] = None
+        #: Span records pool workers returned with their results.
+        self._pool_spans: List[Dict[str, Any]] = []
         self._flight_dir: Optional[str] = None
         self._flight_dumped: set = set()
 
@@ -319,11 +320,34 @@ class JobRunner:
                 except (ValueError, OSError):
                     pass
 
-    # -- telemetry helpers ---------------------------------------------------
+    # -- telemetry and the run record ---------------------------------------
     def _emit(self, sink, event: str, job: SimJob, key: str,
-              **extra) -> None:
-        sink.emit(JobEvent(event=event, key=key, label=job.label,
-                           timestamp=time.time(), **extra))
+              result: Optional[Dict[str, Any]] = None, **extra) -> None:
+        """Show *event* to the sinks, then keep it as a run record.
+
+        The record comes second so the sinks' view of a job boundary
+        never waits on a journal append.  *result* (FINISHED only) gives
+        the ``job_finish`` record its simulated-stat subset.
+        """
+        note = JobEvent(event=event, key=key, label=job.label,
+                        timestamp=time.time(), **extra)
+        sink.emit(note)
+        rec = _RECORDS.get(event)
+        if rec is None:
+            return
+        record = dict(extra, rec=rec, ts=note.timestamp, key=key,
+                      label=note.label, attempt=note.attempt)
+        if result is not None:
+            record["sim"] = _sim_view(result)
+        self._keep(record)
+
+    def _keep(self, record: Dict[str, Any]) -> None:
+        """Keep one record in memory, journal it, show the record sinks."""
+        self.records.append(record)
+        if self._journal is not None:
+            self._journal.append(record)
+        for sink in self._record_sinks:
+            sink.record(record)
 
     @staticmethod
     def _trace_extra(job: SimJob) -> Dict[str, str]:
@@ -376,63 +400,45 @@ class JobRunner:
             return "interp"
         return "vec"
 
-    def _header(self, total: int) -> Dict[str, Any]:
-        """The run-header record for this invocation's telemetry stream."""
-        meta = self.options.run_meta or {}
-        return run_header_record(
-            experiment=meta.get("experiment"),
-            argv=meta.get("argv"),
-            seed=meta.get("seed"),
-            workers=self.options.jobs,
-            jobs=total)
+    def _open_run(self, jobs: Sequence[SimJob]) -> str:
+        """Mint this run's id and open its record with the header.
 
-    def _open_journal(self, total: int):
-        """Start the write-ahead journal for one run(), if configured.
-
-        Returns ``(run_id, journal)`` — ``(None, None)`` when journaling
-        is off or no journal directory resolves.  The run id is minted
-        here (not at manifest-write time) so the journal and the manifest
-        share one ``<root>/<run_id>/`` directory and a kill before the
-        manifest still leaves a resumable run on disk.
+        With a root directory the records are journaled to
+        ``<root>/<run_id>/journal.jsonl`` from the header on, so a kill
+        before the manifest still leaves a resumable run on disk, and
+        the manifest lands in the same directory.
         """
-        root = self.options.journal_dir or self.options.manifest_dir
-        if not self.options.journal or not root:
-            return None, None
-        from repro.durable.journal import (JOURNAL_NAME, RunJournal,
-                                           header_record)
+        from repro.durable.journal import (EXEC_KIND, JOURNAL_NAME,
+                                           RunJournal, header_record)
         from repro.perf.manifest import new_run_id
 
         meta = self.options.run_meta or {}
         run_id = new_run_id(meta.get("experiment"))
-        journal = RunJournal(os.path.join(root, run_id, JOURNAL_NAME),
-                             fsync=self.options.journal_fsync)
-        journal.append(header_record(
-            "exec_run", run_id=run_id, experiment=meta.get("experiment"),
+        root = self.options.manifest_dir
+        self.records = []
+        self.last_run_id = run_id
+        self._journal = self.last_journal = self._flight_dir = None
+        if root:
+            self._flight_dir = os.path.join(root, run_id)
+            self._journal = RunJournal(
+                os.path.join(self._flight_dir, JOURNAL_NAME),
+                fsync=self.options.journal_fsync)
+            self.last_journal = self._journal.path
+        now = time.time()
+        self._keep(header_record(
+            EXEC_KIND, run_id=run_id, experiment=meta.get("experiment"),
             argv=meta.get("argv"), seed=meta.get("seed"),
-            workers=self.options.jobs, jobs=total, started=time.time()))
-        return run_id, journal
+            resumed_from=meta.get("resumed_from"), git_sha=git_sha(),
+            workers=self.options.jobs, jobs=len(jobs),
+            cache=self.cache is not None, started=now, ts=now))
+        return run_id
 
-    def _build_sink(self, total: int, journal=None):
-        sinks: List = [self.stats] + self.extra_sinks
-        trace = None
-        collector = None
-        if journal is not None:
-            sinks.append(JournalSink(journal))
-        if self.options.trace_path:
-            # First grid truncates any stale file; later grids of the
-            # same runner (multi-grid experiments) append to the stream.
-            trace = JsonlTraceSink(self.options.trace_path,
-                                   header=self._header(total),
-                                   mode="a" if self._trace_opened else "w")
-            self._trace_opened = True
-            sinks.append(trace)
-        if self.options.manifest_dir:
-            collector = CollectingSink()
-            sinks.append(collector)
+    def _build_sink(self, run_stats: RunTelemetry, total: int):
+        sinks: List = [run_stats] + self.extra_sinks
         if self.options.progress:
             sinks.append(ProgressPrinter(total))
         sinks.append(FlightSink(flight()))
-        return (MultiSink(sinks) if sinks else NullSink()), trace, collector
+        return MultiSink(sinks)
 
     def _maybe_flight_dump(self, reason: str) -> None:
         """Dump the flight-recorder tail once per (run, reason).
@@ -456,7 +462,8 @@ class JobRunner:
 
         ``self.stats`` accumulates across calls (an experiment like
         ``sensitivity`` submits several grids through one runner); build a
-        fresh JobRunner for independent accounting.
+        fresh JobRunner for independent accounting.  Each call is its own
+        run: its own id, records and (with a root) journal and manifest.
 
         *resume* is a :class:`repro.durable.RunState` (or anything with
         ``completed``/``attempts`` keyed by cache key): journal-completed
@@ -466,31 +473,19 @@ class JobRunner:
         budget spans the interrupted run and the resume.  A completed
         cell whose cache entry was lost or quarantined silently re-runs.
         """
-        run_id, journal = self._open_journal(len(jobs))
+        run_id = self._open_run(jobs)
         meta = self.options.run_meta or {}
         self._tr = maybe_tracer(self.options.trace_sample,
                                 self.options.trace_parent)
-        root = self.options.journal_dir or self.options.manifest_dir
-        if self._tr is not None and run_id is None and root:
-            # Journaling is off but this run is sampled: mint the run id
-            # here so the spans land in the same <root>/<run_id>/
-            # directory the manifest will use.
-            from repro.perf.manifest import new_run_id
-
-            run_id = new_run_id(meta.get("experiment"))
-        if run_id and root:
-            self._flight_dir = os.path.join(root, run_id)
         self._flight_dumped = set()
         if self._tr is not None:
-            self._spans_path = self.options.spans_path or (
-                os.path.join(root, run_id, "spans.jsonl")
-                if run_id and root else None)
             self._run_span = self._tr.start_span(
                 "run", jobs=len(jobs), workers=self.options.jobs,
-                **({"run_id": run_id} if run_id else {}),
+                run_id=run_id,
                 **({"experiment": meta["experiment"]}
                    if meta.get("experiment") else {}))
-        sink, trace, collector = self._build_sink(len(jobs), journal)
+        run_stats = RunTelemetry()
+        sink = self._build_sink(run_stats, len(jobs))
         run_start = time.perf_counter()
         results: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
         error: Optional[BaseException] = None
@@ -499,16 +494,15 @@ class JobRunner:
         try:
             with self._graceful_signals():
                 keys = [job.cache_key() for job in jobs]
-                if journal is not None:
-                    jnl_span = (self._tr.start_span(
-                        "journal.append", parent=self._run_span)
-                        if self._tr is not None else None)
-                    journal.record(
-                        "run_start", run_id=run_id,
-                        jobs=[{"key": key, "job": job.to_dict()}
-                              for job, key in zip(jobs, keys)])
-                    if jnl_span is not None:
-                        jnl_span.finish()
+                jnl_span = (self._tr.start_span(
+                    "journal.append", parent=self._run_span)
+                    if self._tr is not None else None)
+                self._keep({"rec": "run_start", "run_id": run_id,
+                            "ts": time.time(),
+                            "jobs": [{"key": key, "job": job.to_dict()}
+                                     for job, key in zip(jobs, keys)]})
+                if jnl_span is not None:
+                    jnl_span.finish()
                 probe_span = (self._tr.start_span(
                     "cache.probe", parent=self._run_span)
                     if self._tr is not None else None)
@@ -520,13 +514,13 @@ class JobRunner:
                     if cached is not None and key in completed:
                         results[index] = cached
                         self._emit(sink, REPLAYED, job, key)
-                        self._emit(sink, FINISHED, job, key,
+                        self._emit(sink, FINISHED, job, key, cached,
                                    cache="replay", wall=0.0)
                     elif cached is not None:
                         results[index] = cached
                         self._emit(sink, CACHE_HIT, job, key)
-                        self._emit(sink, FINISHED, job, key, cache="hit",
-                                   wall=0.0)
+                        self._emit(sink, FINISHED, job, key, cached,
+                                   cache="hit", wall=0.0)
                     else:
                         pending.append(index)
                         if carried.get(key):
@@ -549,55 +543,69 @@ class JobRunner:
             error = exc
             raise
         finally:
-            self.stats.wall += time.perf_counter() - run_start
-            if journal is not None:
-                status = ("failed" if error is not None
-                          else "drained" if self._drain else "ok")
-                journal.record("run_end", status=status,
-                               finished=time.time())
-                journal.close()
-                self.stats.journal_errors += journal.errors
-                self.last_run_id = run_id
-                self.last_journal = (journal.path if journal.records_written
-                                     else None)
-            if trace is not None:
-                trace.close()
-            self.last_spans = (self._spans_path
-                               if self._tr is not None else None)
-            if collector is not None:
-                mspan = (self._tr.start_span("manifest.write",
-                                             parent=self._run_span)
-                         if self._tr is not None else None)
-                self._write_manifest(jobs, results, collector, error,
-                                     run_id=run_id)
-                if mspan is not None:
-                    mspan.finish()
-            if self._tr is not None:
-                if self._run_span is not None:
-                    self._run_span.finish(
-                        "error" if error is not None else None)
-                self._tr.flush(self._spans_path)
-                self._tr = None
-                self._run_span = None
-                self._spans_path = None
-            self._flight_dir = None
+            self._close_run(run_stats, time.perf_counter() - run_start,
+                            error)
 
-    def _write_manifest(self, jobs, results, collector, error,
-                        run_id=None) -> None:
-        """Cross-run observatory hook: persist this run's manifest.
+    def _close_run(self, run_stats: RunTelemetry, wall: float,
+                   error: Optional[BaseException]) -> None:
+        """End the run record: ``run_end`` with the run's counts, the
+        manifest folded from the in-memory records, then the span records
+        of a sampled run — and only then close the journal."""
+        journal = self._journal
+        run_stats.wall = wall
+        if journal is not None:
+            run_stats.journal_errors = journal.errors
+        now = time.time()
+        self._keep({"rec": "run_end", "ts": now, "finished": now,
+                    "status": ("failed" if error is not None
+                               else "drained" if self._drain else "ok"),
+                    "error": (f"{type(error).__name__}: {error}"
+                              if error is not None else None),
+                    "stats": run_stats.as_dict()})
+        if self.options.manifest_dir:
+            mspan = (self._tr.start_span("manifest.write",
+                                         parent=self._run_span)
+                     if self._tr is not None else None)
+            self._write_manifest()
+            if mspan is not None:
+                mspan.finish()
+        if self._tr is not None:
+            self._run_span.finish("error" if error is not None else None)
+            self._keep_spans()
+            self._tr = self._run_span = None
+        if journal is not None:
+            journal.close()
+            run_stats.journal_errors = journal.errors
+            if not journal.records_written:
+                self.last_journal = None
+        self.stats.absorb(run_stats)
+        self._journal = self._flight_dir = None
+
+    def _keep_spans(self) -> None:
+        """Keep a sampled run's spans, plus those its pool workers sent
+        back, as ``span`` records in one journal write."""
+        records = self._tr.records(time.time()) + self._pool_spans
+        self._pool_spans = []
+        self.records.extend(records)
+        if self._journal is not None:
+            self._journal.extend(records)
+        for sink in self._record_sinks:
+            for record in records:
+                sink.record(record)
+
+    def _write_manifest(self) -> None:
+        """Cross-run observatory hook: fold the run's records into its
+        manifest.
 
         Imported lazily so repro.exec keeps no hard dependency on
         repro.perf; a manifest-write failure never masks the run itself.
-        *run_id* ties the manifest to the run's journal directory when
-        journaling was active.
         """
         from repro.perf.manifest import write_run_manifest
 
         try:
             self.last_manifest = write_run_manifest(
-                self.options.manifest_dir, jobs=jobs, results=results,
-                events=collector.events, runner=self,
-                error=error, run_id=run_id)
+                self.options.manifest_dir, self.records,
+                journal=self._journal)
         except OSError:
             self.last_manifest = None
 
@@ -629,7 +637,7 @@ class JobRunner:
                 while True:
                     self._emit(sink, STARTED, job, key, attempt=attempt)
                     try:
-                        result, wall = _timed_call(self.execute, job)
+                        result, wall, _ = _timed_call(self.execute, job)
                         break
                     except InvariantViolation as exc:
                         violation = exc
@@ -659,8 +667,8 @@ class JobRunner:
                         f"to preempt)")
                 self._store(job, result)
                 results[index] = result
-                self._emit(sink, FINISHED, job, key, attempt=attempt,
-                           wall=wall, cache=cache_state,
+                self._emit(sink, FINISHED, job, key, result,
+                           attempt=attempt, wall=wall, cache=cache_state,
                            **self._trace_extra(job),
                            **({"span": jspan.span_id} if jspan else {}))
             finally:
@@ -688,43 +696,36 @@ class JobRunner:
         cache_state = "miss" if self.cache else "off"
         workers = min(self.options.jobs, len(pending))
         timeout = self.options.timeout
-        # Trace propagation across the pool boundary: forked workers
-        # inherit the environment (the same route REPRO_SANITIZE and
-        # REPRO_BACKEND take), so export this run's context before the
-        # pool exists and restore afterwards.  Workers rebuild a tracer
-        # from REPRO_TRACEPARENT, parent their sim spans to the run
-        # span, and append to the shared spans file via O_APPEND.
-        saved_env: Dict[str, Optional[str]] = {}
-        if self._tr is not None:
-            exports = {ENV_PARENT: self._tr.traceparent(self._run_span),
-                       ENV_SAMPLE: "1",
-                       ENV_SPANS: self._spans_path or ""}
-            for name, value in exports.items():
-                saved_env[name] = os.environ.get(name)
-                if value:
-                    os.environ[name] = value
-                else:
-                    os.environ.pop(name, None)
         pool = ProcessPoolExecutor(max_workers=workers)
         aborted = False
+        # Trace propagation across the pool boundary: each submission
+        # carries its job span's traceparent, and the worker's spans
+        # come back with the result (see _timed_call).
         jspans: Dict[int, Any] = {}
+        parents: Dict[int, Optional[str]] = {}
         try:
             futures = {}
             # Seed attempt counts carried in from a resumed run so the
             # retry budget bounds total attempts across both runs.
             attempts = {index: (initial_attempts or {}).get(index, 0)
                         for index in pending}
-            for index in pending:
-                self._emit(sink, STARTED, jobs[index], keys[index],
-                           attempt=attempts[index])
-                if self._tr is not None:
-                    jspans[index] = self._tr.start_span(
-                        "job", parent=self._run_span,
-                        label=jobs[index].label, mode="pool")
-                futures[index] = pool.submit(_timed_call, self.execute,
-                                             jobs[index])
-            # Collect in submission order; retries resubmit in place.
             try:
+                # A worker may die before the last submission: submit
+                # raises BrokenProcessPool then, handled like a dead
+                # worker seen at collection.
+                for index in pending:
+                    job, key = jobs[index], keys[index]
+                    self._emit(sink, STARTED, job, key,
+                               attempt=attempts[index])
+                    parents[index] = None
+                    if self._tr is not None:
+                        jspans[index] = self._tr.start_span(
+                            "job", parent=self._run_span,
+                            label=job.label, mode="pool")
+                        parents[index] = self._tr.traceparent(jspans[index])
+                    futures[index] = pool.submit(_timed_call, self.execute,
+                                                 job, parents[index])
+                # Collect in submission order; retries resubmit in place.
                 for index in pending:
                     if self._drain and results[index] is None:
                         aborted = True
@@ -736,7 +737,7 @@ class JobRunner:
                     violation = None
                     while True:
                         try:
-                            result, wall = futures[index].result(
+                            result, wall, spans = futures[index].result(
                                 timeout=timeout)
                             break
                         except FutureTimeoutError:
@@ -766,8 +767,9 @@ class JobRunner:
                             self._retry(sink, job, key, attempts[index], exc)
                             self._emit(sink, STARTED, job, key,
                                        attempt=attempts[index])
-                            futures[index] = pool.submit(_timed_call,
-                                                         self.execute, job)
+                            futures[index] = pool.submit(
+                                _timed_call, self.execute, job,
+                                parents[index])
                         except Exception as exc:
                             aborted = True
                             self._abort_pool(pool)
@@ -785,9 +787,10 @@ class JobRunner:
                     if jspan is not None:
                         jspan.set_attr("attempt", attempts[index])
                         jspan.finish()
+                        self._pool_spans.extend(spans or ())
                     self._store(job, result)
                     results[index] = result
-                    self._emit(sink, FINISHED, job, key,
+                    self._emit(sink, FINISHED, job, key, result,
                                attempt=attempts[index], wall=wall,
                                cache=cache_state,
                                **self._trace_extra(job),
@@ -818,11 +821,6 @@ class JobRunner:
         finally:
             if not aborted:
                 pool.shutdown(wait=True, cancel_futures=True)
-            for name, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
     # -- graceful drain ------------------------------------------------------
     def _drain_indices(self, jobs, keys, indices, results, sink,
@@ -851,11 +849,12 @@ class JobRunner:
                     and not future.cancelled()):
                 exc = future.exception()
                 if exc is None:
-                    result, wall = future.result()
+                    result, wall, spans = future.result()
+                    self._pool_spans.extend(spans or ())
                     self._store(jobs[index], result)
                     results[index] = result
                     self._emit(sink, FINISHED, jobs[index], keys[index],
-                               attempt=attempt, wall=wall,
+                               result, attempt=attempt, wall=wall,
                                cache=cache_state,
                                **self._trace_extra(jobs[index]))
                     continue

@@ -230,9 +230,9 @@ def execute_job(job: SimJob) -> Dict[str, Any]:
                          f"expected one of {sorted(_EXECUTORS)}") from None
     # repro.trace: one "sim.execute" span per executed job.  In the
     # serial path this nests under the engine's ambient job span; in a
-    # pool worker it rebuilds context from REPRO_TRACEPARENT and
-    # parents to the submitting run's span — the cross-process edge of
-    # the trace tree.  Yields None (one attribute test) when untraced.
+    # pool worker it nests under the worker tracer _timed_call set up
+    # from the job span's traceparent — the cross-process edge of the
+    # trace tree.  Yields None (one attribute test) when untraced.
     from repro.trace import job_trace_span
 
     with job_trace_span("sim.execute", label=job.label, kind=job.kind):

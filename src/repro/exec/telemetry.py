@@ -2,14 +2,15 @@
 
 Every scheduler action emits a :class:`JobEvent` (queued / started /
 cache_hit / finished / retried / failed) to the runner's sinks.  Sinks are
-pluggable objects with an ``emit(event)`` method:
+pluggable objects with an ``emit(event)`` method; a sink that also has a
+``record(record)`` method receives every run record (the crc-framed
+journal lines, see :class:`repro.exec.JobRunner`) as it is kept:
 
-* :class:`JsonlTraceSink` — append events as JSON lines (the ``--trace``
-  file), one object per event, flushed eagerly so a hung run still leaves
-  a usable trace.
 * :class:`RunTelemetry` — in-memory aggregator: counts, wall times and
   cache accounting, plus the ASCII run summary the CLI prints.
 * :class:`ProgressPrinter` — single-line live progress meter.
+* :class:`JournalAnnouncer` — prints each run's journal path as the run
+  starts, so another terminal can ``harness watch --follow`` it.
 * :class:`MultiSink` — fan one event stream out to several sinks.
 """
 
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, IO, List, Optional, Sequence
 
 #: Event names, in the order a healthy job emits them.
@@ -41,15 +43,6 @@ DRAINED = "drained"
 #: cache because the interrupted run's journal marked it finished — the
 #: cell was not re-executed.  Followed by FINISHED with ``cache="replay"``.
 REPLAYED = "replayed"
-#: Stream-level header record: always the first line of a telemetry JSONL
-#: stream, carrying the schema version and run provenance so consumers
-#: (``harness watch`` / ``harness compare``) can self-describe the file.
-RUN_HEADER = "run_header"
-
-#: Version of the JSONL stream layout.  Bumped whenever the header or
-#: event record shapes change incompatibly; readers reject versions they
-#: do not understand instead of mis-parsing.
-TELEMETRY_SCHEMA = 1
 
 
 @functools.lru_cache(maxsize=1)
@@ -63,25 +56,6 @@ def git_sha() -> Optional[str]:
         return None
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
-
-
-def run_header_record(*, experiment: Optional[str] = None,
-                      argv: Optional[Sequence[str]] = None,
-                      seed: Optional[int] = None,
-                      workers: Optional[int] = None,
-                      jobs: Optional[int] = None) -> Dict[str, Any]:
-    """The self-describing first record of a telemetry JSONL stream."""
-    return {
-        "event": RUN_HEADER,
-        "schema": TELEMETRY_SCHEMA,
-        "git_sha": git_sha(),
-        "experiment": experiment,
-        "argv": list(argv) if argv is not None else list(sys.argv),
-        "seed": seed,
-        "workers": workers,
-        "jobs": jobs,
-        "started": time.time(),
-    }
 
 
 @dataclass
@@ -109,19 +83,14 @@ class JobEvent:
     #: tested.  None on cache hits and non-bar jobs.
     backend: Optional[str] = None
     #: repro.trace span id of this job's span, when the run is sampled
-    #: (``--trace-sample`` / REPRO_TRACE_SAMPLE) — joins the telemetry
-    #: stream to the run's ``spans.jsonl``.  None when tracing is off.
+    #: (``--trace-sample`` / REPRO_TRACE_SAMPLE) — joins the job record
+    #: to the run's ``span`` records.  None when tracing is off.
     span: Optional[str] = None
 
     def to_json(self) -> str:
         data = {k: v for k, v in asdict(self).items() if v is not None}
         data["key"] = self.key[:16]
         return json.dumps(data, sort_keys=True)
-
-
-class NullSink:
-    def emit(self, event: JobEvent) -> None:
-        pass
 
 
 class MultiSink:
@@ -146,45 +115,6 @@ class CollectingSink:
         return [event.event for event in self.events]
 
 
-class JsonlTraceSink:
-    """Write events to a JSONL file, one object per line.
-
-    *header* (a :func:`run_header_record` dict) is written before any
-    event, so the stream leads with its schema version and provenance.
-    *mode* is ``"w"`` or ``"a"``: the engine truncates on a runner's
-    first grid and appends for subsequent grids of the same runner (a
-    multi-grid experiment like ``sensitivity`` is one stream with one
-    header per grid), so a stale file from an earlier invocation never
-    bleeds into a new run's stream.
-    """
-
-    def __init__(self, path: str,
-                 header: Optional[Dict[str, Any]] = None,
-                 mode: str = "a") -> None:
-        self.path = path
-        self._fh: Optional[IO[str]] = open(path, mode)
-        if header is not None:
-            self.write_record(header)
-
-    def write_record(self, record: Dict[str, Any]) -> None:
-        """Write one raw dict as a JSON line (header and marker records)."""
-        if self._fh is None:
-            return
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def emit(self, event: JobEvent) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(event.to_json() + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class ProgressPrinter:
     """One-line live progress: ``[done/total] hits=H label``."""
 
@@ -205,6 +135,29 @@ class ProgressPrinter:
         end = "\n" if self.done == self.total else "\r"
         self.stream.write(f"\r{line:<78}{end}")
         self.stream.flush()
+
+
+class JournalAnnouncer:
+    """Prints ``run journal: <path>`` when a run under *root* starts.
+
+    A record sink: the path is announced on the ``run_start`` record,
+    by which point the journal file holds its header and the grid, so a
+    second terminal can attach ``harness watch --follow`` right away.
+    """
+
+    def __init__(self, root: str, stream: Optional[IO[str]] = None) -> None:
+        self.root = root
+        self.stream = stream if stream is not None else sys.stdout
+
+    def emit(self, event: JobEvent) -> None:
+        pass
+
+    def record(self, record: Dict[str, Any]) -> None:
+        if record["rec"] == "run_start":
+            from repro.durable.journal import JOURNAL_NAME
+
+            path = os.path.join(self.root, record["run_id"], JOURNAL_NAME)
+            print(f"run journal: {path}", file=self.stream, flush=True)
 
 
 @dataclass
@@ -253,6 +206,13 @@ class RunTelemetry:
             self.pool_breaks += 1
         elif event.event == REPLAYED:
             self.replayed += 1
+
+    def absorb(self, other: "RunTelemetry") -> None:
+        """Add *other*'s counts, walls and wall time into this one."""
+        for spec in fields(self):
+            if spec.name != "started_at":
+                setattr(self, spec.name,
+                        getattr(self, spec.name) + getattr(other, spec.name))
 
     @property
     def cache_hit_rate(self) -> float:

@@ -16,12 +16,12 @@ Usage::
     python -m repro.harness report (--trace-file PATH | --benchmark B
                                     --machine M [--label L])
     python -m repro.harness compare RUN_A RUN_B [--json] [--trace-dir]
-    python -m repro.harness watch TELEMETRY_JSONL [--follow]
+    python -m repro.harness watch (RUN_ID | JOURNAL) [--follow]
     python -m repro.harness serve [--port P] [--shards N] ...
     python -m repro.harness resume RUN_ID [--jobs N] [--backend B]
     python -m repro.harness apps {miss_profile,prefetch_schedule,bypass,all}
     python -m repro.harness explain (TRACE.events.jsonl | RUN_ID) [--json]
-    python -m repro.harness spans (SPANS.jsonl | RUN_ID) [--check] [--json]
+    python -m repro.harness spans (JOURNAL | RUN_ID) [--check] [--json]
     python -m repro.harness bench replacement [--explain DIR]
 
 ``profile`` wraps any other invocation in cProfile and prints the top-N
@@ -41,11 +41,11 @@ Execution-engine flags (see :mod:`repro.exec`): ``--jobs N`` fans the
 experiment's simulation grid across N worker processes (1 = serial,
 byte-identical to the historical loops); results are memoized in the
 content-addressed cache under ``REPRO_CACHE_DIR`` (default
-``~/.cache/repro-exec``) unless ``--no-cache``; ``--trace PATH`` dumps
-per-job telemetry events as JSONL; ``--seed N`` offsets the workload
-generator seeds; ``--timeout S`` bounds each job's runtime.  Engine-backed
-experiments also refresh their entry in ``BENCH_harness.json``
-(``--bench PATH`` to redirect, ``--no-bench`` to skip).
+``~/.cache/repro-exec``) unless ``--no-cache``; ``--seed N`` offsets the
+workload generator seeds; ``--timeout S`` bounds each job's runtime.
+Engine-backed experiments also refresh their entry in
+``BENCH_harness.json`` (``--bench PATH`` to redirect, ``--no-bench`` to
+skip).
 
 ``--backend {interp,vec}`` picks the simulation backend (see
 :mod:`repro.vec`): ``interp`` is the original object-per-instruction
@@ -69,23 +69,26 @@ machine fingerprint, per-cell wall + simulated stats) unless
 the store.  ``compare`` diffs two manifests — simulated statistics are
 digit-exact (drift is a correctness alarm), wall times get bootstrap
 confidence intervals — or two ``BENCH_*.json`` snapshots, or two
-``--trace-dir`` obs artifact directories.  ``watch`` follows a running
-grid's ``--trace`` JSONL live (per-job state, utilization, cache hits,
-throughput, ETA).
+``--trace-dir`` obs artifact directories.
 
-Crash safety (see :mod:`repro.durable`): every engine-backed run also
+The run record (see :mod:`repro.durable`): every engine-backed run
 appends a crc32-framed write-ahead journal
 (``results/runs/<run_id>/journal.jsonl``) recording each cell's
-start/finish/fail.  If a run is SIGKILLed mid-grid, ``resume <run_id>``
+start/finish/fail with its wall, backend and simulated stats, and prints
+``run journal: <path>`` as it starts; the manifest is folded from the
+same records.  ``watch <run_id>`` follows the journal live (per-job
+state, utilization, cache hits, throughput, ETA).  If a run is
+SIGKILLed mid-grid, ``resume <run_id>``
 continues it exactly where it died — journal-completed cells replay from
 the result cache (never re-simulated), incomplete cells re-run with
 their attempt counts carried over, and the resumed figure is digit-exact
 with an uninterrupted run.
 
-Request tracing (see :mod:`repro.trace`): ``--trace-sample RATE`` sets
-``REPRO_TRACE_SAMPLE`` so a sampled engine run (and its forked pool
-workers) records a span tree — run, per-job, decode, replay, export —
-next to the run manifest as ``spans.jsonl``; results stay digit-exact.
+Request tracing (see :mod:`repro.trace`): ``--trace-sample RATE`` samples
+the engine run (default ``REPRO_TRACE_SAMPLE``, then 0); a sampled run
+and its pool workers record a span tree — run, per-job, decode, replay,
+export — kept as ``span`` records in the run journal; results stay
+digit-exact.
 Analyze it afterwards with ``python -m repro.harness spans <run_id>``:
 span tree, critical path, per-name self time, p99 anomalies and a
 manifest wall cross-check (``--check`` makes it a CI assertion).
@@ -177,7 +180,7 @@ def _table2() -> str:
 
 def _build_engine(args, argv=None):
     """One JobRunner per CLI invocation, wired from the engine flags."""
-    from repro.exec import ExecOptions, JobRunner
+    from repro.exec import ExecOptions, JobRunner, JournalAnnouncer
 
     manifest_dir = None
     if not args.no_manifest:
@@ -187,15 +190,16 @@ def _build_engine(args, argv=None):
         jobs=args.jobs,
         cache=not args.no_cache,
         timeout=args.timeout,
-        trace_path=args.trace,
         progress=args.progress,
         manifest_dir=manifest_dir,
+        trace_sample=args.trace_sample,
         run_meta={"experiment": args.experiment,
                   "argv": list(argv) if argv is not None else None,
                   "seed": args.seed,
                   "policy": getattr(args, "policy", "lru")},
     )
-    return JobRunner(options)
+    return JobRunner(options, sinks=([JournalAnnouncer(manifest_dir)]
+                                     if manifest_dir else []))
 
 
 def main(argv=None) -> int:
@@ -232,9 +236,6 @@ def main(argv=None) -> int:
     engine_group.add_argument("--no-cache", action="store_true",
                               help="disable the content-addressed result "
                                    "cache")
-    engine_group.add_argument("--trace", default=None, metavar="PATH",
-                              help="append per-job telemetry events as "
-                                   "JSONL")
     engine_group.add_argument("--timeout", type=float, default=None,
                               metavar="SECONDS",
                               help="per-job timeout (parallel mode "
@@ -256,8 +257,8 @@ def main(argv=None) -> int:
     engine_group.add_argument("--trace-sample", type=float, default=None,
                               metavar="RATE",
                               help="repro.trace sampling rate in [0,1]: "
-                                   "a sampled run writes a spans.jsonl "
-                                   "span tree next to its manifest "
+                                   "a sampled run keeps its span tree in "
+                                   "its run journal "
                                    "(default REPRO_TRACE_SAMPLE, then 0)")
     engine_group.add_argument("--trace-events", default=None, metavar="DIR",
                               help="attach the repro.obs observer to every "
@@ -285,13 +286,9 @@ def main(argv=None) -> int:
         # Same environment route: the backend is an execution detail
         # (results are digit-exact), never part of a job's cache key.
         os.environ["REPRO_BACKEND"] = args.backend
-    if args.trace_sample is not None:
-        # Environment route like --sanitize: the engine reads it when
-        # ExecOptions.trace_sample is unset, and forked pool workers
-        # inherit the run's sampling decision with it.
-        if not 0.0 <= args.trace_sample <= 1.0:
-            parser.error("--trace-sample must be in [0, 1]")
-        os.environ["REPRO_TRACE_SAMPLE"] = repr(args.trace_sample)
+    if (args.trace_sample is not None
+            and not 0.0 <= args.trace_sample <= 1.0):
+        parser.error("--trace-sample must be in [0, 1]")
     if args.trace_events:
         # Same environment route as --sanitize, so --jobs N traces every
         # worker; REPRO_OBS_DIR alone implies REPRO_OBS.
@@ -399,8 +396,6 @@ def main(argv=None) -> int:
         print(engine.stats.summary())
         if engine.last_manifest:
             print(f"run manifest: {engine.last_manifest}")
-        if engine.last_journal:
-            print(f"run journal: {engine.last_journal}")
         if not args.no_bench:
             from repro.exec import DEFAULT_BENCH_PATH, record_run
             bench_path = args.bench or DEFAULT_BENCH_PATH

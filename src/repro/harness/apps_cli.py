@@ -65,8 +65,6 @@ def apps_main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="append per-job telemetry JSONL")
     parser.add_argument("--progress", action="store_true")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write results as JSON")
@@ -92,8 +90,7 @@ def apps_main(argv=None) -> int:
         for name in names
     ]
     engine = JobRunner(ExecOptions(
-        jobs=args.jobs, cache=not args.no_cache, trace_path=args.trace,
-        progress=args.progress,
+        jobs=args.jobs, cache=not args.no_cache, progress=args.progress,
         run_meta={"experiment": f"apps-{args.experiment}",
                   "seed": args.seed, "policy": args.policy}))
     results: List[Dict[str, Any]] = engine.run(jobs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 #: Default ablation workloads: two miss-heavy integer codes, a streaming
 #: FP code, and a nearly miss-free control.
@@ -108,11 +108,21 @@ def render_ablation(payload: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _most_different_policy(row: Dict[str, Dict[str, Any]]) -> Optional[str]:
+def _most_different_policy(row: Dict[str, Dict[str, Any]],
+                           policies: Sequence[str]) -> Optional[str]:
+    """The non-lru policy with the largest |delta vs lru|.
+
+    Ties go to the latest entry of *policies* (the grid's column order),
+    never to the row's key order: a live payload and the same payload
+    read back from key-sorted JSON must pick the same rival.
+    """
     best, best_delta = None, 0.0
-    for policy, cell in row.items():
+    for policy in policies:
+        cell = row.get(policy)
+        if cell is None or policy == "lru":
+            continue
         delta = abs(cell.get("delta_vs_lru") or 0.0)
-        if policy != "lru" and delta >= best_delta:
+        if delta >= best_delta:
             best, best_delta = policy, delta
     return best
 
@@ -142,7 +152,7 @@ def write_explain_artifacts(payload: Dict[str, Any], directory: str,
     written: List[str] = []
     for benchmark in payload["benchmarks"]:
         row = payload["cells"].get(benchmark, {})
-        rival = _most_different_policy(row)
+        rival = _most_different_policy(row, payload["policies"])
         keep_trace = payload["spread"].get(benchmark, 0.0) >= trace_threshold
         policies = ["lru"] + ([rival] if rival else [])
         for policy in policies:

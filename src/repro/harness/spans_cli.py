@@ -1,6 +1,7 @@
 """``harness spans``: where did this request's wall time go?
 
-Reconstructs the span tree a traced run wrote (:mod:`repro.trace`) and
+Reconstructs the span tree a traced run kept (:mod:`repro.trace`) — the
+``span`` records of its journal — and
 answers the latency questions the manifest's aggregate walls cannot:
 what the *critical path* through the request was (the chain of spans
 that determined end-to-end latency, with each hop's exclusive
@@ -13,12 +14,15 @@ the clock is.
 
 Two input forms, mirroring ``harness explain``::
 
-    python -m repro.harness spans results/runs/<run_id>/spans.jsonl
+    python -m repro.harness spans results/runs/<run_id>/journal.jsonl
     python -m repro.harness spans <run_id> [--manifest-dir DIR]
 
-A spans file may hold several traces (a serve gateway appends every
-sampled request to its fallback file); the largest trace is analyzed
-unless ``--trace-id`` picks one.  ``--check`` turns the analysis into a
+Records are read through the journal's trusted-prefix reader: spans
+after a torn or flipped line are distrusted, and a journal with no
+intact span record exits 2.  A journal may hold several traces (a serve
+gateway appends every sampled cache hit to its
+``serve_spans-<pid>-<start ms>.jsonl``);
+the largest trace is analyzed unless ``--trace-id`` picks one.  ``--check`` turns the analysis into a
 CI assertion: a single connected tree, spans from at least
 ``--expect-processes`` distinct pids, a critical path that telescopes
 exactly to the root's duration, and (with ``--wall``) a root duration
@@ -37,7 +41,8 @@ import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.trace.exporters import read_spans, spans_to_chrome, spans_to_otlp
+from repro.durable.journal import read_records
+from repro.trace.exporters import spans_to_chrome, spans_to_otlp
 
 #: Minimum same-named spans before the p99 anomaly gate is applied.
 MIN_ANOMALY_SAMPLES = 8
@@ -52,34 +57,30 @@ def _duration(record: Dict[str, Any]) -> float:
 def resolve_spans(ref: str, manifest_root: Optional[str]
                   ) -> Tuple[Optional[str], Optional[Dict[str, Any]],
                              Optional[str]]:
-    """Resolve *ref* to (spans_path, manifest-or-None) or an error.
+    """Resolve *ref* to (journal path, manifest-or-None) or an error.
 
-    A path to an existing file wins; otherwise *ref* is treated as a
-    run id whose manifest names the spans file (or whose run directory
-    holds ``spans.jsonl``, for serve runs that appended spans after the
-    manifest was written).
+    A path to an existing file other than a ``manifest.json`` is read as
+    it is (a run journal, or a gateway's ``serve_spans-*.jsonl``);
+    otherwise *ref* is a run id, run directory or manifest path whose
+    run journal holds the spans and whose manifest, when one was
+    written, supplies the per-cell walls for the cross-check.
     """
-    from repro.perf.manifest import ManifestError, load_manifest, runs_root
+    from repro.durable.resume import JournalError, journal_path_for
+    from repro.perf.manifest import ManifestError, load_manifest
 
-    if os.path.isfile(ref) and not ref.endswith("manifest.json"):
+    is_manifest = os.path.basename(ref) == "manifest.json"
+    if os.path.isfile(ref) and not is_manifest:
         return ref, None, None
     try:
+        path = journal_path_for(
+            (os.path.dirname(ref) or os.curdir) if is_manifest else ref,
+            manifest_root)
+    except JournalError as exc:
+        return None, None, str(exc)
+    try:
         manifest = load_manifest(ref, root=manifest_root)
-    except ManifestError as exc:
-        if os.path.exists(ref):
-            return None, None, str(exc)
-        return None, None, (f"{ref!r} is neither a spans.jsonl file nor a "
-                            f"resolvable run id ({exc})")
-    except ValueError as exc:
-        return None, None, f"cannot parse {ref!r}: {exc}"
-    path = manifest.get("spans_path")
-    if not path or not os.path.isfile(path):
-        path = os.path.join(runs_root(manifest_root),
-                            manifest["run_id"], "spans.jsonl")
-    if not os.path.isfile(path):
-        return None, None, (f"run {manifest['run_id']} has no spans.jsonl "
-                            "(was it run with tracing on? see "
-                            "--trace-sample / REPRO_TRACE_SAMPLE)")
+    except (ManifestError, ValueError):
+        manifest = None
     return path, manifest, None
 
 
@@ -363,7 +364,8 @@ def render_analysis(source: str, trace_id: str, analysis: Dict[str, Any],
         note += f"  [+{other_traces} other trace(s) in file; see --trace-id]"
     lines.append(note)
     if bad_lines:
-        lines.append(f"  note: skipped {bad_lines} undecodable line(s)")
+        lines.append(f"  note: distrusted {bad_lines} line(s) from the "
+                     f"first bad frame on")
     if analysis["unfinished"] or analysis["errors"]:
         lines.append(f"  note: {analysis['unfinished']} unfinished, "
                      f"{analysis['errors']} error span(s)")
@@ -454,8 +456,9 @@ def spans_main(argv=None) -> int:
                     "its critical path, per-name self time and p99 "
                     "anomalies.")
     parser.add_argument("ref",
-                        help="a spans.jsonl file, or a run id / manifest "
-                             "path from a traced run")
+                        help="a run journal (or a serve_spans-*.jsonl), "
+                             "or the run id / run directory / manifest of "
+                             "a traced run")
     parser.add_argument("--manifest-dir", default=None, metavar="DIR",
                         help="manifest root (default results/runs or "
                              "REPRO_RUNS_DIR)")
@@ -493,12 +496,16 @@ def spans_main(argv=None) -> int:
         print(f"spans: {error}", file=sys.stderr)
         return 2
     try:
-        records, bad = read_spans(path)
+        records, bad, _ = read_records(path)
     except OSError as exc:
         print(f"spans: cannot read {path}: {exc}", file=sys.stderr)
         return 2
+    records = [r for r in records if r.get("rec") == "span"]
     if not records:
-        print(f"spans: {path} contains no span records", file=sys.stderr)
+        print(f"spans: {path} holds no intact span records"
+              + (f" ({bad} distrusted line(s))" if bad else "")
+              + " — was the run traced? see --trace-sample / "
+                "REPRO_TRACE_SAMPLE", file=sys.stderr)
         return 2
     groups = group_by_trace(records)
     if args.trace_id:

@@ -5,19 +5,18 @@ continuous and actionable; :mod:`repro.obs` (PR 4) delivers that *within*
 a run, and this package delivers it *across* runs:
 
 * **run manifests** — every :class:`repro.exec.JobRunner` grid run with
-  ``manifest_dir`` set (the harness CLI default) writes
-  ``results/runs/<run_id>/manifest.json``: git sha, config digest, seed,
-  machine fingerprint, per-cell wall/simulated stats, obs metrics
-  digests and the telemetry path (:mod:`repro.perf.manifest`);
+  ``manifest_dir`` set (the harness CLI default) folds its run journal
+  into ``results/runs/<run_id>/manifest.json``: git sha, config digest,
+  seed, machine fingerprint, per-cell wall/simulated stats, obs metrics
+  digests and the journal path (:mod:`repro.perf.manifest`);
 * **compare** — ``python -m repro.harness compare RUN_A RUN_B`` diffs
   two manifests (or BENCH snapshots, or ``--trace-dir`` obs artifact
   directories): simulated statistics digit-exact — any drift is a
   correctness alarm — and wall times through repeated-cell bootstrap
   confidence intervals (:mod:`repro.perf.compare`);
-* **watch** — ``python -m repro.harness watch telemetry.jsonl`` follows
-  a running grid's telemetry stream live: per-job state, worker
-  utilization, cache-hit ratio, throughput, ETA
-  (:mod:`repro.perf.watch`);
+* **watch** — ``python -m repro.harness watch <run_id|journal>`` follows
+  a running grid's journal live: per-job state, worker utilization,
+  cache-hit ratio, throughput, ETA (:mod:`repro.perf.watch`);
 * **trajectory** — bench runs append (never overwrite) one line per run
   to ``BENCH_trajectory.jsonl`` so the timing history survives snapshot
   updates (:mod:`repro.perf.trajectory`).
@@ -45,8 +44,8 @@ from repro.perf.manifest import (
     MANIFEST_KIND,
     MANIFEST_SCHEMA,
     ManifestError,
-    build_manifest,
     config_digest,
+    fold_manifest,
     list_runs,
     load_manifest,
     machine_fingerprint,
@@ -63,7 +62,7 @@ from repro.perf.trajectory import (
     trajectory_path_for,
 )
 from repro.perf.watch import (
-    TelemetryFollower,
+    JournalFollower,
     WatchError,
     follow,
     replay,
@@ -79,19 +78,19 @@ __all__ = [
     "MANIFEST_KIND",
     "MANIFEST_SCHEMA",
     "ManifestError",
+    "JournalFollower",
     "TRAJECTORY_SCHEMA",
-    "TelemetryFollower",
     "WatchError",
     "append_bench_run",
     "append_trajectory",
     "bootstrap_ci",
-    "build_manifest",
     "classify_ratio",
     "compare_bench",
     "compare_main",
     "compare_manifests",
     "compare_trace_dirs",
     "config_digest",
+    "fold_manifest",
     "follow",
     "list_runs",
     "load_manifest",

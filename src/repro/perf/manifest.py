@@ -2,19 +2,25 @@
 
 A manifest freezes everything a later comparison needs about one
 :class:`repro.exec.JobRunner` invocation — provenance (git sha, CLI
-argv, seed, machine fingerprint, config digest), the scheduler's
-aggregate stats, and a per-cell record holding each job's identity,
-wall time, cache state and *simulated* result dict.  Simulated numbers
-are deterministic, so two manifests of the same config/seed must agree
+argv, seed, machine fingerprint, config digest), the run's aggregate
+counts, and a per-cell record holding each job's identity, wall time,
+cache state and *simulated* result subset.  Simulated numbers are
+deterministic, so two manifests of the same config/seed must agree
 digit-for-digit; wall times are noise and get statistical treatment
 instead (see :mod:`repro.perf.compare`).
 
-Layout: ``<runs_root>/<run_id>/manifest.json`` with ``runs_root``
-defaulting to ``results/runs`` (override with ``REPRO_RUNS_DIR`` or the
-CLI's ``--manifest-dir``).  Run ids are ``<UTC stamp>-<experiment>-
-<pid>-<seq>``: sortable, unique within and across processes, and
-human-greppable.  Writes are atomic (tmp + rename), like every baseline
-file in this repo.
+A manifest is a fold over the run's records (:func:`fold_manifest`):
+the journal header gives provenance, ``run_start`` the grid,
+``job_*`` records each cell's outcome and ``run_end`` the status and
+counts.  The engine folds its in-memory records at run end, so a run
+whose journal appends failed still gets a complete manifest.
+
+Layout: ``<runs_root>/<run_id>/manifest.json`` next to the run's
+``journal.jsonl``, with ``runs_root`` defaulting to ``results/runs``
+(override with ``REPRO_RUNS_DIR`` or the CLI's ``--manifest-dir``).  Run
+ids are ``<UTC stamp>-<experiment>-<pid>-<seq>``: sortable, unique within
+and across processes, and human-greppable.  Writes are atomic (tmp +
+rename), like every baseline file in this repo.
 """
 
 from __future__ import annotations
@@ -25,10 +31,9 @@ import json
 import os
 import platform
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.exec.bench import atomic_write_json
-from repro.exec.telemetry import DRAINED, FINISHED, JobEvent, git_sha
 
 #: Manifest layout version; compare/load reject versions they don't know.
 MANIFEST_SCHEMA = 1
@@ -37,13 +42,6 @@ MANIFEST_KIND = "run_manifest"
 
 ENV_RUNS_DIR = "REPRO_RUNS_DIR"
 DEFAULT_RUNS_ROOT = os.path.join("results", "runs")
-
-#: Result fields that are *simulated* outputs (deterministic given the
-#: job) for bar cells; everything listed here is compared digit-exact.
-_BAR_SIM_FIELDS = (
-    "cycles", "busy", "cache_stall", "other_stall", "app_instructions",
-    "handler_instructions", "handler_invocations", "l1_miss_rate",
-)
 
 _run_seq = itertools.count()
 
@@ -72,15 +70,15 @@ def machine_fingerprint() -> Dict[str, Any]:
     }
 
 
-def config_digest(jobs: Sequence) -> str:
-    """One hex digest over the whole grid's content addresses.
+def config_digest(keys: Iterable[str]) -> str:
+    """One hex digest over the whole grid's content addresses (cache keys).
 
     Two runs with equal digests simulated the exact same cells (same
     benchmarks, machines, bars, run lengths, seeds and code version), so
     their simulated stats are directly comparable.
     """
     digest = hashlib.sha256()
-    for key in sorted(job.cache_key() for job in jobs):
+    for key in sorted(keys):
         digest.update(key.encode("ascii"))
     return digest.hexdigest()
 
@@ -101,40 +99,40 @@ def _metrics_digest(label: str) -> Optional[str]:
         return None
 
 
-def _sim_view(result: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
-    """The deterministic (simulated) slice of a job result dict."""
-    if result is None:
-        return None
-    if result.get("status") == "invariant_violation":
-        return {"status": "invariant_violation"}
-    if all(field in result for field in _BAR_SIM_FIELDS):
-        return {field: result[field] for field in _BAR_SIM_FIELDS}
-    # Non-bar kinds (access_control, test payloads): every field the
-    # executor returned is simulated output.
-    return dict(result)
+def _fold_cells(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Fold a run's records into per-cell records, in grid order."""
+    from repro.exec import SimJob
 
-
-def build_cells(jobs: Sequence, results: Sequence[Optional[Dict[str, Any]]],
-                events: Sequence[JobEvent]) -> List[Dict[str, Any]]:
-    """Fold the telemetry stream + results into per-cell records."""
-    finished: Dict[str, JobEvent] = {}
-    attempts: Dict[str, int] = {}
+    grid: List[Dict[str, Any]] = []
+    finished: Dict[str, Dict[str, Any]] = {}
+    violations = set()
     drained = set()
-    for event in events:
-        if event.event == FINISHED:
-            finished[event.key] = event
-        elif event.event == DRAINED:
-            drained.add(event.key)
-        attempts[event.key] = max(attempts.get(event.key, 0), event.attempt)
+    attempts: Dict[str, int] = {}
+    for record in records:
+        rec, key = record.get("rec"), record.get("key")
+        if rec == "run_start":
+            grid = record.get("jobs") or []
+        elif rec == "job_finish":
+            finished[key] = record
+        elif rec == "job_fail" and record.get("violation") is not None:
+            violations.add(key)
+        elif rec == "job_drained":
+            drained.add(key)
+        if key is not None:
+            attempts[key] = max(attempts.get(key, 0),
+                                record.get("attempt") or 0)
     cells = []
-    for job, result in zip(jobs, results):
-        key = job.cache_key()
-        done = finished.get(key)
-        status = "ok"
-        if result is None:
-            status = "drained" if key in drained else "unfinished"
-        elif result.get("status") == "invariant_violation":
-            status = "invariant_violation"
+    for entry in grid:
+        key, job = entry["key"], SimJob.from_dict(entry["job"])
+        done = finished.get(key) or {}
+        status, sim = "unfinished", None
+        if done:
+            status, sim = "ok", done.get("sim")
+        elif key in violations:
+            status, sim = "invariant_violation", {
+                "status": "invariant_violation"}
+        elif key in drained:
+            status = "drained"
         cells.append({
             "label": job.label,
             "key": key[:16],
@@ -142,62 +140,63 @@ def build_cells(jobs: Sequence, results: Sequence[Optional[Dict[str, Any]]],
             "benchmark": job.benchmark,
             "machine": job.machine,
             "status": status,
-            "cache": done.cache if done is not None else None,
-            "wall": done.wall if done is not None else None,
+            "cache": done.get("cache"),
+            "wall": done.get("wall"),
             # The cell's repro.obs event trace (runs under --trace-events
             # only); ``harness explain <run_id>`` reads it back.
-            "trace": done.trace if done is not None else None,
+            "trace": done.get("trace"),
             "attempts": attempts.get(key, 0),
-            "sim": _sim_view(result),
+            "sim": sim,
             "metrics_digest": _metrics_digest(job.label),
         })
     return cells
 
 
-def build_manifest(jobs: Sequence,
-                   results: Sequence[Optional[Dict[str, Any]]],
-                   events: Sequence[JobEvent], runner,
-                   error: Optional[BaseException] = None,
-                   run_id: Optional[str] = None) -> Dict[str, Any]:
-    """Assemble the manifest dict for one finished (or aborted) run."""
-    meta = runner.options.run_meta or {}
-    experiment = meta.get("experiment")
+def fold_manifest(records: List[Dict[str, Any]],
+                  journal=None) -> Dict[str, Any]:
+    """The manifest dict of one run, folded from its records.
+
+    *journal* is the :class:`repro.durable.RunJournal` the records went
+    to, if any: the manifest links its path (when anything reached the
+    disk) and counts its failed appends.
+    """
+    head = records[0]
+    end = next((r for r in reversed(records) if r.get("rec") == "run_end"),
+               {})
+    grid = next((r.get("jobs") or [] for r in records
+                 if r.get("rec") == "run_start"), [])
+    stats = dict(end.get("stats") or {})
+    if journal is not None:
+        stats["journal_errors"] = journal.errors
     return {
         "kind": MANIFEST_KIND,
         "schema": MANIFEST_SCHEMA,
-        "run_id": run_id or new_run_id(experiment),
-        "experiment": experiment,
-        "argv": meta.get("argv"),
-        "seed": meta.get("seed"),
-        "git_sha": git_sha(),
+        "run_id": head.get("run_id"),
+        "experiment": head.get("experiment"),
+        "argv": head.get("argv"),
+        "seed": head.get("seed"),
+        "git_sha": head.get("git_sha"),
         "written": time.time(),
         "machine": machine_fingerprint(),
-        "config_digest": config_digest(jobs),
-        "workers": runner.options.jobs,
-        "cache_enabled": runner.cache is not None,
-        "telemetry_path": runner.options.trace_path,
-        "journal_path": getattr(runner, "last_journal", None),
-        "spans_path": getattr(runner, "last_spans", None),
-        "resumed_from": meta.get("resumed_from"),
-        "status": ("failed" if error is not None else
-                   "drained" if getattr(runner, "draining", False) else "ok"),
-        "error": (f"{type(error).__name__}: {error}"
-                  if error is not None else None),
-        "stats": runner.stats.as_dict(),
-        "cells": build_cells(jobs, results, events),
+        "config_digest": config_digest(entry["key"] for entry in grid),
+        "workers": head.get("workers"),
+        "cache_enabled": head.get("cache"),
+        "journal_path": (journal.path if journal is not None
+                         and journal.records_written else None),
+        "resumed_from": head.get("resumed_from"),
+        "status": end.get("status", "unfinished"),
+        "error": end.get("error"),
+        "stats": stats,
+        "cells": _fold_cells(records),
     }
 
 
-def write_run_manifest(directory: Optional[str], jobs, results, events,
-                       runner, error: Optional[BaseException] = None,
-                       run_id: Optional[str] = None) -> str:
-    """Write ``<directory>/<run_id>/manifest.json``; return its path.
-
-    *run_id* pins the directory when the engine already minted one for
-    its journal, so journal and manifest land side by side.
-    """
-    manifest = build_manifest(jobs, results, events, runner, error=error,
-                              run_id=run_id)
+def write_run_manifest(directory: Optional[str],
+                       records: List[Dict[str, Any]],
+                       journal=None) -> str:
+    """Fold *records* and write ``<directory>/<run_id>/manifest.json``;
+    return its path."""
+    manifest = fold_manifest(records, journal=journal)
     run_dir = os.path.join(runs_root(directory), manifest["run_id"])
     os.makedirs(run_dir, exist_ok=True)
     path = os.path.join(run_dir, "manifest.json")

@@ -1,41 +1,36 @@
-"""``python -m repro.harness watch telemetry.jsonl`` — live grid monitor.
+"""``python -m repro.harness watch <run_id|journal>`` — live grid monitor.
 
-The exec engine's ``--trace PATH`` stream is append-only JSONL with a
-self-describing :data:`~repro.exec.telemetry.RUN_HEADER` first record.
-``watch`` follows that file while a grid runs — from another terminal,
-over NFS, wherever — and renders per-job state, worker utilization,
-cache-hit ratio, throughput and an ETA without touching the run itself.
+Every engine run with a run directory appends its records to a
+crc-framed ``journal.jsonl`` (see :mod:`repro.durable.journal`); the
+harness prints ``run journal: <path>`` as the run starts.  ``watch``
+follows that file while a grid runs — from another terminal, over NFS,
+wherever — and renders per-job state, worker utilization, cache-hit
+ratio, throughput and an ETA without touching the run itself.
 
-All derived numbers come from the **event timestamps in the stream**,
-never from the watcher's own clock, so replaying a recorded stream
+All derived numbers come from the **record timestamps in the journal**,
+never from the watcher's own clock, so replaying a recorded journal
 (the default when ``--follow`` is not given) produces the exact same
 panel every time — which is how the tests pin this code down.
 
-Streams whose header declares an unknown schema version are rejected
-with a clear error (exit 2); headerless streams from pre-header builds
-are tolerated with a note.
+Records are read by the journal's own scanner: everything before the
+first bad frame is rendered, everything from it on is distrusted and
+counted.  A journal whose header declares an unknown schema is rejected
+with a clear error (exit 2); one whose header was lost is tolerated with
+a note.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.exec.telemetry import (
-    CACHE_HIT,
-    DRAINED,
-    FAILED,
-    FINISHED,
-    POOL_BROKEN,
-    QUEUED,
-    REPLAYED,
-    RETRIED,
-    RUN_HEADER,
-    STARTED,
-    TELEMETRY_SCHEMA,
+from repro.durable.journal import (
+    EXEC_KIND,
+    HEADER_RECORD,
+    JOURNAL_SCHEMA,
+    RecordScanner,
 )
 
 #: Job states, in lifecycle order.
@@ -49,113 +44,122 @@ ST_DRAINED = "drained"
 
 
 class WatchError(ValueError):
-    """The stream cannot be followed (unknown schema, unreadable file)."""
+    """The journal cannot be followed (unknown schema, unreadable file)."""
 
 
-class TelemetryFollower:
-    """Incremental reducer of a telemetry JSONL stream.
+def _label(entry: Dict[str, Any]) -> Optional[str]:
+    """A ``run_start`` grid entry's job label (None if it won't parse)."""
+    from repro.exec.job import SimJob
 
-    Feed it lines (complete or not — partial trailing lines are buffered
-    until their newline arrives) and ask for :meth:`snapshot` /
-    :meth:`render` at any point.  Corrupt lines are counted and skipped,
-    so a stream truncated by a dying run stays watchable.
+    try:
+        return SimJob.from_dict(entry["job"]).label
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
+class JournalFollower:
+    """Incremental reducer of a run journal.
+
+    Feed it text (complete lines or not — a partial trailing line is
+    held until its newline arrives) and ask for :meth:`snapshot` /
+    :meth:`render` at any point.
     """
 
     def __init__(self) -> None:
         self.header: Optional[Dict[str, Any]] = None
-        #: Sum of the per-grid ``jobs`` counts: a multi-grid experiment
-        #: (``sensitivity``) writes one header per grid into one stream.
+        #: Sum of the header ``jobs`` counts, should several runs'
+        #: journals be fed to one follower.
         self.header_jobs = 0
         self.jobs: Dict[str, Dict[str, Any]] = {}
         self.order: List[str] = []
         self.retries = 0
         self.pool_breaks = 0
-        self.corrupt_lines = 0
+        #: True once a ``run_end`` record arrived: the run is over, even
+        #: if a failure left some of its jobs unfinished.
+        self.ended = False
         self.first_ts: Optional[float] = None
         self.last_ts: Optional[float] = None
         self.last_label: Optional[str] = None
-        self._records = 0
-        self._partial = ""
+        self._scanner = RecordScanner()
+
+    @property
+    def distrusted_lines(self) -> int:
+        return self._scanner.bad_lines
 
     # -- ingestion -----------------------------------------------------------
     def feed_text(self, text: str) -> None:
-        """Consume a chunk of the file (any split is fine)."""
-        self._partial += text
-        while "\n" in self._partial:
-            line, self._partial = self._partial.split("\n", 1)
-            self.feed_line(line)
+        """Consume a chunk of the journal (any split is fine)."""
+        for record in self._scanner.feed(text):
+            self._apply(record)
 
-    def feed_line(self, line: str) -> None:
-        line = line.strip()
-        if not line:
-            return
-        try:
-            record = json.loads(line)
-        except ValueError:
-            self.corrupt_lines += 1
-            return
-        if not isinstance(record, dict) or "event" not in record:
-            self.corrupt_lines += 1
-            return
-        self._apply(record)
+    def close(self) -> None:
+        """End of input: a trailing line without its newline is torn."""
+        for record in self._scanner.close():
+            self._apply(record)
+
+    def _job(self, key: str, label: Optional[str]) -> Dict[str, Any]:
+        job = self.jobs.get(key)
+        if job is None:
+            job = self.jobs[key] = {"label": label or key[:16],
+                                    "state": ST_QUEUED, "wall": None,
+                                    "attempts": 0, "error": None}
+            self.order.append(key)
+        return job
 
     def _apply(self, record: Dict[str, Any]) -> None:
-        kind = record["event"]
-        if kind == RUN_HEADER:
-            schema = record.get("schema")
-            if schema != TELEMETRY_SCHEMA:
+        rec = record.get("rec")
+        if rec == HEADER_RECORD:
+            if record.get("kind") != EXEC_KIND:
                 raise WatchError(
-                    f"telemetry stream declares schema {schema!r}; this "
-                    f"build understands schema {TELEMETRY_SCHEMA} — "
-                    f"regenerate the trace or upgrade")
+                    f"journal kind {record.get('kind')!r} is not an "
+                    f"engine run ({EXEC_KIND!r})")
+            schema = record.get("schema")
+            if schema != JOURNAL_SCHEMA:
+                raise WatchError(
+                    f"journal declares schema {schema!r}; this build "
+                    f"understands schema {JOURNAL_SCHEMA} — regenerate "
+                    f"the run or upgrade")
             if self.header is None:
                 self.header = record
             self.header_jobs += record.get("jobs") or 0
             return
-        self._records += 1
-        ts = record.get("timestamp")
+        if rec == "span":
+            return  # spans land at run end, after the grid's timeline
+        ts = record.get("ts")
         if isinstance(ts, (int, float)):
             if self.first_ts is None:
                 self.first_ts = ts
             self.last_ts = ts
+        if rec == "run_start":
+            for entry in record.get("jobs") or ():
+                if isinstance(entry, dict) and "key" in entry:
+                    self._job(entry["key"], _label(entry))
+            return
+        if rec == "run_end":
+            self.ended = True
+            return
         key = record.get("key")
         if key is None:
             return
-        job = self.jobs.get(key)
-        if job is None:
-            job = self.jobs[key] = {"label": record.get("label"),
-                                    "state": ST_QUEUED, "wall": None,
-                                    "attempts": 0, "error": None}
-            self.order.append(key)
-        if kind == QUEUED:
-            pass
-        elif kind == STARTED:
+        job = self._job(key, record.get("label"))
+        if rec == "job_start":
             job["state"] = ST_RUNNING
             job["attempts"] = max(job["attempts"], record.get("attempt", 0))
-        elif kind == CACHE_HIT:
-            job["state"] = ST_CACHED
-        elif kind == REPLAYED:
-            job["state"] = ST_REPLAYED
-        elif kind == FINISHED:
-            if job["state"] not in (ST_CACHED, ST_REPLAYED):
-                # A resumed run's journal replays also carry
-                # cache="replay" on FINISHED (wall 0) in case the
-                # REPLAYED record itself was lost to a torn tail.
-                if record.get("cache") == "replay":
-                    job["state"] = ST_REPLAYED
-                else:
-                    job["state"] = ST_DONE
+        elif rec == "job_finish":
+            cache = record.get("cache")
+            job["state"] = (ST_CACHED if cache == "hit" else
+                            ST_REPLAYED if cache == "replay" else ST_DONE)
             job["wall"] = record.get("wall")
             self.last_label = job["label"]
-        elif kind == FAILED:
+        elif rec == "job_fail":
             job["state"] = ST_FAILED
             job["error"] = record.get("error")
             self.last_label = job["label"]
-        elif kind == RETRIED:
+        elif rec == "job_retry":
             self.retries += 1
-        elif kind == POOL_BROKEN:
+        elif rec == "pool_broken":
             self.pool_breaks += 1
-        elif kind == DRAINED:
+        elif rec == "job_drained":
             job["state"] = ST_DRAINED
             self.last_label = job["label"]
 
@@ -219,7 +223,7 @@ class TelemetryFollower:
             "drained": self._count(ST_DRAINED),
             "retries": self.retries,
             "pool_breaks": self.pool_breaks,
-            "corrupt_lines": self.corrupt_lines,
+            "distrusted_lines": self.distrusted_lines,
             "cache_hit_ratio": (cached / lookups) if lookups else 0.0,
             "elapsed": round(elapsed, 4),
             "mean_wall": round(mean_wall, 4),
@@ -259,13 +263,14 @@ class TelemetryFollower:
                 + (f"{snap['experiment']} " if snap["experiment"] else "")
                 + f"{snap['total']} jobs, {snap['workers']} worker(s)"]
         if self.header is None:
-            head.append("  note: headerless (pre-schema) stream")
+            head.append("  note: headerless journal (its header record "
+                        "is missing)")
         else:
             sha = snap["git_sha"] or "unknown"
             head.append(f"  schema {snap['schema']}, git {sha[:12]}")
-        if snap["corrupt_lines"]:
-            head.append(f"  note: skipped {snap['corrupt_lines']} "
-                        f"corrupt line(s)")
+        if snap["distrusted_lines"]:
+            head.append(f"  note: distrusted {snap['distrusted_lines']} "
+                        f"line(s) from the first bad frame on")
         finished = snap["done"] + snap["cached"] + snap["replayed"]
         head.append(
             f"  state       {finished} finished "
@@ -306,26 +311,27 @@ class TelemetryFollower:
         return "\n".join(head)
 
 
-def replay(path: str) -> TelemetryFollower:
-    """Reduce an entire recorded stream; deterministic for a given file."""
-    follower = TelemetryFollower()
+def replay(path: str) -> JournalFollower:
+    """Reduce an entire recorded journal; deterministic for a given file."""
+    follower = JournalFollower()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:
             follower.feed_text(fh.read())
     except OSError as exc:
         raise WatchError(f"cannot read {path}: {exc}")
+    follower.close()
     return follower
 
 
 def follow(path: str, interval: float = 0.5,
            timeout: Optional[float] = None, stream=None,
-           _sleep=time.sleep) -> TelemetryFollower:
-    """Tail *path* until the run completes (or *timeout* seconds pass)."""
+           _sleep=time.sleep) -> JournalFollower:
+    """Tail *path* until the run ends (or *timeout* seconds pass)."""
     out = stream if stream is not None else sys.stderr
-    follower = TelemetryFollower()
+    follower = JournalFollower()
     deadline = (time.monotonic() + timeout) if timeout else None
     try:
-        fh = open(path)
+        fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
         raise WatchError(f"cannot read {path}: {exc}")
     with fh:
@@ -335,7 +341,7 @@ def follow(path: str, interval: float = 0.5,
                 follower.feed_text(chunk)
             out.write(f"\r{follower.status_line():<78}")
             out.flush()
-            if follower.complete:
+            if follower.complete or follower.ended:
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 break
@@ -345,16 +351,17 @@ def follow(path: str, interval: float = 0.5,
 
 
 def watch_main(argv=None) -> int:
+    from repro.durable.resume import JournalError, journal_path_for
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness watch",
-        description="Follow an exec-engine telemetry JSONL stream: "
-                    "per-job state, utilization, cache hits, throughput "
-                    "and ETA.")
-    parser.add_argument("trace", metavar="TELEMETRY_JSONL",
-                        help="the --trace file an engine run is writing "
-                             "(or wrote)")
+        description="Follow an engine run's journal: per-job state, "
+                    "utilization, cache hits, throughput and ETA.")
+    parser.add_argument("run", metavar="RUN",
+                        help="run id, run directory or journal.jsonl path "
+                             "of a running (or finished) engine run")
     parser.add_argument("--follow", action="store_true",
-                        help="keep tailing until the run completes "
+                        help="keep tailing until the run ends "
                              "(default: replay what is there and exit)")
     parser.add_argument("--interval", type=float, default=0.5,
                         help="poll interval in seconds (default 0.5)")
@@ -365,12 +372,13 @@ def watch_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        path = journal_path_for(args.run)
         if args.follow:
-            follower = follow(args.trace, interval=args.interval,
+            follower = follow(path, interval=args.interval,
                               timeout=args.timeout)
         else:
-            follower = replay(args.trace)
-    except WatchError as exc:
+            follower = replay(path)
+    except (JournalError, WatchError) as exc:
         print(f"watch: error: {exc}")
         return 2
     print(follower.render(jobs_detail=args.jobs_detail))

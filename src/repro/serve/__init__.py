@@ -5,7 +5,7 @@ engine: typed job-spec validation (:mod:`~repro.serve.spec`), a
 content-addressed cache probe, per-tenant token-bucket rate limiting,
 request coalescing of identical in-flight cells, a bounded admission
 queue, worker shards running :class:`~repro.exec.JobRunner`, streaming
-progress over schema-1 telemetry events (SSE), an OpenMetrics
+progress as the run's journal records (SSE), an OpenMetrics
 ``/metrics`` endpoint, and graceful drain on SIGTERM.
 
 A served result is byte-identical to the same cell run through

@@ -12,19 +12,17 @@ Routes::
 
 Every error — malformed spec, rate limit, full queue, engine failure —
 renders as a structured JSON body with a definite status code; a client
-never sees a traceback.  SSE responses replay the run's schema-1
-telemetry records (the same objects a JSONL trace holds) as ``data:``
-lines, then a terminal ``result`` or ``error`` event.
+never sees a traceback.  SSE responses send the run's records (the same
+header and job records its ``journal.jsonl`` holds) as ``record``
+events, then a terminal ``result`` or ``error`` event.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
 from typing import Any, Dict, Optional, Tuple
 
-from repro.exec import run_header_record
 from repro.obs.export import to_openmetrics
 from repro.serve.gateway import (
     Draining,
@@ -180,7 +178,7 @@ class App:
         return request.keep_alive
 
     async def handle_job_stream(self, request: Request, writer) -> bool:
-        """SSE submission: telemetry records live, then result/error.
+        """SSE submission: run records live, then result/error.
 
         Pre-admission failures (bad spec, rate limit, full queue) are
         still plain JSON errors with their real status code — the SSE
@@ -207,11 +205,6 @@ class App:
         pending = first
         try:
             await stream.start()
-            await stream.send(run_header_record(experiment="serve",
-                                                argv=["serve", "/v1/jobs"],
-                                                seed=None, workers=1,
-                                                jobs=1),
-                              event="header")
             while True:
                 if pending is None:
                     pending = asyncio.ensure_future(events.get())
@@ -222,7 +215,7 @@ class App:
                     pending = None
                     if record is None:  # end-of-stream sentinel
                         break
-                    await stream.send(record, event="telemetry")
+                    await stream.send(record, event="record")
                     continue
                 # Task finished exceptionally without a sentinel.
                 pending.cancel()
@@ -291,8 +284,7 @@ class App:
         return request.keep_alive
 
     def handle_run(self, request: Request, writer, run_id: str) -> bool:
-        from repro.perf.manifest import (ManifestError, load_manifest,
-                                         runs_root)
+        from repro.perf.manifest import ManifestError, load_manifest
 
         root = self.gateway.options.manifest_dir
         if root is None:
@@ -307,11 +299,5 @@ class App:
                                         "message": str(exc)},
                           keep_alive=request.keep_alive)
             return request.keep_alive
-        # Link the run's span artifact even when the gateway appended
-        # its spans after the manifest was written (traced requests).
-        if not manifest.get("spans_path"):
-            spans = os.path.join(runs_root(root), run_id, "spans.jsonl")
-            if os.path.isfile(spans):
-                manifest["spans_path"] = spans
         json_response(writer, 200, manifest, keep_alive=request.keep_alive)
         return request.keep_alive

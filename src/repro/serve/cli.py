@@ -69,12 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="repro.trace sampling rate in [0,1] for "
                              "requests without their own traceparent "
                              "header (default: REPRO_TRACE_SAMPLE, then "
-                             "0 = off); sampled requests write a span "
-                             "tree next to their run manifest")
+                             "0 = off); sampled requests keep their span "
+                             "tree in their run journal")
     parser.add_argument("--trace-dir", default=None,
                         help="span destination for traced requests that "
-                             "produce no run directory (cache hits, "
-                             "rejections): <dir>/serve_spans.jsonl "
+                             "reach no run journal (cache hits, "
+                             "rejections): the crc-framed "
+                             "<dir>/serve_spans-<pid>-<start ms>.jsonl "
                              "(default: --manifest-dir)")
     parser.add_argument("--drain-grace", type=float, default=30.0,
                         help="seconds to wait for in-flight jobs on "

@@ -28,7 +28,6 @@ OpenMetrics by the app layer.
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -120,9 +119,10 @@ class ServeOptions:
     #: sampled context is always traced, an unsampled one never.  0.0
     #: (the default) keeps the request path span-free.
     trace_sample: float = 0.0
-    #: Fallback span destination for traced requests that never reach a
-    #: run directory (cache hits, rejections): ``<trace_dir>/
-    #: serve_spans.jsonl``.  None falls back to ``manifest_dir``.
+    #: Span destination for traced requests that never reach a run
+    #: journal (cache hits, rejections): the crc-framed
+    #: ``<trace_dir>/serve_spans-<pid>-<start ms>.jsonl`` of each
+    #: gateway process.  None falls back to ``manifest_dir``.
     trace_dir: Optional[str] = None
 
 
@@ -138,9 +138,9 @@ class Ticket:
         self.job = job
         self.key = key
         self.future = future
-        #: SSE subscriber queues; fed from the engine's telemetry sink.
+        #: SSE subscriber queues; fed the run's records as they are kept.
         self.subscribers: List["asyncio.Queue"] = []
-        #: Telemetry records already published (late subscribers replay).
+        #: Run records already published (late subscribers replay).
         self.events: List[Dict[str, Any]] = []
         self.waiters = 1
         self.created = time.monotonic()
@@ -153,7 +153,8 @@ class Ticket:
 
 
 class _TicketSink:
-    """Engine telemetry sink that republishes events onto the loop.
+    """Engine record sink that republishes the run's records (header,
+    run_start, job records, run_end) onto the loop for SSE subscribers.
 
     Runs on the shard thread; hops to the event loop with
     ``call_soon_threadsafe`` so subscriber queues are only touched from
@@ -166,7 +167,9 @@ class _TicketSink:
         self.ticket = ticket
 
     def emit(self, event) -> None:
-        record = json.loads(event.to_json())
+        pass
+
+    def record(self, record: Dict[str, Any]) -> None:
         self.loop.call_soon_threadsafe(self.publish, self.ticket, record)
 
 
@@ -211,6 +214,9 @@ class Gateway:
             "recovered": 0, "orphaned": 0, "already_cached": 0,
             "bad_lines": 0, "truncated": False}
         self.started_at = time.time()
+        #: This process's span file for traced hits and rejections.
+        self.spans_name = (f"serve_spans-{os.getpid()}-"
+                           f"{int(self.started_at * 1000)}.jsonl")
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.queue: Optional[asyncio.Queue] = None
         self._shard_tasks: List["asyncio.Task"] = []
@@ -381,9 +387,26 @@ class Gateway:
         root = tracer.start_span("http.request", tenant=tenant)
         return tracer, root
 
-    def _fallback_spans_path(self) -> Optional[str]:
-        root = self.options.trace_dir or self.options.manifest_dir
-        return os.path.join(root, "serve_spans.jsonl") if root else None
+    def _keep_spans(self, tracer, path: Optional[str]) -> Optional[str]:
+        """Append a traced request's spans as ``span`` records to *path*
+        (its run's journal), or — for cache hits and rejections, which
+        never reach a run — to this gateway's own
+        ``<trace_dir>/serve_spans-<pid>-<start ms>.jsonl``: one file per
+        gateway process, so a torn append from a killed one hides no
+        later process's spans.  Both are crc-framed journals, written
+        with fsync off: spans are diagnostics, not durable state.
+        Returns the file, or None when there is nowhere to keep them."""
+        from repro.durable.journal import RunJournal
+
+        if path is None:
+            root = self.options.trace_dir or self.options.manifest_dir
+            if not root:
+                return None
+            path = os.path.join(root, self.spans_name)
+        with RunJournal(path, fsync="off") as journal:
+            if journal.extend(tracer.records(time.time())):
+                self.registry.counter("serve.trace.flushed").inc()
+        return path
 
     async def submit(self, payload: Any, tenant: str = "anonymous",
                      subscriber: Optional["asyncio.Queue"] = None,
@@ -391,15 +414,16 @@ class Gateway:
         """Validate, admit and execute one job spec; return the outcome.
 
         The outcome dict is ``{"result": <engine result>, "meta": {...}}``
-        with meta carrying cache state, run id/manifest and wall time.
-        *subscriber*, when given, receives schema-1 telemetry records as
-        they happen (and ``None`` as the end-of-stream sentinel).
+        with meta carrying cache state, run id/manifest/journal and wall
+        time.  *subscriber*, when given, receives the run's records as
+        they are kept (and ``None`` as the end-of-stream sentinel).
 
         *traceparent* is the request's W3C trace context header, if any:
         a sampled context makes this request traced end to end — gateway
         spans here, engine and worker spans via
         :attr:`ExecOptions.trace_parent` — all under one trace id, and
-        the response meta gains ``trace_id`` / ``spans``.
+        the response meta gains ``trace_id`` / ``spans`` (the journal now
+        holding the tree).
 
         Raises SpecError / RateLimited / QueueFull / Draining / JobError.
         """
@@ -429,16 +453,14 @@ class Gateway:
         finally:
             if tracer is not None:
                 root.finish(None if ok else "error")
-                if not ok and tracer.flush(self._fallback_spans_path()):
-                    self.registry.counter("serve.trace.flushed").inc()
+                if not ok:
+                    self._keep_spans(tracer, None)
         if tracer is not None:
-            # The engine wrote its spans next to the run's manifest; the
+            # The engine kept its spans in the run's journal; the
             # gateway's spans follow so one file holds the whole tree.
             meta = dict(outcome.get("meta") or {})
             meta["trace_id"] = tracer.trace_id
-            meta["spans"] = meta.get("spans") or self._fallback_spans_path()
-            if tracer.flush(meta["spans"]):
-                self.registry.counter("serve.trace.flushed").inc()
+            meta["spans"] = self._keep_spans(tracer, meta.get("journal"))
             outcome = {"result": outcome.get("result"), "meta": meta}
         self.registry.histogram("serve.request_latency_ms").record(
             int((time.monotonic() - t0) * 1000))
@@ -564,9 +586,9 @@ class Gateway:
             timeout=self.options.job_timeout,
             retries=0,
             manifest_dir=self.options.manifest_dir,
-            # The gateway's own journal covers served jobs; a per-request
-            # engine journal would just double the fsync traffic.
-            journal=False,
+            # The gateway's own journal makes served jobs durable; the
+            # run's record is for reading, so it costs no fsync.
+            journal_fsync="off",
             # Traced requests hand their context across the engine
             # boundary; untraced ones pin sampling to 0 so a stray
             # REPRO_TRACE_SAMPLE cannot trace half a request.
@@ -595,12 +617,13 @@ class Gateway:
                          "shard": shard,
                          "run_id": run_id_of(runner.last_manifest),
                          "manifest": runner.last_manifest,
-                         "spans": runner.last_spans,
+                         "journal": runner.last_journal,
+                         "spans": None,
                          "wall": round(wall, 6)}}
 
     # -- completion / streaming ----------------------------------------------
     def _publish(self, ticket: Ticket, record: Dict[str, Any]) -> None:
-        """Loop-side: fan a telemetry record out to the subscribers."""
+        """Loop-side: fan a run record out to the subscribers."""
         ticket.events.append(record)
         for queue in ticket.subscribers:
             queue.put_nowait(record)
@@ -633,11 +656,10 @@ class Gateway:
         subsystems)."""
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
-        from repro.exec.telemetry import TELEMETRY_SCHEMA, git_sha
+        from repro.exec.telemetry import git_sha
         from repro.obs import obs_enabled
         from repro.perf.manifest import MANIFEST_SCHEMA
         from repro.sanitize import sanitize_enabled
-        from repro.trace import SPAN_SCHEMA
 
         return {
             "status": "draining" if self.draining else "ok",
@@ -649,10 +671,8 @@ class Gateway:
             "git_sha": git_sha(),
             "schemas": {
                 "job": SCHEMA_VERSION,
-                "telemetry": TELEMETRY_SCHEMA,
                 "manifest": MANIFEST_SCHEMA,
                 "journal": JOURNAL_SCHEMA,
-                "spans": SPAN_SCHEMA,
             },
             "subsystems": {
                 "obs": obs_enabled(),

@@ -12,14 +12,15 @@ Propagation:
 * **HTTP** — the W3C ``traceparent`` header carries the context from
   ``repro.serve``'s client through the gateway (see
   :mod:`repro.trace.context`).
-* **Process pool** — the exec engine exports ``REPRO_TRACEPARENT`` /
-  ``REPRO_TRACE_SPANS`` before creating the pool, and workers rebuild
-  a tracer from the environment on first traced job
-  (:func:`job_trace_span`), appending to the same ``spans.jsonl`` via
-  atomic ``O_APPEND`` writes.
+* **Process pool** — the exec engine hands each pool submission its job
+  span's ``traceparent``; the worker traces the call under it and sends
+  its finished spans back with the result.
 * **In-process** — a thread-local *ambient* (tracer, current span)
   lets deep code (``run_bar``, obs stamping) attach spans without
   threading tracer arguments through every call.
+
+Spans end up as ``span`` records in the run's journal (see
+:class:`repro.exec.JobRunner`), next to the job records they explain.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import os
 import random
 import threading
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from .context import (
     TraceContext,
@@ -37,18 +38,13 @@ from .context import (
     parse_traceparent,
 )
 from .flight import ENV_FLIGHT_DIR, FlightRecorder, flight
-from .span import SPAN_SCHEMA, Span, Tracer
+from .span import Span, Tracer
 
 ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
-ENV_PARENT = "REPRO_TRACEPARENT"
-ENV_SPANS = "REPRO_TRACE_SPANS"
 
 __all__ = [
     "ENV_SAMPLE",
-    "ENV_PARENT",
-    "ENV_SPANS",
     "ENV_FLIGHT_DIR",
-    "SPAN_SCHEMA",
     "Span",
     "Tracer",
     "TraceContext",
@@ -89,14 +85,12 @@ def maybe_tracer(
 ) -> Optional[Tracer]:
     """A Tracer if this run is sampled, else None.
 
-    Head-based sampling: when *parent* (a ``traceparent`` header or the
-    ``REPRO_TRACEPARENT`` env value) carries a valid context, its
-    sampled flag is the decision — sampled parents are continued,
-    unsampled parents disable tracing regardless of the local rate.
-    Without a parent, a coin weighted by the sampling rate decides.
+    Head-based sampling: when *parent* (a ``traceparent`` header)
+    carries a valid context, its sampled flag is the decision — sampled
+    parents are continued, unsampled parents disable tracing regardless
+    of the local rate.  Without a parent, a coin weighted by the
+    sampling rate decides.
     """
-    if parent is None:
-        parent = os.environ.get(ENV_PARENT)
     ctx = parse_traceparent(parent)
     if ctx is not None:
         if not ctx.sampled:
@@ -135,73 +129,32 @@ def ambient_span() -> Optional[Span]:
 
 
 # --------------------------------------------------------------------------
-# Worker-side instrumentation.
-
-_WORKER_LOCK = threading.Lock()
-_WORKER_TRACER: Optional[Tracer] = None
-_WORKER_PARENT: Optional[str] = None
-
-
-def _worker_tracer() -> Optional[Tracer]:
-    """Tracer rebuilt from the environment inside a pool worker.
-
-    Cached per (process, REPRO_TRACEPARENT value): the engine exports a
-    fresh parent per run, so a long-lived worker reused across runs
-    re-keys correctly.  Returns None when the env carries no sampled
-    context — the common (untraced) case costs one dict lookup.
-    """
-    global _WORKER_TRACER, _WORKER_PARENT
-    parent = os.environ.get(ENV_PARENT)
-    if not parent:
-        return None
-    with _WORKER_LOCK:
-        if _WORKER_PARENT != parent:
-            _WORKER_PARENT = parent
-            _WORKER_TRACER = maybe_tracer(parent=parent)
-        return _WORKER_TRACER
+# Job instrumentation.
 
 
 class _JobSpanScope:
-    """Context manager wrapping one job execution in a span.
+    """Context manager wrapping one job execution in a span under the
+    ambient one (the engine's job span, or a pool worker's tracer);
+    a no-op when the thread has no ambient tracer."""
 
-    Chooses the ambient tracer when present (serial path / serve
-    shard), else a worker tracer derived from the environment (pool
-    path).  Worker-owned spans are flushed to ``REPRO_TRACE_SPANS``
-    after every job so a killed worker loses at most the in-flight job.
-    """
-
-    __slots__ = ("_tracer", "_span", "_owns_ambient", "_worker_owned", "_saved")
+    __slots__ = ("_tracer", "_parent", "_span")
 
     def __init__(self, name: str, **attrs: Any) -> None:
-        tracer, parent = ambient()
-        self._worker_owned = False
-        self._saved: Tuple[Optional[Tracer], Optional[Span]] = (None, None)
-        if tracer is None:
-            tracer = _worker_tracer()
-            self._worker_owned = tracer is not None
-            parent = None
-        self._tracer = tracer
-        if tracer is None:
-            self._span = None
-            self._owns_ambient = False
-            return
-        self._span = tracer.start_span(name, parent=parent, **attrs)
-        self._owns_ambient = True
+        self._tracer, self._parent = ambient()
+        self._span = (self._tracer.start_span(name, parent=self._parent,
+                                              **attrs)
+                      if self._tracer is not None else None)
 
     def __enter__(self) -> Optional[Span]:
-        if self._span is not None and self._owns_ambient:
-            self._saved = ambient()
+        if self._span is not None:
             set_ambient(self._tracer, self._span)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self._span is None:
             return
-        if self._owns_ambient:
-            set_ambient(*self._saved)
+        set_ambient(self._tracer, self._parent)
         self._span.finish("error" if exc_type is not None else None)
-        if self._worker_owned and self._tracer is not None:
-            self._tracer.flush(os.environ.get(ENV_SPANS))
 
 
 def job_trace_span(name: str, **attrs: Any) -> _JobSpanScope:

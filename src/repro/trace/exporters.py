@@ -1,10 +1,4 @@
-"""Span file readers and export formats.
-
-``read_spans`` tolerates torn tails (the file may be appended to by a
-process that was SIGKILLed mid-write of a *final* partial line) by
-skipping undecodable lines and reporting how many were skipped.
-
-Two export formats:
+"""Span export formats, over ``span`` records read from a run journal.
 
 * Chrome ``trace_event`` JSON — load in ``chrome://tracing`` / Perfetto.
 * OTLP-compatible JSON — the ``resourceSpans`` shape OpenTelemetry
@@ -13,31 +7,9 @@ Two export formats:
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
-__all__ = ["read_spans", "spans_to_chrome", "spans_to_otlp"]
-
-
-def read_spans(path: str) -> Tuple[List[Dict[str, Any]], int]:
-    """Read a spans.jsonl file -> (records, bad_line_count)."""
-    records: List[Dict[str, Any]] = []
-    bad = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                bad += 1
-                continue
-            if not isinstance(record, dict) or "span_id" not in record:
-                bad += 1
-                continue
-            records.append(record)
-    return records, bad
+__all__ = ["spans_to_chrome", "spans_to_otlp"]
 
 
 def spans_to_chrome(spans: List[Dict[str, Any]]) -> Dict[str, Any]:

@@ -1,21 +1,16 @@
 """Spans and the in-process tracer.
 
 A :class:`Span` is one timed operation inside a trace; a
-:class:`Tracer` owns every span started in this process for one trace
-and serializes them to a JSONL file on :meth:`Tracer.flush`.  Spans
-use ``time.time()`` (not the monotonic clock) so spans recorded in
-different processes land on a shared axis and a single request's tree
-lines up across the gateway, the exec engine, and pool workers.
-
-Flushing appends each process's spans with a single ``O_APPEND``
-write, which the kernel makes atomic per call — concurrent workers can
-share one ``spans.jsonl`` without interleaving partial lines (same
-idiom as the durable journal).
+:class:`Tracer` owns every span started in this process for one trace.
+Spans use ``time.time()`` (not the monotonic clock) so spans recorded
+in different processes land on a shared axis and a single request's
+tree lines up across the gateway, the exec engine, and pool workers.
+Their owners keep them as ``span`` records in a run journal
+(:meth:`Tracer.records`).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -23,9 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from .context import TraceContext, new_span_id, new_trace_id
 
-SPAN_SCHEMA = 1
-
-__all__ = ["SPAN_SCHEMA", "Span", "Tracer"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -81,13 +74,14 @@ class Span:
             self.status = status
 
     def to_record(self) -> Dict[str, Any]:
+        """The body of this span's ``span`` run record."""
         record: Dict[str, Any] = {
-            "schema": SPAN_SCHEMA,
+            "rec": "span",
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "name": self.name,
             "start": self.start,
-            "end": self.end if self.end is not None else self.start,
+            "end": self.end,
             "status": self.status,
             "pid": self.pid,
         }
@@ -117,9 +111,7 @@ class Tracer:
     """Collects spans for one trace inside one process.
 
     Thread-safe: serve shards and engine threads may start spans
-    concurrently.  The tracer never raises from the hot path — flush
-    failures disable further flushing and are surfaced via
-    :attr:`flush_errors`.
+    concurrently.
     """
 
     def __init__(self, context: Optional[TraceContext] = None) -> None:
@@ -133,8 +125,6 @@ class Tracer:
             self.remote_parent_id = context.span_id
         self._lock = threading.Lock()
         self._spans: List[Span] = []
-        self._flushed = 0
-        self.flush_errors = 0
 
     def start_span(
         self,
@@ -177,36 +167,12 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
-    def flush(self, path: Optional[str]) -> int:
-        """Append all finished-or-not spans not yet flushed to *path*.
-
-        Returns the number of spans written.  Unfinished spans are
-        closed at flush time so a crash/drain still yields a readable
-        file.  Never raises.
-        """
-        if not path:
-            return 0
-        with self._lock:
-            pending = self._spans[self._flushed :]
-            if not pending:
-                return 0
-            self._flushed = len(self._spans)
-        try:
-            lines = []
-            for span in pending:
-                if span.end is None:
-                    span.finish("unfinished")
-                lines.append(json.dumps(span.to_record(), sort_keys=True))
-            payload = ("\n".join(lines) + "\n").encode("utf-8")
-            directory = os.path.dirname(path)
-            if directory:
-                os.makedirs(directory, exist_ok=True)
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, payload)
-            finally:
-                os.close(fd)
-            return len(pending)
-        except OSError:
-            self.flush_errors += 1
-            return 0
+    def records(self, ts: float) -> List[Dict[str, Any]]:
+        """Every span as a ``span`` run record stamped *ts*.  Spans a
+        crash or rejection path left open close first, as
+        ``unfinished``."""
+        spans = self.spans()
+        for span in spans:
+            if span.end is None:
+                span.finish("unfinished")
+        return [dict(span.to_record(), ts=ts) for span in spans]

@@ -127,6 +127,69 @@ class TestFsyncPolicy:
         assert calls == []
 
 
+class TestRunRecordFsyncs:
+    """The one run record adds no fsync to the measured paths: a cold
+    cell costs two fsync'd appends, a cache hit one, a served run none."""
+
+    @staticmethod
+    def fsyncs(monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        return calls
+
+    @staticmethod
+    def grid(tmp_path, cells, cache):
+        from repro.exec import ExecOptions, JobRunner, SimJob
+
+        runner = JobRunner(
+            ExecOptions(cache_dir=str(tmp_path / cache),
+                        manifest_dir=str(tmp_path / "runs"),
+                        journal_fsync="always"),
+            execute=lambda job: {"cell": job.benchmark})
+        runner.run([SimJob.bar(benchmark=f"b{i}", machine="m", label="L",
+                               instructions=1, warmup=0)
+                    for i in range(cells)])
+
+    def test_cold_cells_cost_two_and_hits_one(self, tmp_path,
+                                              monkeypatch):
+        calls = self.fsyncs(monkeypatch)
+        counts = []
+        # Cold runs on fresh caches, then warm runs over the last one;
+        # per-run records (header, run_start, run_end, close) cancel out.
+        for cells, cache in ((1, "c1"), (3, "c3"), (1, "c3"), (3, "c3")):
+            del calls[:]
+            self.grid(tmp_path, cells, cache)
+            counts.append(len(calls))
+        cold_1, cold_3, warm_1, warm_3 = counts
+        assert cold_3 - cold_1 == 2 * 2
+        assert warm_3 - warm_1 == 2 * 1
+
+    def test_served_miss_adds_no_fsync(self, tmp_path, monkeypatch):
+        import asyncio
+
+        from repro.serve import Gateway, ServeOptions
+
+        calls = self.fsyncs(monkeypatch)
+
+        async def scenario():
+            gateway = Gateway(ServeOptions(
+                shards=1, cache_dir=str(tmp_path / "cache"),
+                manifest_dir=str(tmp_path / "runs")),
+                execute=lambda job: {"cell": job.benchmark})
+            await gateway.start()
+            outcome = await gateway.submit(
+                {"kind": "bar", "benchmark": "compress", "machine": "ooo",
+                 "label": "N", "instructions": 100, "warmup": 0})
+            await gateway.drain(grace=1)
+            return outcome
+
+        outcome = asyncio.run(scenario())
+        assert outcome["meta"]["cache"] == "miss"
+        records, _, _ = read_records(outcome["meta"]["journal"])
+        assert [r["rec"] for r in records][-1] == "run_end"
+        assert calls == []
+
+
 class TestAppendFailure:
     def test_enospc_disables_and_counts_never_raises(self, tmp_path):
         journal = RunJournal(str(tmp_path / "j.jsonl"), fsync="off")

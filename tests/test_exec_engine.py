@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.durable import read_records
 from repro.exec import (
     CollectingSink,
     ExecOptions,
@@ -101,17 +102,17 @@ class TestRetries:
         counter = tmp_path / "count"
         job = SimJob.bar(benchmark=str(counter), machine="m", label="L",
                          instructions=1, warmup=0, seed=2)  # fail twice
-        trace = tmp_path / "trace.jsonl"
         runner = JobRunner(
-            fast_options(jobs=jobs, retries=2, trace_path=str(trace)),
+            fast_options(jobs=jobs, retries=2,
+                         manifest_dir=str(tmp_path / "runs")),
             execute=flaky_execute)
         results = runner.run([job])
         assert results[0] == {"attempts": 3}
         assert runner.stats.retries == 2
-        events = [json.loads(line) for line in trace.read_text().splitlines()]
-        retried = [e for e in events if e["event"] == "retried"]
+        records, _, _ = read_records(runner.last_journal)
+        retried = [r for r in records if r["rec"] == "job_retry"]
         assert len(retried) == 2
-        assert all("flaky attempt" in e["error"] for e in retried)
+        assert all("flaky attempt" in r["error"] for r in retried)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_retry_budget_exhausted_fails_run(self, tmp_path, jobs):
@@ -195,33 +196,42 @@ class TestTelemetry:
         summary = runner.stats.summary()
         assert "jobs" in summary and "cache" in summary and "wall" in summary
 
-    def test_trace_jsonl_is_parseable(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        runner = JobRunner(fast_options(jobs=2, trace_path=str(trace)),
+    def test_run_journal_is_parseable(self, tmp_path):
+        runner = JobRunner(fast_options(jobs=2,
+                                        manifest_dir=str(tmp_path)),
                            execute=echo_execute)
         runner.run([make_job("a"), make_job("b")])
-        events = [json.loads(line) for line in trace.read_text().splitlines()]
-        header, events = events[0], events[1:]
-        assert header["event"] == "run_header"
-        assert {e["event"] for e in events} == {"queued", "started",
-                                               "finished"}
-        assert all(set(e) >= {"event", "key", "label", "timestamp"}
-                   for e in events)
+        records, bad, _ = read_records(runner.last_journal)
+        assert bad == 0 and records == runner.records
+        header, records = records[0], records[1:]
+        assert header["rec"] == "journal_header"
+        assert [r["rec"] for r in records[:1] + records[-1:]] == [
+            "run_start", "run_end"]
+        jobs = records[1:-1]
+        assert {r["rec"] for r in jobs} == {"job_start", "job_finish"}
+        assert all(set(r) >= {"rec", "key", "label", "attempt", "ts"}
+                   for r in jobs)
+        finished = [r for r in jobs if r["rec"] == "job_finish"]
+        assert all(r["wall"] >= 0 and r["cache"] == "off"
+                   and r["sim"] == {"label": r["label"], "seed": 0}
+                   for r in finished)
+        assert records[-1]["stats"]["finished"] == 2
 
-    def test_trace_stream_leads_with_schema_header(self, tmp_path):
-        from repro.exec import TELEMETRY_SCHEMA
+    def test_run_journal_leads_with_schema_header(self, tmp_path):
+        from repro.durable import JOURNAL_SCHEMA
 
-        trace = tmp_path / "t.jsonl"
         runner = JobRunner(
-            fast_options(trace_path=str(trace),
+            fast_options(manifest_dir=str(tmp_path),
                          run_meta={"experiment": "exp-x",
                                    "argv": ["exp-x", "--quick"],
                                    "seed": 7}),
             execute=echo_execute)
         runner.run([make_job("a"), make_job("b")])
-        header = json.loads(trace.read_text().splitlines()[0])
-        assert header["event"] == "run_header"
-        assert header["schema"] == TELEMETRY_SCHEMA
+        header = read_records(runner.last_journal)[0][0]
+        assert header["rec"] == "journal_header"
+        assert header["kind"] == "exec_run"
+        assert header["schema"] == JOURNAL_SCHEMA
+        assert header["run_id"] == runner.last_run_id
         assert header["experiment"] == "exp-x"
         assert header["argv"] == ["exp-x", "--quick"]
         assert header["seed"] == 7
@@ -229,27 +239,53 @@ class TestTelemetry:
         assert header["workers"] == 1
         assert "git_sha" in header and "started" in header
 
-    def test_trace_truncates_stale_file_then_appends_per_grid(
-            self, tmp_path):
-        """A new runner must not merge its stream into a stale trace
-        file, but a multi-grid experiment (several run() calls through
-        one runner) is one stream with one header per grid."""
-        trace = tmp_path / "t.jsonl"
-        trace.write_text('{"event": "queued", "key": "stale"}\n')
-        runner = JobRunner(fast_options(trace_path=str(trace)),
+    def test_each_grid_writes_its_own_journal(self, tmp_path):
+        """A multi-grid experiment (several run() calls through one
+        runner) is several runs: each has its own id and journal, and
+        the runner's counts still accumulate across them."""
+        runner = JobRunner(fast_options(manifest_dir=str(tmp_path)),
                            execute=echo_execute)
         runner.run([make_job("a")])
-        lines = [json.loads(line)
-                 for line in trace.read_text().splitlines()]
-        assert lines[0]["event"] == "run_header"
-        assert all(e.get("key") != "stale" for e in lines)
+        first = runner.last_journal
         runner.run([make_job("b")])
-        events = [json.loads(line)
-                  for line in trace.read_text().splitlines()]
-        headers = [e for e in events if e["event"] == "run_header"]
-        assert len(headers) == 2
-        labels = {e.get("label") for e in events if e["event"] == "finished"}
-        assert labels == {"a/m/L", "b/m/L"}
+        assert runner.last_journal != first
+        labels = [{r["label"] for r in read_records(path)[0]
+                   if r["rec"] == "job_finish"}
+                  for path in (first, runner.last_journal)]
+        assert labels == [{"a/m/L"}, {"b/m/L"}]
+        assert runner.stats.finished == 2
+
+    def test_records_kept_in_memory_without_a_run_dir(self):
+        runner = JobRunner(fast_options(), execute=echo_execute)
+        runner.run([make_job("a")])
+        assert runner.last_journal is None
+        assert [r["rec"] for r in runner.records] == [
+            "journal_header", "run_start", "job_start", "job_finish",
+            "run_end"]
+
+    def test_sinks_see_each_event_before_its_record(self, tmp_path):
+        """The journal append of a job boundary follows every sink's
+        view of it (the benchmark times hits and misses at its sinks)."""
+        seen = []
+
+        class Probe:
+            def emit(self, event):
+                seen.append(("event", event.event, len(runner.records)))
+
+            def record(self, record):
+                seen.append(("record", record["rec"], len(runner.records)))
+
+        runner = JobRunner(fast_options(manifest_dir=str(tmp_path)),
+                           execute=echo_execute, sinks=[Probe()])
+        runner.run([make_job("a")])
+        kinds = [(kind, name) for kind, name, _ in seen]
+        assert kinds.index(("event", "started")) < kinds.index(
+            ("record", "job_start"))
+        assert kinds.index(("event", "finished")) < kinds.index(
+            ("record", "job_finish"))
+        finished = next(n for kind, name, n in seen
+                        if (kind, name) == ("event", "finished"))
+        assert runner.records[finished]["rec"] == "job_finish"
 
 
 class TestBench:

@@ -2,9 +2,12 @@
 in-simulation invariant violations arriving through the pool."""
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.durable import read_records
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.sanitize import InvariantViolation
 from repro.sanitize.chaos import CHAOS_DIR_ENV, chaos_execute
@@ -40,16 +43,36 @@ class TestWorkerDeath:
         assert runner.stats.finished == len(jobs)
 
     def test_pool_broken_event_in_trace(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
         jobs = [make_job("kill-1"), make_job("ok-a")]
-        runner = JobRunner(options(jobs=2, trace_path=str(trace)),
+        runner = JobRunner(options(jobs=2, manifest_dir=str(tmp_path)),
                            execute=chaos_execute)
         runner.run(jobs)
-        events = [json.loads(line) for line in
-                  trace.read_text().splitlines()]
-        broken = [e for e in events if e["event"] == "pool_broken"]
+        records, _, _ = read_records(runner.last_journal)
+        broken = [r for r in records if r["rec"] == "pool_broken"]
         assert len(broken) == 1
         assert "BrokenProcessPool" in broken[0]["error"]
+
+    def test_pool_broken_at_submission_falls_back(self, monkeypatch):
+        """A worker that dies before the last job is submitted makes
+        ``submit`` itself raise; the grid still finishes serially."""
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died before submission")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        jobs = [make_job("ok-a"), make_job("ok-b"), make_job("ok-c")]
+        sink = CollectingSink()
+        runner = JobRunner(options(jobs=2), execute=chaos_execute,
+                           sinks=[sink])
+        results = runner.run(jobs)
+        assert [r["label"] for r in results] == [j.label for j in jobs]
+        assert runner.stats.pool_breaks == 1
+        assert sink.names().count("pool_broken") == 1
 
     def test_serial_mode_never_breaks(self):
         """The kill payload only fires inside a pool worker: jobs=1 runs

@@ -90,18 +90,29 @@ class TestCLIEngineFlags:
         with pytest.raises(SystemExit):
             main(["table1", "--seed", "5"])
 
-    def test_trace_written(self, capsys, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        assert main(self.F2 + ["--no-cache", "--no-bench",
-                               "--trace", str(trace)]) == 0
-        events = [json.loads(line)
-                  for line in trace.read_text().splitlines()]
-        header, events = events[0], events[1:]
-        assert header["event"] == "run_header"
+    def test_run_journal_written(self, capsys, tmp_path, monkeypatch):
+        from repro.durable import read_records
+
+        runs = tmp_path / "runs"
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+        assert main(self.F2 + ["--no-cache", "--no-bench"]) == 0
+        out = capsys.readouterr().out
+        journals = list(runs.glob("*/journal.jsonl"))
+        assert len(journals) == 1
+        # Announced as the run starts, so a second terminal can attach
+        # ``watch --follow`` before the figure is done.
+        assert f"run journal: {journals[0]}" in out
+        assert out.index("run journal:") < out.index("Figure 2")
+        records, bad, _ = read_records(str(journals[0]))
+        header, records = records[0], records[1:]
+        assert bad == 0
         assert header["experiment"] == "figure2"
-        assert {e["event"] for e in events} == {"queued", "started",
-                                                "finished"}
-        capsys.readouterr()
+        assert {r["rec"] for r in records} == {"run_start", "job_start",
+                                               "job_finish", "run_end"}
+
+    def test_trace_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(self.F2 + ["--no-cache", "--no-bench", "--trace", "t.jsonl"])
 
     def test_manifest_written_by_default(self, capsys, tmp_path,
                                          monkeypatch):

@@ -71,10 +71,10 @@ class TestEngineHook:
         manifest = json.loads(open(runner.last_manifest).read())
         fingerprint = manifest["machine"]
         assert set(fingerprint) >= {"platform", "python", "cpus"}
-        jobs = [make_job("a"), make_job("b")]
-        assert manifest["config_digest"] == config_digest(jobs)
+        keys = [make_job("a").cache_key(), make_job("b").cache_key()]
+        assert manifest["config_digest"] == config_digest(keys)
         # Order-independent: the digest sorts the content addresses.
-        assert config_digest(list(reversed(jobs))) == config_digest(jobs)
+        assert config_digest(list(reversed(keys))) == config_digest(keys)
 
     def test_failed_run_still_writes_manifest(self, tmp_path):
         def boom(job):
@@ -104,6 +104,54 @@ class TestEngineHook:
         runner.run([make_job("c")])
         assert runner.last_manifest != first
         assert len(list_runs(str(tmp_path))) == 2
+
+
+class TestFold:
+    """The manifest is a fold over the run's records."""
+
+    def test_fold_of_the_journal_matches_the_written_manifest(self,
+                                                              tmp_path):
+        from repro.durable import read_records
+        from repro.perf import fold_manifest
+
+        runner, _ = run_with_manifest(tmp_path)
+        with open(runner.last_manifest) as fh:
+            written = json.load(fh)
+        records, bad, _ = read_records(runner.last_journal)
+        assert bad == 0 and records == runner.records
+        folded = fold_manifest(records)
+        for field in ("run_id", "experiment", "argv", "seed", "git_sha",
+                      "config_digest", "status", "cells"):
+            assert folded[field] == written[field], field
+
+    def test_enospc_journal_still_gets_a_complete_manifest(self, tmp_path):
+        """A journal that fills the disk mid-run loses its tail, but the
+        manifest is folded from memory and stays complete."""
+        from repro.durable import RunJournal, read_records
+        from repro.sanitize.chaos import arm_journal_enospc
+
+        real_init = RunJournal.__init__
+
+        def armed_init(journal, *args, **kwargs):
+            real_init(journal, *args, **kwargs)
+            arm_journal_enospc(journal, after=2)  # header + run_start
+
+        RunJournal.__init__ = armed_init
+        try:
+            with pytest.warns(RuntimeWarning, match="not writable"):
+                runner, results = run_with_manifest(tmp_path)
+        finally:
+            RunJournal.__init__ = real_init
+        with open(runner.last_manifest) as fh:
+            manifest = json.load(fh)
+        assert manifest["status"] == "ok"
+        assert [cell["sim"] for cell in manifest["cells"]] == results
+        assert manifest["stats"]["finished"] == 2
+        assert manifest["stats"]["journal_errors"] == 1
+        assert runner.stats.journal_errors == 1
+        records, _, _ = read_records(manifest["journal_path"])
+        assert [r["rec"] for r in records] == ["journal_header",
+                                               "run_start"]
 
 
 class TestResolution:

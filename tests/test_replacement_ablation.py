@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.replacement import (
+    _most_different_policy,
     render_ablation,
     run_ablation,
     write_explain_artifacts,
@@ -58,6 +59,29 @@ class TestLiveGrid:
         analysis = json.loads((tmp_path / names[1]).read_text())
         assert analysis["source"]["policy"] == "rrip"
         assert "diagnosis" in analysis
+
+
+class TestRivalChoice:
+    def test_all_zero_ties_follow_policy_order_not_key_order(self):
+        """ora separates nothing: every delta is 0.  The rival must not
+        depend on whether the row came from a live grid (policy order)
+        or from the committed, key-sorted JSON."""
+        policies = ["lru", "fifo", "random", "plru", "rrip", "brrip"]
+        live = {p: {"delta_vs_lru": 0.0} for p in policies}
+        sorted_row = dict(sorted(live.items()))
+        assert _most_different_policy(live, policies) == "brrip"
+        assert _most_different_policy(sorted_row, policies) == "brrip"
+
+    def test_largest_delta_wins_regardless_of_order(self):
+        row = {"rrip": {"delta_vs_lru": -0.05}, "lru": {"delta_vs_lru": 0.0},
+               "fifo": {"delta_vs_lru": 0.01}}
+        assert _most_different_policy(row, ["lru", "fifo", "rrip"]) == "rrip"
+
+    def test_committed_artifact_picks_the_committed_rival(self):
+        artifact = json.loads(ARTIFACT.read_text())
+        rival = _most_different_policy(artifact["cells"]["ora"],
+                                       artifact["policies"])
+        assert (EXPLAIN_DIR / f"ora_lab_N.{rival}.explain.json").is_file()
 
 
 class TestCommittedArtifact:

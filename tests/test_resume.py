@@ -165,6 +165,55 @@ class TestResumeEngine:
         again.run(state2.jobs(), resume=state2)
         assert again.stats.replayed == 4 and again.stats.executed == 0
 
+    def test_torn_and_flipped_journal_still_resumes(self, roots):
+        """The trusted prefix is the plan: a flipped byte in b's finish
+        distrusts it and everything after, so only a replays — but b's
+        result is still in the cache, so it is a hit, not a re-run."""
+        from repro.sanitize.chaos import truncate_tail
+
+        jobs, run_id = interrupted_run(roots)
+        path = os.path.join(roots["runs"], run_id, "journal.jsonl")
+        truncate_tail(path, 10)  # tear run_end
+        with open(path) as fh:
+            lines = fh.readlines()
+        second = [i for i, line in enumerate(lines)
+                  if '"rec":"job_finish"' in line][1]
+        flip_byte(path, sum(len(line) for line in lines[:second]) + 20)
+        state = load_run_state(run_id, roots["runs"])
+        assert state.truncated
+        assert state.bad_lines == len(lines) - second
+        assert set(state.completed) == {jobs[0].cache_key()}
+        resumed = JobRunner(options(roots), execute=tracking_execute)
+        results = resumed.run(state.jobs(), resume=state)
+        assert (resumed.stats.replayed, resumed.stats.cache_hits,
+                resumed.stats.executed) == (1, 1, 2)
+        assert runs_count(roots["scratch"] / "b") == 1
+        assert [r["runs"] for r in results] == [1, 1, 1, 1]
+
+    def test_journal_written_before_this_change_still_resumes(self,
+                                                              roots):
+        """Record changes are additive: a journal without ts, walls,
+        sim subsets, spans or run_end counts still folds and resumes."""
+        jobs, run_id = interrupted_run(roots)
+        path = os.path.join(roots["runs"], run_id, "journal.jsonl")
+        records, _, _ = read_records(path)
+        legacy_fields = {"rec", "kind", "schema", "run_id", "experiment",
+                         "argv", "seed", "workers", "jobs", "started",
+                         "key", "label", "attempt", "cache", "error",
+                         "status", "finished"}
+        from repro.durable import frame
+
+        with open(path, "w") as fh:
+            fh.write("".join(
+                frame({k: v for k, v in r.items() if k in legacy_fields})
+                for r in records))
+        state = load_run_state(run_id, roots["runs"])
+        assert set(state.completed) == {jobs[0].cache_key(),
+                                        jobs[1].cache_key()}
+        resumed = JobRunner(options(roots), execute=tracking_execute)
+        resumed.run(state.jobs(), resume=state)
+        assert resumed.stats.replayed == 2 and resumed.stats.executed == 2
+
     def test_corrupt_cache_entry_forces_rerun(self, roots):
         jobs, run_id = interrupted_run(roots)
         state = load_run_state(run_id, roots["runs"])

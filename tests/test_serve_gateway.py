@@ -260,23 +260,28 @@ class TestAdmission:
 
 
 class TestStreaming:
-    def test_sse_replays_schema1_telemetry(self, served):
+    def test_sse_sends_the_run_records(self, served):
+        from repro.durable import read_records
+
         spec = tiny_spec(seed=11)
         with served.client() as client:
             status, events = client.submit_stream(spec)
             _, plain = client.submit(spec)  # now cached: same result
         assert status == 200
         names = [e["event"] for e in events]
-        assert names[0] == "header"
+        assert set(names[:-1]) == {"record"}
         assert names[-1] == "result"
-        header = events[0]["data"]
+        records = [e["data"] for e in events[:-1]]
+        assert [r["rec"] for r in records] == [
+            "journal_header", "run_start", "job_start", "job_finish",
+            "run_end"]
+        header = records[0]
         assert header["schema"] == 1
         assert header["experiment"] == "serve"
-        kinds = [e["data"]["event"] for e in events
-                 if e["event"] == "telemetry"]
-        assert "queued" in kinds and "started" in kinds
-        assert "finished" in kinds
         assert events[-1]["data"]["result"] == plain["result"]
+        # The very records the run's journal holds.
+        journal = events[-1]["data"]["meta"]["journal"]
+        assert read_records(journal)[0] == records
 
     def test_stream_of_invalid_spec_is_plain_400(self, served):
         with served.client() as client:

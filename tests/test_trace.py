@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.trace import (
-    ENV_PARENT,
     ENV_SAMPLE,
     ambient,
     clear_ambient,
@@ -22,15 +21,14 @@ from repro.trace.context import (
     new_trace_id,
     parse_traceparent,
 )
-from repro.trace.exporters import read_spans, spans_to_chrome, spans_to_otlp
+from repro.trace.exporters import spans_to_chrome, spans_to_otlp
 from repro.trace.flight import FLIGHT_CAPACITY, FlightRecorder
-from repro.trace.span import SPAN_SCHEMA, Tracer
+from repro.trace.span import Tracer
 
 
 @pytest.fixture(autouse=True)
 def _clean_trace_env(monkeypatch):
-    for var in (ENV_PARENT, ENV_SAMPLE, "REPRO_TRACE_SPANS"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv(ENV_SAMPLE, raising=False)
     clear_ambient()
     yield
     clear_ambient()
@@ -97,43 +95,29 @@ class TestTracer:
         child = tracer.start_span("inner", parent=parent)
         assert child.parent_id == parent.span_id
 
-    def test_flush_appends_once(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
+    def test_span_record_shape(self):
         tracer = Tracer()
         span = tracer.start_span("a", label="x")
         span.finish()
-        assert tracer.flush(path) == 1
-        assert tracer.flush(path) == 0  # nothing new
-        tracer.start_span("b").finish()
-        assert tracer.flush(path) == 1
-        records, bad = read_spans(path)
-        assert bad == 0
-        assert [r["name"] for r in records] == ["a", "b"]
-        assert all(r["schema"] == SPAN_SCHEMA for r in records)
-        assert records[0]["attrs"] == {"label": "x"}
+        record = span.to_record()
+        assert record["rec"] == "span"
+        assert record["name"] == "a"
+        assert record["attrs"] == {"label": "x"}
+        assert record["end"] >= record["start"]
+        assert record["pid"] == os.getpid()
+        assert "parent_id" not in record
 
-    def test_flush_closes_unfinished_spans(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
+    def test_records_stamp_ts_and_close_open_spans(self):
         tracer = Tracer()
-        tracer.start_span("dangling")
-        tracer.flush(path)
-        records, _ = read_spans(path)
-        assert records[0]["status"] == "unfinished"
-        assert records[0]["end"] >= records[0]["start"]
-
-    def test_flush_without_path_is_a_noop(self):
-        tracer = Tracer()
-        tracer.start_span("a").finish()
-        assert tracer.flush(None) == 0
-        assert tracer.flush("") == 0
-
-    def test_flush_failure_never_raises(self, tmp_path):
-        tracer = Tracer()
-        tracer.start_span("a").finish()
-        target = tmp_path / "dir-not-file"
-        target.mkdir()
-        assert tracer.flush(str(target)) == 0
-        assert tracer.flush_errors == 1
+        tracer.start_span("done").finish()
+        dangling = tracer.start_span("dangling")
+        records = tracer.records(123.0)
+        assert [r["name"] for r in records] == ["done", "dangling"]
+        assert all(r["ts"] == 123.0 for r in records)
+        assert records[0]["status"] == "ok"
+        assert records[1]["status"] == "unfinished"
+        assert records[1]["end"] >= records[1]["start"]
+        assert dangling.end is not None
 
 
 class TestSampling:
@@ -173,13 +157,13 @@ class TestSampling:
         assert maybe_tracer(0.0, parent="garbage") is None
         assert maybe_tracer(1.0, parent="garbage") is not None
 
-    def test_env_parent_is_honored(self, monkeypatch):
+    def test_environment_carries_no_parent(self, monkeypatch):
+        """Context travels explicitly (HTTP header, pool-call argument),
+        never through the process environment."""
         header = format_traceparent(
             TraceContext(new_trace_id(), new_span_id(), sampled=True))
-        monkeypatch.setenv(ENV_PARENT, header)
-        tracer = maybe_tracer(0.0)
-        assert tracer is not None
-        assert tracer.trace_id == header.split("-")[1]
+        monkeypatch.setenv("REPRO_TRACEPARENT", header)
+        assert maybe_tracer(0.0) is None
 
     def test_ambient_round_trip(self):
         tracer = Tracer()
@@ -225,34 +209,24 @@ class TestFlightRecorder:
 
 
 class TestExporters:
-    def _records(self, tmp_path):
-        path = str(tmp_path / "spans.jsonl")
+    def _records(self):
         tracer = Tracer()
         root = tracer.start_span("run", label="grid")
         child = tracer.start_span("job", parent=root)
         child.finish("error")
         root.finish()
-        tracer.flush(path)
-        return path
+        return tracer.records(0.0)
 
-    def test_read_spans_skips_torn_tail(self, tmp_path):
-        path = self._records(tmp_path)
-        with open(path, "a") as fh:
-            fh.write('{"span_id": "trunc')  # SIGKILL mid-write
-        records, bad = read_spans(path)
-        assert len(records) == 2
-        assert bad == 1
-
-    def test_chrome_export_shape(self, tmp_path):
-        records, _ = read_spans(self._records(tmp_path))
+    def test_chrome_export_shape(self):
+        records = self._records()
         chrome = spans_to_chrome(records)
         events = chrome["traceEvents"]
         assert [e["ph"] for e in events] == ["X", "X"]
         assert events[0]["args"]["label"] == "grid"
         assert events[1]["args"]["parent_id"] == records[0]["span_id"]
 
-    def test_otlp_export_shape(self, tmp_path):
-        records, _ = read_spans(self._records(tmp_path))
+    def test_otlp_export_shape(self):
+        records = self._records()
         otlp = spans_to_otlp(records)
         spans = otlp["resourceSpans"][0]["scopeSpans"][0]["spans"]
         assert spans[0]["traceId"] == records[0]["trace_id"]

@@ -1,22 +1,23 @@
 """Tracing through the exec engine: serial and pool propagation, the
-unsampled zero-span path, pool-broken re-parenting, and flight dumps."""
+unsampled zero-span path, pool-broken re-parenting, and flight dumps.
+Spans are read back the one way there is: ``span`` records of the run
+journal, through ``read_records``."""
 
 import json
 import os
 
 import pytest
 
+from repro.durable import read_records
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.harness.spans_cli import build_tree, group_by_trace
 from repro.sanitize.chaos import chaos_execute
-from repro.trace import ENV_PARENT, ENV_SAMPLE, ENV_SPANS, clear_ambient
-from repro.trace.exporters import read_spans
+from repro.trace import ENV_SAMPLE, ambient, clear_ambient
 
 
 @pytest.fixture(autouse=True)
 def _clean_trace_env(monkeypatch):
-    for var in (ENV_PARENT, ENV_SAMPLE, ENV_SPANS,
-                "REPRO_TRACE_FLIGHT_DIR"):
+    for var in (ENV_SAMPLE, "REPRO_TRACE_FLIGHT_DIR"):
         monkeypatch.delenv(var, raising=False)
     clear_ambient()
     yield
@@ -39,10 +40,15 @@ def options(**overrides):
     return ExecOptions(**overrides)
 
 
-def one_tree(path):
-    """Read a spans file, assert a single connected trace, return it."""
-    records, bad = read_spans(path)
+def journal_spans(runner):
+    """The span records of the runner's last journal (intact prefix)."""
+    records, bad, _ = read_records(runner.last_journal)
     assert bad == 0
+    return [r for r in records if r["rec"] == "span"]
+
+
+def one_tree(records):
+    """Assert a single connected trace among *records*, return it."""
     groups = group_by_trace(records)
     assert len(groups) == 1, f"expected one trace, got {sorted(groups)}"
     tree = build_tree(next(iter(groups.values())))
@@ -51,29 +57,22 @@ def one_tree(path):
 
 
 class TestUnsampledIsSpanFree:
-    def test_no_spans_artifact_and_no_span_field(self, tmp_path):
-        trace = tmp_path / "telemetry.jsonl"
-        runner = JobRunner(options(trace_path=str(trace),
-                                   manifest_dir=str(tmp_path / "runs")),
+    def test_no_span_records_and_no_span_field(self, tmp_path):
+        runner = JobRunner(options(manifest_dir=str(tmp_path / "runs")),
                            execute=echo_execute)
         runner.run([bar_job("a"), bar_job("b")])
-        assert runner.last_spans is None
-        events = [json.loads(line) for line in
-                  trace.read_text().splitlines()]
-        assert all("span" not in e for e in events)
-        spans_files = list(tmp_path.rglob("spans.jsonl"))
-        assert spans_files == []
+        records, _, _ = read_records(runner.last_journal)
+        assert all(r["rec"] != "span" for r in records)
+        assert all("span" not in r for r in records)
+        assert list(tmp_path.rglob("spans.jsonl")) == []
 
 
 class TestSerialPropagation:
     def test_connected_tree_with_nested_sim_spans(self, tmp_path):
-        trace = tmp_path / "telemetry.jsonl"
         runner = JobRunner(options(trace_sample=1.0,
-                                   trace_path=str(trace),
                                    manifest_dir=str(tmp_path / "runs")))
         runner.run([bar_job(label="N"), bar_job(label="S10")])
-        assert runner.last_spans is not None
-        tree = one_tree(runner.last_spans)
+        tree = one_tree(journal_spans(runner))
         root = tree["roots"][0]
         assert root["name"] == "run"
         names = sorted(r["name"] for r in tree["by_id"].values())
@@ -89,29 +88,20 @@ class TestSerialPropagation:
                                                   for j in jobs}
         assert all(j["attrs"]["mode"] == "serial" for j in jobs)
 
-    def test_finished_telemetry_joins_spans(self, tmp_path):
-        trace = tmp_path / "telemetry.jsonl"
-        runner = JobRunner(options(trace_sample=1.0,
-                                   trace_path=str(trace),
-                                   spans_path=str(tmp_path / "s.jsonl")),
-                           execute=echo_execute)
+    def test_finished_records_join_spans(self):
+        runner = JobRunner(options(trace_sample=1.0), execute=echo_execute)
         runner.run([bar_job("a")])
-        events = [json.loads(line) for line in
-                  trace.read_text().splitlines()]
-        finished = [e for e in events if e["event"] == "finished"]
-        records, _ = read_spans(str(tmp_path / "s.jsonl"))
-        job_span_ids = {r["span_id"] for r in records
-                        if r["name"] == "job"}
-        assert [e["span"] for e in finished] and \
-            set(e["span"] for e in finished) <= job_span_ids
+        finished = [r for r in runner.records if r["rec"] == "job_finish"]
+        job_span_ids = {r["span_id"] for r in runner.records
+                        if r["rec"] == "span" and r["name"] == "job"}
+        assert [r["span"] for r in finished] and \
+            set(r["span"] for r in finished) <= job_span_ids
 
-    def test_traced_results_digit_exact(self, tmp_path):
+    def test_traced_results_digit_exact(self):
         jobs = [bar_job(label="N"), bar_job(label="S10")]
         plain = JobRunner(options()).run([bar_job(label="N"),
                                           bar_job(label="S10")])
-        traced = JobRunner(options(
-            trace_sample=1.0,
-            spans_path=str(tmp_path / "s.jsonl"))).run(jobs)
+        traced = JobRunner(options(trace_sample=1.0)).run(jobs)
         assert traced == plain
 
 
@@ -122,7 +112,7 @@ class TestPoolPropagation:
                                    trace_sample=1.0))
         runner.run([bar_job(label=label)
                     for label in ("N", "S1", "S10", "U10")])
-        tree = one_tree(runner.last_spans)
+        tree = one_tree(journal_spans(runner))
         pids = {r["pid"] for r in tree["by_id"].values()}
         assert len(pids) >= 2, "no spans from pool workers"
         sims = [r for r in tree["by_id"].values()
@@ -131,22 +121,25 @@ class TestPoolPropagation:
         assert any(r["pid"] != tree["roots"][0]["pid"] for r in sims)
         jobs = [r for r in tree["by_id"].values() if r["name"] == "job"]
         assert all(j["attrs"]["mode"] == "pool" for j in jobs)
+        # Each worker's sim span nests under the job span that shipped it.
+        by_id = tree["by_id"]
+        assert all(by_id[s["parent_id"]]["name"] == "job" for s in sims)
 
-    def test_env_restored_after_run(self, tmp_path):
-        runner = JobRunner(options(jobs=2, trace_sample=1.0,
-                                   spans_path=str(tmp_path / "s.jsonl")),
+    def test_no_trace_context_in_the_environment(self):
+        before = {k: v for k, v in os.environ.items()
+                  if k.startswith("REPRO_TRACE")}
+        runner = JobRunner(options(jobs=2, trace_sample=1.0),
                            execute=echo_execute)
         runner.run([bar_job("a"), bar_job("b")])
-        assert ENV_PARENT not in os.environ
-        assert ENV_SPANS not in os.environ
+        after = {k: v for k, v in os.environ.items()
+                 if k.startswith("REPRO_TRACE")}
+        assert after == before
 
-    def test_pool_results_digit_exact_with_tracing(self, tmp_path):
+    def test_pool_results_digit_exact_with_tracing(self):
         jobs = [bar_job(label=label) for label in ("N", "S10")]
         plain = JobRunner(options()).run(jobs)
-        traced = JobRunner(options(
-            jobs=2, trace_sample=1.0,
-            spans_path=str(tmp_path / "s.jsonl"))).run(
-                [bar_job(label=label) for label in ("N", "S10")])
+        traced = JobRunner(options(jobs=2, trace_sample=1.0)).run(
+            [bar_job(label=label) for label in ("N", "S10")])
         assert traced == plain
 
 
@@ -154,19 +147,17 @@ class TestPoolBrokenFallback:
     def test_fallback_jobs_reparent_and_flight_dumps(self, tmp_path,
                                                      monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_FLIGHT_DIR", str(tmp_path))
-        spans_path = tmp_path / "s.jsonl"
         jobs = [SimJob.bar(benchmark=name, machine="m", label=f"L-{name}",
                            instructions=1, warmup=0, seed=0)
                 for name in ("ok-a", "kill-1", "ok-b")]
         sink = CollectingSink()
-        runner = JobRunner(options(jobs=2, trace_sample=1.0,
-                                   spans_path=str(spans_path)),
+        runner = JobRunner(options(jobs=2, trace_sample=1.0),
                            execute=chaos_execute, sinks=[sink])
         results = runner.run(jobs)
         assert all(r is not None for r in results)
         assert runner.stats.pool_breaks == 1
 
-        records, _ = read_spans(str(spans_path))
+        records = [r for r in runner.records if r["rec"] == "span"]
         tree = build_tree(records)
         root = tree["roots"][0]
         assert root["name"] == "run"
@@ -221,19 +212,37 @@ class TestFlightDumpFaultClasses:
         assert list(tmp_path.glob("flight_*.json")) == []
 
 
-class TestManifestLink:
-    def test_manifest_records_spans_path(self, tmp_path):
+class TestJournalLink:
+    def test_span_records_share_the_run_journal(self, tmp_path):
         runner = JobRunner(options(trace_sample=1.0,
                                    manifest_dir=str(tmp_path / "runs")))
         runner.run([bar_job()])
-        manifest = json.loads(open(runner.last_manifest).read())
-        assert manifest["spans_path"] == runner.last_spans
-        assert os.path.isfile(manifest["spans_path"])
-        assert os.path.dirname(manifest["spans_path"]) == \
+        with open(runner.last_manifest) as fh:
+            manifest = json.load(fh)
+        assert manifest["journal_path"] == runner.last_journal
+        assert os.path.dirname(runner.last_journal) == \
             os.path.dirname(runner.last_manifest)
+        spans = journal_spans(runner)
+        assert spans and spans[0]["trace_id"]
+        assert {s["attrs"].get("run_id") for s in spans
+                if s["name"] == "run"} == {manifest["run_id"]}
 
-    def test_untraced_manifest_has_null_spans_path(self, tmp_path):
+    def test_span_left_open_is_kept_unfinished(self, tmp_path):
+        def leave_open(job):
+            tracer, parent = ambient()
+            tracer.start_span("dangling", parent=parent)
+            return {"label": job.label}
+
+        runner = JobRunner(options(trace_sample=1.0,
+                                   manifest_dir=str(tmp_path / "runs")),
+                           execute=leave_open)
+        runner.run([bar_job()])
+        [dangling] = [r for r in journal_spans(runner)
+                      if r["name"] == "dangling"]
+        assert dangling["status"] == "unfinished"
+        assert dangling["end"] >= dangling["start"]
+
+    def test_untraced_journal_holds_no_spans(self, tmp_path):
         runner = JobRunner(options(manifest_dir=str(tmp_path / "runs")))
         runner.run([bar_job()])
-        manifest = json.loads(open(runner.last_manifest).read())
-        assert manifest["spans_path"] is None
+        assert journal_spans(runner) == []

@@ -2,27 +2,35 @@
 and malformed headers, the unsampled span-free path, healthz metadata
 and the serve span artifacts."""
 
+import asyncio
 import json
+import os
+import time
 
 import pytest
 
-from repro.serve import ServeOptions, mint_traceparent
+from repro.durable import read_records
+from repro.sanitize.chaos import truncate_tail
+from repro.serve import Gateway, QueueFull, ServeOptions, mint_traceparent
 from repro.serve.client import ServeClient  # noqa: F401  (re-export check)
 from repro.harness.spans_cli import build_tree, group_by_trace
 from repro.trace import clear_ambient
-from repro.trace.exporters import read_spans
 
-from tests.test_serve_gateway import LiveServer, tiny_spec
+from tests.test_serve_gateway import LiveServer, echo_execute, tiny_spec
 
 
 @pytest.fixture(autouse=True)
 def _clean_trace_env(monkeypatch):
-    for var in ("REPRO_TRACEPARENT", "REPRO_TRACE_SAMPLE",
-                "REPRO_TRACE_SPANS"):
-        monkeypatch.delenv(var, raising=False)
+    monkeypatch.delenv("REPRO_TRACE_SAMPLE", raising=False)
     clear_ambient()
     yield
     clear_ambient()
+
+
+def read_spans(path):
+    """(span records, distrusted lines) of a crc-framed journal."""
+    records, bad, _ = read_records(path)
+    return [r for r in records if r["rec"] == "span"], bad
 
 
 @pytest.fixture
@@ -60,10 +68,11 @@ class TestTraceparentPropagation:
         names = {r["name"] for r in tree["by_id"].values()}
         assert {"http.request", "request.parse", "dispatch", "run",
                 "job", "sim.execute"} <= names
-        # ... and the engine's run directory holds the whole tree.
-        manifest = json.loads(
-            open(spans_path.replace("spans.jsonl",
-                                    "manifest.json")).read())
+        # ... and the run's own journal holds the whole tree.
+        assert spans_path == meta["journal"]
+        with open(spans_path.replace("journal.jsonl",
+                                     "manifest.json")) as fh:
+            manifest = json.load(fh)
         assert manifest["run_id"] in spans_path
 
     def test_unsampled_header_stays_span_free(self, traced_server,
@@ -75,7 +84,9 @@ class TestTraceparentPropagation:
         assert status == 200
         assert "trace_id" not in body["meta"]
         assert body["meta"]["spans"] is None
-        assert list((tmp_path / "runs").rglob("spans.jsonl")) == []
+        records, _, _ = read_records(body["meta"]["journal"])
+        assert [r for r in records if r["rec"] == "span"] == []
+        assert list(tmp_path.rglob("serve_spans-*.jsonl")) == []
 
     def test_malformed_header_is_tolerated(self, traced_server):
         with traced_server.client() as client:
@@ -116,7 +127,9 @@ class TestTraceparentPropagation:
         assert status == 200
         assert body["meta"]["cache"] == "hit"
         spans_path = body["meta"]["spans"]
-        assert spans_path.endswith("serve_spans.jsonl")
+        assert os.path.basename(spans_path) == \
+            traced_server.gateway.spans_name
+        assert spans_path.startswith(str(tmp_path / "runs"))
         records, _ = read_spans(spans_path)
         names = {r["name"] for r in records}
         assert "http.request" in names
@@ -130,9 +143,8 @@ class TestHealthz:
         with traced_server.client() as client:
             status, health = client.healthz()
         assert status == 200
-        assert health["schemas"]["spans"] == 1
-        assert set(health["schemas"]) == {"job", "telemetry", "manifest",
-                                          "journal", "spans"}
+        assert health["schemas"]["journal"] == 1
+        assert set(health["schemas"]) == {"job", "manifest", "journal"}
         subsystems = health["subsystems"]
         assert subsystems["trace"] is False  # trace_sample 0.0
         assert subsystems["durable"] is False
@@ -165,3 +177,63 @@ class TestServerSideSampling:
         assert len(tree["roots"]) == 1
         assert tree["roots"][0]["name"] == "http.request"
         assert tree["roots"][0].get("parent_id") is None  # minted here
+
+
+class TestServeSpanFiles:
+    def test_rejection_keeps_its_open_span_unfinished(self, tmp_path):
+        def slow_execute(job):
+            time.sleep(0.4)
+            return {"label": job.label}
+
+        async def scenario():
+            gateway = Gateway(ServeOptions(
+                shards=1, queue_limit=1, cache_dir=str(tmp_path / "cache"),
+                trace_dir=str(tmp_path / "spans")), execute=slow_execute)
+            await gateway.start()
+            first = asyncio.ensure_future(gateway.submit(tiny_spec(seed=1)))
+            await asyncio.sleep(0.1)  # shard dequeues it
+            second = asyncio.ensure_future(
+                gateway.submit(tiny_spec(seed=2)))
+            await asyncio.sleep(0.05)  # sits in the queue
+            with pytest.raises(QueueFull):
+                await gateway.submit(tiny_spec(seed=3),
+                                     traceparent=mint_traceparent())
+            await first
+            await second
+            await gateway.drain(grace=5)
+            return os.path.join(tmp_path, "spans", gateway.spans_name)
+
+        records, bad = read_spans(asyncio.run(scenario()))
+        assert bad == 0
+        by_name = {r["name"]: r for r in records}
+        assert by_name["http.request"]["status"] == "error"
+        wait = by_name["queue.wait"]
+        assert wait["status"] == "unfinished"
+        assert wait["end"] >= wait["start"]
+
+    def test_torn_span_file_hides_no_later_gateway(self, tmp_path):
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"),
+                               trace_dir=str(tmp_path / "spans"))
+
+        async def traced_hit(seed):
+            gateway = Gateway(options, execute=echo_execute)
+            await gateway.start()
+            await gateway.submit(tiny_spec(seed=seed))  # warm, untraced
+            outcome = await gateway.submit(tiny_spec(seed=seed),
+                                           traceparent=mint_traceparent())
+            await gateway.drain(grace=5)
+            assert outcome["meta"]["cache"] == "hit"
+            return outcome["meta"]["spans"]
+
+        first = asyncio.run(traced_hit(7))
+        truncate_tail(first, 5)  # the first gateway died mid-append
+        time.sleep(0.002)  # a later gateway starts in a later millisecond
+        second = asyncio.run(traced_hit(8))
+        assert second != first
+        records, bad = read_spans(second)
+        assert bad == 0
+        assert {"http.request", "cache.probe"} <= {r["name"]
+                                                   for r in records}
+        # The torn file still yields its intact prefix.
+        records, bad = read_spans(first)
+        assert bad == 1 and records

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.durable import frame
 from repro.harness.spans_cli import (
     analyze,
     build_tree,
@@ -22,9 +23,9 @@ TRACE = "ab" * 16
 
 def span(span_id, name, start, end, parent=None, pid=1, trace=TRACE,
          **attrs):
-    record = {"schema": 1, "trace_id": trace, "span_id": span_id,
-              "name": name, "start": start, "end": end, "status": "ok",
-              "pid": pid}
+    record = {"rec": "span", "ts": end, "trace_id": trace,
+              "span_id": span_id, "name": name, "start": start,
+              "end": end, "status": "ok", "pid": pid}
     if parent:
         record["parent_id"] = parent
     if attrs:
@@ -33,9 +34,9 @@ def span(span_id, name, start, end, parent=None, pid=1, trace=TRACE,
 
 
 def write_spans(path, records):
+    """Write *records* as a crc-framed journal (as the engine does)."""
     with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        fh.write("".join(frame(record) for record in records))
     return str(path)
 
 
@@ -166,8 +167,23 @@ class TestCli:
         assert "manifest cross-check" in out
         assert "checks passed" in out
 
+    def test_manifest_path_resolves_to_its_run_journal(self, tmp_path,
+                                                       capsys):
+        from repro.exec import ExecOptions, JobRunner, SimJob
+
+        runner = JobRunner(ExecOptions(
+            cache=False, trace_sample=1.0,
+            manifest_dir=str(tmp_path / "runs")))
+        runner.run([SimJob.bar(benchmark="compress", machine="ooo",
+                               label="S10", instructions=800, warmup=200,
+                               seed=0)])
+        assert spans_main([runner.last_manifest, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert runner.last_journal in out
+        assert "manifest cross-check" in out
+
     def test_json_and_exports(self, tmp_path, capsys):
-        path = write_spans(tmp_path / "spans.jsonl",
+        path = write_spans(tmp_path / "journal.jsonl",
                            request_shaped_records())
         chrome = tmp_path / "chrome.json"
         otlp = tmp_path / "otlp.json"
@@ -186,7 +202,7 @@ class TestCli:
         records = request_shaped_records()
         other = "cd" * 16
         records.append(span("z1", "http.request", 0.0, 1.0, trace=other))
-        path = write_spans(tmp_path / "spans.jsonl", records)
+        path = write_spans(tmp_path / "journal.jsonl", records)
         assert spans_main([path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["trace_id"] == TRACE
         assert spans_main([path, "--json", "--trace-id", other]) == 0
@@ -201,10 +217,41 @@ class TestCli:
         empty.write_text("")
         assert spans_main([str(empty)]) == 2
 
+    def test_torn_and_flipped_journal_analyses_intact_prefix(self,
+                                                             tmp_path,
+                                                             capsys):
+        """The journal's one reader: spans after a flipped byte are
+        distrusted (and counted); the prefix before it is analyzed."""
+        from repro.sanitize.chaos import flip_byte, truncate_tail
+
+        path = write_spans(tmp_path / "journal.jsonl",
+                           request_shaped_records())
+        truncate_tail(path, 5)
+        with open(path) as fh:
+            lines = fh.readlines()
+        flip_byte(path, sum(len(line) for line in lines[:4]) + 30)
+        assert spans_main([path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["spans"] == 4  # http.request .. run
+        assert payload["bad_lines"] == 3
+        assert spans_main([path]) == 0
+        assert "distrusted 3 line(s)" in capsys.readouterr().out
+
+    def test_nothing_intact_exits_2(self, tmp_path, capsys):
+        from repro.sanitize.chaos import flip_byte
+
+        path = write_spans(tmp_path / "journal.jsonl",
+                           request_shaped_records())
+        flip_byte(path, 20)  # the very first record
+        assert spans_main([path]) == 2
+        err = capsys.readouterr().err
+        assert "no intact span records" in err
+        assert "7 distrusted" in err
+
     def test_check_failure_exits_1(self, tmp_path, capsys):
         records = request_shaped_records()
         records.append(span("x9", "orphan", 0.0, 1.0,
                             parent="ffffffffffffffff"))
-        path = write_spans(tmp_path / "spans.jsonl", records)
+        path = write_spans(tmp_path / "journal.jsonl", records)
         assert spans_main([path, "--check"]) == 1
         assert "CHECK FAILED" in capsys.readouterr().err

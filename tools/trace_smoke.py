@@ -4,10 +4,11 @@ Boots ``python -m repro.serve`` as a real subprocess (ephemeral port,
 ready-file handshake), then:
 
 1. submits one cell under a client-side span whose ``traceparent``
-   header the gateway must continue, flushes the client span into the
-   served run's ``spans.jsonl``, and requires ``harness spans --check``
-   to find ONE connected tree with spans from both processes and a
-   critical path that agrees with the measured request wall;
+   header the gateway must continue, appends the client span as a
+   crc-framed ``span`` record to the served run's journal, and requires
+   ``harness spans --check`` to find ONE connected tree in that journal
+   with spans from both processes and a critical path that agrees with
+   the measured request wall;
 2. verifies the traced served result is digit-exact against a direct
    untraced in-process JobRunner run of the same SimJob;
 3. runs a traced ``jobs=2`` pool grid in-process and requires the same
@@ -32,6 +33,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.durable import RunJournal
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.serve import ServeClient, validate_job_spec
 from repro.trace import Tracer, TraceContext, format_traceparent
@@ -99,14 +101,17 @@ def main() -> int:
         if meta.get("trace_id") != tracer.trace_id:
             fail(f"gateway did not continue the client trace: "
                  f"{meta.get('trace_id')} != {tracer.trace_id}")
-        spans_path = meta.get("spans")
-        if not spans_path or not os.path.isfile(spans_path):
-            fail(f"no spans artifact for the served run: {spans_path!r}")
-        # The client is a process in this trace too: flush its span to
-        # the same collection point before analyzing.
-        if tracer.flush(spans_path) != 1:
-            fail("client span did not flush into the run's spans.jsonl")
-        check_spans(spans_path, "--expect-processes", "2",
+        journal_path = meta.get("spans")
+        if not journal_path or journal_path != meta.get("journal") \
+                or not os.path.isfile(journal_path):
+            fail(f"served spans are not in the run's journal: "
+                 f"{journal_path!r} vs {meta.get('journal')!r}")
+        # The client is a process in this trace too: append its span to
+        # the run's journal, framed like every other record.
+        with RunJournal(journal_path, fsync="off") as journal:
+            if not journal.extend(tracer.records(time.time())):
+                fail("client span did not append to the run's journal")
+        check_spans(journal_path, "--expect-processes", "2",
                     "--wall", f"{wall:.6f}")
         print(f"cross-process span tree OK ({wall:.2f}s request)")
 
