@@ -116,13 +116,19 @@ def stream_generation() -> int:
 
 
 def inorder_10k() -> int:
-    """10k-instruction in-order (21164-like) baseline run."""
+    """10k-instruction in-order (21164-like) baseline run.
+
+    Repeated calls reuse the process's shared application stream
+    (``runner.shared_stream``), so a best-of-N timing measures the cycle
+    loop; ``stream_generation`` times generation and fetch on their own.
+    """
     result = run_bar("compress", "inorder", bar_config("N"), 10_000, 0)
     return result.cycles
 
 
 def ooo_10k() -> int:
-    """10k-instruction out-of-order (R10000-like) baseline run."""
+    """10k-instruction out-of-order (R10000-like) baseline run (the
+    stream is shared as in :func:`inorder_10k`)."""
     result = run_bar("compress", "ooo", bar_config("N"), 10_000, 0)
     return result.cycles
 

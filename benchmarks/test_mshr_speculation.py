@@ -75,7 +75,7 @@ def test_squashed_data_survives_in_l2(speculation_run):
     core, _ = speculation_run
     core.hierarchy.drain()
     surviving = sum(
-        1 for set_ in core.hierarchy.l2._sets for line in set_
+        1 for set_ in core.hierarchy.l2._sets.values() for line in set_
         if (line << 5) >= 0x900000)
     assert surviving > 0  # "effectively prefetched into the L2"
 
@@ -88,6 +88,6 @@ def test_without_guarantee_l1_is_polluted():
     core.hierarchy.drain()
     assert core.hierarchy.stats.squash_invalidations == 0
     polluted = sum(
-        1 for set_ in core.hierarchy.l1._sets for line in set_
+        1 for set_ in core.hierarchy.l1._sets.values() for line in set_
         if (line << 5) >= 0x900000)
     assert polluted > 0

@@ -50,14 +50,14 @@ def run_cell(
     """Run one (benchmark, machine) cell and return ``(core, stats)``.
 
     The shared single-cell runner behind every app experiment: same
-    stream bound, warm-up discipline and seed derivation as
+    shared application stream, warm-up discipline and seed derivation as
     :func:`repro.harness.runner.run_bar`, plus two attachment points the
     clients need — *stream_wrap* (e.g. a profiler's counting pass) and
     *bypass_filter* (installed as ``hierarchy.bypass_filter``).
     """
     from repro.harness.configs import MACHINES, build_core
+    from repro.harness.runner import shared_stream, stream_bound
     from repro.memory import derive_seed
-    from repro.workloads import spec92_workload
 
     spec = MACHINES[machine]
     core = build_core(spec, informing=informing,
@@ -65,8 +65,7 @@ def run_cell(
                       replacement_seed=derive_seed(seed))
     if bypass_filter is not None:
         core.hierarchy.bypass_filter = bypass_filter
-    workload = spec92_workload(benchmark, seed_offset=seed)
-    stream = workload.stream(8 * (instructions + warmup) + 100_000)
+    stream = shared_stream(benchmark, seed, stream_bound(instructions, warmup))
     if stream_wrap is not None:
         stream = stream_wrap(stream)
     stats = core.run(stream, max_app_insts=instructions + warmup,

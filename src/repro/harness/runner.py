@@ -17,8 +17,9 @@ Results are plain dataclasses; :mod:`repro.harness.report` renders them.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import (
     GenericHandler,
@@ -29,11 +30,61 @@ from repro.core import (
     add_mhar_sets,
 )
 from repro.harness.configs import MACHINES, MachineSpec, build_core
+from repro.pipeline.stream import SharedStream
 from repro.workloads import FIGURE2_BENCHMARKS, spec92_workload
 
 #: Default run sizes: measured application instructions and warm-up.
 DEFAULT_INSTRUCTIONS = 30_000
 DEFAULT_WARMUP = 15_000
+
+
+def stream_bound(instructions: int, warmup: int) -> int:
+    """Length bound of a cell's generated application stream.
+
+    Generous: instrumentation and replay never exhaust it.  The interp
+    stream cache and the vec decode cache both key on it.
+    """
+    return 8 * (instructions + warmup) + 100_000
+
+
+#: The application streams of the benchmark this process ran last, keyed
+#: by (benchmark, workload seed, stream bound, variant).  A cell of any
+#: other benchmark, seed or bound replaces them all.
+_STREAMS: Dict[Tuple[str, int, int, str], SharedStream] = {}
+_STREAMS_LOCK = threading.Lock()
+_INSTRUMENT = {"mhar": add_mhar_sets, "cc": add_cc_checks}
+
+
+def shared_stream(benchmark: str, seed: int, bound: int,
+                  variant: str = "plain") -> SharedStream:
+    """One cell's application stream, shared with its benchmark's cells.
+
+    *variant* is ``"plain"``, ``"mhar"`` (:func:`add_mhar_sets`) or
+    ``"cc"`` (:func:`add_cc_checks`); the instrumented variants draw from
+    the plain stream, so a benchmark's Figure 2 column generates its
+    stream once and instruments it once per variant, however many cells
+    read it.  Workload generators are seeded and independent of the
+    simulation, so every reader sees exactly the stream a fresh
+    ``spec92_workload(benchmark, seed_offset=seed).stream(bound)`` (plus
+    the variant's rewriter) would yield.
+    """
+    if variant != "plain" and variant not in _INSTRUMENT:
+        raise ValueError(f"unknown stream variant {variant!r}; expected "
+                         f"'plain', 'mhar' or 'cc'")
+    key = (benchmark, seed, bound, variant)
+    with _STREAMS_LOCK:
+        stream = _STREAMS.get(key)
+        if stream is None:
+            plain_key = (benchmark, seed, bound, "plain")
+            plain = _STREAMS.get(plain_key)
+            if plain is None:
+                _STREAMS.clear()
+                plain = _STREAMS[plain_key] = SharedStream(
+                    spec92_workload(benchmark, seed_offset=seed).stream(bound))
+            stream = plain if variant == "plain" else SharedStream(
+                _INSTRUMENT[variant](plain))
+            _STREAMS[key] = stream
+        return stream
 
 
 @dataclass(frozen=True)
@@ -122,7 +173,10 @@ def run_bar(
     backend: Optional[str] = None,
     policy: str = "lru",
 ) -> BarResult:
-    """Run one benchmark/machine/bar combination from scratch.
+    """Run one benchmark/machine/bar combination on a fresh machine.
+
+    The application stream comes from :func:`shared_stream`, so the
+    cells of one benchmark generate and instrument it once per process.
 
     ``seed`` is a workload seed offset (see
     :func:`repro.workloads.spec92.spec92_workload`); 0 keeps the default
@@ -196,13 +250,8 @@ def run_bar(
     decode_span = (tracer.start_span("stream.decode", parent=parent_span,
                                      benchmark=benchmark)
                    if tracer is not None else None)
-    workload = spec92_workload(benchmark, seed_offset=seed)
-    # Generous stream bound: instrumentation and replay never exhaust it.
-    stream = workload.stream(8 * (instructions + warmup) + 100_000)
-    if bar.per_ref_instrumentation == "mhar":
-        stream = add_mhar_sets(stream)
-    elif bar.per_ref_instrumentation == "cc":
-        stream = add_cc_checks(stream)
+    stream = shared_stream(benchmark, seed, stream_bound(instructions, warmup),
+                           bar.per_ref_instrumentation or "plain")
     if decode_span is not None:
         decode_span.finish()
     replay_span = (tracer.start_span("replay", parent=parent_span,

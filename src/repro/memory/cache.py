@@ -23,9 +23,10 @@ on-hit/on-fill/evict/on-invalidate callbacks through ``self._stateful``.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, List, Optional
+from typing import DefaultDict, Dict, Optional
 
 from repro.memory.config import CacheConfig
 from repro.memory.replacement import (
@@ -62,8 +63,9 @@ class Cache:
     the data returns, which is what lets the MSHR squash path cancel a
     speculative install (Section 3.3 of the paper).
 
-    Per-set state is one dict of line address -> dirty bool, ordered
-    oldest-first in replacement order:
+    Per-set state is one dict of line address -> dirty bool, created on
+    first touch (``_sets`` maps set index to it, so a run pays only for
+    the sets it uses) and ordered oldest-first in replacement order:
 
     * **lru** — :meth:`probe` hits and :meth:`fill` merges both move the
       line to the back of its set.
@@ -86,7 +88,7 @@ class Cache:
         self.name = name
         self.policy = policy
         self.policy_impl = pol
-        self._sets: List[Dict[int, bool]] = [dict() for _ in range(config.num_sets)]
+        self._sets: DefaultDict[int, Dict[int, bool]] = defaultdict(dict)
         self._set_mask = config.num_sets - 1
         self._line_shift = config.line_size.bit_length() - 1
         self._assoc = config.assoc
@@ -214,11 +216,10 @@ class Cache:
 
     def flush(self) -> None:
         """Empty the cache (used between experiment phases)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
         if self._stateful is not None:
             self._stateful.reset()
 
     def resident_lines(self) -> int:
         """Number of lines currently resident (for occupancy assertions)."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())

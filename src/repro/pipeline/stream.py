@@ -13,21 +13,24 @@ again.  This replay is exactly the paper's semantics: the instruction after
 a trapping memory op is squashed and later re-fetched after the handler
 returns.
 
-Frames buffer fetched instructions until the core commits them
-(:meth:`StreamStack.committed`), which bounds memory while allowing
-arbitrary rewinds to uncommitted points.
+Every frame indexes a list of instructions.  A frame over a
+:class:`SharedStream` reads the stream's append-only list directly and
+grows it on demand, so the cells of one benchmark can share a single
+generated, instrumented stream (``DynInst`` objects are never mutated).
+A commit (:meth:`StreamStack.committed`) raises the frame's rewind floor:
+rewinding below the newest commit is a :class:`StreamError`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import threading
 from itertools import islice
-from typing import Deque, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import DynInst
 
-#: Instructions pulled from a frame's source per refill.  Batching the
-#: generator drain through ``islice`` replaces one interpreter-level
+#: Instructions pulled from a stream's source per growth step.  Batching
+#: the generator drain through ``islice`` replaces one interpreter-level
 #: ``next()`` round-trip per fetched instruction with one per chunk.
 _REFILL_CHUNK = 64
 
@@ -43,48 +46,70 @@ class FetchPoint(NamedTuple):
     index: int
 
 
+class SharedStream:
+    """An instruction source drawn once into an append-only list.
+
+    Any number of frames, iterators and threads may read ``insts``
+    concurrently.  Only :meth:`grow` draws from the source, under the
+    stream's lock, and it publishes each chunk with one ``list.extend``,
+    so a reader that checks ``index < len(insts)`` without the lock never
+    sees a partial chunk.  A stream derived from another (an
+    instrumentation pass over an iterator of it) takes its own lock, then
+    the base stream's: locks are always taken derived-first.
+    """
+
+    __slots__ = ("insts", "_source", "_lock", "__weakref__")
+
+    def __init__(self, source: Iterable[DynInst]) -> None:
+        self.insts: List[DynInst] = []
+        self._source: Optional[Iterator[DynInst]] = iter(source)
+        self._lock = threading.Lock()
+
+    def grow(self, index: int) -> bool:
+        """Draw until ``insts[index]`` exists; False if the source ends
+        first."""
+        insts = self.insts
+        with self._lock:
+            while len(insts) <= index and self._source is not None:
+                chunk = list(islice(self._source, _REFILL_CHUNK))
+                if chunk:
+                    insts.extend(chunk)
+                else:
+                    self._source = None
+        return index < len(insts)
+
+    def __iter__(self) -> Iterator[DynInst]:
+        insts = self.insts
+        index = 0
+        while index < len(insts) or self.grow(index):
+            yield insts[index]
+            index += 1
+
+
 class _Frame:
-    __slots__ = ("serial", "source", "buffer", "base", "pos", "end")
+    __slots__ = ("serial", "insts", "source", "floor", "pos")
 
     def __init__(self, source: Iterable[DynInst], serial: int) -> None:
         self.serial = serial
-        self.source: Iterator[DynInst] = iter(source)
-        self.buffer: Deque[DynInst] = deque()
-        self.base = 0            # absolute index of buffer[0]
-        self.pos = 0             # absolute index of the next fetch
-        self.end: Optional[int] = None  # absolute length once exhausted
-
-    def fetch(self) -> Optional[DynInst]:
-        buffer = self.buffer
-        offset = self.pos - self.base
-        if offset >= len(buffer):
-            if self.end is not None:
-                return None
-            buffer.extend(islice(self.source, _REFILL_CHUNK))
-            if offset >= len(buffer):
-                self.end = self.pos
-                return None
-        inst = buffer[offset]
-        self.pos += 1
-        return inst
-
-    @property
-    def finished(self) -> bool:
-        return self.end is not None and self.pos >= self.end
+        if isinstance(source, list):
+            # Handler bodies: complete lists, indexed as they are.
+            self.source: Optional[SharedStream] = None
+            self.insts: List[DynInst] = source
+        else:
+            if not isinstance(source, SharedStream):
+                source = SharedStream(source)
+            self.source = source
+            self.insts = source.insts
+        self.floor = 0           # index after the newest commit
+        self.pos = 0             # index of the next fetch
 
     def rewind_to(self, index: int) -> None:
-        if index < self.base:
+        if index < self.floor:
             raise StreamError(
-                f"rewind to {index} below committed base {self.base}")
+                f"rewind to {index} below committed base {self.floor}")
         if index > self.pos:
             raise StreamError(f"rewind to {index} beyond fetch point {self.pos}")
         self.pos = index
-
-    def trim_to(self, index: int) -> None:
-        """Drop buffered instructions before absolute *index*."""
-        while self.base < index and self.buffer:
-            self.buffer.popleft()
-            self.base += 1
 
 
 class StreamStack:
@@ -104,18 +129,14 @@ class StreamStack:
         tuple_new = tuple.__new__
         while True:
             top = frames[-1]
-            # Inlined buffered-hit path of _Frame.fetch: one instruction is
-            # fetched per simulated issue slot, so the extra call frame and
-            # the NamedTuple constructor both showed up in profiles.
-            offset = top.pos - top.base
-            buffer = top.buffer
-            if offset < len(buffer):
-                top.pos += 1
-                return buffer[offset], tuple_new(
-                    FetchPoint, (top.serial, top.pos - 1))
-            inst = top.fetch()
-            if inst is not None:
-                return inst, tuple_new(FetchPoint, (top.serial, top.pos - 1))
+            # One instruction is fetched per simulated issue slot, so the
+            # NamedTuple constructor is bypassed as it showed up in profiles.
+            pos = top.pos
+            insts = top.insts
+            if pos < len(insts) or (top.source is not None
+                                    and top.source.grow(pos)):
+                top.pos = pos + 1
+                return insts[pos], tuple_new(FetchPoint, (top.serial, pos))
             if len(frames) == 1:
                 return None
             frames.pop()
@@ -147,23 +168,17 @@ class StreamStack:
 
     # -- retirement ---------------------------------------------------------
     def committed(self, point: FetchPoint) -> None:
-        """The instruction at *point* is committed; free replay storage.
+        """The instruction at *point* is committed; raise the rewind floor.
 
-        Commits arrive in program order, so everything before the point in
-        its frame can be dropped.  Points in already-popped handler frames
-        are ignored — their storage died with the frame.
+        Commits arrive in program order, so nothing at or before the point
+        in its frame can be rewound to again.  Points in already-popped
+        handler frames are ignored.
         """
         serial = point.frame_serial
         for frame in self._frames:
             if frame.serial == serial:
-                # Inlined trim_to: one commit per graduated instruction.
-                index = point.index + 1
-                buffer = frame.buffer
-                base = frame.base
-                while base < index and buffer:
-                    buffer.popleft()
-                    base += 1
-                frame.base = base
+                if point.index >= frame.floor:
+                    frame.floor = point.index + 1
                 return
 
     @property
@@ -173,5 +188,5 @@ class StreamStack:
 
     @property
     def buffered(self) -> int:
-        """Total instructions held for potential replay."""
-        return sum(len(frame.buffer) for frame in self._frames)
+        """Instructions drawn into the frames above their commit floors."""
+        return sum(len(frame.insts) - frame.floor for frame in self._frames)

@@ -137,7 +137,7 @@ class ChaosInjector:
             victim = orig(addr, dirty)
             if self._trigger():
                 line = addr >> l1._line_shift
-                num_sets = len(l1._sets)
+                num_sets = l1.config.num_sets
                 if num_sets > 1:
                     foreign = ((line & l1._set_mask) + 1) % num_sets
                     l1._sets[foreign][line] = False

@@ -157,7 +157,8 @@ class Sanitizer:
         self.checks_passed += 1
 
     def check_cache(self, cache) -> None:
-        """Full sweep: every set, plus the cross-set duplicate scan.
+        """Full sweep: every created set in index order, plus the
+        cross-set duplicate scan (a set never touched holds nothing).
 
         One flat loop rather than a :meth:`check_cache_set` call per set:
         large L2 tag stores make the per-set call overhead the dominant
@@ -167,7 +168,7 @@ class Sanitizer:
         assoc = cache._assoc
         mask = cache._set_mask
         seen: Dict[int, int] = {}
-        for index, cache_set in enumerate(cache._sets):
+        for index, cache_set in sorted(cache._sets.items()):
             if len(cache_set) > assoc:
                 self._violate(
                     "cache.set_occupancy", cache.name,

@@ -1,12 +1,12 @@
 """Decode-once stream layer: DynInst streams as flat numpy columns.
 
-The interp backend pays the workload generator, the ``DynInst``
-constructor and the ``StreamStack`` buffering once *per grid cell* —
-ten times per benchmark in a figure2 grid, for byte-identical
-instruction streams (generators are seeded and independent of
-simulation state).  This module decodes a stream once into flat numpy
-column arrays and shares the decoded form across every cell of the
-same ``(benchmark, seed, length-bound)``:
+Generators are seeded and independent of simulation state, so the ten
+cells of a benchmark's figure2 column read byte-identical instruction
+streams.  The interp backend shares one generated ``DynInst`` list per
+benchmark (:func:`repro.harness.runner.shared_stream`); this module
+decodes a stream once into flat numpy column arrays and shares the
+decoded form across every cell of the same
+``(benchmark, seed, length-bound)``:
 
 * the **base** stream is decoded lazily in chunks of
   :data:`CHUNK` instructions (a cell only consumes a few tens of
@@ -37,6 +37,7 @@ switch value).
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from itertools import islice
 from typing import Dict, List, Optional, Tuple
@@ -228,37 +229,52 @@ class StreamView:
     :data:`COLUMNS` slot order; ``avail`` is how many instructions are
     currently decoded.  The replay kernels read ``rows`` directly and
     call :meth:`ensure` when the fetch index reaches ``avail``.
+
+    Growth follows the interp stream's lock rule
+    (:class:`repro.pipeline.stream.SharedStream`): ``rows`` is append-only
+    and grows under the view's lock, which is taken before the
+    workload's; readers take no lock.
     """
 
-    __slots__ = ("_workload", "variant", "rows", "avail", "done")
+    __slots__ = ("_workload", "variant", "rows", "avail", "done",
+                 "_taken", "_lock")
 
     def __init__(self, workload: "DecodedWorkload", variant: str) -> None:
+        if variant not in _VARIANTS:
+            raise ValueError(f"unknown stream variant {variant!r}; "
+                             f"expected one of {sorted(_VARIANTS)}")
         self._workload = workload
         self.variant = variant
         self.rows: List[tuple] = []
         self.avail = 0
         self.done = False
+        self._taken = 0  # base chunks transformed into rows
+        self._lock = threading.Lock()
 
     def ensure(self, index: int) -> bool:
         """Decode until *index* is readable; False when the stream ends
         first."""
-        while self.avail <= index and not self.done:
-            chunk = self._workload.next_chunk_for(self)
-            if chunk is None:
-                self.done = True
-                break
-            self.rows.extend(_rows(chunk))
-            self.avail = len(self.rows)
+        with self._lock:
+            while self.avail <= index and not self.done:
+                chunk = self._workload.base_chunk(self._taken)
+                if chunk is None:
+                    self.done = True
+                    break
+                self._taken += 1
+                self.rows.extend(_rows(_VARIANTS[self.variant](chunk)))
+                self.avail = len(self.rows)
         return index < self.avail
 
 
 class DecodedWorkload:
-    """Chunked decode of one workload stream plus its variant views.
+    """Chunked decode of one workload stream, shared by its variant views.
 
-    The base generator is consumed once; every variant view transforms
-    the shared base chunks independently, so the ten cells of a
-    benchmark's figure2 column (two machines x five bars, mixing plain
-    and mhar variants) decode the underlying stream a single time.
+    The base generator is consumed once, under the workload's lock;
+    every variant view transforms the shared base chunks independently,
+    so the ten cells of a benchmark's figure2 column (two machines x
+    five bars, mixing plain and mhar variants) decode the underlying
+    stream a single time.  The workload holds no reference to its
+    views, so dropping the cache entry frees it at once.
     """
 
     def __init__(self, benchmark: str, seed_offset: int, limit: int) -> None:
@@ -269,40 +285,26 @@ class DecodedWorkload:
         self._source = workload.stream(limit)
         self._base_chunks: List[Dict[str, np.ndarray]] = []
         self._exhausted = False
-        self._views: Dict[str, StreamView] = {}
-        self._consumed: Dict[str, int] = {}  # view variant -> chunks taken
+        self._lock = threading.Lock()
 
-    def view(self, variant: str) -> StreamView:
-        if variant not in _VARIANTS:
-            raise ValueError(f"unknown stream variant {variant!r}; "
-                             f"expected one of {sorted(_VARIANTS)}")
-        view = self._views.get(variant)
-        if view is None:
-            view = StreamView(self, variant)
-            self._views[variant] = view
-            self._consumed[variant] = 0
-        return view
-
-    def _decode_base_chunk(self) -> bool:
-        if self._exhausted:
-            return False
-        chunk = decode_chunk(islice(self._source, CHUNK))
-        if chunk is None:
-            self._exhausted = True
-            return False
-        self._base_chunks.append(chunk)
-        return True
-
-    def next_chunk_for(self, view: StreamView) -> Optional[Dict[str, np.ndarray]]:
-        index = self._consumed[view.variant]
-        while index >= len(self._base_chunks):
-            if not self._decode_base_chunk():
-                return None
-        self._consumed[view.variant] = index + 1
-        return _VARIANTS[view.variant](self._base_chunks[index])
+    def base_chunk(self, index: int) -> Optional[Dict[str, np.ndarray]]:
+        """Base chunk *index*, decoding up to it; None past the end."""
+        chunks = self._base_chunks
+        with self._lock:
+            while index >= len(chunks) and not self._exhausted:
+                chunk = decode_chunk(islice(self._source, CHUNK))
+                if chunk is None:
+                    self._exhausted = True
+                else:
+                    chunks.append(chunk)
+        return chunks[index] if index < len(chunks) else None
 
 
-_CACHE: "OrderedDict[Tuple[str, int, int], DecodedWorkload]" = OrderedDict()
+#: (benchmark, seed, limit) -> (decode, its views by variant).  The views
+#: live beside their workload, not inside it: no reference cycle keeps an
+#: evicted decode alive until the next full garbage collection.
+_CACHE: "OrderedDict[Tuple[str, int, int], tuple]" = OrderedDict()
+_CACHE_LOCK = threading.Lock()
 
 
 def decoded_stream(benchmark: str, seed_offset: int, limit: int,
@@ -314,20 +316,26 @@ def decoded_stream(benchmark: str, seed_offset: int, limit: int,
     pinning every benchmark's arrays in memory.
     """
     key = (benchmark, seed_offset, limit)
-    workload = _CACHE.get(key)
-    if workload is None:
-        workload = DecodedWorkload(benchmark, seed_offset, limit)
-        _CACHE[key] = workload
-        while len(_CACHE) > _MAX_CACHED:
-            _CACHE.popitem(last=False)
-    else:
-        _CACHE.move_to_end(key)
-    return workload.view(variant)
+    with _CACHE_LOCK:
+        entry = _CACHE.get(key)
+        if entry is None:
+            entry = _CACHE[key] = (
+                DecodedWorkload(benchmark, seed_offset, limit), {})
+            while len(_CACHE) > _MAX_CACHED:
+                _CACHE.popitem(last=False)
+        else:
+            _CACHE.move_to_end(key)
+        workload, views = entry
+        view = views.get(variant)
+        if view is None:
+            view = views[variant] = StreamView(workload, variant)
+        return view
 
 
 def clear_decode_cache() -> None:
     """Drop all cached decodes (tests and memory-pressure hook)."""
-    _CACHE.clear()
+    with _CACHE_LOCK:
+        _CACHE.clear()
 
 
 class FlatHandlers:

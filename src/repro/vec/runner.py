@@ -10,12 +10,10 @@ and replayed by the flat kernels instead of the object interpreters.
 from __future__ import annotations
 
 from repro.harness.configs import MACHINES, build_core
-from repro.harness.runner import BarConfig, BarResult
+from repro.harness.runner import BarConfig, BarResult, stream_bound
 from repro.vec.decode import decoded_stream
 from repro.vec.inorder import run_inorder_vec
 from repro.vec.ooo import run_ooo_vec
-
-_VARIANT_BY_INSTRUMENTATION = {None: "plain", "mhar": "mhar", "cc": "cc"}
 
 
 def run_bar_vec(
@@ -45,10 +43,8 @@ def run_bar_vec(
     core = build_core(spec, informing=bar.informing,
                       replacement_policy=policy,
                       replacement_seed=derive_seed(seed))
-    # Same stream bound as the interp path — the decode cache keys on it.
-    limit = 8 * (instructions + warmup) + 100_000
-    variant = _VARIANT_BY_INSTRUMENTATION[bar.per_ref_instrumentation]
-    view = decoded_stream(benchmark, seed, limit, variant)
+    view = decoded_stream(benchmark, seed, stream_bound(instructions, warmup),
+                          bar.per_ref_instrumentation or "plain")
     kernel = run_ooo_vec if spec.out_of_order else run_inorder_vec
     stats = kernel(core, view, max_app_insts=instructions + warmup,
                    warmup_insts=warmup)

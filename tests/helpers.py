@@ -5,6 +5,7 @@ from repro.inorder import InOrderCore
 from repro.memory import CacheConfig, HierarchyConfig, MemoryHierarchy
 from repro.ooo import OutOfOrderCore
 from repro.pipeline import CoreConfig, LatencyTable
+from repro.pipeline.stream import SharedStream
 
 
 def small_hierarchy(extended=False, **overrides):
@@ -84,3 +85,19 @@ def cc_config(n=1):
         mechanism=Mechanism.CONDITION_CODE,
         handler=GenericHandler(n, unique=True),
     )
+
+
+def shared_source(instructions):
+    """A shared stream another reader has already grown halfway."""
+    stream = SharedStream(iter(instructions))
+    stream.grow(len(instructions) // 2)
+    return stream
+
+
+#: Application-frame sources for StreamStack tests: a complete list, a
+#: private generator, and a stream shared with other readers.
+STREAM_SOURCES = {
+    "list": list,
+    "iterator": iter,
+    "shared": shared_source,
+}

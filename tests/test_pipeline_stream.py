@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import alu, load, mhrr_jump
 from repro.pipeline import FetchPoint, StreamStack, StreamError
+from tests.helpers import STREAM_SOURCES
 
 
 def insts(n, pc_base=0):
@@ -139,12 +140,13 @@ class TestCommitTrimming:
         assert stack.buffered == 50
 
     def test_rewind_below_commit_raises(self):
-        stack = StreamStack(insts(4))
-        _, p0 = stack.fetch()
-        _, p1 = stack.fetch()
-        stack.committed(p1)
-        with pytest.raises(StreamError):
-            stack.rewind_to(p0)
+        for make_source in STREAM_SOURCES.values():
+            stack = StreamStack(make_source(insts(4)))
+            _, p0 = stack.fetch()
+            _, p1 = stack.fetch()
+            stack.committed(p1)
+            with pytest.raises(StreamError):
+                stack.rewind_to(p0)
 
     def test_commit_of_popped_handler_frame_is_ignored(self):
         stack = StreamStack(insts(2))

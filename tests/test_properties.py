@@ -11,6 +11,8 @@ from repro.pipeline import StreamStack
 from repro.isa import alu, load
 from repro.sim import Simulator
 
+from tests.helpers import STREAM_SOURCES
+
 addresses = st.integers(min_value=0, max_value=1 << 20)
 
 
@@ -121,7 +123,7 @@ class TestHierarchyProperties:
             cycle += gap
             mem.access(addr, is_write, cycle)
         mem.drain()
-        for cache_set in mem.l1._sets:
+        for cache_set in mem.l1._sets.values():
             for line in cache_set:
                 assert mem.l2.contains(line << 5)
 
@@ -140,11 +142,12 @@ class TestHierarchyProperties:
 
 
 class TestStreamStackProperties:
-    @given(st.integers(2, 60), st.data())
+    @given(st.integers(2, 60), st.data(),
+           st.sampled_from(sorted(STREAM_SOURCES)))
     @settings(max_examples=50)
-    def test_rewind_replays_identically(self, length, data):
+    def test_rewind_replays_identically(self, length, data, source):
         insts = [alu(dest=1, pc=4 * i) for i in range(length)]
-        stack = StreamStack(insts)
+        stack = StreamStack(STREAM_SOURCES[source](insts))
         fetched = []
         points = []
         for _ in range(length):
@@ -161,10 +164,12 @@ class TestStreamStackProperties:
             replayed.append(item[0])
         assert replayed == fetched[index:]
 
-    @given(st.lists(st.integers(1, 5), min_size=0, max_size=6))
-    def test_nested_handlers_preserve_app_order(self, handler_lengths):
+    @given(st.lists(st.integers(1, 5), min_size=0, max_size=6),
+           st.sampled_from(sorted(STREAM_SOURCES)))
+    def test_nested_handlers_preserve_app_order(self, handler_lengths,
+                                                source):
         app = [alu(dest=1, pc=4 * i) for i in range(10)]
-        stack = StreamStack(app)
+        stack = StreamStack(STREAM_SOURCES[source](app))
         first, _ = stack.fetch()
         for depth, n in enumerate(handler_lengths):
             stack.push_handler(
