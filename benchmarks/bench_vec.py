@@ -91,7 +91,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.exec import atomic_write_json
-    from repro.harness.runner import bar_config, run_bar
+    from repro.harness.runner import bar_config, clear_streams, run_bar
     from repro.vec import run_bar_vec
     from repro.workloads import FIGURE2_BENCHMARKS
 
@@ -101,13 +101,16 @@ def main(argv=None) -> int:
     configs = {label: bar_config(label) for label in LABELS}
 
     # Same sitting, same process: interp sweep first, vec sweep second.
-    # Both are cold — no result cache in sight, and the vec decode cache
-    # starts empty (its fill is part of the vec wall, as in a real run).
+    # Both are cold — no result cache in sight, and each sweep starts
+    # with an empty stream cache (its fill is part of the wall, as in a
+    # real run; vec never builds its rows from the streams interp left).
     def run_interp(benchmark, machine, bar, instructions, warmup):
         return run_bar(benchmark, machine, bar, instructions, warmup,
                        backend="interp")
 
+    clear_streams()
     interp_results, interp_wall = _sweep(run_interp, cells, configs)
+    clear_streams()
     vec_results, vec_wall = _sweep(run_bar_vec, cells, configs)
 
     mismatches = _diff(interp_results, vec_results)

@@ -49,9 +49,10 @@ skip).
 
 ``--backend {interp,vec}`` picks the simulation backend (see
 :mod:`repro.vec`): ``interp`` is the original object-per-instruction
-interpreter, ``vec`` replays flat decoded arrays with flat kernels —
-digit-exact statistics, about 1.8x faster on cold grids.  Both decode
-each benchmark's stream once per process.  The flag sets ``REPRO_BACKEND``
+interpreter, ``vec`` replays the same stream as row tuples with flat
+kernels — digit-exact statistics, about 1.8x faster on cold grids.
+Both read one per-process stream cache, so each benchmark's stream is
+generated once.  The flag sets ``REPRO_BACKEND``
 (pool workers inherit it); the backend is never part of a job's cache
 key, so either backend reads and writes the same result cache.
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import (
     GenericHandler,
@@ -41,22 +41,24 @@ DEFAULT_WARMUP = 15_000
 def stream_bound(instructions: int, warmup: int) -> int:
     """Length bound of a cell's generated application stream.
 
-    Generous: instrumentation and replay never exhaust it.  The interp
-    stream cache and the vec decode cache both key on it.
+    Generous: instrumentation and replay never exhaust it.  The stream
+    cache (:func:`shared_stream`) keys on it.
     """
     return 8 * (instructions + warmup) + 100_000
 
 
-#: The application streams of the benchmark this process ran last, keyed
-#: by (benchmark, workload seed, stream bound, variant).  A cell of any
-#: other benchmark, seed or bound replaces them all.
-_STREAMS: Dict[Tuple[str, int, int, str], SharedStream] = {}
+#: The streams of the benchmark this process ran last, keyed by
+#: (benchmark, workload seed, stream bound, variant, row function).  A cell
+#: of any other benchmark, seed or bound replaces them all.
+_STREAMS: Dict[Tuple[str, int, int, str, Optional[Callable]],
+               SharedStream] = {}
 _STREAMS_LOCK = threading.Lock()
 _INSTRUMENT = {"mhar": add_mhar_sets, "cc": add_cc_checks}
 
 
 def shared_stream(benchmark: str, seed: int, bound: int,
-                  variant: str = "plain") -> SharedStream:
+                  variant: str = "plain",
+                  each: Optional[Callable] = None) -> SharedStream:
     """One cell's application stream, shared with its benchmark's cells.
 
     *variant* is ``"plain"``, ``"mhar"`` (:func:`add_mhar_sets`) or
@@ -67,24 +69,41 @@ def shared_stream(benchmark: str, seed: int, bound: int,
     simulation, so every reader sees exactly the stream a fresh
     ``spec92_workload(benchmark, seed_offset=seed).stream(bound)`` (plus
     the variant's rewriter) would yield.
+
+    *each*, if given, is applied to every instruction of the variant
+    (the vec backend passes its row builder): the result is one more
+    stream in the cache, drawn from the variant's and evicted with it.
     """
     if variant != "plain" and variant not in _INSTRUMENT:
         raise ValueError(f"unknown stream variant {variant!r}; expected "
                          f"'plain', 'mhar' or 'cc'")
-    key = (benchmark, seed, bound, variant)
     with _STREAMS_LOCK:
-        stream = _STREAMS.get(key)
-        if stream is None:
-            plain_key = (benchmark, seed, bound, "plain")
-            plain = _STREAMS.get(plain_key)
-            if plain is None:
-                _STREAMS.clear()
-                plain = _STREAMS[plain_key] = SharedStream(
-                    spec92_workload(benchmark, seed_offset=seed).stream(bound))
-            stream = plain if variant == "plain" else SharedStream(
-                _INSTRUMENT[variant](plain))
-            _STREAMS[key] = stream
-        return stream
+        return _cached_stream(benchmark, seed, bound, variant, each)
+
+
+def _cached_stream(benchmark, seed, bound, variant, each) -> SharedStream:
+    """The cached stream for one key, made (with what it draws from) on
+    first use; the caller holds ``_STREAMS_LOCK``."""
+    key = (benchmark, seed, bound, variant, each)
+    stream = _STREAMS.get(key)
+    if stream is None:
+        if each is not None:
+            source = map(each, _cached_stream(benchmark, seed, bound,
+                                              variant, None))
+        elif variant != "plain":
+            source = _INSTRUMENT[variant](_cached_stream(
+                benchmark, seed, bound, "plain", None))
+        else:
+            _STREAMS.clear()
+            source = spec92_workload(benchmark, seed_offset=seed).stream(bound)
+        stream = _STREAMS[key] = SharedStream(source)
+    return stream
+
+
+def clear_streams() -> None:
+    """Empty the stream cache: the next cell generates its stream cold."""
+    with _STREAMS_LOCK:
+        _STREAMS.clear()
 
 
 @dataclass(frozen=True)

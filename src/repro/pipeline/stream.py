@@ -49,6 +49,9 @@ class FetchPoint(NamedTuple):
 class SharedStream:
     """An instruction source drawn once into an append-only list.
 
+    The items are ``DynInst`` objects, or the vec backend's row tuples
+    when the source maps another stream to rows.
+
     Any number of frames, iterators and threads may read ``insts``
     concurrently.  Only :meth:`grow` draws from the source, under the
     stream's lock, and it publishes each chunk with one ``list.extend``,

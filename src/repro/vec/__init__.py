@@ -6,13 +6,16 @@ interface:
 * ``interp`` — the original object-per-instruction interpreters in
   :mod:`repro.inorder` and :mod:`repro.ooo`.  Always available; the
   default.
-* ``vec`` — this package.  A workload's dynamic op stream is decoded
-  *once* into flat numpy column arrays (op codes, addresses, register
-  ids — see :mod:`repro.vec.decode`), shared across every grid cell
-  that replays the same benchmark, and advanced by event-driven flat
-  replay kernels (:mod:`repro.vec.inorder`, :mod:`repro.vec.ooo`)
-  that reuse the interp backend's memory hierarchy objects so the
-  simulated statistics are **digit-exact** with ``interp``.
+* ``vec`` — this package.  A cell replays its benchmark's stream as
+  plain-int row tuples (op codes, addresses, register ids — see
+  :mod:`repro.vec.decode`), drawn from the same per-process stream
+  cache interp reads (:func:`repro.harness.runner.shared_stream`), so
+  every grid cell of a benchmark shares one generated stream on either
+  backend.  Event-driven flat replay kernels (:mod:`repro.vec.inorder`,
+  :mod:`repro.vec.ooo`) advance it and reuse the interp backend's
+  memory hierarchy objects, so the simulated statistics are
+  **digit-exact** with ``interp``.  Like the rest of the package, it is
+  pure Python.
 
 Because results are bit-identical, the backend is *not* part of a
 job's identity: :meth:`repro.exec.SimJob.cache_key` never includes it
@@ -35,15 +38,6 @@ BACKENDS = ("interp", "vec")
 
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: The satellite contract: numpy is a runtime dependency of the vec
-#: backend only — everything else in the repository must keep working
-#: without it, with this message pointing at the escape hatch.
-_NUMPY_HINT = (
-    "the 'vec' simulation backend requires numpy (a runtime dependency "
-    "of this package; `pip install numpy` or reinstall the package), "
-    "or re-run with `--backend interp` / REPRO_BACKEND=interp for the "
-    "pure-Python backend — results are bit-identical, just slower")
 
 
 class BackendError(ValueError):
@@ -70,15 +64,6 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
             f"{source}: unknown backend {value!r}; expected one of "
             f"{list(BACKENDS)}")
     return value
-
-
-def require_numpy():
-    """Import and return numpy, or raise a directive ImportError."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy present in CI
-        raise ImportError(_NUMPY_HINT) from exc
-    return numpy
 
 
 #: Replacement policies the flat kernels express exactly: the dict-order
@@ -114,7 +99,6 @@ def run_bar_vec(benchmark: str, machine_key: str, bar,
                 instructions: int, warmup: int, seed: int = 0,
                 policy: str = "lru"):
     """Run one bar cell on the vec backend (see repro.vec.runner)."""
-    require_numpy()
     from repro.vec.runner import run_bar_vec as _impl
     return _impl(benchmark, machine_key, bar, instructions, warmup,
                  seed=seed, policy=policy)
@@ -126,7 +110,6 @@ __all__ = [
     "VEC_POLICIES",
     "BackendError",
     "resolve_backend",
-    "require_numpy",
     "run_bar_vec",
     "vec_supports",
 ]

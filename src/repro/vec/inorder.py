@@ -5,9 +5,9 @@ This kernel advances the same machine state as
 ``MemoryHierarchy``/``MSHRFile``/``MainMemory`` objects, the same
 predictor table, and the same ``GraduationStats``/``MemStats``
 accounting — but replaces the object-per-instruction stream side with
-prebuilt row tuples from :mod:`repro.vec.decode`:
+row tuples in the :mod:`repro.vec.decode` layout:
 
-* instructions are 13-tuples of plain ints read out of a decoded row
+* instructions are 13-tuples of plain ints read out of a shared row
   list; no ``DynInst``, ``FetchPoint`` or ``StreamStack`` objects
   exist, and issue dispatch switches on the precomputed ``cls`` slot;
 * handler injection replays immutable flat frames from
@@ -33,6 +33,7 @@ from collections import deque
 
 from repro.core.mechanisms import Mechanism, return_pc
 from repro.isa.registers import NUM_REGS
+from repro.pipeline.stream import SharedStream
 from repro.vec.decode import (
     CLS_BLMISS,
     CLS_BRANCH,
@@ -42,13 +43,13 @@ from repro.vec.decode import (
     OP_PREFETCH,
     OP_STORE,
     FlatHandlers,
-    StreamView,
 )
 
 
-def run_inorder_vec(core, view: StreamView, max_app_insts: int,
+def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
                     warmup_insts: int):
-    """Replay *view* through *core* (an InOrderCore); return its stats.
+    """Replay *stream*'s rows through *core* (an InOrderCore); return its
+    stats.
 
     Preconditions (the dispatcher guarantees them): no sanitizer, no
     observer, no stream buffers, and the informing handler — if any —
@@ -118,12 +119,12 @@ def run_inorder_vec(core, view: StreamView, max_app_insts: int,
     lat_list = config.latencies.as_list()
     mispredict_penalty = config.mispredict_penalty
 
-    # Stream state: the app frame is (view rows, app_pos); handler
+    # Stream state: the app frame is (stream rows, app_pos); handler
     # frames are [serial, pos, rows, length] replayed from FlatHandlers.
-    app_rows = view.rows
-    view_ensure = view.ensure
+    app_rows = stream.insts
+    stream_grow = stream.grow
     app_pos = 0
-    app_avail = view.avail
+    app_avail = len(app_rows)
     frames = []
     next_serial = 1
 
@@ -244,10 +245,10 @@ def run_inorder_vec(core, view: StreamView, max_app_insts: int,
                 else:
                     idx = app_pos
                     if idx >= app_avail:
-                        if not view_ensure(idx):
+                        if not stream_grow(idx):
                             stream_done = True
                             break
-                        app_avail = view.avail
+                        app_avail = len(app_rows)
                     row = app_rows[idx]
                     serial = 0
                     app_pos = idx + 1

@@ -2,11 +2,10 @@
 
 Same contract as :mod:`repro.vec.inorder`, for
 :class:`repro.ooo.OutOfOrderCore`: identical memory-hierarchy objects
-and statistics, prebuilt decoded row tuples instead of DynInst
-objects, the inlined L1/icache hit fast paths, and bulk skipping of
-provably-idle cycles.  Wrong-path fetch (``wrong_path_factory``) is
-not replayed here — the dispatcher falls back to the interp backend
-for cores that use it.
+and statistics, row tuples instead of DynInst objects, the inlined
+L1/icache hit fast paths, and bulk skipping of provably-idle cycles.
+Wrong-path fetch (``wrong_path_factory``) is not replayed here — the
+dispatcher falls back to the interp backend for cores that use it.
 
 The replay entry mirrors ``repro.ooo.core._Entry`` field-for-field
 but is a plain list (a class instance costs ~3x as much to allocate,
@@ -39,6 +38,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.mechanisms import Mechanism, TrapStyle, return_pc
+from repro.pipeline.stream import SharedStream
 from repro.vec.decode import (
     CLS_BLMISS,
     CLS_BRANCH,
@@ -47,13 +47,13 @@ from repro.vec.decode import (
     OP_PREFETCH,
     OP_STORE,
     FlatHandlers,
-    StreamView,
 )
 
 
-def run_ooo_vec(core, view: StreamView, max_app_insts: int,
+def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                 warmup_insts: int):
-    """Replay *view* through *core* (an OutOfOrderCore); return its stats.
+    """Replay *stream*'s rows through *core* (an OutOfOrderCore); return its
+    stats.
 
     Preconditions (dispatcher-guaranteed): no sanitizer/observer/stream
     buffers, no wrong-path factory, GenericHandler-or-no handler.
@@ -120,10 +120,10 @@ def run_ooo_vec(core, view: StreamView, max_app_insts: int,
     lat_list = config.latencies.as_list()
     mispredict_penalty = config.mispredict_penalty
 
-    app_rows = view.rows
-    view_ensure = view.ensure
+    app_rows = stream.insts
+    stream_grow = stream.grow
     app_pos = 0
-    app_avail = view.avail
+    app_avail = len(app_rows)
     frames = []
     next_serial = 1
 
@@ -313,10 +313,10 @@ def run_ooo_vec(core, view: StreamView, max_app_insts: int,
                 else:
                     idx = app_pos
                     if idx >= app_avail:
-                        if not view_ensure(idx):
+                        if not stream_grow(idx):
                             stream_done = True
                             break
-                        app_avail = view.avail
+                        app_avail = len(app_rows)
                     row = app_rows[idx]
                     serial = 0
                     app_pos = idx + 1

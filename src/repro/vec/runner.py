@@ -2,16 +2,22 @@
 
 `run_bar_vec` is the vec twin of :func:`repro.harness.runner.run_bar`:
 same arguments, same :class:`BarResult`, digit-exact statistics.  The
-difference is purely mechanical — the workload stream is pulled from
-the per-process decode cache (:func:`repro.vec.decode.decoded_stream`)
-and replayed by the flat kernels instead of the object interpreters.
+difference is purely mechanical — the cell reads its stream as row
+tuples (:func:`repro.vec.decode.to_row`) from the per-process stream
+cache (:func:`repro.harness.runner.shared_stream`), and the flat kernels
+replay them instead of the object interpreters.
 """
 
 from __future__ import annotations
 
 from repro.harness.configs import MACHINES, build_core
-from repro.harness.runner import BarConfig, BarResult, stream_bound
-from repro.vec.decode import decoded_stream
+from repro.harness.runner import (
+    BarConfig,
+    BarResult,
+    shared_stream,
+    stream_bound,
+)
+from repro.vec.decode import to_row
 from repro.vec.inorder import run_inorder_vec
 from repro.vec.ooo import run_ooo_vec
 
@@ -43,10 +49,10 @@ def run_bar_vec(
     core = build_core(spec, informing=bar.informing,
                       replacement_policy=policy,
                       replacement_seed=derive_seed(seed))
-    view = decoded_stream(benchmark, seed, stream_bound(instructions, warmup),
-                          bar.per_ref_instrumentation or "plain")
+    stream = shared_stream(benchmark, seed, stream_bound(instructions, warmup),
+                           bar.per_ref_instrumentation or "plain", each=to_row)
     kernel = run_ooo_vec if spec.out_of_order else run_inorder_vec
-    stats = kernel(core, view, max_app_insts=instructions + warmup,
+    stats = kernel(core, stream, max_app_insts=instructions + warmup,
                    warmup_insts=warmup)
     breakdown = stats.breakdown()
     return BarResult(

@@ -1,11 +1,11 @@
 """Decode once on both backends: a benchmark's cells share one stream.
 
-The interp backend reads each cell's application stream from
-:func:`repro.harness.runner.shared_stream`, the vec backend from
-:func:`repro.vec.decode.decoded_stream`.  Sharing is sound only if
+Both backends read each cell's application stream from
+:func:`repro.harness.runner.shared_stream`: interp as ``DynInst``
+objects, vec as row tuples (``each=to_row``).  Sharing is sound only if
 
 * the shared stream is exactly what a fresh generator, plus the
-  variant's rewriter, yields;
+  variant's rewriter (and, for rows, ``to_row``), yields;
 * a cell's result does not depend on which cells ran before it;
 * concurrent cells (the serve gateway's shard threads) grow a shared
   stream without corrupting it or driving one generator twice;
@@ -27,11 +27,13 @@ from hypothesis import strategies as st
 from repro.core import add_cc_checks, add_mhar_sets
 from repro.harness.runner import (
     bar_config,
+    clear_streams,
     run_bar,
     shared_stream,
     stream_bound,
 )
 from repro.isa.opclass import OpClass
+from repro.vec.decode import to_row
 from repro.workloads import FIGURE2_BENCHMARKS, spec92_workload
 from tests.test_golden_parity import (
     COMPARED_FIELDS,
@@ -42,6 +44,7 @@ from tests.test_golden_parity import (
 
 MACHINES = ("ooo", "inorder")
 LABELS = ("N", "S1", "U1", "S10", "U10")
+BACKENDS = ("interp", "vec")
 
 _REWRITERS = {"plain": lambda stream: stream, "mhar": add_mhar_sets,
               "cc": add_cc_checks}
@@ -52,37 +55,33 @@ def _shape(inst):
             inst.informing, inst.handler_code)
 
 
-def _evict_interp_streams():
-    """Any other benchmark's stream replaces the cached one."""
+def _evict_streams():
+    """Any other benchmark's stream replaces the cached ones."""
     shared_stream("ora", 12_345, 1_000)
-
-
-def _backends():
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return ["interp"]
-    return ["interp", "vec"]
 
 
 class TestSharedStream:
     @given(st.sampled_from(FIGURE2_BENCHMARKS), st.integers(0, 1_000),
-           st.sampled_from(sorted(_REWRITERS)), st.integers(200, 3_000),
-           st.integers(0, 3_000))
+           st.sampled_from(sorted(_REWRITERS)), st.booleans(),
+           st.integers(200, 3_000), st.integers(0, 3_000))
     @settings(max_examples=30, deadline=None)
     def test_yields_what_a_fresh_stream_yields(self, benchmark, seed,
-                                               variant, bound, head_start):
-        # Another reader may have grown the plain stream before this
-        # variant is first asked for.
+                                               variant, rows, bound,
+                                               head_start):
+        # Another reader may have grown the plain stream, and for rows the
+        # variant's DynInst stream, before this form is first asked for.
         shared_stream(benchmark, seed, bound).grow(head_start)
-        shared = shared_stream(benchmark, seed, bound, variant)
-        fresh = _REWRITERS[variant](
-            spec92_workload(benchmark, seed_offset=seed).stream(bound))
-        assert [_shape(i) for i in shared] == [_shape(i) for i in fresh]
+        if rows:
+            shared_stream(benchmark, seed, bound, variant).grow(head_start)
+        shared = shared_stream(benchmark, seed, bound, variant,
+                               each=to_row if rows else None)
+        form = to_row if rows else _shape
+        read = (lambda row: row) if rows else _shape
+        workload = spec92_workload(benchmark, seed_offset=seed)
+        fresh = [form(i) for i in _REWRITERS[variant](workload.stream(bound))]
+        assert [read(i) for i in shared] == fresh
         # Read again: the list is kept, not regenerated.
-        assert [_shape(i) for i in shared] == [
-            _shape(i) for i in _REWRITERS[variant](
-                spec92_workload(benchmark, seed_offset=seed).stream(bound))]
+        assert [read(i) for i in shared] == fresh
 
     def test_variants_draw_from_one_generated_stream(self):
         plain = shared_stream("compress", 0, 5_000)
@@ -110,10 +109,10 @@ class TestSharedStream:
             gc.enable()
 
 
-@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_cells_are_order_independent(backend):
     """A benchmark's cells in reverse order, every second one followed by
-    another benchmark's cell (which evicts the interp stream), each
+    another benchmark's cell (which evicts the cached streams), each
     reproduce their golden row."""
     golden = _golden_index()
     compress = [("compress", m, label) for m in MACHINES for label in LABELS]
@@ -131,7 +130,7 @@ def test_cells_are_order_independent(backend):
             f: row[f] for f in COMPARED_FIELDS}, (benchmark, machine, label)
 
 
-@pytest.mark.parametrize("backend", _backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_concurrent_cells_match_a_serial_run(backend):
     """More threads than cores run one benchmark's cells from a cold
     stream cache, switching often; every result equals the serial one."""
@@ -142,11 +141,7 @@ def test_concurrent_cells_match_a_serial_run(backend):
                        seed=3, backend=backend)
 
     serial = [run(cell) for cell in cells]
-    if backend == "vec":
-        from repro.vec.decode import clear_decode_cache
-        clear_decode_cache()
-    else:
-        _evict_interp_streams()
+    _evict_streams()
     threads = max(len(cells), 2 * (os.cpu_count() or 1) + 1)
     results = [None] * threads
     errors = []
@@ -175,21 +170,21 @@ def test_concurrent_cells_match_a_serial_run(backend):
         assert result == serial[index % len(cells)], cells[index % len(cells)]
 
 
-def test_evicted_decode_is_freed_without_gc():
-    pytest.importorskip("numpy")
-    from repro.vec.decode import clear_decode_cache, decoded_stream
 
+def test_evicted_decode_is_freed_without_gc():
+    """A vec cell's rows, and the generator they are drawn from, are freed
+    by reference counting once a newer decode replaces them."""
     bound = stream_bound(1_000, 0)
     gc.disable()
     try:
-        clear_decode_cache()
-        view = decoded_stream("compress", 0, bound, "mhar")
-        view.ensure(10)
-        ref = weakref.ref(view._workload)
-        del view
-        for seed in (1, 2, 3):  # three newer decodes fill the LRU
-            decoded_stream("compress", seed, bound, "plain")
-        assert ref() is None
+        clear_streams()
+        rows = shared_stream("compress", 0, bound, "mhar", each=to_row)
+        rows.grow(10)
+        generator = shared_stream("compress", 0, bound)._source
+        refs = [weakref.ref(rows), weakref.ref(generator)]
+        del rows, generator
+        shared_stream("compress", 1, bound, each=to_row)  # a newer decode
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
-        clear_decode_cache()
+        clear_streams()

@@ -19,12 +19,14 @@ Three layers of proof:
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
-pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,42 @@ def test_parity_on_warmup_equal_run():
     """Warmup == measured instructions: the reset boundary edge."""
     _assert_cell_parity("compress", "inorder", "U10", 1000, 1000)
     _assert_cell_parity("compress", "ooo", "S10", 1000, 1000)
+
+
+def test_row_rejects_more_than_two_sources():
+    from repro.isa.instructions import DynInst
+    from repro.isa.opclass import OpClass
+    from repro.vec.decode import to_row
+
+    assert to_row(DynInst(OpClass.IALU, dest=3, srcs=(1, 2)))[2:5] == (
+        3, 1, 2)
+    with pytest.raises(ValueError, match="at most two source registers"):
+        to_row(DynInst(OpClass.IALU, dest=3, srcs=(1, 2, 4), pc=0x40))
+
+
+def test_vec_runs_without_numpy():
+    """The package has no runtime dependency: with numpy unimportable, a
+    vec cell on each machine still matches its interp twin."""
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from repro.harness.runner import bar_config, run_bar\n"
+        "from repro.vec import run_bar_vec\n"
+        "for machine in ('ooo', 'inorder'):\n"
+        "    bar = bar_config('U10')\n"
+        "    vec = run_bar_vec('compress', machine, bar, 2000, 500)\n"
+        "    interp = run_bar('compress', machine, bar, 2000, 500,\n"
+        "                     backend='interp')\n"
+        "    assert vec == interp, (machine, vec, interp)\n"
+        "    print(machine, vec.cycles)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == [
+        "ooo", "inorder"]
 
 
 # -- cache-key invariance -----------------------------------------------------
