@@ -8,8 +8,6 @@ turns a dead run's journal back into a finished figure
 """
 
 from repro.durable.journal import (
-    BATCH_FSYNC_INTERVAL,
-    ENV_FSYNC,
     EXEC_KIND,
     FSYNC_POLICIES,
     HEADER_RECORD,
@@ -19,7 +17,6 @@ from repro.durable.journal import (
     RunJournal,
     check_header,
     frame,
-    fsync_policy,
     header_record,
     read_records,
     unframe,
@@ -33,8 +30,6 @@ from repro.durable.resume import (
 )
 
 __all__ = [
-    "BATCH_FSYNC_INTERVAL",
-    "ENV_FSYNC",
     "EXEC_KIND",
     "FSYNC_POLICIES",
     "HEADER_RECORD",
@@ -46,7 +41,6 @@ __all__ = [
     "RunState",
     "check_header",
     "frame",
-    "fsync_policy",
     "header_record",
     "journal_path_for",
     "load_run_state",

@@ -18,16 +18,12 @@ skipped).  It is the only parser of run records: ``resume``, ``watch``,
 ``spans`` and the gateway's recovery all read through it (the manifest
 is folded from the same records while they are still in memory).
 
-Durability is configurable per journal (:data:`FSYNC_POLICIES`):
+Durability is set per journal (:data:`FSYNC_POLICIES`):
 
 * ``"always"`` — fsync after every append (the default: a record that
   was reported written survives a power loss);
-* ``"batch"`` — fsync every :data:`BATCH_FSYNC_INTERVAL` appends and on
-  close (bounded loss window, cheaper under high record rates);
 * ``"off"`` — flush to the OS only (survives a process kill, not a
   machine crash).
-
-``REPRO_JOURNAL_FSYNC`` overrides the default policy process-wide.
 
 Append failures (ENOSPC, a yanked filesystem, a read-only mount) never
 raise out of :meth:`RunJournal.append`: the journal counts the error,
@@ -55,23 +51,10 @@ HEADER_RECORD = "journal_header"
 #: Header kind of an exec-engine run record (see ``JobRunner``).
 EXEC_KIND = "exec_run"
 
-FSYNC_POLICIES = ("always", "batch", "off")
-ENV_FSYNC = "REPRO_JOURNAL_FSYNC"
-BATCH_FSYNC_INTERVAL = 16
+FSYNC_POLICIES = ("always", "off")
 
 #: Conventional journal file name inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
-
-
-def fsync_policy(explicit: Optional[str] = None) -> str:
-    """Resolve the fsync policy: *explicit*, ``REPRO_JOURNAL_FSYNC``, or
-    ``"always"``.  Unknown names raise ValueError (a typo must not
-    silently weaken durability)."""
-    policy = explicit or os.environ.get(ENV_FSYNC, "").strip() or "always"
-    if policy not in FSYNC_POLICIES:
-        raise ValueError(f"unknown fsync policy {policy!r}; "
-                         f"choose from {FSYNC_POLICIES}")
-    return policy
 
 
 def frame(record: Dict[str, Any]) -> str:
@@ -106,20 +89,24 @@ class RunJournal:
     The journal opens lazily on the first append (so constructing one
     for a run that journals nothing costs no I/O) and never raises from
     :meth:`append`: I/O failures disable the journal, are counted in
-    ``errors``, and surface as a one-time RuntimeWarning.
+    ``errors``, and surface as a one-time RuntimeWarning.  *fsync* is
+    one of :data:`FSYNC_POLICIES`; an unknown name raises ValueError (a
+    typo must not silently weaken durability).
     """
 
-    def __init__(self, path: str, fsync: Optional[str] = None,
+    def __init__(self, path: str, fsync: str = "always",
                  mode: str = "a") -> None:
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(f"unknown fsync policy {fsync!r}; "
+                             f"choose from {FSYNC_POLICIES}")
         self.path = str(path)
-        self.policy = fsync_policy(fsync)
+        self.policy = fsync
         self.errors = 0
         self.records_written = 0
         self._mode = mode
         self._fh = None
         self._disabled = False
         self._warned = False
-        self._since_fsync = 0
 
     @property
     def disabled(self) -> bool:
@@ -148,7 +135,8 @@ class RunJournal:
                 self._fh = open(self.path, self._mode)
             self._fh.write("".join(frame(record) for record in records))
             self._fh.flush()
-            self._maybe_fsync(len(records))
+            if self.policy == "always":
+                os.fsync(self._fh.fileno())
         except (OSError, ValueError) as exc:
             self._fail(exc)
             return False
@@ -159,15 +147,6 @@ class RunJournal:
         """Append ``{"rec": rec, **fields}``."""
         return self.append(dict(fields, rec=rec))
 
-    def _maybe_fsync(self, appended: int) -> None:
-        if self.policy == "off":
-            return
-        self._since_fsync += appended
-        if (self.policy == "always"
-                or self._since_fsync >= BATCH_FSYNC_INTERVAL):
-            os.fsync(self._fh.fileno())
-            self._since_fsync = 0
-
     def _fail(self, exc: BaseException) -> None:
         self.errors += 1
         self._disabled = True
@@ -177,20 +156,6 @@ class RunJournal:
                 f"run journal at {self.path} is not writable "
                 f"({type(exc).__name__}: {exc}); the run continues "
                 f"without crash-safety", RuntimeWarning, stacklevel=3)
-            # Crash-path observability (repro.trace): note the failure
-            # in the always-on flight ring and dump its tail next to
-            # the journal — a dead disk under the journal is exactly
-            # the moment post-hoc diagnosis needs the last few events.
-            try:
-                from repro.trace import flight
-
-                recorder = flight()
-                recorder.note("journal.append_failed", path=self.path,
-                              error=f"{type(exc).__name__}: {exc}")
-                recorder.dump("journal_failed",
-                              os.path.dirname(self.path) or ".")
-            except Exception:
-                pass  # never let diagnostics take down the run
         self._close_quietly()
 
     def _close_quietly(self) -> None:

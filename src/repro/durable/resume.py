@@ -16,7 +16,11 @@ the resume plan:
   attempt counts carried over, so the retry budget bounds total attempts
   across the original run and every resume;
 * a finished cell whose cache entry was lost or quarantined simply
-  re-runs — the journal is a skip-list hint, never a source of results.
+  re-runs — the journal is a skip-list hint, never a source of results;
+* the re-run cells run under the run's own ``settings`` from the
+  journal header — backend, sanitizer, ``--trace-events`` directory and
+  sampling rate — so a ``--sanitize`` run resumes sanitized
+  (``--backend`` overrides the backend).
 
 Resuming a resume works the same way: each resumed run writes its own
 journal under its own run id, with ``resumed_from`` linking the chain in
@@ -53,6 +57,9 @@ class RunState:
     argv: Optional[List[str]] = None
     seed: Optional[int] = None
     workers: int = 1
+    #: The run's ``settings`` from the journal header (backend, sanitize,
+    #: trace_events, trace_sample); empty for journals that predate them.
+    settings: Dict[str, Any] = field(default_factory=dict)
     #: ``[{"key": <cache key>, "job": <SimJob.to_dict()>}, ...]`` in grid
     #: order, from the ``run_start`` record.
     job_records: List[Dict[str, Any]] = field(default_factory=list)
@@ -124,6 +131,7 @@ def load_run_state(ref: str, runs_root: Optional[str] = None) -> RunState:
         argv=head.get("argv"),
         seed=head.get("seed"),
         workers=head.get("workers") or 1,
+        settings=head.get("settings") or {},
         truncated=truncated,
         bad_lines=bad_lines,
     )
@@ -168,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", choices=("interp", "vec"),
                         default=None,
                         help="simulation backend for the re-run cells "
-                             "(results are digit-exact either way)")
+                             "(default: the original run's; results are "
+                             "digit-exact either way)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the completed figure results as JSON")
     parser.add_argument("--timeout", type=float, default=None,
@@ -218,13 +227,17 @@ def resume_main(argv=None) -> int:
     from repro.perf.manifest import runs_root as resolve_root
 
     root = resolve_root(args.runs_root)
+    settings = state.settings
     options = ExecOptions(
         jobs=args.jobs or state.workers or 1,
         cache=not args.no_cache,
         timeout=args.timeout,
         progress=args.progress,
         manifest_dir=root,
-        backend=args.backend,
+        backend=args.backend or settings.get("backend"),
+        sanitize=bool(settings.get("sanitize")),
+        trace_events=settings.get("trace_events"),
+        trace_sample=settings.get("trace_sample") or 0.0,
         run_meta={"experiment": state.experiment,
                   "argv": ["resume", state.run_id],
                   "seed": state.seed,

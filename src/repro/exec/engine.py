@@ -60,11 +60,11 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.exec.cache import ResultCache
-from repro.exec.job import SimJob, execute_job
+from repro.exec.job import SimJob, execute_job, run_cell
 from repro.exec.telemetry import (
     CACHE_HIT,
     DRAINED,
@@ -82,7 +82,7 @@ from repro.exec.telemetry import (
     git_sha,
 )
 from repro.sanitize.violation import InvariantViolation
-from repro.trace import clear_ambient, flight, maybe_tracer, set_ambient
+from repro.trace import clear_ambient, maybe_tracer, set_ambient
 
 
 class TransientJobError(RuntimeError):
@@ -97,13 +97,18 @@ class JobFailedError(RuntimeError):
     """A job failed permanently (non-transient, or retries exhausted)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExecOptions:
-    """Knobs for one :class:`JobRunner`.
+    """The one configuration of a :class:`JobRunner` and its runs.
 
     ``jobs=1`` is the serial fallback: jobs run inline, in order, with no
     worker processes.  ``cache=False`` disables the result cache entirely
-    (neither reads nor writes).
+    (neither reads nor writes).  Every setting reaches the cells
+    explicitly: the engine hands ``backend``, ``sanitize`` and
+    ``trace_events`` to each call (pool submissions pickle them), and
+    records them, with ``trace_sample``, as the journal header's
+    ``settings`` — so a run's manifest says how it ran and ``harness
+    resume`` can run the rest the same way.
     """
 
     jobs: int = 1
@@ -127,20 +132,24 @@ class ExecOptions:
     #: a second one raises KeyboardInterrupt.  Off by default so library
     #: callers and tests never have their signal disposition touched.
     install_signal_handlers: bool = False
-    #: fsync policy for the run journal ("always" | "batch" | "off");
-    #: None defers to ``REPRO_JOURNAL_FSYNC``, then "always".
-    journal_fsync: Optional[str] = None
+    #: fsync policy for the run journal: "always" or "off".
+    journal_fsync: str = "always"
     #: Simulation backend for bar jobs ("interp" | "vec", see
-    #: :mod:`repro.vec`); None defers to ``REPRO_BACKEND``.  Plumbed
-    #: through the environment (which forked pool workers inherit, the
-    #: same route ``--sanitize`` uses) — never through the job itself:
+    #: :mod:`repro.vec`); None resolves once per run through
+    #: :func:`repro.vec.resolve_backend`.  Never part of the job itself:
     #: backends are digit-exact, so a :meth:`SimJob.cache_key` is
     #: backend-free and either backend may serve the shared cache.
     backend: Optional[str] = None
-    #: repro.trace head-based sampling rate for this run ([0, 1]); None
-    #: defers to ``REPRO_TRACE_SAMPLE``, then 0.0 (tracing off — the
-    #: default costs one ``is None`` test per instrumentation site).
-    trace_sample: Optional[float] = None
+    #: Attach the :mod:`repro.sanitize` invariant sanitizer to every bar
+    #: cell (``--sanitize``).
+    sanitize: bool = False
+    #: Attach a :mod:`repro.obs` observer to every bar cell and write its
+    #: event trace and metrics under this directory (``--trace-events``).
+    trace_events: Optional[str] = None
+    #: repro.trace head-based sampling rate for this run, in [0, 1]; 0.0
+    #: (the default) is tracing off, which costs one ``is None`` test per
+    #: instrumentation site.
+    trace_sample: float = 0.0
     #: Incoming ``traceparent`` header (repro.serve): when it carries a
     #: sampled context this run continues that trace regardless of the
     #: sampling rate; an unsampled parent disables tracing (head-based
@@ -174,10 +183,14 @@ def _sim_view(result: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _timed_call(execute: Callable[[SimJob], Dict[str, Any]],
-                job: SimJob, traceparent: Optional[str] = None):
+                job: SimJob, cell: Dict[str, Any],
+                traceparent: Optional[str] = None):
     """Worker-side wrapper: run *execute* and measure its wall time.
 
-    Module-level so the process pool can pickle it by reference.  A pool
+    Module-level so the process pool can pickle it by reference.  *cell*
+    holds the run's cell settings (``run_bar``'s ``backend``,
+    ``sanitize`` and ``trace_dir`` keywords); they apply to this call on
+    this thread only (see :func:`repro.exec.job.run_cell`).  A pool
     worker of a sampled run is handed its job span's *traceparent*: the
     call then runs under a tracer continuing that context, and the
     finished span records travel back with ``(result, wall, spans)``.
@@ -187,31 +200,13 @@ def _timed_call(execute: Callable[[SimJob], Dict[str, Any]],
         set_ambient(tracer, None)
     start = time.perf_counter()
     try:
-        result = execute(job)
+        result = run_cell(execute, job, cell)
     finally:
         if tracer is not None:
             clear_ambient()
     wall = time.perf_counter() - start
     spans = tracer.records(time.time()) if tracer is not None else None
     return result, wall, spans
-
-
-class FlightSink:
-    """Telemetry sink feeding the process-wide repro.trace flight
-    recorder: a bounded ring of recent scheduler events that is always
-    on (appending to a deque, no I/O) and only hits disk when a crash
-    path dumps it.  This is what makes a pool-broken / invariant /
-    drain artifact readable — the last ~256 events before the fault.
-    """
-
-    def __init__(self, recorder) -> None:
-        self.recorder = recorder
-
-    def emit(self, event: JobEvent) -> None:
-        self.recorder.note(
-            "job." + event.event, key=event.key[:16], label=event.label,
-            attempt=event.attempt,
-            **({"error": event.error} if event.error else {}))
 
 
 class JobRunner:
@@ -230,11 +225,9 @@ class JobRunner:
                  cache: Optional[ResultCache] = None) -> None:
         self.options = options or ExecOptions()
         if self.options.backend is not None:
-            from repro.vec import BACKEND_ENV, resolve_backend
+            from repro.vec import resolve_backend
 
-            # Validates the name (BackendError on a typo) and exports it
-            # so both the serial path and forked pool workers see it.
-            os.environ[BACKEND_ENV] = resolve_backend(self.options.backend)
+            resolve_backend(self.options.backend)  # BackendError on a typo
         self.execute = execute
         self.extra_sinks = list(sinks)
         self._record_sinks = [sink for sink in self.extra_sinks
@@ -260,15 +253,16 @@ class JobRunner:
         self.last_journal: Optional[str] = None
         self._journal = None
         self._drain = False
+        #: The current run's cell settings, handed to every call (see
+        #: :func:`_timed_call`); set as the run opens.
+        self._cell: Dict[str, Any] = {}
         #: repro.trace state for the duration of one run(): the sampled
-        #: tracer (None → tracing off, the common case), the run-root
-        #: span, and the flight-dump directory.
+        #: tracer (None → tracing off, the common case) and the run-root
+        #: span.
         self._tr = None
         self._run_span = None
         #: Span records pool workers returned with their results.
         self._pool_spans: List[Dict[str, Any]] = []
-        self._flight_dir: Optional[str] = None
-        self._flight_dumped: set = set()
 
     # -- graceful shutdown ---------------------------------------------------
     @property
@@ -349,28 +343,26 @@ class JobRunner:
         for sink in self._record_sinks:
             sink.record(record)
 
-    @staticmethod
-    def _trace_extra(job: SimJob) -> Dict[str, str]:
+    def _trace_extra(self, job: SimJob) -> Dict[str, str]:
         """FINISHED-event extras for executed jobs: the per-job repro.obs
-        trace path (when a trace directory is configured) and the
-        effective simulation backend."""
-        from repro.obs import job_trace_path, obs_trace_dir
+        trace path (when the run writes traces) and the effective
+        simulation backend."""
+        from repro.obs import job_trace_path
 
         extra: Dict[str, str] = {}
-        directory = obs_trace_dir()
+        directory = self._cell["trace_dir"]
         if directory:
             extra["trace"] = job_trace_path(directory, job.label)
-        backend = JobRunner._effective_backend(job)
+        backend = self._effective_backend(job)
         if backend is not None:
             extra["backend"] = backend
         return extra
 
-    @staticmethod
-    def _effective_backend(job: SimJob) -> Optional[str]:
+    def _effective_backend(self, job: SimJob) -> Optional[str]:
         """The backend a just-executed bar job actually ran on.
 
         Mirrors the dispatch in :func:`repro.harness.runner.run_bar`: a
-        "vec" request downgrades to "interp" when the bar or replacement
+        "vec" run downgrades to "interp" when the bar or replacement
         policy is outside the flat kernels, or a sanitizer/observer is
         attached — making vec fallbacks visible in telemetry rather than
         silent.  None for non-bar jobs (they have no backend choice).
@@ -379,23 +371,18 @@ class JobRunner:
 
         if job.kind != KIND_BAR:
             return None
-        from repro.harness.runner import bar_config
-        from repro.obs import obs_enabled
-        from repro.sanitize import sanitize_enabled
-        from repro.vec import BackendError, resolve_backend, vec_supports
-
-        try:
-            backend = resolve_backend(None)
-        except BackendError:  # unknown REPRO_BACKEND fails in run_bar too
-            return None
-        if backend != "vec":
+        cell = self._cell
+        if cell["backend"] != "vec":
             return "interp"
+        from repro.harness.runner import bar_config
+        from repro.vec import vec_supports
+
         cfg = job.config_dict()
         try:
             bar = bar_config(cfg.get("label", "N"))
         except ValueError:
             return None
-        if (sanitize_enabled() or obs_enabled()
+        if (cell["sanitize"] or cell["trace_dir"]
                 or not vec_supports(bar, cfg.get("policy", "lru"))):
             return "interp"
         return "vec"
@@ -403,57 +390,52 @@ class JobRunner:
     def _open_run(self, jobs: Sequence[SimJob]) -> str:
         """Mint this run's id and open its record with the header.
 
-        With a root directory the records are journaled to
-        ``<root>/<run_id>/journal.jsonl`` from the header on, so a kill
-        before the manifest still leaves a resumable run on disk, and
-        the manifest lands in the same directory.
+        The backend is resolved here, once per run; with the other cell
+        settings it goes to every call and, with the sampling rate, into
+        the header's ``settings``.  With a root directory the records are
+        journaled to ``<root>/<run_id>/journal.jsonl`` from the header
+        on, so a kill before the manifest still leaves a resumable run on
+        disk, and the manifest lands in the same directory.
         """
         from repro.durable.journal import (EXEC_KIND, JOURNAL_NAME,
                                            RunJournal, header_record)
         from repro.perf.manifest import new_run_id
+        from repro.vec import resolve_backend
 
-        meta = self.options.run_meta or {}
+        options = self.options
+        self._cell = {"backend": resolve_backend(options.backend),
+                      "sanitize": options.sanitize,
+                      "trace_dir": options.trace_events}
+        meta = options.run_meta or {}
         run_id = new_run_id(meta.get("experiment"))
-        root = self.options.manifest_dir
+        root = options.manifest_dir
         self.records = []
         self.last_run_id = run_id
-        self._journal = self.last_journal = self._flight_dir = None
+        self._journal = self.last_journal = None
         if root:
-            self._flight_dir = os.path.join(root, run_id)
             self._journal = RunJournal(
-                os.path.join(self._flight_dir, JOURNAL_NAME),
-                fsync=self.options.journal_fsync)
+                os.path.join(root, run_id, JOURNAL_NAME),
+                fsync=options.journal_fsync)
             self.last_journal = self._journal.path
         now = time.time()
         self._keep(header_record(
             EXEC_KIND, run_id=run_id, experiment=meta.get("experiment"),
             argv=meta.get("argv"), seed=meta.get("seed"),
             resumed_from=meta.get("resumed_from"), git_sha=git_sha(),
-            workers=self.options.jobs, jobs=len(jobs),
-            cache=self.cache is not None, started=now, ts=now))
+            workers=options.jobs, jobs=len(jobs),
+            cache=self.cache is not None,
+            settings={"backend": self._cell["backend"],
+                      "sanitize": options.sanitize,
+                      "trace_events": options.trace_events,
+                      "trace_sample": options.trace_sample},
+            started=now, ts=now))
         return run_id
 
     def _build_sink(self, run_stats: RunTelemetry, total: int):
         sinks: List = [run_stats] + self.extra_sinks
         if self.options.progress:
             sinks.append(ProgressPrinter(total))
-        sinks.append(FlightSink(flight()))
         return MultiSink(sinks)
-
-    def _maybe_flight_dump(self, reason: str) -> None:
-        """Dump the flight-recorder tail once per (run, reason).
-
-        Only materializes when a destination is known — the run's own
-        artifact directory, or ``REPRO_TRACE_FLIGHT_DIR`` — so library
-        callers without run dirs never find stray crash files in cwd.
-        """
-        if reason in self._flight_dumped:
-            return
-        self._flight_dumped.add(reason)
-        directory = self._flight_dir or os.environ.get(
-            "REPRO_TRACE_FLIGHT_DIR")
-        if directory:
-            flight().dump(reason, directory)
 
     # -- main entry ----------------------------------------------------------
     def run(self, jobs: Sequence[SimJob],
@@ -477,7 +459,6 @@ class JobRunner:
         meta = self.options.run_meta or {}
         self._tr = maybe_tracer(self.options.trace_sample,
                                 self.options.trace_parent)
-        self._flight_dumped = set()
         if self._tr is not None:
             self._run_span = self._tr.start_span(
                 "run", jobs=len(jobs), workers=self.options.jobs,
@@ -579,7 +560,7 @@ class JobRunner:
             if not journal.records_written:
                 self.last_journal = None
         self.stats.absorb(run_stats)
-        self._journal = self._flight_dir = None
+        self._journal = None
 
     def _keep_spans(self) -> None:
         """Keep a sampled run's spans, plus those its pool workers sent
@@ -637,7 +618,8 @@ class JobRunner:
                 while True:
                     self._emit(sink, STARTED, job, key, attempt=attempt)
                     try:
-                        result, wall, _ = _timed_call(self.execute, job)
+                        result, wall, _ = _timed_call(self.execute, job,
+                                                     self._cell)
                         break
                     except InvariantViolation as exc:
                         violation = exc
@@ -724,7 +706,8 @@ class JobRunner:
                             label=job.label, mode="pool")
                         parents[index] = self._tr.traceparent(jspans[index])
                     futures[index] = pool.submit(_timed_call, self.execute,
-                                                 job, parents[index])
+                                                 job, self._cell,
+                                                 parents[index])
                 # Collect in submission order; retries resubmit in place.
                 for index in pending:
                     if self._drain and results[index] is None:
@@ -769,7 +752,7 @@ class JobRunner:
                                        attempt=attempts[index])
                             futures[index] = pool.submit(
                                 _timed_call, self.execute, job,
-                                parents[index])
+                                self._cell, parents[index])
                         except Exception as exc:
                             aborted = True
                             self._abort_pool(pool)
@@ -805,7 +788,6 @@ class JobRunner:
                 self._emit(sink, POOL_BROKEN, job, key,
                            attempt=attempts.get(index, 0),
                            error=f"{type(exc).__name__}: {exc}")
-                self._maybe_flight_dump("pool_broken")
                 self._abort_pool(pool)
                 # Close the dead pool's dispatch spans; the fallback
                 # re-runs get fresh spans (mode="serial_fallback") under
@@ -826,7 +808,6 @@ class JobRunner:
     def _drain_indices(self, jobs, keys, indices, results, sink,
                        attempts: Optional[Dict[int, int]] = None) -> None:
         """Mark every unfinished job in *indices* as drained."""
-        self._maybe_flight_dump("drain")
         for index in indices:
             if results[index] is not None:
                 continue
@@ -838,7 +819,6 @@ class JobRunner:
                     results, sink, cache_state) -> None:
         """Drain the parallel path: wait for in-flight futures, cancel the
         queued ones, harvest whatever completed, mark the rest drained."""
-        self._maybe_flight_dump("drain")
         pool.shutdown(wait=True, cancel_futures=True)
         for index in pending:
             if results[index] is not None:
@@ -879,7 +859,6 @@ class JobRunner:
         self._emit(sink, FAILED, job, key, attempt=attempt,
                    error=f"{type(exc).__name__}: {exc}",
                    violation=exc.to_dict())
-        self._maybe_flight_dump("invariant_violation")
         return {"status": "invariant_violation", "job": job.to_dict(),
                 "violation": exc.to_dict()}
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 #: Bumped whenever job semantics or result layout change; stale cache
 #: entries written under another version are invalidated on read.
@@ -164,15 +165,42 @@ class SimJob:
 
 # -- execution ---------------------------------------------------------------
 
+#: The cell settings of the call running on this thread (see
+#: :func:`run_cell`).
+_CELL = threading.local()
+
+
+def run_cell(execute: Callable[[SimJob], Dict[str, Any]], job: SimJob,
+             cell: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
+    """``execute(job)`` with *cell* as this thread's cell settings.
+
+    *cell* carries a run's ``backend``, ``sanitize`` and ``trace_dir``
+    (the engine resolves them once per run); a bar job passes them to
+    :func:`repro.harness.runner.run_bar`.  They hold for this call on
+    this thread only, so concurrent runs in one process never see each
+    other's settings, and *execute* keeps its one-argument signature.
+    """
+    previous = getattr(_CELL, "settings", None)
+    _CELL.settings = cell
+    try:
+        return execute(job)
+    finally:
+        _CELL.settings = previous
+
+
 def _execute_bar(job: SimJob) -> Dict[str, Any]:
     from dataclasses import asdict
 
     from repro.harness.runner import bar_config, run_bar
 
     cfg = job.config_dict()
+    cell = getattr(_CELL, "settings", None) or {}
     result = run_bar(job.benchmark, job.machine, bar_config(cfg["label"]),
                      job.instructions, job.warmup, seed=job.seed,
-                     policy=cfg.get("policy", "lru"))
+                     policy=cfg.get("policy", "lru"),
+                     backend=cell.get("backend"),
+                     sanitize=cell.get("sanitize", False),
+                     trace_dir=cell.get("trace_dir"))
     return asdict(result)
 
 

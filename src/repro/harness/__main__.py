@@ -52,16 +52,21 @@ skip).
 interpreter, ``vec`` replays the same stream as row tuples with flat
 kernels — digit-exact statistics, about 1.8x faster on cold grids.
 Both read one per-process stream cache, so each benchmark's stream is
-generated once.  The flag sets ``REPRO_BACKEND``
-(pool workers inherit it); the backend is never part of a job's cache
+generated once.  Without the flag the run reads ``REPRO_BACKEND``, then
+defaults to ``interp``.  The backend is never part of a job's cache
 key, so either backend reads and writes the same result cache.
+
+Run settings travel one way: ``--backend``, ``--sanitize``,
+``--trace-events`` and ``--trace-sample`` become fields of the engine's
+:class:`repro.exec.ExecOptions`, which hands them to every cell (pool
+workers included) as call arguments and records them as the run's
+``settings`` in its journal header and manifest.
 
 ``--sanitize`` turns on the runtime invariant sanitizer
 (:mod:`repro.sanitize`): every simulated cell runs with live checks of
 the cache tag stores, MSHR lifetimes and informing-trap semantics, and a
 violation fails that cell with a structured record instead of silently
-wrong bars.  Results are bit-exact with and without it.  The flag works
-by setting ``REPRO_SANITIZE=1``, which forked pool workers inherit.
+wrong bars.  Results are bit-exact with and without it.
 
 Cross-run observatory (see :mod:`repro.perf`): every engine-backed run
 writes ``results/runs/<run_id>/manifest.json`` (git sha, config digest,
@@ -82,11 +87,11 @@ state, utilization, cache hits, throughput, ETA).  If a run is
 SIGKILLed mid-grid, ``resume <run_id>``
 continues it exactly where it died — journal-completed cells replay from
 the result cache (never re-simulated), incomplete cells re-run with
-their attempt counts carried over, and the resumed figure is digit-exact
-with an uninterrupted run.
+their attempt counts carried over and the run's own settings, and the
+resumed figure is digit-exact with an uninterrupted run.
 
 Request tracing (see :mod:`repro.trace`): ``--trace-sample RATE`` samples
-the engine run (default ``REPRO_TRACE_SAMPLE``, then 0); a sampled run
+the engine run (default 0: off); a sampled run
 and its pool workers record a span tree — run, per-job, decode, replay,
 export — kept as ``span`` records in the run journal; results stay
 digit-exact.
@@ -95,8 +100,7 @@ span tree, critical path, per-name self time, p99 anomalies and a
 manifest wall cross-check (``--check`` makes it a CI assertion).
 
 ``--trace-events DIR`` turns on the observability layer
-(:mod:`repro.obs`) the same way — it sets ``REPRO_OBS=1`` and
-``REPRO_OBS_DIR=DIR`` so every simulated cell (pool workers included)
+(:mod:`repro.obs`): every simulated cell (pool workers included)
 writes a cycle-stamped ``*.events.jsonl`` trace and ``*.metrics.json``
 under DIR, and each job's ``finished`` telemetry event carries its
 trace path.  Results stay bit-exact; drill into a cell afterwards with
@@ -106,7 +110,6 @@ trace path.  Results stay bit-exact; drill into a cell afterwards with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.harness import configs
@@ -193,6 +196,9 @@ def _build_engine(args, argv=None):
         timeout=args.timeout,
         progress=args.progress,
         manifest_dir=manifest_dir,
+        backend=args.backend,
+        sanitize=args.sanitize,
+        trace_events=args.trace_events,
         trace_sample=args.trace_sample,
         run_meta={"experiment": args.experiment,
                   "argv": list(argv) if argv is not None else None,
@@ -247,20 +253,20 @@ def main(argv=None) -> int:
     engine_group.add_argument("--backend", choices=("interp", "vec"),
                               default=None,
                               help="simulation backend (repro.vec): "
-                                   "'interp' object interpreters (the "
-                                   "default), 'vec' flat decoded-stream "
-                                   "replay — digit-exact, faster; also "
-                                   "settable via REPRO_BACKEND")
+                                   "'interp' object interpreters, 'vec' "
+                                   "flat row replay — digit-exact, "
+                                   "faster (default: REPRO_BACKEND, "
+                                   "then interp)")
     engine_group.add_argument("--sanitize", action="store_true",
                               help="run with the runtime invariant "
                                    "sanitizer (repro.sanitize) attached "
-                                   "to every simulated cell")
-    engine_group.add_argument("--trace-sample", type=float, default=None,
+                                   "to every simulated cell, pool workers "
+                                   "included")
+    engine_group.add_argument("--trace-sample", type=float, default=0.0,
                               metavar="RATE",
                               help="repro.trace sampling rate in [0,1]: "
                                    "a sampled run keeps its span tree in "
-                                   "its run journal "
-                                   "(default REPRO_TRACE_SAMPLE, then 0)")
+                                   "its run journal (default 0: off)")
     engine_group.add_argument("--trace-events", default=None, metavar="DIR",
                               help="attach the repro.obs observer to every "
                                    "simulated cell and write per-cell "
@@ -279,22 +285,8 @@ def main(argv=None) -> int:
     sizes = _sizes(args.quick)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.sanitize:
-        # Through the environment rather than plumbed per-job: forked
-        # pool workers inherit it, so --jobs N sanitizes every worker.
-        os.environ["REPRO_SANITIZE"] = "1"
-    if args.backend:
-        # Same environment route: the backend is an execution detail
-        # (results are digit-exact), never part of a job's cache key.
-        os.environ["REPRO_BACKEND"] = args.backend
-    if (args.trace_sample is not None
-            and not 0.0 <= args.trace_sample <= 1.0):
+    if not 0.0 <= args.trace_sample <= 1.0:
         parser.error("--trace-sample must be in [0, 1]")
-    if args.trace_events:
-        # Same environment route as --sanitize, so --jobs N traces every
-        # worker; REPRO_OBS_DIR alone implies REPRO_OBS.
-        os.environ["REPRO_OBS"] = "1"
-        os.environ["REPRO_OBS_DIR"] = args.trace_events
 
     # Seed only affects the SPEC92 workload generators.
     if args.seed and args.experiment in ("table1", "table2", "figure4",

@@ -186,7 +186,7 @@ def run_bar(
     instructions: int = DEFAULT_INSTRUCTIONS,
     warmup: int = DEFAULT_WARMUP,
     seed: int = 0,
-    sanitize: Optional[bool] = None,
+    sanitize: bool = False,
     observe=None,
     trace_dir: Optional[str] = None,
     backend: Optional[str] = None,
@@ -199,27 +199,28 @@ def run_bar(
 
     ``seed`` is a workload seed offset (see
     :func:`repro.workloads.spec92.spec92_workload`); 0 keeps the default
-    seed path untouched.  ``sanitize`` attaches a
+    seed path untouched.  ``sanitize=True`` attaches a
     :class:`repro.sanitize.Sanitizer` (runtime invariant checking) to the
-    core; None defers to the ``REPRO_SANITIZE`` environment variable —
-    which is how the ``--sanitize`` CLI flag reaches pool workers.
+    core.
 
     ``observe`` attaches a :class:`repro.obs.Observer` (event tracing and
     metrics): pass an Observer to keep, True/False to force one on/off,
-    or None to defer to ``REPRO_OBS`` / ``REPRO_OBS_DIR`` — which is how
-    ``--trace-events`` reaches pool workers.  When a trace directory is
-    configured (*trace_dir* or ``REPRO_OBS_DIR``), the run writes
+    or None to observe exactly when *trace_dir* is given.  With a
+    *trace_dir*, the run writes
     ``<benchmark>_<machine>_<label>.events.jsonl`` and
     ``*.metrics.json`` there; the returned BarResult is bit-exact with
-    an unobserved run either way.
+    an unobserved run either way.  The engine passes ``sanitize``,
+    ``trace_dir`` and ``backend`` from its run's
+    :class:`repro.exec.ExecOptions` (``--sanitize``, ``--trace-events``,
+    ``--backend``).
 
     ``backend`` selects the simulation backend (see :mod:`repro.vec`):
     ``"interp"`` (object interpreters), ``"vec"`` (flat decoded-stream
-    replay, digit-exact with interp), or None to defer to
-    ``REPRO_BACKEND`` — the route the ``--backend`` CLI flag and pool
-    workers share.  The vec backend has no sanitizer/observer hooks and
-    no Python-callback handler support, so those runs (and unsupported
-    bars) transparently use interp; results are identical either way.
+    replay, digit-exact with interp), or None for
+    :func:`repro.vec.resolve_backend`'s default.  The vec backend has no
+    sanitizer/observer hooks and no Python-callback handler support, so
+    those runs (and unsupported bars) transparently use interp; results
+    are identical either way.
 
     ``policy`` selects the L1/L2 replacement policy by registry name
     (:mod:`repro.memory.replacement`); ``"lru"`` is the paper's default.
@@ -231,8 +232,8 @@ def run_bar(
     constant, so existing captures stay digit-exact.
     """
     from repro.memory import derive_seed
-    from repro.obs import Observer, maybe_observer, obs_trace_dir
-    from repro.sanitize import maybe_sanitizer
+    from repro.obs import Observer
+    from repro.sanitize import Sanitizer
     from repro.trace import ambient
     from repro.vec import resolve_backend, vec_supports
 
@@ -241,11 +242,13 @@ def run_bar(
     # path — every guard below is a single identity test, preserving the
     # hot-path numbers the perf gate pins.
     tracer, parent_span = ambient()
-    san = maybe_sanitizer(sanitize)
+    san = Sanitizer() if sanitize else None
     if isinstance(observe, Observer):
         obs: Optional[Observer] = observe
+    elif observe or (observe is None and trace_dir):
+        obs = Observer()
     else:
-        obs = maybe_observer(observe)
+        obs = None
     if (resolve_backend(backend) == "vec" and san is None and obs is None
             and vec_supports(bar, policy)):
         from repro.vec import run_bar_vec
@@ -283,24 +286,21 @@ def run_bar(
     if replay_span is not None:
         replay_span.set_attr("cycles", stats.cycles)
         replay_span.finish()
-    if obs is not None:
-        directory = trace_dir or obs_trace_dir()
-        if directory:
-            from repro.obs import write_run_artifacts
+    if obs is not None and trace_dir:
+        from repro.obs import write_run_artifacts
 
-            if tracer is not None and parent_span is not None and obs.events:
-                # Join the obs event stream to the trace: every cycle-
-                # stamped event carries the job span it happened under.
-                span_id = parent_span.span_id
-                for event in obs.events:
-                    event["span"] = span_id
-            export_span = (tracer.start_span("obs.export",
-                                             parent=parent_span)
-                           if tracer is not None else None)
-            write_run_artifacts(
-                obs, directory, f"{benchmark}_{machine_key}_{bar.label}")
-            if export_span is not None:
-                export_span.finish()
+        if tracer is not None and parent_span is not None and obs.events:
+            # Join the obs event stream to the trace: every cycle-
+            # stamped event carries the job span it happened under.
+            span_id = parent_span.span_id
+            for event in obs.events:
+                event["span"] = span_id
+        export_span = (tracer.start_span("obs.export", parent=parent_span)
+                       if tracer is not None else None)
+        write_run_artifacts(
+            obs, trace_dir, f"{benchmark}_{machine_key}_{bar.label}")
+        if export_span is not None:
+            export_span.finish()
     breakdown = stats.breakdown()
     return BarResult(
         benchmark=benchmark,

@@ -504,8 +504,8 @@ def spans_main(argv=None) -> int:
     if not records:
         print(f"spans: {path} holds no intact span records"
               + (f" ({bad} distrusted line(s))" if bad else "")
-              + " — was the run traced? see --trace-sample / "
-                "REPRO_TRACE_SAMPLE", file=sys.stderr)
+              + " — was the run traced? see --trace-sample",
+              file=sys.stderr)
         return 2
     groups = group_by_trace(records)
     if args.trace_id:

@@ -13,15 +13,12 @@ timeline.  Exporters serialize traces as JSONL or Chrome
 ``trace_event`` JSON; ``python -m repro.harness report`` renders the
 text report.
 
-Enable per-run with ``run_bar(..., observe=Observer())``, or for a whole
-harness invocation (including pool workers, which inherit the
-environment) with ``--trace-events DIR`` / ``REPRO_OBS=1``:
-
-* ``REPRO_OBS=1`` — attach an observer to every simulated cell
-  (metrics only unless a trace directory is set);
-* ``REPRO_OBS_DIR=DIR`` — also capture full event traces and write
-  ``<benchmark>_<machine>_<label>.events.jsonl`` + ``*.metrics.json``
-  per cell under ``DIR`` (implies ``REPRO_OBS=1``).
+Enable per-cell with ``run_bar(..., observe=Observer())`` or
+``run_bar(..., trace_dir=DIR)``, or for a whole harness invocation
+(pool workers included) with ``--trace-events DIR``
+(``ExecOptions(trace_events=DIR)``): every simulated bar cell then
+writes ``<benchmark>_<machine>_<label>.events.jsonl`` +
+``*.metrics.json`` under ``DIR``.
 
 Observation is strictly read-only: traced runs are bit-exact with
 untraced ones (CI replays the golden ``figure2 --quick`` grid under
@@ -31,7 +28,6 @@ tracing to enforce this).
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.obs.events import EVENT_KINDS, make_event
 from repro.obs.export import (
@@ -48,14 +44,7 @@ from repro.obs.metrics import Counter, Histogram, Registry, top_n
 from repro.obs.observer import Observer
 from repro.obs.report import render_report, report_main, summarize
 
-#: Environment variable that enables observation ("1"/"true"/"yes").
-ENV_VAR = "REPRO_OBS"
-#: Directory for per-run trace artifacts; setting it implies ENV_VAR.
-ENV_DIR = "REPRO_OBS_DIR"
-
 __all__ = [
-    "ENV_DIR",
-    "ENV_VAR",
     "EVENT_KINDS",
     "Counter",
     "Histogram",
@@ -64,9 +53,6 @@ __all__ = [
     "chrome_trace",
     "job_trace_path",
     "make_event",
-    "maybe_observer",
-    "obs_enabled",
-    "obs_trace_dir",
     "parse_openmetrics",
     "read_jsonl",
     "render_report",
@@ -79,32 +65,6 @@ __all__ = [
     "write_openmetrics",
     "write_run_artifacts",
 ]
-
-
-def obs_enabled() -> bool:
-    """True when the environment requests observation."""
-    if os.environ.get(ENV_DIR, "").strip():
-        return True
-    return os.environ.get(ENV_VAR, "").strip().lower() in ("1", "true", "yes")
-
-
-def obs_trace_dir() -> Optional[str]:
-    """The per-run trace-artifact directory, or None for metrics-only."""
-    return os.environ.get(ENV_DIR, "").strip() or None
-
-
-def maybe_observer(explicit: Optional[bool] = None) -> Optional[Observer]:
-    """A fresh :class:`Observer`, or None when observation is off.
-
-    *explicit* overrides the environment in both directions (tests pass
-    False to pin observation off regardless of the environment).  Event
-    capture is enabled when a trace directory is configured; otherwise
-    the observer aggregates metrics only.
-    """
-    enabled = obs_enabled() if explicit is None else explicit
-    if not enabled:
-        return None
-    return Observer(trace=explicit is True or obs_trace_dir() is not None)
 
 
 def job_trace_path(directory: str, label: str) -> str:

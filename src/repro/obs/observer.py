@@ -8,7 +8,7 @@ tracing is off.  All hooks are strictly read-only with respect to
 simulator state — they never touch recency order, MSHR bookkeeping or
 pipeline structures — so a traced run is bit-exact with an untraced one
 (the obs-smoke CI job replays the full golden ``figure2 --quick`` grid
-under ``REPRO_OBS=1`` to prove it).
+under ``--trace-events`` to prove it).
 
 The observer keeps three things:
 
@@ -35,9 +35,7 @@ class Observer:
     """One run's tracing + metrics state.
 
     Args:
-        trace: capture the per-event list.  False keeps only metrics —
-            the cheap mode the golden-parity smoke uses, and what plain
-            ``REPRO_OBS=1`` without a trace directory enables.
+        trace: capture the per-event list.  False keeps only metrics.
     """
 
     def __init__(self, trace: bool = True) -> None:

@@ -10,7 +10,8 @@ digit-for-digit; wall times are noise and get statistical treatment
 instead (see :mod:`repro.perf.compare`).
 
 A manifest is a fold over the run's records (:func:`fold_manifest`):
-the journal header gives provenance, ``run_start`` the grid,
+the journal header gives provenance and the run's ``settings``
+(backend, sanitize, trace_events, trace_sample), ``run_start`` the grid,
 ``job_*`` records each cell's outcome and ``run_end`` the status and
 counts.  The engine folds its in-memory records at run end, so a run
 whose journal appends failed still gets a complete manifest.
@@ -83,11 +84,9 @@ def config_digest(keys: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
-def _metrics_digest(label: str) -> Optional[str]:
-    """Digest of the cell's repro.obs metrics.json, when one was written."""
-    from repro.obs import obs_trace_dir
-
-    directory = obs_trace_dir()
+def _metrics_digest(directory: Optional[str], label: str) -> Optional[str]:
+    """Digest of the cell's repro.obs metrics.json under the run's
+    ``--trace-events`` *directory*, when one was written."""
     if not directory:
         return None
     path = os.path.join(directory,
@@ -99,7 +98,8 @@ def _metrics_digest(label: str) -> Optional[str]:
         return None
 
 
-def _fold_cells(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+def _fold_cells(records: List[Dict[str, Any]],
+                trace_dir: Optional[str]) -> List[Dict[str, Any]]:
     """Fold a run's records into per-cell records, in grid order."""
     from repro.exec import SimJob
 
@@ -147,7 +147,7 @@ def _fold_cells(records: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
             "trace": done.get("trace"),
             "attempts": attempts.get(key, 0),
             "sim": sim,
-            "metrics_digest": _metrics_digest(job.label),
+            "metrics_digest": _metrics_digest(trace_dir, job.label),
         })
     return cells
 
@@ -184,10 +184,12 @@ def fold_manifest(records: List[Dict[str, Any]],
         "journal_path": (journal.path if journal is not None
                          and journal.records_written else None),
         "resumed_from": head.get("resumed_from"),
+        "settings": head.get("settings"),
         "status": end.get("status", "unfinished"),
         "error": end.get("error"),
         "stats": stats,
-        "cells": _fold_cells(records),
+        "cells": _fold_cells(
+            records, (head.get("settings") or {}).get("trace_events")),
     }
 
 

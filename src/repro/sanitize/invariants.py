@@ -6,7 +6,7 @@ squash-path invalidation of speculatively filled L1 lines, and trap
 entry only on a genuine primary-cache miss.  The sanitizer is a
 runtime checking layer for those invariants — off by default, enabled
 per run by attaching a :class:`Sanitizer` to a core or hierarchy
-(``--sanitize`` / ``REPRO_SANITIZE=1`` at the harness level).
+(``--sanitize`` at the harness level).
 
 Hook points live in the components themselves (``memory/cache.py``,
 ``memory/mshr.py``, ``memory/hierarchy.py``, ``inorder/core.py``,

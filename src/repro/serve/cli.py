@@ -30,7 +30,6 @@ from typing import Optional
 from repro.exec.cache import parse_size
 from repro.serve.app import App
 from repro.serve.gateway import Gateway, ServeOptions
-from repro.trace import trace_sample
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,13 +63,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "accepted jobs are journaled before running, "
                              "and a restarted gateway replays the file to "
                              "re-enqueue incomplete ones")
-    parser.add_argument("--trace-sample", type=float, default=None,
+    parser.add_argument("--trace-sample", type=float, default=0.0,
                         metavar="RATE",
                         help="repro.trace sampling rate in [0,1] for "
                              "requests without their own traceparent "
-                             "header (default: REPRO_TRACE_SAMPLE, then "
-                             "0 = off); sampled requests keep their span "
-                             "tree in their run journal")
+                             "header (default 0 = off); sampled requests "
+                             "keep their span tree in their run journal")
     parser.add_argument("--trace-dir", default=None,
                         help="span destination for traced requests that "
                              "reach no run journal (cache hits, "
@@ -87,6 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def options_from_args(args) -> ServeOptions:
+    """The gateway's options from parsed flags; ValueError on a bad one."""
+    if not 0.0 <= args.trace_sample <= 1.0:
+        raise ValueError("--trace-sample must be in [0, 1]")
     max_bytes: Optional[int] = None
     if args.max_cache_bytes is not None:
         max_bytes = parse_size(args.max_cache_bytes)
@@ -101,7 +102,7 @@ def options_from_args(args) -> ServeOptions:
         job_timeout=args.job_timeout,
         drain_grace=args.drain_grace,
         journal_path=args.journal,
-        trace_sample=trace_sample(args.trace_sample),
+        trace_sample=args.trace_sample,
         trace_dir=args.trace_dir,
     )
 

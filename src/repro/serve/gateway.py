@@ -38,7 +38,7 @@ from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob
 from repro.exec.job import execute_job
 from repro.obs.metrics import Registry
 from repro.serve.spec import SpecError, validate_job_spec
-from repro.trace import flight, maybe_tracer, parse_traceparent
+from repro.trace import maybe_tracer, parse_traceparent
 
 
 class RateLimited(Exception):
@@ -337,11 +337,6 @@ class Gateway:
         than a hang).
         """
         self.draining = True
-        # Crash-path observability: the drain moment is one of the
-        # flight recorder's dump triggers (SIGTERM forensics).
-        directory = self.options.trace_dir or self.options.manifest_dir
-        if directory:
-            flight().dump("serve_drain", directory)
         grace = self.options.drain_grace if grace is None else grace
         deadline = time.monotonic() + grace
         while self.in_flight and time.monotonic() < deadline:
@@ -590,9 +585,7 @@ class Gateway:
             # run's record is for reading, so it costs no fsync.
             journal_fsync="off",
             # Traced requests hand their context across the engine
-            # boundary; untraced ones pin sampling to 0 so a stray
-            # REPRO_TRACE_SAMPLE cannot trace half a request.
-            trace_sample=0.0,
+            # boundary.
             trace_parent=(tracer.traceparent(dispatch_span)
                           if tracer is not None else None),
             run_meta={"experiment": "serve",
@@ -657,9 +650,7 @@ class Gateway:
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
         from repro.exec.telemetry import git_sha
-        from repro.obs import obs_enabled
         from repro.perf.manifest import MANIFEST_SCHEMA
-        from repro.sanitize import sanitize_enabled
 
         return {
             "status": "draining" if self.draining else "ok",
@@ -675,8 +666,6 @@ class Gateway:
                 "journal": JOURNAL_SCHEMA,
             },
             "subsystems": {
-                "obs": obs_enabled(),
-                "sanitize": sanitize_enabled(),
                 "trace": self.options.trace_sample > 0.0,
                 "durable": self.journal is not None,
             },
@@ -689,10 +678,7 @@ class Gateway:
             "cache": self.cache.describe(),
             "tenants": len(self.buckets),
             "durability": self.durability(),
-            "trace": {
-                "sample": self.options.trace_sample,
-                "flight": flight().stats(),
-            },
+            "trace": {"sample": self.options.trace_sample},
         }
 
     def durability(self) -> Dict[str, Any]:

@@ -2,9 +2,9 @@
 
 Follows the zero-cost-when-off pattern established by ``repro.sanitize``
 and ``repro.obs``: tracing is enabled per-run by a sampling rate
-(``--trace-sample`` / ``REPRO_TRACE_SAMPLE``, default 0.0) and every
-instrumentation site guards with ``if tracer is not None`` (or the
-equivalent ambient check), so the disabled path costs one attribute
+(``--trace-sample``, ``ExecOptions.trace_sample``; default 0.0) and
+every instrumentation site guards with ``if tracer is not None`` (or
+the equivalent ambient check), so the disabled path costs one attribute
 test.
 
 Propagation:
@@ -25,7 +25,6 @@ Spans end up as ``span`` records in the run's journal (see
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from typing import Any, Optional, Tuple
@@ -37,24 +36,16 @@ from .context import (
     new_trace_id,
     parse_traceparent,
 )
-from .flight import ENV_FLIGHT_DIR, FlightRecorder, flight
 from .span import Span, Tracer
 
-ENV_SAMPLE = "REPRO_TRACE_SAMPLE"
-
 __all__ = [
-    "ENV_SAMPLE",
-    "ENV_FLIGHT_DIR",
     "Span",
     "Tracer",
     "TraceContext",
-    "FlightRecorder",
-    "flight",
     "new_trace_id",
     "new_span_id",
     "parse_traceparent",
     "format_traceparent",
-    "trace_sample",
     "maybe_tracer",
     "set_ambient",
     "clear_ambient",
@@ -64,42 +55,25 @@ __all__ = [
 ]
 
 
-def trace_sample(explicit: Optional[float] = None) -> float:
-    """Effective sampling rate in [0, 1]; malformed env values mean off."""
-    if explicit is not None:
-        rate = explicit
-    else:
-        raw = os.environ.get(ENV_SAMPLE, "")
-        if not raw:
-            return 0.0
-        try:
-            rate = float(raw)
-        except ValueError:
-            return 0.0
-    return min(1.0, max(0.0, rate))
-
-
-def maybe_tracer(
-    sample: Optional[float] = None,
-    parent: Optional[str] = None,
-) -> Optional[Tracer]:
+def maybe_tracer(sample: float = 0.0,
+                 parent: Optional[str] = None) -> Optional[Tracer]:
     """A Tracer if this run is sampled, else None.
 
     Head-based sampling: when *parent* (a ``traceparent`` header)
     carries a valid context, its sampled flag is the decision — sampled
     parents are continued, unsampled parents disable tracing regardless
     of the local rate.  Without a parent, a coin weighted by the
-    sampling rate decides.
+    sampling rate *sample* decides (0 or less never traces, 1 or more
+    always does).
     """
     ctx = parse_traceparent(parent)
     if ctx is not None:
         if not ctx.sampled:
             return None
         return Tracer(ctx)
-    rate = trace_sample(sample)
-    if rate <= 0.0:
+    if sample <= 0.0:
         return None
-    if rate < 1.0 and random.random() >= rate:
+    if sample < 1.0 and random.random() >= sample:
         return None
     return Tracer()
 

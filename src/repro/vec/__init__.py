@@ -22,10 +22,12 @@ job's identity: :meth:`repro.exec.SimJob.cache_key` never includes it
 (proven by ``tests/test_vec_parity.py``), and either backend may
 populate or hit the shared result cache.
 
-Selection: the ``--backend {interp,vec}`` harness flag, the
-``backend`` field of a serve job spec, or the ``REPRO_BACKEND``
-environment variable (which forked pool workers inherit, the same
-route ``--sanitize`` uses).
+Selection: the ``--backend {interp,vec}`` harness flag, or
+``ExecOptions(backend=...)``.  A run without one resolves
+:func:`resolve_backend` once as it opens — ``REPRO_BACKEND``, then
+``interp`` — and hands the result to every cell, pool workers included,
+as a call argument.  A serve job spec's ``backend`` field is validated
+but never changes what the server runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from typing import Optional
 #: Recognised backend names, in preference-documentation order.
 BACKENDS = ("interp", "vec")
 
-#: Environment variable consulted when no explicit backend is given.
+#: Environment variable consulted when no explicit backend is given
+#: (the serve operator's switch and perfbench's vec selector).
 BACKEND_ENV = "REPRO_BACKEND"
 
 

@@ -5,12 +5,9 @@ import os
 import pytest
 
 from repro.durable import (
-    BATCH_FSYNC_INTERVAL,
-    ENV_FSYNC,
     RunJournal,
     check_header,
     frame,
-    fsync_policy,
     header_record,
     read_records,
     unframe,
@@ -91,31 +88,13 @@ class TestReadRecords:
 
 
 class TestFsyncPolicy:
-    def test_default_is_always(self, monkeypatch):
-        monkeypatch.delenv(ENV_FSYNC, raising=False)
-        assert fsync_policy() == "always"
+    def test_default_is_always(self, tmp_path):
+        assert RunJournal(str(tmp_path / "j.jsonl")).policy == "always"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_FSYNC, "batch")
-        assert fsync_policy() == "batch"
-        assert fsync_policy("off") == "off"  # explicit beats env
-
-    def test_typo_raises(self):
-        with pytest.raises(ValueError, match="unknown fsync policy"):
-            fsync_policy("allways")
-
-    def test_batch_fsyncs_on_interval_and_close(self, tmp_path,
-                                                monkeypatch):
-        calls = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (calls.append(fd), real_fsync(fd)))
-        journal = RunJournal(str(tmp_path / "j.jsonl"), fsync="batch")
-        for index in range(BATCH_FSYNC_INTERVAL + 2):
-            journal.record("tick", i=index)
-        assert len(calls) == 1  # one interval crossed
-        journal.close()
-        assert len(calls) == 2  # close always syncs
+    def test_typo_raises(self, tmp_path):
+        for policy in ("allways", "batch"):
+            with pytest.raises(ValueError, match="unknown fsync policy"):
+                RunJournal(str(tmp_path / "j.jsonl"), fsync=policy)
 
     def test_off_never_fsyncs(self, tmp_path, monkeypatch):
         calls = []

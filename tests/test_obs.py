@@ -2,7 +2,7 @@
 
 Covers the event taxonomy, the metrics registry, Observer hook
 behaviour (trace vs metrics-only, handler-run tracking, conflict heat,
-MSHR high-water timeline, reset), environment gating, and both trace
+MSHR high-water timeline, reset), the per-job trace path, and both trace
 exporters (JSONL round-trip, Chrome ``trace_event`` schema).
 """
 
@@ -12,16 +12,11 @@ import os
 import pytest
 
 from repro.obs import (
-    ENV_DIR,
-    ENV_VAR,
     EVENT_KINDS,
     Observer,
     chrome_trace,
     job_trace_path,
     make_event,
-    maybe_observer,
-    obs_enabled,
-    obs_trace_dir,
     read_jsonl,
     write_chrome_trace,
     write_jsonl,
@@ -237,39 +232,6 @@ class TestObserverHooks:
 
 
 class TestEnvironmentGating:
-    def _clear(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv(ENV_DIR, raising=False)
-
-    def test_off_by_default(self, monkeypatch):
-        self._clear(monkeypatch)
-        assert not obs_enabled()
-        assert obs_trace_dir() is None
-        assert maybe_observer() is None
-
-    def test_env_var_enables_metrics_only(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert obs_enabled()
-        obs = maybe_observer()
-        assert obs is not None and obs.trace is False
-
-    def test_trace_dir_implies_enabled_and_tracing(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_DIR, "/tmp/traces")
-        assert obs_enabled()
-        assert obs_trace_dir() == "/tmp/traces"
-        obs = maybe_observer()
-        assert obs is not None and obs.trace is True
-
-    def test_explicit_overrides_environment(self, monkeypatch):
-        self._clear(monkeypatch)
-        monkeypatch.setenv(ENV_VAR, "1")
-        assert maybe_observer(False) is None
-        self._clear(monkeypatch)
-        obs = maybe_observer(True)
-        assert obs is not None and obs.trace is True
-
     def test_job_trace_path_flattens_label(self):
         assert job_trace_path("/tmp/t", "compress/ooo/S10") == \
             "/tmp/t/compress_ooo_S10.events.jsonl"

@@ -165,8 +165,7 @@ class TestRunBarArtifacts:
         assert payload["metrics"]["counters"]["l1.hit"] == \
             summary["hits"] - summary["stream_hits"]
 
-    def test_run_bar_observe_false_stays_dark(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "1")
+    def test_run_bar_observe_false_stays_dark(self, tmp_path):
         result = run_bar("compress", "inorder", bar_config("N"),
                          instructions=1000, warmup=500, observe=False,
                          trace_dir=str(tmp_path))
@@ -222,14 +221,14 @@ class TestReportCLI:
 
 
 class TestExecTraceWiring:
-    def test_finished_event_carries_trace_path(self, tmp_path, monkeypatch):
+    def test_finished_event_carries_trace_path(self, tmp_path):
         from repro.exec import ExecOptions, JobRunner, SimJob
         from repro.exec.telemetry import CollectingSink
 
-        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_OBS", "1")
         sink = CollectingSink()
-        runner = JobRunner(ExecOptions(jobs=1, cache=False), sinks=[sink])
+        runner = JobRunner(ExecOptions(jobs=1, cache=False,
+                                       trace_events=str(tmp_path)),
+                           sinks=[sink])
         job = SimJob.bar(benchmark="compress", machine="inorder", label="N",
                          instructions=1000, warmup=500, seed=0)
         rows = runner.run([job])
@@ -243,12 +242,10 @@ class TestExecTraceWiring:
         # The trace field serializes; absent fields are dropped.
         assert json.loads(finished[0].to_json())["trace"] == trace_path
 
-    def test_no_trace_field_when_off(self, monkeypatch):
+    def test_no_trace_field_when_off(self):
         from repro.exec import ExecOptions, JobRunner, SimJob
         from repro.exec.telemetry import CollectingSink
 
-        monkeypatch.delenv("REPRO_OBS_DIR", raising=False)
-        monkeypatch.delenv("REPRO_OBS", raising=False)
         sink = CollectingSink()
         runner = JobRunner(ExecOptions(jobs=1, cache=False), sinks=[sink])
         job = SimJob.bar(benchmark="compress", machine="inorder", label="N",

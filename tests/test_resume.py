@@ -294,11 +294,7 @@ class TestResumeCli:
                                           capsys):
         from repro.vec import BACKEND_ENV
 
-        # Restore-point trick (see test_vec_parity): the engine exports
-        # the backend choice into os.environ; make monkeypatch unset it
-        # again at teardown.
-        monkeypatch.setenv(BACKEND_ENV, "interp")
-        monkeypatch.delenv(BACKEND_ENV)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", roots["cache"])
         jobs = self.grid()[:2]
         full = JobRunner(options(roots))

@@ -9,12 +9,9 @@ from tests.helpers import make_inorder, make_ooo, small_hierarchy, trap_config
 from repro.core.mechanisms import INSTRUCTION_BYTES, return_pc
 from repro.sanitize import (
     CAUGHT_BY,
-    DEFAULT_EVERY,
     INVARIANTS,
     InvariantViolation,
     Sanitizer,
-    maybe_sanitizer,
-    sanitize_enabled,
 )
 from tests.test_golden_parity import (
     COMPARED_FIELDS,
@@ -76,20 +73,6 @@ class TestCatalog:
 
 
 class TestEnabling:
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not sanitize_enabled()
-        assert maybe_sanitizer() is None
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_enabled()
-        assert isinstance(maybe_sanitizer(), Sanitizer)
-
-    def test_explicit_overrides_env_both_ways(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert maybe_sanitizer(False) is None
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert isinstance(maybe_sanitizer(True), Sanitizer)
-
     def test_default_is_off(self):
         hierarchy = small_hierarchy()
         assert hierarchy._san is None
@@ -345,20 +328,3 @@ class TestEndToEnd:
             assert not mismatches, (
                 f"{benchmark}/{machine}/{label} diverged with the "
                 f"sanitizer on: {mismatches}")
-
-    def test_run_bar_env_var_enables_sanitizer(self, monkeypatch):
-        """REPRO_SANITIZE=1 reaches run_bar without explicit plumbing."""
-        import repro.harness.runner as hr
-
-        seen = {}
-        real_attach = Sanitizer.attach
-
-        def spying_attach(self, core):
-            seen["sanitizer"] = self
-            return real_attach(self, core)
-
-        monkeypatch.setattr(Sanitizer, "attach", spying_attach)
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        hr.run_bar("ora", "inorder", hr.bar_config("N"), 500, 0)
-        assert isinstance(seen.get("sanitizer"), Sanitizer)
-        assert seen["sanitizer"].every == DEFAULT_EVERY

@@ -1,19 +1,11 @@
-"""repro.trace core: context propagation, spans, sampling, the flight
-recorder and the export formats."""
+"""repro.trace core: context propagation, spans, sampling and the
+export formats."""
 
-import json
 import os
 
 import pytest
 
-from repro.trace import (
-    ENV_SAMPLE,
-    ambient,
-    clear_ambient,
-    maybe_tracer,
-    set_ambient,
-    trace_sample,
-)
+from repro.trace import ambient, clear_ambient, maybe_tracer, set_ambient
 from repro.trace.context import (
     TraceContext,
     format_traceparent,
@@ -22,13 +14,11 @@ from repro.trace.context import (
     parse_traceparent,
 )
 from repro.trace.exporters import spans_to_chrome, spans_to_otlp
-from repro.trace.flight import FLIGHT_CAPACITY, FlightRecorder
 from repro.trace.span import Tracer
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_env(monkeypatch):
-    monkeypatch.delenv(ENV_SAMPLE, raising=False)
+def _clean_ambient():
     clear_ambient()
     yield
     clear_ambient()
@@ -122,24 +112,14 @@ class TestTracer:
 
 class TestSampling:
     def test_default_is_off(self):
-        assert trace_sample() == 0.0
         assert maybe_tracer() is None
 
     def test_explicit_rate_one_traces(self):
         assert maybe_tracer(1.0) is not None
 
-    def test_env_rate(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLE, "1.0")
-        assert trace_sample() == 1.0
-        assert maybe_tracer() is not None
-
-    def test_malformed_env_rate_is_off(self, monkeypatch):
-        monkeypatch.setenv(ENV_SAMPLE, "lots")
-        assert trace_sample() == 0.0
-
     def test_rate_is_clamped(self):
-        assert trace_sample(7.5) == 1.0
-        assert trace_sample(-2.0) == 0.0
+        assert maybe_tracer(7.5) is not None
+        assert maybe_tracer(-2.0) is None
 
     def test_sampled_parent_wins_over_local_rate(self):
         header = format_traceparent(
@@ -172,40 +152,6 @@ class TestSampling:
         assert ambient() == (tracer, span)
         clear_ambient()
         assert ambient() == (None, None)
-
-
-class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        recorder = FlightRecorder(capacity=4)
-        for index in range(10):
-            recorder.note("tick", index=index)
-        stats = recorder.stats()
-        assert stats["depth"] == 4
-        assert stats["records"] == 10
-        assert stats["dropped"] == 6
-        assert [r["index"] for r in recorder.tail(4)] == [6, 7, 8, 9]
-
-    def test_default_capacity(self):
-        assert FlightRecorder().stats()["capacity"] == FLIGHT_CAPACITY
-
-    def test_dump_writes_ring_snapshot(self, tmp_path):
-        recorder = FlightRecorder(capacity=8)
-        recorder.note("job.started", key="abc")
-        path = recorder.dump("pool broken!", str(tmp_path))
-        assert path is not None
-        assert os.path.basename(path).startswith("flight_pool_broken_")
-        payload = json.loads(open(path).read())
-        assert payload["reason"] == "pool broken!"
-        assert payload["events"][0]["kind"] == "job.started"
-        assert recorder.stats()["dumps"] == 1
-
-    def test_dump_failure_never_raises(self, tmp_path):
-        recorder = FlightRecorder(capacity=2)
-        recorder.note("x")
-        not_a_dir = tmp_path / "occupied"
-        not_a_dir.write_text("a file where the dump dir should go")
-        assert recorder.dump("r", str(not_a_dir)) is None
-        assert recorder.stats()["dump_errors"] == 1
 
 
 class TestExporters:

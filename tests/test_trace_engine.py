@@ -1,6 +1,6 @@
 """Tracing through the exec engine: serial and pool propagation, the
-unsampled zero-span path, pool-broken re-parenting, and flight dumps.
-Spans are read back the one way there is: ``span`` records of the run
+unsampled zero-span path and pool-broken re-parenting.  Spans are read
+back the one way there is: ``span`` records of the run
 journal, through ``read_records``."""
 
 import json
@@ -12,13 +12,11 @@ from repro.durable import read_records
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.harness.spans_cli import build_tree, group_by_trace
 from repro.sanitize.chaos import chaos_execute
-from repro.trace import ENV_SAMPLE, ambient, clear_ambient
+from repro.trace import ambient, clear_ambient
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_env(monkeypatch):
-    for var in (ENV_SAMPLE, "REPRO_TRACE_FLIGHT_DIR"):
-        monkeypatch.delenv(var, raising=False)
+def _clean_ambient():
     clear_ambient()
     yield
     clear_ambient()
@@ -144,9 +142,7 @@ class TestPoolPropagation:
 
 
 class TestPoolBrokenFallback:
-    def test_fallback_jobs_reparent_and_flight_dumps(self, tmp_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FLIGHT_DIR", str(tmp_path))
+    def test_fallback_jobs_reparent(self):
         jobs = [SimJob.bar(benchmark=name, machine="m", label=f"L-{name}",
                            instructions=1, warmup=0, seed=0)
                 for name in ("ok-a", "kill-1", "ok-b")]
@@ -174,42 +170,6 @@ class TestPoolBrokenFallback:
         assert broken and all(r["status"] == "error" for r in broken)
         # same trace id across the break
         assert {r["trace_id"] for r in records} == {root["trace_id"]}
-
-        dumps = list(tmp_path.glob("flight_pool_broken_*.json"))
-        assert len(dumps) == 1
-        payload = json.loads(dumps[0].read_text())
-        kinds = {e["kind"] for e in payload["events"]}
-        assert any(k.startswith("job.") for k in kinds)
-
-
-class TestFlightDumpFaultClasses:
-    def test_violation_dumps_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_FLIGHT_DIR", str(tmp_path))
-
-        def violate(job):
-            from repro.sanitize import InvariantViolation
-            raise InvariantViolation("test.invariant", "L1D", 7, "boom")
-
-        runner = JobRunner(options(), execute=violate)
-        runner.run([SimJob.bar(benchmark="v", machine="m", label="V",
-                               instructions=1, warmup=0, seed=0)])
-        dumps = list(tmp_path.glob("flight_invariant_violation_*.json"))
-        assert len(dumps) == 1
-
-    def test_untraced_run_without_flight_dir_stays_clean(self, tmp_path,
-                                                         monkeypatch):
-        """No destination, no litter: a violation in a run without a
-        run dir or REPRO_TRACE_FLIGHT_DIR must not write into cwd."""
-        monkeypatch.chdir(tmp_path)
-
-        def violate(job):
-            from repro.sanitize import InvariantViolation
-            raise InvariantViolation("test.invariant", "L1D", 7, "boom")
-
-        runner = JobRunner(options(), execute=violate)
-        runner.run([SimJob.bar(benchmark="v", machine="m", label="V",
-                               instructions=1, warmup=0, seed=0)])
-        assert list(tmp_path.glob("flight_*.json")) == []
 
 
 class TestJournalLink:

@@ -137,13 +137,11 @@ def test_cache_key_ignores_backend_env(monkeypatch):
 
 
 def test_cache_key_ignores_engine_backend(monkeypatch):
-    # setenv-then-delenv registers a restore for the value JobRunner is
-    # about to write into the environment.
-    monkeypatch.setenv(BACKEND_ENV, "interp")
-    monkeypatch.delenv(BACKEND_ENV)
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     base = _figure2_job().cache_key()
     runner = JobRunner(ExecOptions(cache=False, backend="vec"))
-    assert os.environ[BACKEND_ENV] == "vec"
+    # The backend rides in the runner's options, not the environment.
+    assert BACKEND_ENV not in os.environ
     assert _figure2_job().cache_key() == base
     assert runner.options.backend == "vec"
 
@@ -173,9 +171,7 @@ def test_either_backend_serves_the_shared_cache(tmp_path, monkeypatch):
     """A vec-populated cache answers an interp run — same key, same bits."""
     from repro.exec import bar_result_from_dict
 
-    monkeypatch.setenv(BACKEND_ENV, "interp")  # restore point (see above)
-    monkeypatch.delenv(BACKEND_ENV)
-
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     job = SimJob.bar(benchmark="espresso", machine="inorder", label="S1",
                      instructions=800, warmup=400, seed=0)
     writer = JobRunner(ExecOptions(jobs=1, cache=True,

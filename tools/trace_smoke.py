@@ -14,8 +14,7 @@ ready-file handshake), then:
 3. runs a traced ``jobs=2`` pool grid in-process and requires the same
    ``--check`` to prove the pool workers joined the run's trace
    (>= 2 pids, one root);
-4. sends SIGTERM and requires a clean drain: exit code 0 and a
-   ``serve_drain`` flight-recorder dump in the trace directory.
+4. sends SIGTERM and requires a clean drain: exit code 0.
 
 Usage::
 
@@ -138,16 +137,12 @@ def main() -> int:
                     "--manifest-dir", str(pool_runs))
         print(f"pool span propagation OK (run {manifest['run_id']})")
 
-        # 4. Clean shutdown, with drain forensics.
+        # 4. Clean shutdown.
         process.send_signal(signal.SIGTERM)
         code = process.wait(timeout=30)
         if code != 0:
             fail(f"server exited with {code} after SIGTERM")
-        dumps = list(trace_dir.glob("flight_serve_drain_*.json"))
-        if len(dumps) != 1:
-            fail(f"expected one serve_drain flight dump in {trace_dir}, "
-                 f"found {[d.name for d in dumps]}")
-        print("graceful shutdown OK (serve_drain flight dump written)")
+        print("graceful shutdown OK")
     finally:
         if process.poll() is None:
             process.kill()
