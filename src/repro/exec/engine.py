@@ -362,28 +362,19 @@ class JobRunner:
         """The backend a just-executed bar job actually ran on.
 
         Mirrors the dispatch in :func:`repro.harness.runner.run_bar`: a
-        "vec" run downgrades to "interp" when the bar or replacement
-        policy is outside the flat kernels, or a sanitizer/observer is
+        "vec" run downgrades to "interp" when a sanitizer/observer is
         attached — making vec fallbacks visible in telemetry rather than
-        silent.  None for non-bar jobs (they have no backend choice).
+        silent.  Every bar a job's label names is one the flat kernels
+        replay (``bar_config`` builds no callback handlers, the one bar
+        ``vec_supports`` refuses), under any replacement policy.  None
+        for non-bar jobs (they have no backend choice).
         """
         from repro.exec.job import KIND_BAR
 
         if job.kind != KIND_BAR:
             return None
         cell = self._cell
-        if cell["backend"] != "vec":
-            return "interp"
-        from repro.harness.runner import bar_config
-        from repro.vec import vec_supports
-
-        cfg = job.config_dict()
-        try:
-            bar = bar_config(cfg.get("label", "N"))
-        except ValueError:
-            return None
-        if (cell["sanitize"] or cell["trace_dir"]
-                or not vec_supports(bar, cfg.get("policy", "lru"))):
+        if cell["backend"] != "vec" or cell["sanitize"] or cell["trace_dir"]:
             return "interp"
         return "vec"
 

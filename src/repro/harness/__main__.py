@@ -234,8 +234,8 @@ def main(argv=None) -> int:
                              "(repro.memory.replacement registry; "
                              "default lru, the paper's machines). "
                              "Non-lru policies get their own cache "
-                             "keys; stateful ones (plru/rrip/brrip) "
-                             "fall back from the vec backend to interp")
+                             "keys; every policy runs on either "
+                             "backend")
     engine_group = parser.add_argument_group("execution engine")
     engine_group.add_argument("--jobs", type=int, default=1, metavar="N",
                               help="worker processes for the simulation "

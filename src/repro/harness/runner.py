@@ -224,10 +224,8 @@ def run_bar(
 
     ``policy`` selects the L1/L2 replacement policy by registry name
     (:mod:`repro.memory.replacement`); ``"lru"`` is the paper's default.
-    Stateful policies (plru/rrip/brrip) are outside the flat vec kernels'
-    inline recency model, so those runs fall back to interp (the result
-    is the same; the telemetry records the effective backend).  The
-    random policy's LCG seed derives from the workload *seed* via
+    Every registered policy runs on either backend.  The random
+    policy's LCG seed derives from the workload *seed* via
     :func:`repro.memory.derive_seed` — seed 0 keeps the historical
     constant, so existing captures stay digit-exact.
     """
@@ -250,7 +248,7 @@ def run_bar(
     else:
         obs = None
     if (resolve_backend(backend) == "vec" and san is None and obs is None
-            and vec_supports(bar, policy)):
+            and vec_supports(bar)):
         from repro.vec import run_bar_vec
 
         if tracer is None:

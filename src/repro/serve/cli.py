@@ -17,6 +17,9 @@ submissions get a structured 503, and the process exits 0.  A second
 signal aborts the drain.  ``--port 0`` binds an ephemeral port (printed
 on stdout and to ``--ready-file``), which is how the tests and the CI
 smoke job boot throwaway instances.
+
+Served misses run on the ``vec`` backend unless ``REPRO_BACKEND``
+names another; an unknown name exits 2 at boot, before the port binds.
 """
 
 from __future__ import annotations
@@ -107,10 +110,11 @@ def options_from_args(args) -> ServeOptions:
     )
 
 
-async def serve(options: ServeOptions, host: str, port: int,
+async def serve(gateway: Gateway, host: str, port: int,
                 ready_file: Optional[str] = None) -> int:
-    """Boot the gateway, run until a signal, drain, exit."""
-    app = App(Gateway(options))
+    """Start the gateway, run until a signal, drain, exit."""
+    options = gateway.options
+    app = App(gateway)
     bound_host, bound_port = await app.start(host, port)
     print(f"repro.serve listening on http://{bound_host}:{bound_port} "
           f"({options.shards} shard(s), queue {options.queue_limit})",
@@ -153,11 +157,12 @@ async def serve(options: ServeOptions, host: str, port: int,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        options = options_from_args(args)
+        # A bad REPRO_BACKEND (BackendError) fails here, before binding.
+        gateway = Gateway(options_from_args(args))
     except ValueError as exc:
         build_parser().error(str(exc))
     try:
-        return asyncio.run(serve(options, args.host, args.port,
+        return asyncio.run(serve(gateway, args.host, args.port,
                                  args.ready_file))
     except KeyboardInterrupt:
         print("repro.serve: aborted", file=sys.stderr)

@@ -14,7 +14,9 @@ Worker shards are asyncio tasks that hand admitted tickets to a
 :class:`~repro.exec.JobRunner` executes the cell inline — the same
 engine, cache and manifest machinery a CLI run uses, so a served result
 is byte-identical to ``python -m repro.harness`` running the same cell
-(the manifest config digest is the proof).
+(the manifest config digest is the proof).  Every run uses the backend
+resolved once at boot: ``vec``, the flat kernels, unless
+``REPRO_BACKEND`` names another (the backends are digit-exact).
 
 Coalescing: two identical in-flight requests share one
 :class:`Ticket` — the engine runs once, both responses are fed from the
@@ -39,6 +41,7 @@ from repro.exec.job import execute_job
 from repro.obs.metrics import Registry
 from repro.serve.spec import SpecError, validate_job_spec
 from repro.trace import maybe_tracer, parse_traceparent
+from repro.vec import resolve_backend
 
 
 class RateLimited(Exception):
@@ -199,6 +202,11 @@ class Gateway:
     def __init__(self, options: Optional[ServeOptions] = None, *,
                  execute=execute_job) -> None:
         self.options = options or ServeOptions()
+        #: The simulation backend of every served run, resolved once at
+        #: boot: ``REPRO_BACKEND`` when set, else the flat ``vec``
+        #: kernels (digit-exact with interp).  A bad name raises
+        #: :class:`repro.vec.BackendError` here, before anything binds.
+        self.backend = resolve_backend(default="vec")
         self.execute = execute
         self.registry = Registry()
         self.cache = ResultCache(
@@ -578,6 +586,7 @@ class Gateway:
                          if tracer is not None else None)
         options = ExecOptions(
             jobs=1,
+            backend=self.backend,
             timeout=self.options.job_timeout,
             retries=0,
             manifest_dir=self.options.manifest_dir,
@@ -642,11 +651,11 @@ class Gateway:
 
     # -- introspection -------------------------------------------------------
     def health(self) -> Dict[str, Any]:
-        """Liveness plus identity: what build and which subsystems this
-        gateway is actually running, so smoke jobs can assert what they
-        are testing instead of inferring it (git sha, every on-disk
-        schema version, and the enabled observability/durability
-        subsystems)."""
+        """Liveness plus identity: what build, backend and subsystems
+        this gateway is actually running, so smoke jobs can assert what
+        they are testing instead of inferring it (git sha, simulation
+        backend, every on-disk schema version, and the enabled
+        observability/durability subsystems)."""
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
         from repro.exec.telemetry import git_sha
@@ -660,6 +669,7 @@ class Gateway:
             "queue_limit": self.options.queue_limit,
             "in_flight": len(self.in_flight),
             "git_sha": git_sha(),
+            "backend": self.backend,
             "schemas": {
                 "job": SCHEMA_VERSION,
                 "manifest": MANIFEST_SCHEMA,

@@ -5,7 +5,7 @@ interface:
 
 * ``interp`` — the original object-per-instruction interpreters in
   :mod:`repro.inorder` and :mod:`repro.ooo`.  Always available; the
-  default.
+  harness CLI's default.
 * ``vec`` — this package.  A cell replays its benchmark's stream as
   plain-int row tuples (op codes, addresses, register ids — see
   :mod:`repro.vec.decode`), drawn from the same per-process stream
@@ -13,9 +13,9 @@ interface:
   every grid cell of a benchmark shares one generated stream on either
   backend.  Event-driven flat replay kernels (:mod:`repro.vec.inorder`,
   :mod:`repro.vec.ooo`) advance it and reuse the interp backend's
-  memory hierarchy objects, so the simulated statistics are
-  **digit-exact** with ``interp``.  Like the rest of the package, it is
-  pure Python.
+  memory hierarchy objects — replacement policies included — so the
+  simulated statistics are **digit-exact** with ``interp``.  Like the
+  rest of the package, it is pure Python.
 
 Because results are bit-identical, the backend is *not* part of a
 job's identity: :meth:`repro.exec.SimJob.cache_key` never includes it
@@ -26,8 +26,10 @@ Selection: the ``--backend {interp,vec}`` harness flag, or
 ``ExecOptions(backend=...)``.  A run without one resolves
 :func:`resolve_backend` once as it opens — ``REPRO_BACKEND``, then
 ``interp`` — and hands the result to every cell, pool workers included,
-as a call argument.  A serve job spec's ``backend`` field is validated
-but never changes what the server runs.
+as a call argument.  The serve gateway resolves once at boot with
+``vec`` as the fallback and passes the result to every served run.  A
+serve job spec's ``backend`` field is validated but never changes what
+the server runs.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ class BackendError(ValueError):
     """An unknown backend name reached the dispatch layer."""
 
 
-def resolve_backend(explicit: Optional[str] = None) -> str:
+def resolve_backend(explicit: Optional[str] = None,
+                    default: str = "interp") -> str:
     """The backend to use: *explicit* if given, else ``REPRO_BACKEND``,
-    else ``interp``.
+    else *default* (``interp`` for harness runs; the gateway passes
+    ``vec``).
 
     Raises:
         BackendError: when the explicit or environment value is not one
@@ -61,7 +65,7 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
         value = os.environ.get(BACKEND_ENV) or None
         source = BACKEND_ENV
     if value is None:
-        return "interp"
+        return default
     if value not in BACKENDS:
         raise BackendError(
             f"{source}: unknown backend {value!r}; expected one of "
@@ -69,29 +73,18 @@ def resolve_backend(explicit: Optional[str] = None) -> str:
     return value
 
 
-#: Replacement policies the flat kernels express exactly: the dict-order
-#: family, whose whole semantics lives in the hierarchy objects the vec
-#: kernels share with interp.  Stateful policies (plru/rrip/brrip) keep
-#: recency metadata the kernels' inline L1-hit path would bypass, so
-#: those runs fall back to interp (same results; the telemetry's
-#: ``backend`` field records the downgrade).
-VEC_POLICIES = frozenset(["lru", "fifo", "random"])
-
-
-def vec_supports(bar, policy: str = "lru") -> bool:
+def vec_supports(bar) -> bool:
     """Can the vec backend replay this bar digit-exactly?
 
     The flat replay kernels cover everything the figure grids use: no
     handler, or :class:`repro.core.handlers.GenericHandler` bodies
-    (single or unique, any length), under either informing mechanism.
-    Python-callback handlers (:class:`CallbackHandler`) run arbitrary
-    user code per miss and fall back to the interp backend — as do
-    stateful replacement policies (see :data:`VEC_POLICIES`).
+    (single or unique, any length), under either informing mechanism,
+    with any registered replacement policy.  Python-callback handlers
+    (:class:`CallbackHandler`) run arbitrary user code per miss and fall
+    back to the interp backend.
     """
     from repro.core.handlers import GenericHandler
 
-    if policy not in VEC_POLICIES:
-        return False
     informing = bar.informing
     if informing is None or informing.handler is None:
         return True
@@ -110,7 +103,6 @@ def run_bar_vec(benchmark: str, machine_key: str, bar,
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV",
-    "VEC_POLICIES",
     "BackendError",
     "resolve_backend",
     "run_bar_vec",

@@ -105,6 +105,7 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
     l1_sets = l1._sets
     set_mask = l1._set_mask
     l1_is_lru = l1._is_lru
+    l1_stateful = l1._stateful
     extended_mshrs = hierarchy.mshrs.extended_lifetime
     release_mshr = hierarchy.release_mshr
     mshr_is_informed = hierarchy.mshrs.is_informed
@@ -498,8 +499,12 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                     if l1_is_lru:
                         del cache_set[line_addr]
                         cache_set[line_addr] = dirty or is_store
-                    elif is_store:
-                        cache_set[line_addr] = True
+                    else:
+                        if is_store:
+                            cache_set[line_addr] = True
+                        if l1_stateful is not None:
+                            l1_stateful.on_hit(line_addr & set_mask,
+                                               line_addr)
                     mstats.l1_hits += 1
                     bank = line_addr % num_banks
                     start = bank_free[bank]

@@ -33,18 +33,13 @@ def run_bar_vec(
 ) -> BarResult:
     """Run one benchmark/machine/bar cell on the flat replay kernels.
 
-    *policy* must be a dict-order policy (``repro.vec.VEC_POLICIES``):
-    the kernels' inline L1-hit path only understands the ``_is_lru``
-    refresh rule, so stateful policies are rejected here — the dispatch
-    in :func:`repro.harness.runner.run_bar` routes them to interp.
+    *policy* is any registered replacement policy: the kernels' inline
+    L1-hit path makes the same recency update ``MemoryHierarchy.access``
+    does (the LRU refresh, or the stateful policy's ``on_hit``), and
+    everything past a hit runs in the shared hierarchy objects.
     """
     from repro.memory import derive_seed
-    from repro.vec import VEC_POLICIES
 
-    if policy not in VEC_POLICIES:
-        raise ValueError(
-            f"vec backend cannot express replacement policy {policy!r}; "
-            f"supported: {sorted(VEC_POLICIES)}")
     spec = MACHINES[machine_key]
     core = build_core(spec, informing=bar.informing,
                       replacement_policy=policy,

@@ -22,7 +22,7 @@ from repro.harness.runner import bar_config, run_bar
 from repro.obs import job_trace_path
 from repro.sanitize import InvariantViolation, Sanitizer
 from repro.trace import clear_ambient
-from repro.vec import BACKEND_ENV
+from repro.vec import BACKEND_ENV, BackendError
 
 
 @pytest.fixture(autouse=True)
@@ -242,3 +242,17 @@ def test_serve_rejects_an_out_of_range_trace_sample(rate, capsys):
         main(["--trace-sample", rate])
     assert excinfo.value.code == 2
     assert "--trace-sample must be in [0, 1]" in capsys.readouterr().err
+
+
+def test_serve_rejects_an_unknown_backend_at_boot(tmp_path, monkeypatch,
+                                                  capsys):
+    from repro.serve.cli import main
+    from repro.serve.gateway import Gateway, ServeOptions
+
+    monkeypatch.setenv(BACKEND_ENV, "turbo")
+    with pytest.raises(BackendError, match="unknown backend 'turbo'"):
+        Gateway(ServeOptions(cache_dir=str(tmp_path)))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--port", "0", "--cache-dir", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "REPRO_BACKEND: unknown backend 'turbo'" in capsys.readouterr().err

@@ -1,5 +1,6 @@
-"""The serving gateway: digit-exact parity with direct runs, caching,
-coalescing, admission control, SSE streaming, metrics, structured errors."""
+"""The serving gateway: digit-exact parity with direct runs, the backend
+it resolves at boot, caching, coalescing, admission control, SSE
+streaming, metrics, structured errors."""
 
 import asyncio
 import json
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+from repro.durable import read_records
 from repro.exec import ExecOptions, JobRunner
 from repro.obs.export import parse_openmetrics
 from repro.serve import (
@@ -19,6 +21,7 @@ from repro.serve import (
     validate_job_spec,
 )
 from repro.serve.app import App
+from repro.vec import BACKEND_ENV
 
 
 def tiny_spec(**overrides):
@@ -87,7 +90,10 @@ class TestParityWithDirectRuns:
         assert status == 200
         assert outcome["meta"]["cache"] == "miss"
 
-        direct = JobRunner(ExecOptions(jobs=1, cache=False)).run(
+        # Cross-backend by construction: the gateway serves vec unless
+        # REPRO_BACKEND says otherwise; the reference runs interp.
+        direct = JobRunner(ExecOptions(jobs=1, cache=False,
+                                       backend="interp")).run(
             [validate_job_spec(spec)])[0]
         assert outcome["result"] == direct
 
@@ -122,6 +128,37 @@ class TestParityWithDirectRuns:
         assert first["meta"]["cache"] == "miss"
         assert second["meta"]["cache"] == "hit"
         assert second["result"] == first["result"]
+
+
+class TestBackend:
+    """The gateway resolves its backend once at boot — ``REPRO_BACKEND``
+    when set, else ``vec`` — and every served run records it."""
+
+    @pytest.mark.parametrize("env, want", [(None, "vec"),
+                                           ("interp", "interp")])
+    def test_served_run_records_the_boot_backend(self, tmp_path,
+                                                 monkeypatch, env, want):
+        if env is None:
+            monkeypatch.delenv(BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BACKEND_ENV, env)
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"),
+                               manifest_dir=str(tmp_path / "runs"))
+        with LiveServer(options) as server:
+            # Read once at boot: a later change to the environment
+            # reaches no served run.
+            monkeypatch.setenv(BACKEND_ENV, "turbo")
+            with server.client() as client:
+                status, health = client.healthz()
+                _, outcome = client.submit(tiny_spec(seed=51))
+                _, manifest = client.run_manifest(outcome["meta"]["run_id"])
+        assert status == 200
+        assert health["backend"] == want
+        assert outcome["meta"]["cache"] == "miss"
+        assert manifest["settings"]["backend"] == want
+        records, _, _ = read_records(outcome["meta"]["journal"])
+        assert [r["backend"] for r in records
+                if r["rec"] == "job_finish"] == [want]
 
 
 class TestCoalescing:

@@ -4,11 +4,12 @@ to the cache.
 Three layers of proof:
 
 * a hypothesis differential sweep — random (benchmark, machine, label,
-  run sizes, workload seed) cells run through both backends must agree
-  on **every** exported :class:`BarResult` field, including the full
-  MemStats-derived breakdown (the golden-parity suite pins the figure2
-  grid; this sweeps the config space around it, including the E/CC
-  label families the golden capture never exercises);
+  replacement policy, run sizes, workload seed) cells run through both
+  backends must agree on **every** exported :class:`BarResult` field,
+  including the full MemStats-derived breakdown (the golden-parity
+  suite pins the figure2 grid; this sweeps the config space around it,
+  including the E/CC label families the golden capture never exercises
+  and the stateful policies on the 4-way ``lab`` machine);
 * cache-key invariance — a job's content address must not change with
   the backend (``REPRO_BACKEND``, ``ExecOptions.backend``, or a serve
   spec's ``backend`` field), because either backend may populate or hit
@@ -28,11 +29,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.harness.runner import BarResult, bar_config, run_bar
+from repro.memory import available_policies
 from repro.vec import (
     BACKEND_ENV,
     BackendError,
@@ -51,32 +53,41 @@ _LABELS = ("N", "S1", "S10", "S100", "U1", "U10", "E1", "E10",
 
 
 def _assert_cell_parity(benchmark, machine, label, instructions, warmup,
-                        seed=0):
+                        seed=0, policy="lru"):
     a = run_bar(benchmark, machine, bar_config(label), instructions,
-                warmup, seed=seed, backend="interp")
+                warmup, seed=seed, backend="interp", policy=policy)
     b = run_bar_vec(benchmark, machine, bar_config(label), instructions,
-                    warmup, seed=seed)
+                    warmup, seed=seed, policy=policy)
     for name in _BAR_FIELDS:
         assert getattr(a, name) == getattr(b, name), (
-            f"{benchmark}/{machine}/{label} i={instructions} w={warmup} "
-            f"seed={seed}: {name} interp={getattr(a, name)!r} "
+            f"{benchmark}/{machine}/{label}/{policy} i={instructions} "
+            f"w={warmup} seed={seed}: {name} interp={getattr(a, name)!r} "
             f"vec={getattr(b, name)!r}")
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     benchmark=st.sampled_from(_BENCHMARKS),
-    machine=st.sampled_from(("ooo", "inorder")),
+    machine=st.sampled_from(("ooo", "inorder", "lab")),
     label=st.sampled_from(_LABELS),
+    policy=st.sampled_from(available_policies()),
     instructions=st.integers(min_value=200, max_value=2500),
     warmup_frac=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=3),
 )
-def test_differential_backend_parity(benchmark, machine, label,
+# A stateful policy's hit update on each kernel (lab is in-order, ooo
+# out-of-order): both cells diverge if the inline L1-hit path skips it.
+@example(benchmark="tomcatv", machine="lab", label="S10", policy="rrip",
+         instructions=2000, warmup_frac=1, seed=0)
+@example(benchmark="su2cor", machine="ooo", label="S10", policy="brrip",
+         instructions=2000, warmup_frac=1, seed=0)
+def test_differential_backend_parity(benchmark, machine, label, policy,
                                      instructions, warmup_frac, seed):
-    """Random cells: every BarResult field digit-exact across backends."""
+    """Random cells: every BarResult field digit-exact across backends,
+    under every replacement policy."""
     _assert_cell_parity(benchmark, machine, label, instructions,
-                        instructions * warmup_frac // 2, seed=seed)
+                        instructions * warmup_frac // 2, seed=seed,
+                        policy=policy)
 
 
 def test_parity_on_warmup_equal_run():
@@ -235,12 +246,10 @@ def test_unsupported_bar_falls_back_to_interp(monkeypatch):
 class TestBackendTelemetry:
     """The FINISHED event reports the backend that actually ran.
 
-    This is the observable form of the fallback rule: a stateful
-    replacement policy (plru/rrip/brrip) cannot replay through the
-    decode-once vec path, so a vec-requested job must record
-    ``backend="interp"`` — silently running vec anyway would break
-    digit-exactness, and silently hiding the fallback would make the
-    telemetry lie about provenance.
+    Every replacement policy replays on the flat kernels, stateful ones
+    (plru/rrip/brrip) included, so a vec-requested policy job records
+    ``backend="vec"``.  A real fallback (sanitizer or observer attached)
+    records ``interp``: ``tests/test_run_settings.py`` pins that.
     """
 
     def _finished(self, monkeypatch, policy):
@@ -260,5 +269,5 @@ class TestBackendTelemetry:
     def test_vec_eligible_policy_reports_vec(self, monkeypatch):
         assert self._finished(monkeypatch, "lru").backend == "vec"
 
-    def test_stateful_policy_falls_back_visibly(self, monkeypatch):
-        assert self._finished(monkeypatch, "rrip").backend == "interp"
+    def test_stateful_policy_reports_vec(self, monkeypatch):
+        assert self._finished(monkeypatch, "rrip").backend == "vec"

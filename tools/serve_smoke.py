@@ -1,15 +1,19 @@
 """CI smoke test for the repro.serve gateway, out of process.
 
 Boots ``python -m repro.serve`` as a real subprocess (ephemeral port,
-ready-file handshake), then:
+ready-file handshake, no ``REPRO_BACKEND``), requires ``/healthz`` to
+report the default ``vec`` backend, then:
 
 1. submits a tiny cell and verifies the served result is digit-exact
-   against a direct in-process JobRunner run of the same SimJob;
+   against a direct in-process ``interp`` JobRunner run of the same
+   SimJob — a cross-backend check;
 2. exercises coalescing: two identical *uncached* concurrent requests
    must produce exactly one execution and one coalesce;
-3. scrapes ``/healthz`` and ``/metrics`` (the exposition must parse
-   back losslessly) and fetches the served run's manifest;
-4. sends SIGTERM and requires a clean drain: exit code 0.
+3. scrapes ``/metrics`` (the exposition must parse back losslessly)
+   and fetches the served run's manifest, which must record
+   ``settings.backend == "vec"``;
+4. sends SIGTERM and requires a clean drain: exit code 0;
+5. boots with ``REPRO_BACKEND=turbo`` and requires exit code 2.
 
 Usage::
 
@@ -19,6 +23,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -30,6 +35,7 @@ from pathlib import Path
 from repro.exec import ExecOptions, JobRunner
 from repro.obs.export import parse_openmetrics
 from repro.serve import ServeClient, validate_job_spec
+from repro.vec import BACKEND_ENV
 
 SPEC = {"kind": "bar", "benchmark": "compress", "machine": "ooo",
         "label": "S10", "instructions": 2000, "warmup": 500, "seed": 0}
@@ -52,15 +58,19 @@ def wait_for_ready(ready_file: Path, process, timeout: float = 30.0):
     fail("server did not become ready in time")
 
 
+def serve_command(workdir: Path, ready: Path):
+    return [sys.executable, "-m", "repro.serve", "--port", "0",
+            "--shards", "2",
+            "--cache-dir", str(workdir / "cache"),
+            "--manifest-dir", str(workdir / "runs"),
+            "--ready-file", str(ready)]
+
+
 def main() -> int:
     workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
     ready = workdir / "ready"
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.serve", "--port", "0",
-         "--shards", "2",
-         "--cache-dir", str(workdir / "cache"),
-         "--manifest-dir", str(workdir / "runs"),
-         "--ready-file", str(ready)])
+    env = {k: v for k, v in os.environ.items() if k != BACKEND_ENV}
+    process = subprocess.Popen(serve_command(workdir, ready), env=env)
     try:
         host, port = wait_for_ready(ready, process)
         print(f"server up at {host}:{port}")
@@ -69,17 +79,22 @@ def main() -> int:
             status, health = client.healthz()
             if status != 200 or health["status"] != "ok":
                 fail(f"healthz: {status} {health}")
-            print("healthz OK")
+            if health.get("backend") != "vec":
+                fail(f"healthz backend {health.get('backend')!r}, "
+                     f"want 'vec'")
+            print("healthz OK (backend vec)")
 
             # 1. Digit-exact parity with a direct engine run.
             status, outcome = client.submit(SPEC)
             if status != 200:
                 fail(f"submit: {status} {outcome}")
-            direct = JobRunner(ExecOptions(jobs=1, cache=False)).run(
+            direct = JobRunner(ExecOptions(jobs=1, cache=False,
+                                           backend="interp")).run(
                 [validate_job_spec(SPEC)])[0]
             if outcome["result"] != direct:
-                fail("served result differs from a direct JobRunner run")
-            print("digit-exact parity OK")
+                fail("served vec result differs from a direct interp "
+                     "JobRunner run")
+            print("digit-exact parity OK (served vec == direct interp)")
 
             # 2. Coalescing: identical uncached concurrent requests.
             proof = dict(SPEC, seed=777, instructions=20_000, warmup=2_000)
@@ -118,7 +133,10 @@ def main() -> int:
             status, manifest = client.run_manifest(run_id)
             if status != 200 or manifest["run_id"] != run_id:
                 fail(f"/runs/{run_id}: {status}")
-            print(f"manifest lookup OK ({run_id})")
+            if manifest["settings"]["backend"] != "vec":
+                fail(f"served run ran {manifest['settings']['backend']!r},"
+                     f" want 'vec'")
+            print(f"manifest lookup OK ({run_id}, backend vec)")
 
         # 4. Clean shutdown on SIGTERM.
         process.send_signal(signal.SIGTERM)
@@ -126,6 +144,15 @@ def main() -> int:
         if code != 0:
             fail(f"server exited with {code} after SIGTERM")
         print("graceful shutdown OK")
+
+        # 5. An unknown backend fails the boot, before anything binds.
+        bad = workdir / "bad"
+        process = subprocess.Popen(serve_command(bad, bad / "ready"),
+                                   env=dict(env, **{BACKEND_ENV: "turbo"}))
+        code = process.wait(timeout=30)
+        if code != 2:
+            fail(f"REPRO_BACKEND=turbo boot exited {code}, want 2")
+        print("bad backend refused at boot OK (exit 2)")
     finally:
         if process.poll() is None:
             process.kill()
