@@ -11,10 +11,10 @@ each run's record (journal and manifest, see :mod:`repro.exec.engine`).
 ``python -m repro.exec cache stats|purge`` manages the on-disk store.
 """
 
-from repro.exec.bench import DEFAULT_BENCH_PATH, atomic_write_json, record_run
 from repro.exec.cache import (
     CacheStats,
     ResultCache,
+    atomic_write_json,
     default_cache_dir,
     parse_size,
 )
@@ -44,12 +44,10 @@ from repro.exec.telemetry import (
 )
 
 __all__ = [
-    "DEFAULT_BENCH_PATH",
     "DRAINED",
     "REPLAYED",
     "atomic_write_json",
     "git_sha",
-    "record_run",
     "SCHEMA_VERSION",
     "SimJob",
     "execute_job",

@@ -43,9 +43,6 @@ byte-identical to the historical loops); results are memoized in the
 content-addressed cache under ``REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-exec``) unless ``--no-cache``; ``--seed N`` offsets the
 workload generator seeds; ``--timeout S`` bounds each job's runtime.
-Engine-backed experiments also refresh their entry in
-``BENCH_harness.json`` (``--bench PATH`` to redirect, ``--no-bench`` to
-skip).
 
 ``--backend {interp,vec}`` picks the simulation backend (see
 :mod:`repro.vec`): ``interp`` is the original object-per-instruction
@@ -182,6 +179,18 @@ def _table2() -> str:
     return "\n".join(lines)
 
 
+def _benchmark_names(experiment: str):
+    """The names ``--benchmarks`` accepts for *experiment*, or None when
+    it runs a fixed set."""
+    if experiment in ("figure2", "characterize"):
+        from repro.workloads import SPEC92
+        return SPEC92
+    if experiment in ("figure4", "sensitivity"):
+        from repro.workloads.parallel import PARALLEL_KERNELS
+        return PARALLEL_KERNELS
+    return None
+
+
 def _build_engine(args, argv=None):
     """One JobRunner per CLI invocation, wired from the engine flags."""
     from repro.exec import ExecOptions, JobRunner, JournalAnnouncer
@@ -219,9 +228,10 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="4x shorter runs for smoke testing")
     parser.add_argument("--benchmarks", default=None,
-                        help="comma-separated benchmark subset (SPEC92 "
-                             "names; parallel-kernel names for "
-                             "figure4/sensitivity)")
+                        help="comma-separated benchmark subset: SPEC92 "
+                             "names for figure2/characterize, "
+                             "parallel-kernel names for "
+                             "figure4/sensitivity")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="also write results as JSON")
     parser.add_argument("--seed", type=int, default=0,
@@ -271,11 +281,6 @@ def main(argv=None) -> int:
                               help="attach the repro.obs observer to every "
                                    "simulated cell and write per-cell "
                                    "event traces + metrics under DIR")
-    engine_group.add_argument("--bench", default=None, metavar="PATH",
-                              help="timing-baseline file to update "
-                                   "(default BENCH_harness.json)")
-    engine_group.add_argument("--no-bench", action="store_true",
-                              help="do not update the timing baseline")
     engine_group.add_argument("--manifest-dir", default=None, metavar="DIR",
                               help="root for cross-run manifests (default "
                                    "results/runs or REPRO_RUNS_DIR)")
@@ -296,6 +301,17 @@ def main(argv=None) -> int:
     if args.policy != "lru" and args.experiment in (
             "table1", "table2", "figure4", "sensitivity", "characterize"):
         parser.error(f"--policy does not apply to {args.experiment}")
+    if args.benchmarks is not None:
+        valid = _benchmark_names(args.experiment)
+        if valid is None:
+            parser.error(f"--benchmarks does not apply to {args.experiment}")
+        unknown = [name for name in args.benchmarks.split(",")
+                   if name not in valid]
+        if unknown:
+            parser.error(f"unknown --benchmarks name(s) "
+                         f"{', '.join(map(repr, unknown))} for "
+                         f"{args.experiment}; choose from "
+                         f"{', '.join(sorted(valid))}")
     engine = (_build_engine(args, argv=argv)
               if args.experiment in _ENGINE_EXPERIMENTS else None)
 
@@ -389,11 +405,6 @@ def main(argv=None) -> int:
         print(engine.stats.summary())
         if engine.last_manifest:
             print(f"run manifest: {engine.last_manifest}")
-        if not args.no_bench:
-            from repro.exec import DEFAULT_BENCH_PATH, record_run
-            bench_path = args.bench or DEFAULT_BENCH_PATH
-            record_run(bench_path, args.experiment, engine)
-            print(f"timing baseline updated: {bench_path}")
     return 0
 
 
@@ -402,9 +413,9 @@ def profile_main(argv) -> int:
 
     Everything not recognised here is forwarded to :func:`main`, so any
     experiment and engine flag combination can be profiled.  Profiled runs
-    are forced to ``--no-bench`` — their timings include profiler overhead
-    and must not pollute the timing baseline.  Use ``--jobs 1`` (the
-    default) when profiling: worker subprocesses escape the profiler.
+    are forced to ``--no-manifest`` — their walls include profiler
+    overhead.  Use ``--jobs 1`` (the default) when profiling: worker
+    subprocesses escape the profiler.
     """
     import cProfile
     import pstats
@@ -425,11 +436,9 @@ def profile_main(argv) -> int:
     if not rest:
         parser.error("expected a harness command to profile, e.g. "
                      "'profile figure2 --quick'")
-    if "--no-bench" not in rest:
-        rest.append("--no-bench")
     if "--no-manifest" not in rest:
         # Profiled walls include profiler overhead; keep them out of the
-        # cross-run observatory too.
+        # cross-run observatory.
         rest.append("--no-manifest")
 
     profiler = cProfile.Profile()

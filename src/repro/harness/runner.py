@@ -355,9 +355,11 @@ def run_figure(
 
     The grid is enumerated as :class:`repro.exec.SimJob` cells and
     submitted through a :class:`repro.exec.JobRunner` — *engine* if given
-    (the CLI wires one up from ``--jobs/--no-cache/--trace``), otherwise
-    a fresh serial, cache-less runner whose behaviour matches the
-    historical inline loop exactly.  *policy* applies one replacement
+    (the CLI wires one up from its execution-engine flags: ``--jobs``,
+    ``--no-cache``, ``--backend``, ``--sanitize``, ``--trace-events``,
+    ``--trace-sample`` and the rest), otherwise a fresh serial,
+    cache-less runner whose behaviour matches the historical inline loop
+    exactly.  *policy* applies one replacement
     policy to every cell (``--policy`` on the CLI).
     """
     from repro.exec import ExecOptions, JobRunner, SimJob, bar_result_from_dict

@@ -7,8 +7,8 @@ costs exactly one ``if self._obs is not None`` identity test when
 tracing is off.  All hooks are strictly read-only with respect to
 simulator state — they never touch recency order, MSHR bookkeeping or
 pipeline structures — so a traced run is bit-exact with an untraced one
-(the obs-smoke CI job replays the full golden ``figure2 --quick`` grid
-under ``--trace-events`` to prove it).
+(the ``obs`` mode of ``tests/test_golden_parity.py`` replays the golden
+``figure2 --quick`` cells with ``trace_events`` set to prove it).
 
 The observer keeps three things:
 

@@ -16,10 +16,7 @@ a run, and this package delivers it *across* runs:
   confidence intervals (:mod:`repro.perf.compare`);
 * **watch** — ``python -m repro.harness watch <run_id|journal>`` follows
   a running grid's journal live: per-job state, worker utilization,
-  cache-hit ratio, throughput, ETA (:mod:`repro.perf.watch`);
-* **trajectory** — bench runs append (never overwrite) one line per run
-  to ``BENCH_trajectory.jsonl`` so the timing history survives snapshot
-  updates (:mod:`repro.perf.trajectory`).
+  cache-hit ratio, throughput, ETA (:mod:`repro.perf.watch`).
 
 The ``perf-gate`` CI job wires these together: fresh hotpath timings are
 ``compare``'d against ``BENCH_hotpath.json`` (fail >25%, warn >10%) and
@@ -53,14 +50,6 @@ from repro.perf.manifest import (
     runs_root,
     write_run_manifest,
 )
-from repro.perf.trajectory import (
-    DEFAULT_TRAJECTORY_NAME,
-    TRAJECTORY_SCHEMA,
-    append_bench_run,
-    append_trajectory,
-    read_trajectory,
-    trajectory_path_for,
-)
 from repro.perf.watch import (
     JournalFollower,
     WatchError,
@@ -72,17 +61,13 @@ from repro.perf.watch import (
 __all__ = [
     "DEFAULT_FAIL_ABOVE",
     "DEFAULT_RUNS_ROOT",
-    "DEFAULT_TRAJECTORY_NAME",
     "DEFAULT_WARN_ABOVE",
     "ENV_RUNS_DIR",
     "MANIFEST_KIND",
     "MANIFEST_SCHEMA",
     "ManifestError",
     "JournalFollower",
-    "TRAJECTORY_SCHEMA",
     "WatchError",
-    "append_bench_run",
-    "append_trajectory",
     "bootstrap_ci",
     "classify_ratio",
     "compare_bench",
@@ -96,11 +81,9 @@ __all__ = [
     "load_manifest",
     "machine_fingerprint",
     "new_run_id",
-    "read_trajectory",
     "render_compare",
     "replay",
     "runs_root",
-    "trajectory_path_for",
     "watch_main",
     "write_run_manifest",
 ]

@@ -10,10 +10,11 @@ Three comparison modes, picked from what A and B actually are:
   resampled (bootstrap over the repeated cells) into a confidence
   interval, and a delta whose CI straddles 1.0 is classified
   ``no change`` rather than eyeballed.
-* **bench mode** — A/B are ``BENCH_harness.json`` / ``BENCH_hotpath.json``
-  style snapshot files; named scalar timings are compared as ratios
-  against ``--warn-above`` / ``--fail-above`` thresholds (the perf-gate
-  CI job runs exactly this against fresh microbenchmark timings).  When
+* **bench mode** — A/B are ``BENCH_hotpath.json`` style snapshot files
+  (``BENCH_vec.json`` and ``BENCH_serve.json`` share the schema); their
+  ``microbenchmarks`` timings are compared as ratios against
+  ``--warn-above`` / ``--fail-above`` thresholds (the perf-gate CI job
+  runs exactly this against fresh microbenchmark timings).  When
   both snapshots carry the ``micro/calibration`` host-speed yardstick,
   micro ratios are calibration-normalized so host/sitting wall drift
   cancels out of the committed-vs-fresh comparison.
@@ -47,7 +48,7 @@ DEFAULT_FAIL_ABOVE = 1.25
 DEFAULT_WARN_ABOVE = 1.10
 
 #: Bench snapshot schemas this build understands, by discriminator key.
-_BENCH_SCHEMAS = {"experiments": 2, "microbenchmarks": 1}
+_BENCH_SCHEMAS = {"microbenchmarks": 1}
 
 #: Verdicts that carry exit status 1.
 FAILING_VERDICTS = ("regression", "sim drift")
@@ -220,16 +221,8 @@ def compare_manifests(a: Dict[str, Any], b: Dict[str, Any],
 
 def _bench_timings(data: Dict[str, Any]) -> Dict[str, float]:
     """Flatten a BENCH snapshot into ``name -> seconds``."""
-    timings: Dict[str, float] = {}
     micro = data.get("microbenchmarks", {}).get("timings", {})
-    for name, seconds in micro.items():
-        timings[f"micro/{name}"] = seconds
-    for experiment, slots in data.get("experiments", {}).items():
-        for temperature, entry in slots.items():
-            wall = entry.get("wall_seconds")
-            if wall is not None:
-                timings[f"{experiment}/{temperature}"] = wall
-    return timings
+    return {f"micro/{name}": seconds for name, seconds in micro.items()}
 
 
 #: The host-speed yardstick scenario recorded by test_hotpath_micro.py;

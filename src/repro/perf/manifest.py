@@ -34,7 +34,7 @@ import platform
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.exec.bench import atomic_write_json
+from repro.exec.cache import atomic_write_json
 
 #: Manifest layout version; compare/load reject versions they don't know.
 MANIFEST_SCHEMA = 1

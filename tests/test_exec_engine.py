@@ -288,83 +288,14 @@ class TestTelemetry:
         assert runner.records[finished]["rec"] == "job_finish"
 
 
-class TestBench:
-    def test_record_run_merges_entries(self, tmp_path):
-        from repro.exec import record_run
+class TestAtomicWrite:
+    def test_write_is_atomic(self, tmp_path):
+        """No tmp droppings, and the target parses, after a write."""
+        from repro.exec import atomic_write_json
 
-        path = tmp_path / "BENCH.json"
-        runner = JobRunner(fast_options(), execute=echo_execute)
-        runner.run([make_job()])
-        entry = record_run(path, "exp-a", runner)
-        assert entry["jobs"] == 1 and entry["workers"] == 1
-        record_run(path, "exp-b", runner)
-        data = json.loads(path.read_text())
-        assert set(data["experiments"]) == {"exp-a", "exp-b"}
-        assert data["schema"] == 2
-
-    def test_record_run_separates_cold_and_warm(self, tmp_path):
-        """A cache-served run must not clobber the cold-run baseline."""
-        from repro.exec import record_run
-
-        path = tmp_path / "BENCH.json"
-        cold_runner = JobRunner(fast_options(), execute=echo_execute)
-        cold_runner.run([make_job()])
-        cold_entry = record_run(path, "exp", cold_runner)
-        assert cold_entry["temperature"] == "cold"
-
-        warm_runner = JobRunner(fast_options(), execute=echo_execute)
-        warm_runner.run([make_job()])
-        warm_runner.stats.cache_hits = 1  # as a cache-served rerun reports
-        warm_entry = record_run(path, "exp", warm_runner)
-        assert warm_entry["temperature"] == "warm"
-
-        data = json.loads(path.read_text())
-        slot = data["experiments"]["exp"]
-        assert set(slot) == {"cold", "warm"}
-        assert slot["cold"]["cache_hits"] == 0
-        assert slot["warm"]["cache_hits"] == 1
-
-    def test_record_run_skips_rewrite_when_only_timestamp_moved(
-            self, tmp_path, monkeypatch):
-        """Identical stats must not churn the file (or bump `updated`)."""
-        from repro.exec import record_run
-
-        path = tmp_path / "BENCH.json"
-        runner = JobRunner(fast_options(), execute=echo_execute)
-        runner.run([make_job()])
-        # Pin the volatile wall so consecutive records are value-identical.
-        runner.stats.wall = 1.0
-        runner.stats.job_walls = [1.0]
-        record_run(path, "exp", runner)
-        first = path.read_text()
-        updated = json.loads(first)["updated"]
-        record_run(path, "exp", runner)
-        assert path.read_text() == first
-        assert json.loads(path.read_text())["updated"] == updated
-
-    def test_record_run_appends_trajectory_lines(self, tmp_path):
-        from repro.exec import record_run
-        from repro.perf import read_trajectory, trajectory_path_for
-
-        path = tmp_path / "BENCH.json"
-        runner = JobRunner(fast_options(), execute=echo_execute)
-        runner.run([make_job()])
-        record_run(path, "exp", runner)
-        record_run(path, "exp", runner)
-        history = read_trajectory(trajectory_path_for(path))
-        assert len(history) == 2
-        assert all(r["experiment"] == "exp" for r in history)
-        assert all(r["schema"] == 1 for r in history)
-        assert history[0]["wall_seconds"] == history[1]["wall_seconds"]
-
-    def test_record_run_write_is_atomic(self, tmp_path):
-        """No tmp droppings, and the target parses, after a record."""
-        from repro.exec import record_run
-
-        path = tmp_path / "BENCH.json"
-        runner = JobRunner(fast_options(), execute=echo_execute)
-        runner.run([make_job()])
-        record_run(path, "exp", runner)
+        path = tmp_path / "manifest.json"
+        atomic_write_json(path, {"schema": 1})
+        atomic_write_json(path, {"schema": 2})
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name.endswith(".tmp")]
         assert leftovers == []

@@ -6,6 +6,7 @@ and sensitive to every outcome-determining field, seed and instruction
 count included.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,7 +46,8 @@ class TestCacheKeyStability:
         for hashseed in ("1", "2"):
             out = subprocess.run(
                 [sys.executable, "-c", code],
-                env={"PYTHONPATH": src, "PYTHONHASHSEED": hashseed},
+                env=dict(os.environ, PYTHONPATH=src,
+                         PYTHONHASHSEED=hashseed),
                 capture_output=True, text=True, check=True)
             keys.add(out.stdout.strip())
         keys.add(bar_job().cache_key())

@@ -1,4 +1,4 @@
-"""Cycle-exactness regression: the simulators against a golden capture.
+"""Cycle-exactness regression: every run mode against one golden capture.
 
 ``results/golden/figure2_quick.json`` holds the full 130-bar
 ``figure2 --quick`` export captured *before* the hot-path optimization
@@ -8,24 +8,46 @@ equal, floats bit-for-bit.  Any mismatch means an "optimization" changed
 machine behaviour, which is a correctness bug here no matter how much
 faster it is.
 
+The second backend and every instrument must leave each cell bit-identical
+too, so this file is the one golden check, run in five modes.  A mode runs
+its cells through a serial, cache-less :class:`repro.exec.JobRunner`, the
+way ``figure2`` does, with one setting on top of the default options:
+
+* ``default`` — none: the interp backend with nothing attached;
+* ``vec`` — ``backend="vec"``: the flat replay kernels;
+* ``sanitize`` — ``sanitize=True``: the invariant sanitizer on every cell;
+* ``obs`` — ``trace_events=DIR``: the event observer, writing each cell's
+  trace and metrics under DIR;
+* ``trace`` — ``trace_sample=1.0``: span tracing on every cell.
+
+``test_golden_parity`` diffs every exported field but ``normalized`` for
+each (mode, cell); default-mode cases keep the bare cell id.
+``test_mode_took_effect`` fails a mode whose setting did not take hold
+(and the default mode if any instrument did), so a mode that quietly runs
+the default path cannot pass.
+
 The default run re-simulates a 13-cell subset spanning every label, both
-machines, and a spread of benchmarks (a few seconds).  Set
-``REPRO_GOLDEN_FULL=1`` to re-simulate all 130 golden cells.
+machines, and a spread of benchmarks.  Set ``REPRO_GOLDEN_FULL=1`` to
+re-simulate all 130 golden cells in every mode.
 
 Regenerating the golden (ONLY after an intentional behaviour change, e.g.
 a timing-model fix — never to make an optimization pass):
 
     PYTHONPATH=src python -m repro.harness figure2 --quick --jobs 1 \
-        --no-cache --no-bench --json results/golden/figure2_quick.json
+        --no-cache --no-manifest --json results/golden/figure2_quick.json
 """
 
 import json
 import os
+from typing import NamedTuple
 
 import pytest
 
+from repro.exec import ExecOptions, JobRunner, SimJob
+from repro.harness.__main__ import dispatch
 from repro.harness.export import _BAR_FIELDS
-from repro.harness.runner import bar_config, run_bar
+from repro.sanitize import Sanitizer
+from repro.vec import BACKEND_ENV
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "results", "golden", "figure2_quick.json")
@@ -37,7 +59,7 @@ QUICK_INSTRUCTIONS = 7_500
 QUICK_WARMUP = 3_750
 
 #: Fields compared exactly.  ``normalized`` is excluded: it is computed
-#: against the benchmark's N bar during figure assembly, not by run_bar.
+#: against the benchmark's N bar during figure assembly, not per cell.
 COMPARED_FIELDS = [f for f in _BAR_FIELDS if f != "normalized"]
 
 #: Default subset: every label at least twice, both machines, and a mix of
@@ -59,6 +81,17 @@ DEFAULT_CELLS = [
     ("alvinn", "inorder", "S1"),
 ]
 
+MODES = ("default", "vec", "sanitize", "obs", "trace")
+
+
+def _settings(mode, trace_dir):
+    """The one :class:`ExecOptions` setting *mode* adds to the default."""
+    return {"default": {},
+            "vec": {"backend": "vec"},
+            "sanitize": {"sanitize": True},
+            "obs": {"trace_events": trace_dir},
+            "trace": {"trace_sample": 1.0}}[mode]
+
 
 def _load_golden():
     with open(GOLDEN_PATH) as fh:
@@ -77,19 +110,107 @@ def _cells():
     return DEFAULT_CELLS
 
 
-@pytest.mark.parametrize("workload,machine,label", _cells())
-def test_golden_parity(workload, machine, label):
-    golden = _golden_index()[(workload, machine, label)]
-    result = run_bar(workload, machine, bar_config(label),
-                     QUICK_INSTRUCTIONS, QUICK_WARMUP)
+class ModeRun(NamedTuple):
+    results: dict       # cell -> result dict
+    records: list       # the run's records (JobRunner.records)
+    attached: int       # Sanitizer.attach calls during the run
+    trace_dir: str      # where the obs mode writes; absent otherwise
+
+
+def _run_mode(mode, cells, workdir):
+    """Run *cells* in *mode* through one JobRunner, counting the
+    sanitizer attaches (``jobs=1`` runs every cell in this process)."""
+    trace_dir = str(workdir / "traces")
+    runner = JobRunner(ExecOptions(cache=False,
+                                   **_settings(mode, trace_dir)))
+    jobs = [SimJob.bar(benchmark=benchmark, machine=machine, label=label,
+                       instructions=QUICK_INSTRUCTIONS, warmup=QUICK_WARMUP)
+            for benchmark, machine, label in cells]
+    attached = 0
+    attach = Sanitizer.attach
+
+    def counting_attach(self, core):
+        nonlocal attached
+        attached += 1
+        return attach(self, core)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Sanitizer, "attach", counting_attach)
+        # The default mode must be the default path, whatever the shell
+        # exports.
+        patch.delenv(BACKEND_ENV, raising=False)
+        results = runner.run(jobs)
+    return ModeRun(dict(zip(cells, results)), runner.records, attached,
+                   trace_dir)
+
+
+@pytest.fixture(scope="module")
+def mode_run(tmp_path_factory):
+    """``mode_run(mode)``: that mode's run of the cells, made once."""
+    runs = {}
+
+    def get(mode):
+        if mode not in runs:
+            runs[mode] = _run_mode(mode, _cells(),
+                                   tmp_path_factory.mktemp(mode))
+        return runs[mode]
+    return get
+
+
+def _case_id(mode, cell):
+    cell_id = "-".join(cell)
+    return cell_id if mode == "default" else f"{mode}-{cell_id}"
+
+
+_CASES = [(mode, cell) for mode in MODES for cell in _cells()]
+
+
+@pytest.mark.parametrize("mode,cell", _CASES,
+                         ids=[_case_id(*case) for case in _CASES])
+def test_golden_parity(mode, cell, mode_run):
+    golden = _golden_index()[cell]
+    result = mode_run(mode).results[cell]
     mismatches = {
-        field: (getattr(result, field), golden[field])
+        field: (result[field], golden[field])
         for field in COMPARED_FIELDS
-        if getattr(result, field) != golden[field]
+        if result[field] != golden[field]
     }
     assert not mismatches, (
-        f"{workload}/{machine}/{label} diverged from the golden capture "
+        f"{mode}: {'/'.join(cell)} diverged from the golden capture "
         f"(got, want): {mismatches}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_took_effect(mode, mode_run, tmp_path):
+    """Each mode's setting reached every cell, and no other one did."""
+    run = mode_run(mode)
+    stems = ["_".join(cell) for cell in run.results]
+    finishes = [r for r in run.records if r["rec"] == "job_finish"]
+    span_ids = {r["span_id"] for r in run.records if r["rec"] == "span"}
+    got = {
+        "backends": {r["backend"] for r in finishes},
+        "sanitized cells": run.attached,
+        "trace files": (sorted(os.listdir(run.trace_dir))
+                        if os.path.isdir(run.trace_dir) else []),
+        "traced cells": sum(r.get("span") in span_ids for r in finishes),
+    }
+    want = {
+        "backends": {"vec" if mode == "vec" else "interp"},
+        "sanitized cells": len(stems) if mode == "sanitize" else 0,
+        "trace files": (sorted(stem + suffix for stem in stems
+                               for suffix in (".events.jsonl",
+                                              ".metrics.json"))
+                        if mode == "obs" else []),
+        "traced cells": len(stems) if mode == "trace" else 0,
+    }
+    assert got == want
+    if mode == "obs":
+        # A written trace renders through the report CLI.
+        trace = os.path.join(run.trace_dir, stems[0] + ".events.jsonl")
+        chrome = tmp_path / "cell.chrome.json"
+        assert dispatch(["report", "--trace-file", trace,
+                         "--chrome", str(chrome)]) == 0
+        assert json.loads(chrome.read_text())["traceEvents"]
 
 
 def test_golden_capture_shape():

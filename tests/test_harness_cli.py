@@ -25,7 +25,7 @@ class TestCLIExperiments:
     def test_figure2_subset_with_json(self, capsys, tmp_path):
         path = tmp_path / "f2.json"
         assert main(["figure2", "--quick", "--benchmarks", "espresso",
-                     "--json", str(path), "--no-cache", "--no-bench"]) == 0
+                     "--json", str(path), "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "espresso" in out
         data = json.loads(path.read_text())
@@ -40,13 +40,29 @@ class TestCLIExperiments:
         assert "memory fraction" in out
 
     def test_handler100_quick(self, capsys):
-        assert main(["handler100", "--quick", "--no-cache",
-                     "--no-bench"]) == 0
+        assert main(["handler100", "--quick", "--no-cache"]) == 0
         assert "S100" in capsys.readouterr().out
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure9"])
+
+    @pytest.mark.parametrize("argv,named", [
+        (["figure2", "--quick", "--benchmarks", "x.json"], "espresso"),
+        (["characterize", "--quick", "--benchmarks", "nope"], "espresso"),
+        (["figure4", "--benchmarks", "nope"], "read_mostly"),
+        (["sensitivity", "--benchmarks", "compress"], "read_mostly"),
+        (["figure3", "--quick", "--benchmarks", "su2cor"], "figure3"),
+    ], ids=["figure2", "characterize", "figure4", "sensitivity", "figure3"])
+    def test_bad_benchmarks_rejected_before_running(self, argv, named,
+                                                    capsys):
+        """Unknown names, and the flag on an experiment that runs a
+        fixed set, are usage errors that list what is valid."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--no-cache", "--no-manifest"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--benchmarks" in err and named in err
 
 
 class TestCLIEngineFlags:
@@ -59,10 +75,10 @@ class TestCLIEngineFlags:
 
     def test_jobs_parallel_matches_serial(self, capsys, tmp_path):
         serial = self.run_json(
-            self.F2 + ["--jobs", "1", "--no-cache", "--no-bench"],
+            self.F2 + ["--jobs", "1", "--no-cache"],
             tmp_path, "serial.json")
         parallel = self.run_json(
-            self.F2 + ["--jobs", "4", "--no-cache", "--no-bench"],
+            self.F2 + ["--jobs", "4", "--no-cache"],
             tmp_path, "parallel.json")
         assert serial == parallel
         capsys.readouterr()
@@ -70,18 +86,18 @@ class TestCLIEngineFlags:
     def test_cache_round_trip_reports_hits(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(self.F2 + ["--no-bench"]) == 0
+        assert main(self.F2) == 0
         cold = capsys.readouterr().out
         assert "0 hits" in cold
-        assert main(self.F2 + ["--no-bench"]) == 0
+        assert main(self.F2) == 0
         warm = capsys.readouterr().out
         assert "10 hits / 0 misses (100% hit rate)" in warm
 
     def test_seed_flag_changes_results(self, capsys, tmp_path):
         base = self.run_json(
-            self.F2 + ["--no-cache", "--no-bench"], tmp_path, "s0.json")
+            self.F2 + ["--no-cache"], tmp_path, "s0.json")
         seeded = self.run_json(
-            self.F2 + ["--no-cache", "--no-bench", "--seed", "9"],
+            self.F2 + ["--no-cache", "--seed", "9"],
             tmp_path, "s9.json")
         assert base != seeded
         capsys.readouterr()
@@ -95,7 +111,7 @@ class TestCLIEngineFlags:
 
         runs = tmp_path / "runs"
         monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
-        assert main(self.F2 + ["--no-cache", "--no-bench"]) == 0
+        assert main(self.F2 + ["--no-cache"]) == 0
         out = capsys.readouterr().out
         journals = list(runs.glob("*/journal.jsonl"))
         assert len(journals) == 1
@@ -112,13 +128,13 @@ class TestCLIEngineFlags:
 
     def test_trace_flag_is_gone(self):
         with pytest.raises(SystemExit):
-            main(self.F2 + ["--no-cache", "--no-bench", "--trace", "t.jsonl"])
+            main(self.F2 + ["--no-cache", "--trace", "t.jsonl"])
 
     def test_manifest_written_by_default(self, capsys, tmp_path,
                                          monkeypatch):
         runs = tmp_path / "runs"
         monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
-        assert main(self.F2 + ["--no-cache", "--no-bench"]) == 0
+        assert main(self.F2 + ["--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "run manifest:" in out
         manifests = list(runs.glob("*/manifest.json"))
@@ -132,22 +148,21 @@ class TestCLIEngineFlags:
                                                monkeypatch):
         runs = tmp_path / "runs"
         monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
-        assert main(self.F2 + ["--no-cache", "--no-bench",
-                               "--no-manifest"]) == 0
+        assert main(self.F2 + ["--no-cache", "--no-manifest"]) == 0
         out = capsys.readouterr().out
         assert "run manifest:" not in out
         assert not runs.exists()
 
-    def test_bench_file_written(self, capsys, tmp_path):
-        bench = tmp_path / "BENCH_harness.json"
-        assert main(self.F2 + ["--no-cache", "--bench", str(bench)]) == 0
-        data = json.loads(bench.read_text())
-        entry = data["experiments"]["figure2"]["cold"]
-        assert entry["jobs"] == 10
-        assert entry["workers"] == 1
-        assert entry["wall_seconds"] > 0
-        assert entry["temperature"] == "cold"
+    def test_bench_flags_are_gone(self, capsys, tmp_path, monkeypatch):
+        """A figure run writes no timing file into the working directory,
+        and the flag that used to skip it is an error."""
+        monkeypatch.chdir(tmp_path)
+        assert main(self.F2 + ["--no-cache"]) == 0
+        assert list(tmp_path.rglob("BENCH_*")) == []
         capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(self.F2 + ["--no-cache", "--no-bench"])
+        assert exit_info.value.code == 2
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(SystemExit):
@@ -159,7 +174,7 @@ class TestCLIJsonEverywhere:
 
     def test_handler100_json(self, capsys, tmp_path):
         path = tmp_path / "h100.json"
-        assert main(["handler100", "--quick", "--no-cache", "--no-bench",
+        assert main(["handler100", "--quick", "--no-cache",
                      "--json", str(path)]) == 0
         data = json.loads(path.read_text())
         assert {bar["label"] for bar in data["bars"]} == {"N", "S100"}
@@ -167,7 +182,7 @@ class TestCLIJsonEverywhere:
 
     def test_cc_vs_trap_json(self, capsys, tmp_path):
         path = tmp_path / "cc.json"
-        assert main(["cc-vs-trap", "--quick", "--no-cache", "--no-bench",
+        assert main(["cc-vs-trap", "--quick", "--no-cache",
                      "--json", str(path)]) == 0
         data = json.loads(path.read_text())
         assert {bar["label"] for bar in data["bars"]} == {"N", "CC1", "U1"}
@@ -176,7 +191,7 @@ class TestCLIJsonEverywhere:
     def test_branch_vs_exception_json(self, capsys, tmp_path):
         path = tmp_path / "bve.json"
         assert main(["branch-vs-exception", "--quick", "--no-cache",
-                     "--no-bench", "--json", str(path)]) == 0
+                     "--json", str(path)]) == 0
         data = json.loads(path.read_text())
         assert "E10" in {bar["label"] for bar in data["bars"]}
         capsys.readouterr()
@@ -198,7 +213,7 @@ class TestCLIJsonEverywhere:
 
     def test_sensitivity_json(self, capsys, tmp_path):
         path = tmp_path / "sens.json"
-        assert main(["sensitivity", "--no-bench", "--no-cache",
+        assert main(["sensitivity", "--no-cache",
                      "--benchmarks", "read_mostly",
                      "--json", str(path)]) == 0
         data = json.loads(path.read_text())

@@ -126,15 +126,6 @@ class TestBenchMode:
                             "micro/warn": "warn"}
         assert report["verdict"] == "regression"
 
-    def test_harness_style_walls(self):
-        entry = {"wall_seconds": 10.0}
-        a = {"schema": 2, "experiments": {"figure2": {"cold": entry}}}
-        b = {"schema": 2, "experiments": {"figure2": {
-            "cold": {"wall_seconds": 10.4}}}}
-        report = compare_bench(a, b)
-        assert report["timings"][0]["name"] == "figure2/cold"
-        assert report["verdict"] == "ok"
-
     def test_missing_names_are_noted_not_fatal(self):
         a = {"schema": 1, "microbenchmarks": {"timings": {"x": 1.0}}}
         b = {"schema": 1, "microbenchmarks": {"timings": {"y": 1.0}}}

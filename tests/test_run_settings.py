@@ -216,7 +216,7 @@ def test_harness_flags_reach_every_cell(tmp_path, capsys, monkeypatch):
     before = dict(os.environ)
     traces = tmp_path / "traces"
     assert main(["figure2", "--quick", "--benchmarks", "compress",
-                 "--no-cache", "--no-bench", "--sanitize",
+                 "--no-cache", "--sanitize",
                  "--trace-events", str(traces),
                  "--manifest-dir", str(tmp_path / "runs")]) == 0
     assert dict(os.environ) == before

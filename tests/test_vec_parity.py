@@ -125,8 +125,8 @@ def test_vec_runs_without_numpy():
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"PYTHONPATH": src}, capture_output=True,
-                         text=True, timeout=120)
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert [line.split()[0] for line in out.stdout.splitlines()] == [
         "ooo", "inorder"]

@@ -12,6 +12,9 @@ subprocess with a run journal, SIGKILLs it partway through the grid
    manifest must show ``replayed`` equal to the journal's completed
    count and ``executed`` covering exactly the remainder.
 
+The work directory (result cache, journals, manifests) is removed when
+every check passes; a failed run keeps it and prints its path.
+
 Usage::
 
     PYTHONPATH=src python tools/crash_resume_smoke.py [--backend vec]
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -57,18 +61,11 @@ def count_finishes(journal: Path) -> int:
     return sum(1 for r in records if r.get("rec") == "job_finish")
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--backend", choices=("interp", "vec"),
-                        default="interp")
-    parser.add_argument("--jobs", type=int, default=2)
-    args = parser.parse_args()
-
-    workdir = Path(tempfile.mkdtemp(prefix="crash-resume-"))
+def smoke(workdir: Path, args: argparse.Namespace) -> None:
     runs_root = workdir / "runs"
     env = dict(os.environ, REPRO_CACHE_DIR=str(workdir / "cache"))
     command = [sys.executable, "-m", "repro.harness", "figure2", "--quick",
-               "--jobs", str(args.jobs), "--no-bench",
+               "--jobs", str(args.jobs),
                "--manifest-dir", str(runs_root),
                "--backend", args.backend]
     print(f"launching: {' '.join(command[2:])}")
@@ -158,6 +155,21 @@ def main() -> int:
           f"(replayed={stats['replayed']}, executed={stats['executed']}, "
           f"cache_hits={stats['cache_hits']})")
 
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--backend", choices=("interp", "vec"),
+                        default="interp")
+    parser.add_argument("--jobs", type=int, default=2)
+    args = parser.parse_args()
+
+    workdir = Path(tempfile.mkdtemp(prefix="crash-resume-"))
+    try:
+        smoke(workdir, args)
+    except BaseException:
+        print(f"work directory kept: {workdir}", file=sys.stderr)
+        raise
+    shutil.rmtree(workdir)
     print("crash-resume smoke: all checks passed")
     return 0
 

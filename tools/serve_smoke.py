@@ -15,6 +15,9 @@ report the default ``vec`` backend, then:
 4. sends SIGTERM and requires a clean drain: exit code 0;
 5. boots with ``REPRO_BACKEND=turbo`` and requires exit code 2.
 
+The work directory (result cache, journals, manifests) is removed when
+every check passes; a failed run keeps it and prints its path.
+
 Usage::
 
     PYTHONPATH=src python tools/serve_smoke.py
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -66,8 +70,7 @@ def serve_command(workdir: Path, ready: Path):
             "--ready-file", str(ready)]
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
+def smoke(workdir: Path) -> None:
     ready = workdir / "ready"
     env = {k: v for k, v in os.environ.items() if k != BACKEND_ENV}
     process = subprocess.Popen(serve_command(workdir, ready), env=env)
@@ -157,6 +160,16 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+
+def main() -> int:
+    workdir = Path(tempfile.mkdtemp(prefix="serve-smoke-"))
+    try:
+        smoke(workdir)
+    except BaseException:
+        print(f"work directory kept: {workdir}", file=sys.stderr)
+        raise
+    shutil.rmtree(workdir)
     print("serve smoke: all checks passed")
     return 0
 

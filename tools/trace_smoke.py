@@ -16,6 +16,9 @@ ready-file handshake), then:
    (>= 2 pids, one root);
 4. sends SIGTERM and requires a clean drain: exit code 0.
 
+The work directory (result cache, journals, manifests) is removed when
+every check passes; a failed run keeps it and prints its path.
+
 Usage::
 
     PYTHONPATH=src python tools/trace_smoke.py
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -69,8 +73,7 @@ def check_spans(ref: str, *args: str) -> None:
              f"{proc.stderr}")
 
 
-def main() -> int:
-    workdir = Path(tempfile.mkdtemp(prefix="trace-smoke-"))
+def smoke(workdir: Path) -> None:
     ready = workdir / "ready"
     trace_dir = workdir / "trace"
     process = subprocess.Popen(
@@ -147,6 +150,16 @@ def main() -> int:
         if process.poll() is None:
             process.kill()
             process.wait(timeout=10)
+
+
+def main() -> int:
+    workdir = Path(tempfile.mkdtemp(prefix="trace-smoke-"))
+    try:
+        smoke(workdir)
+    except BaseException:
+        print(f"work directory kept: {workdir}", file=sys.stderr)
+        raise
+    shutil.rmtree(workdir)
     print("trace smoke: all checks passed")
     return 0
 
