@@ -2,10 +2,10 @@
 
 Unlike the figure/table benches in this directory (one expensive
 experiment per test), these isolate the inner loops the profiler blames:
-cache probe/fill, dynamic-stream generation, hierarchy access, and the two
-core cycle loops.  They exist to catch hot-path regressions early — run
-them before and after touching anything under ``repro.memory``,
-``repro.pipeline``, or the cores.
+cache probe/fill, dynamic-stream generation (as rows and as ``DynInst``
+objects), hierarchy access, and the two core cycle loops.  They exist to
+catch hot-path regressions early — run them before and after touching
+anything under ``repro.memory``, ``repro.pipeline``, or the cores.
 
 Usage::
 
@@ -36,6 +36,7 @@ check).
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -43,7 +44,7 @@ import pytest
 from repro.harness.runner import bar_config, run_bar
 from repro.memory.cache import Cache
 from repro.memory.config import CacheConfig
-from repro.pipeline.stream import StreamStack
+from repro.pipeline.stream import SharedStream, StreamStack
 from repro.workloads import spec92_workload
 
 #: Committed timing snapshot (see ``record`` below).
@@ -55,6 +56,13 @@ RECORD = os.environ.get("REPRO_HOTPATH_RECORD") == "1"
 #: Redirect the recorded snapshot (perf-gate: record fresh timings next
 #: to, not over, the committed baseline).
 RECORD_TO = os.environ.get("REPRO_HOTPATH_RECORD_TO") or BENCH_PATH
+
+#: Timing rule of a record: a sample repeats a scenario until it has run
+#: for SAMPLE_SECONDS, and the record is the median over SAMPLES samples
+#: of seconds per call.  Millisecond scenarios timed once per sample are
+#: bimodal on a loaded host; a few hundred milliseconds of calls are not.
+SAMPLE_SECONDS = 0.2
+SAMPLES = 5
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -100,8 +108,17 @@ def cache_fill_evictions() -> int:
     return evicted
 
 
+def row_generation() -> int:
+    """Row generation for 20k instructions, drawn through one
+    SharedStream as a vec cell draws them."""
+    stream = SharedStream(spec92_workload("compress").rows(20_000))
+    stream.grow(20_000)
+    return len(stream.insts)
+
+
 def stream_generation() -> int:
-    """Workload generation + fetch plumbing for 20k instructions."""
+    """Workload generation as ``DynInst`` objects + fetch plumbing for
+    20k instructions (the interp cores' path)."""
     workload = spec92_workload("compress")
     stack = StreamStack(workload.stream(20_000))
     fetched = 0
@@ -137,6 +154,7 @@ SCENARIOS = {
     "calibration": calibration,
     "cache_probe_hits": cache_probe_hits,
     "cache_fill_evictions": cache_fill_evictions,
+    "row_generation": row_generation,
     "stream_generation": stream_generation,
     "inorder_10k": inorder_10k,
     "ooo_10k": ooo_10k,
@@ -148,6 +166,7 @@ EXPECTED = {
     "calibration": 21,
     "cache_probe_hits": 40 * 256,
     "cache_fill_evictions": 20 * 512 - 128,
+    "row_generation": 20_000,
     "stream_generation": 20_000,
 }
 
@@ -161,10 +180,28 @@ def test_hotpath(name, benchmark):
         assert value > 0  # cycle counts; exactness lives in golden parity
 
 
+def seconds_per_call(func) -> float:
+    """Median over :data:`SAMPLES` samples of *func*'s seconds per call;
+    a sample calls it until :data:`SAMPLE_SECONDS` have passed."""
+    samples = []
+    for _ in range(SAMPLES):
+        calls = 0
+        start = time.perf_counter()
+        while True:
+            func()
+            calls += 1
+            elapsed = time.perf_counter() - start
+            if elapsed >= SAMPLE_SECONDS:
+                break
+        samples.append(elapsed / calls)
+    return statistics.median(samples)
+
+
 def test_record_snapshot():
     """Rewrite BENCH_hotpath.json (opt-in via REPRO_HOTPATH_RECORD=1).
 
-    Times each scenario best-of-3 with perf_counter and merges the numbers
+    Times each scenario by the :data:`SAMPLES` x :data:`SAMPLE_SECONDS`
+    rule (:func:`seconds_per_call`) and merges the numbers
     into the committed snapshot, preserving any other sections (the cold
     figure2 wall-time evidence is maintained by hand — it needs a paired
     baseline measurement on the same machine in the same sitting).
@@ -178,22 +215,16 @@ def test_record_snapshot():
         pytest.skip("set REPRO_HOTPATH_RECORD=1 to rewrite BENCH_hotpath.json")
     from repro.exec import atomic_write_json
 
-    timings = {}
-    for name, func in sorted(SCENARIOS.items()):
-        best = None
-        for _ in range(3):
-            start = time.perf_counter()
-            func()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None or elapsed < best else best
-        timings[name] = round(best, 4)
+    timings = {name: round(seconds_per_call(func), 6)
+               for name, func in sorted(SCENARIOS.items())}
     payload = {}
     if os.path.exists(RECORD_TO):
         with open(RECORD_TO) as fh:
             payload = json.load(fh)
     payload["schema"] = 1
     payload["microbenchmarks"] = {
-        "unit": "seconds (best of 3)",
+        "unit": f"seconds per call (median of {SAMPLES} samples of "
+                f">= {SAMPLE_SECONDS} s)",
         "timings": timings,
     }
     atomic_write_json(RECORD_TO, payload)

@@ -27,7 +27,12 @@ from repro.core.handlers import (
     SINGLE_HANDLER_BASE_PC,
 )
 from repro.core.engine import InformingEngine
-from repro.core.instrumentation import add_cc_checks, add_mhar_sets
+from repro.core.instrumentation import (
+    add_cc_check_rows,
+    add_cc_checks,
+    add_mhar_set_rows,
+    add_mhar_sets,
+)
 
 __all__ = [
     "InformingConfig",
@@ -38,6 +43,8 @@ __all__ = [
     "CallbackHandler",
     "SINGLE_HANDLER_BASE_PC",
     "InformingEngine",
+    "add_cc_check_rows",
     "add_cc_checks",
+    "add_mhar_set_rows",
     "add_mhar_sets",
 ]

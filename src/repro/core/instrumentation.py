@@ -9,7 +9,9 @@ to the instruction stream even when every reference hits:
   to point the MHAR at that reference's handler (Section 2.2).
 
 Both rewriters are lazy generators so multi-hundred-thousand-instruction
-traces never materialise.
+traces never materialise.  Each has a row twin (:mod:`repro.isa.rows`)
+for the generated streams; the ``DynInst`` pair serves interp's
+instrumented streams and hand-built traces.
 """
 
 from __future__ import annotations
@@ -18,11 +20,7 @@ from typing import Iterable, Iterator
 
 from repro.isa.instructions import DynInst, mhar_set
 from repro.isa.opclass import OpClass
-
-
-def _is_informing_ref(inst: DynInst) -> bool:
-    return (inst.informing and not inst.handler_code
-            and inst.op in (OpClass.LOAD, OpClass.STORE))
+from repro.isa.rows import OP_LOAD, OP_STORE, to_row
 
 
 def add_cc_checks(stream: Iterable[DynInst]) -> Iterator[DynInst]:
@@ -64,3 +62,29 @@ def add_mhar_sets(stream: Iterable[DynInst]) -> Iterator[DynInst]:
                 and (inst.op is op_load or inst.op is op_store)):
             yield mhar_set(pc=inst.pc + 2)
         yield inst
+
+
+def _add_rows(rows: Iterable[tuple], inst: DynInst, offset: int,
+              before: bool) -> Iterator[tuple]:
+    """Insert *inst*'s row, at the reference's pc + *offset*, before or
+    after every informing load/store row."""
+    head, tail = to_row(inst)[:7], to_row(inst)[9:]
+    op_load, op_store = OP_LOAD, OP_STORE
+    for row in rows:
+        op = row[0]
+        if (op == op_load or op == op_store) and row[9] and not row[10]:
+            pc = row[7] + offset
+            added = head + (pc, pc >> 5) + tail
+            yield from ((added, row) if before else (row, added))
+        else:
+            yield row
+
+
+def add_cc_check_rows(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """:func:`add_cc_checks` over rows."""
+    return _add_rows(rows, DynInst(OpClass.BLMISS), 1, before=False)
+
+
+def add_mhar_set_rows(rows: Iterable[tuple]) -> Iterator[tuple]:
+    """:func:`add_mhar_sets` over rows."""
+    return _add_rows(rows, mhar_set(), 2, before=True)

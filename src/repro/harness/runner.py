@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import (
     GenericHandler,
     InformingConfig,
     Mechanism,
     TrapStyle,
+    add_cc_check_rows,
     add_cc_checks,
+    add_mhar_set_rows,
     add_mhar_sets,
 )
 from repro.harness.configs import MACHINES, MachineSpec, build_core
@@ -48,17 +50,18 @@ def stream_bound(instructions: int, warmup: int) -> int:
 
 
 #: The streams of the benchmark this process ran last, keyed by
-#: (benchmark, workload seed, stream bound, variant, row function).  A cell
-#: of any other benchmark, seed or bound replaces them all.
-_STREAMS: Dict[Tuple[str, int, int, str, Optional[Callable]],
-               SharedStream] = {}
+#: (benchmark, workload seed, stream bound, variant, rows).  A cell of
+#: any other benchmark, seed or bound replaces them all, and so does any
+#: cell after one of them has failed.
+_STREAMS: Dict[Tuple[str, int, int, str, bool], SharedStream] = {}
 _STREAMS_LOCK = threading.Lock()
-_INSTRUMENT = {"mhar": add_mhar_sets, "cc": add_cc_checks}
+_INSTRUMENT = {("mhar", False): add_mhar_sets, ("cc", False): add_cc_checks,
+               ("mhar", True): add_mhar_set_rows,
+               ("cc", True): add_cc_check_rows}
 
 
 def shared_stream(benchmark: str, seed: int, bound: int,
-                  variant: str = "plain",
-                  each: Optional[Callable] = None) -> SharedStream:
+                  variant: str = "plain", rows: bool = False) -> SharedStream:
     """One cell's application stream, shared with its benchmark's cells.
 
     *variant* is ``"plain"``, ``"mhar"`` (:func:`add_mhar_sets`) or
@@ -70,32 +73,34 @@ def shared_stream(benchmark: str, seed: int, bound: int,
     ``spec92_workload(benchmark, seed_offset=seed).stream(bound)`` (plus
     the variant's rewriter) would yield.
 
-    *each*, if given, is applied to every instruction of the variant
-    (the vec backend passes its row builder): the result is one more
-    stream in the cache, drawn from the variant's and evicted with it.
+    With *rows* (the vec backend), the items are rows: the generator's
+    ``rows(bound)`` and the rewriters' row twins, with no ``DynInst``
+    built.  A stream whose source raised (:attr:`SharedStream.failed`)
+    is never handed out again: the next call regenerates from the seed.
     """
-    if variant != "plain" and variant not in _INSTRUMENT:
+    if variant != "plain" and (variant, rows) not in _INSTRUMENT:
         raise ValueError(f"unknown stream variant {variant!r}; expected "
                          f"'plain', 'mhar' or 'cc'")
     with _STREAMS_LOCK:
-        return _cached_stream(benchmark, seed, bound, variant, each)
+        if any(stream.failed is not None for stream in _STREAMS.values()):
+            _STREAMS.clear()
+        return _cached_stream(benchmark, seed, bound, variant, rows)
 
 
-def _cached_stream(benchmark, seed, bound, variant, each) -> SharedStream:
+def _cached_stream(benchmark, seed, bound, variant, rows) -> SharedStream:
     """The cached stream for one key, made (with what it draws from) on
     first use; the caller holds ``_STREAMS_LOCK``."""
-    key = (benchmark, seed, bound, variant, each)
+    key = (benchmark, seed, bound, variant, rows)
     stream = _STREAMS.get(key)
     if stream is None:
-        if each is not None:
-            source = map(each, _cached_stream(benchmark, seed, bound,
-                                              variant, None))
-        elif variant != "plain":
-            source = _INSTRUMENT[variant](_cached_stream(
-                benchmark, seed, bound, "plain", None))
+        if variant != "plain":
+            source = _INSTRUMENT[variant, rows](_cached_stream(
+                benchmark, seed, bound, "plain", rows))
         else:
-            _STREAMS.clear()
-            source = spec92_workload(benchmark, seed_offset=seed).stream(bound)
+            if any(k[:3] != key[:3] for k in _STREAMS):
+                _STREAMS.clear()
+            workload = spec92_workload(benchmark, seed_offset=seed)
+            source = workload.rows(bound) if rows else workload.stream(bound)
         stream = _STREAMS[key] = SharedStream(source)
     return stream
 

@@ -36,7 +36,8 @@ _REFILL_CHUNK = 64
 
 
 class StreamError(RuntimeError):
-    """Raised on rewinds to unavailable points (a core bug, not a workload)."""
+    """Raised on rewinds to unavailable points (a core bug, not a
+    workload), and on reads past the end of a failed source."""
 
 
 class FetchPoint(NamedTuple):
@@ -49,8 +50,8 @@ class FetchPoint(NamedTuple):
 class SharedStream:
     """An instruction source drawn once into an append-only list.
 
-    The items are ``DynInst`` objects, or the vec backend's row tuples
-    when the source maps another stream to rows.
+    The items are ``DynInst`` objects, or rows (:mod:`repro.isa.rows`)
+    when the source is the row generator or a row rewriter over it.
 
     Any number of frames, iterators and threads may read ``insts``
     concurrently.  Only :meth:`grow` draws from the source, under the
@@ -59,12 +60,18 @@ class SharedStream:
     sees a partial chunk.  A stream derived from another (an
     instrumentation pass over an iterator of it) takes its own lock, then
     the base stream's: locks are always taken derived-first.
+
+    A source that raises has lost the chunk it was drawing and is
+    finished: :attr:`failed` keeps the error, which the :meth:`grow` that
+    drew it raises, and every later one raises a :class:`StreamError`
+    chained to it instead of ending the stream early.
     """
 
-    __slots__ = ("insts", "_source", "_lock", "__weakref__")
+    __slots__ = ("insts", "failed", "_source", "_lock", "__weakref__")
 
     def __init__(self, source: Iterable[DynInst]) -> None:
         self.insts: List[DynInst] = []
+        self.failed: Optional[BaseException] = None
         self._source: Optional[Iterator[DynInst]] = iter(source)
         self._lock = threading.Lock()
 
@@ -74,11 +81,19 @@ class SharedStream:
         insts = self.insts
         with self._lock:
             while len(insts) <= index and self._source is not None:
-                chunk = list(islice(self._source, _REFILL_CHUNK))
+                try:
+                    chunk = list(islice(self._source, _REFILL_CHUNK))
+                except BaseException as exc:
+                    self.failed = exc
+                    self._source = None
+                    raise
                 if chunk:
                     insts.extend(chunk)
                 else:
                     self._source = None
+            if self.failed is not None and len(insts) <= index:
+                raise StreamError("the stream's source failed; "
+                                  "regenerate it") from self.failed
         return index < len(insts)
 
     def __iter__(self) -> Iterator[DynInst]:

@@ -7,11 +7,12 @@ interface:
   :mod:`repro.inorder` and :mod:`repro.ooo`.  Always available; the
   harness CLI's default.
 * ``vec`` — this package.  A cell replays its benchmark's stream as
-  plain-int row tuples (op codes, addresses, register ids — see
-  :mod:`repro.vec.decode`), drawn from the same per-process stream
-  cache interp reads (:func:`repro.harness.runner.shared_stream`), so
-  every grid cell of a benchmark shares one generated stream on either
-  backend.  Event-driven flat replay kernels (:mod:`repro.vec.inorder`,
+  the plain-int row tuples the workload generator emits (op codes,
+  addresses, register ids — see :mod:`repro.isa.rows`), drawn from
+  the same per-process stream cache interp reads
+  (:func:`repro.harness.runner.shared_stream` with ``rows=True``), so
+  every grid cell of a benchmark shares one generated stream and no
+  ``DynInst`` is built.  Event-driven flat replay kernels (:mod:`repro.vec.inorder`,
   :mod:`repro.vec.ooo`) advance it and reuse the interp backend's
   memory hierarchy objects — replacement policies included — so the
   simulated statistics are **digit-exact** with ``interp``.  Like the

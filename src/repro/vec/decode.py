@@ -1,84 +1,17 @@
-"""Row layout of the flat replay kernels, and the function that builds a row.
+"""Miss-handler frames for the flat replay kernels.
 
-The vec kernels (:mod:`repro.vec.inorder`, :mod:`repro.vec.ooo`) replay
-one plain-int tuple per instruction instead of a ``DynInst``: one list
-index per fetched instruction instead of one attribute load per field,
-and issue dispatch switches on a precomputed class.  A cell's rows are
-one more :class:`repro.pipeline.stream.SharedStream` in the one stream
-cache, :func:`repro.harness.runner.shared_stream` called with
-``each=to_row``: :func:`to_row` mapped over the variant's ``DynInst``
-stream.  Both backends therefore read one generated, instrumented
-stream per benchmark, grown 64 instructions at a time as the cells
-fetch, under one lock rule and one eviction rule.
-
-Row slot order (everything is an int; ``-1`` encodes "absent"):
-``op`` (dense :attr:`OpClass.op_code`), ``fu`` (dense FU code),
-``dest``, ``src1``, ``src2``, ``addr``, ``taken`` (-1/0/1), ``pc``,
-``line`` (``pc >> 5``, the fetch-line key both cores use), ``inf``
-(informing flag), ``hand`` (handler-code flag), ``ovh`` (overhead
-classification: handler code, ``MHAR_SET``, ``BLMISS`` or
-``PREFETCH`` — the exact commit-classification predicate of both
-cores, precomputed), ``cls`` (issue dispatch class: 0 plain ALU-like,
-1 memory, 2 branch, 3 blmiss — collapses the op-identity chains the
-interp issue loops evaluate per instruction into one precomputed
-switch value).
+The vec kernels replay generated rows (:mod:`repro.isa.rows`) from
+:func:`repro.harness.runner.shared_stream` with ``rows=True``, so a vec
+cell builds no ``DynInst``; :class:`FlatHandlers` builds the handler
+frame each informing miss pushes, as rows too.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.isa.instructions import DynInst
-from repro.isa.opclass import FU_BRANCH, FU_INT, OpClass
-
-# Dense op codes the replay kernels switch on.
-OP_IALU = OpClass.IALU.op_code
-OP_LOAD = OpClass.LOAD.op_code
-OP_STORE = OpClass.STORE.op_code
-OP_PREFETCH = OpClass.PREFETCH.op_code
-OP_MHRR_JUMP = OpClass.MHRR_JUMP.op_code
-
-# Issue dispatch classes (the ``cls`` slot, row slot 12).
-CLS_PLAIN = 0
-CLS_MEM = 1
-CLS_BRANCH = 2
-CLS_BLMISS = 3
-
-#: Row slot names, in slot order.
-COLUMNS = ("op", "fu", "dest", "src1", "src2", "addr", "taken", "pc",
-           "line", "inf", "hand", "ovh", "cls")
-
-#: fu code, overhead flag and dispatch class per op code (op_code is
-#: declaration order).
-_FU_BY_OP = [op.fu_code for op in OpClass]
-_OVH_BY_OP = [1 if op in (OpClass.MHAR_SET, OpClass.BLMISS,
-                          OpClass.PREFETCH) else 0 for op in OpClass]
-_CLS_BY_OP = [CLS_MEM if op in (OpClass.LOAD, OpClass.STORE,
-                                OpClass.PREFETCH)
-              else CLS_BRANCH if op is OpClass.BRANCH
-              else CLS_BLMISS if op is OpClass.BLMISS
-              else CLS_PLAIN for op in OpClass]
-
-
-def to_row(inst: DynInst) -> tuple:
-    """*inst* as a row tuple in :data:`COLUMNS` slot order."""
-    code = inst.op.op_code
-    dest = inst.dest
-    srcs = inst.srcs
-    n_srcs = len(srcs)
-    if n_srcs > 2:
-        raise ValueError(
-            "vec decode supports at most two source registers per "
-            f"instruction, got {n_srcs} at pc {inst.pc:#x}")
-    addr = inst.addr
-    taken = inst.taken
-    pc = inst.pc
-    hand = 1 if inst.handler_code else 0
-    return (code, _FU_BY_OP[code], -1 if dest is None else dest,
-            srcs[0] if n_srcs else -1, srcs[1] if n_srcs > 1 else -1,
-            -1 if addr is None else addr, -1 if taken is None else int(taken),
-            pc, pc >> 5, 1 if inst.informing else 0, hand,
-            hand or _OVH_BY_OP[code], _CLS_BY_OP[code])
+from repro.isa.opclass import FU_BRANCH, FU_INT
+from repro.isa.rows import CLS_PLAIN, OP_IALU, OP_MHRR_JUMP
 
 
 class FlatHandlers:

@@ -5,7 +5,7 @@ This kernel advances the same machine state as
 ``MemoryHierarchy``/``MSHRFile``/``MainMemory`` objects, the same
 predictor table, and the same ``GraduationStats``/``MemStats``
 accounting — but replaces the object-per-instruction stream side with
-row tuples in the :mod:`repro.vec.decode` layout:
+row tuples in the :mod:`repro.isa.rows` layout:
 
 * instructions are 13-tuples of plain ints read out of a shared row
   list; no ``DynInst``, ``FetchPoint`` or ``StreamStack`` objects
@@ -33,8 +33,7 @@ from collections import deque
 
 from repro.core.mechanisms import Mechanism, return_pc
 from repro.isa.registers import NUM_REGS
-from repro.pipeline.stream import SharedStream
-from repro.vec.decode import (
+from repro.isa.rows import (
     CLS_BLMISS,
     CLS_BRANCH,
     CLS_MEM,
@@ -42,8 +41,9 @@ from repro.vec.decode import (
     OP_LOAD,
     OP_PREFETCH,
     OP_STORE,
-    FlatHandlers,
 )
+from repro.pipeline.stream import SharedStream
+from repro.vec.decode import FlatHandlers
 
 
 def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,

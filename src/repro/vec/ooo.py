@@ -11,7 +11,7 @@ The replay entry mirrors ``repro.ooo.core._Entry`` field-for-field
 but is a plain list (a class instance costs ~3x as much to allocate,
 and tens of thousands of entries are created per cell).  Slot layout::
 
-    0 row     decoded 13-tuple (repro.vec.decode.COLUMNS order)
+    0 row     13-tuple (repro.isa.rows.COLUMNS order)
     1 serial  stream frame serial (0 = app stream)
     2 idx     index within the frame
     3 seq     dispatch order, unique per entry
@@ -38,16 +38,16 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.mechanisms import Mechanism, TrapStyle, return_pc
-from repro.pipeline.stream import SharedStream
-from repro.vec.decode import (
+from repro.isa.rows import (
     CLS_BLMISS,
     CLS_BRANCH,
     CLS_MEM,
     OP_LOAD,
     OP_PREFETCH,
     OP_STORE,
-    FlatHandlers,
 )
+from repro.pipeline.stream import SharedStream
+from repro.vec.decode import FlatHandlers
 
 
 def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,

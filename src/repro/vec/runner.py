@@ -2,10 +2,11 @@
 
 `run_bar_vec` is the vec twin of :func:`repro.harness.runner.run_bar`:
 same arguments, same :class:`BarResult`, digit-exact statistics.  The
-difference is purely mechanical — the cell reads its stream as row
-tuples (:func:`repro.vec.decode.to_row`) from the per-process stream
-cache (:func:`repro.harness.runner.shared_stream`), and the flat kernels
-replay them instead of the object interpreters.
+difference is purely mechanical — the cell reads its stream as rows
+(:mod:`repro.isa.rows`), generated and instrumented as rows, from the
+per-process stream cache (:func:`repro.harness.runner.shared_stream`
+with ``rows=True``), and the flat kernels replay them instead of the
+object interpreters.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from repro.harness.runner import (
     shared_stream,
     stream_bound,
 )
-from repro.vec.decode import to_row
 from repro.vec.inorder import run_inorder_vec
 from repro.vec.ooo import run_ooo_vec
 
@@ -45,7 +45,7 @@ def run_bar_vec(
                       replacement_policy=policy,
                       replacement_seed=derive_seed(seed))
     stream = shared_stream(benchmark, seed, stream_bound(instructions, warmup),
-                           bar.per_ref_instrumentation or "plain", each=to_row)
+                           bar.per_ref_instrumentation or "plain", rows=True)
     kernel = run_ooo_vec if spec.out_of_order else run_inorder_vec
     stats = kernel(core, stream, max_app_insts=instructions + warmup,
                    warmup_insts=warmup)

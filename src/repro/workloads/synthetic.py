@@ -15,11 +15,12 @@ dynamic instruction stream on every run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Tuple
 
 from repro.isa.instructions import DynInst
 from repro.isa.opclass import OpClass
+from repro.isa.rows import CLS_BY_OP, FU_BY_OP, OVH_BY_OP, from_row
 from repro.workloads.patterns import AccessPattern
 
 # Register conventions for generated code (integer file is 1..31):
@@ -79,7 +80,7 @@ class WorkloadSpec:
 
 
 class SyntheticWorkload:
-    """Instantiates a spec: builds the static body, then streams DynInsts."""
+    """Instantiates a spec: builds the static body, then streams rows."""
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
@@ -120,40 +121,44 @@ class SyntheticWorkload:
         return slots
 
     # -- dynamic stream -------------------------------------------------------
-    def stream(self, n_instructions: int,
-               informing: bool = True) -> Iterator[DynInst]:
-        """Yield exactly *n_instructions* dynamic instructions."""
+    def rows(self, n_instructions: int,
+             informing: bool = True) -> Iterator[tuple]:
+        """Yield exactly *n_instructions* dynamic instructions as rows
+        (:mod:`repro.isa.rows`)."""
         spec = self.spec
         rng = random.Random(spec.seed ^ 0x5EED)
         pattern = spec.pattern_factory()
         pattern.reset()
         serial_chase = pattern.serial
-        base_pc = spec.base_pc
         window = spec.dependence_window
+        inf = 1 if informing else 0
         int_next = 0
         mem_next = 0
         fp_next = 0
-        last_load_dest: Optional[int] = None
+        last_load_dest = -1
         recent_int: List[int] = []
         emitted = 0
 
-        # Hot-loop bindings: this generator produces one object per
-        # simulated instruction, so attribute and global lookups inside the
-        # loop are paid hundreds of thousands of times per experiment.
-        dyninst = DynInst
-        op_load = OpClass.LOAD
-        op_store = OpClass.STORE
-        op_branch = OpClass.BRANCH
+        # Hot-loop bindings: this generator produces one row per
+        # simulated instruction, so attribute and global lookups inside
+        # the loop are paid hundreds of thousands of times per experiment.
         rng_random = rng.random
         rng_randrange = rng.randrange
         next_address = pattern.next_address
         load_use_fraction = spec.load_use_fraction
-        # Pre-resolve per-slot pcs once; the template never changes.
-        template = [(slot[0], slot[1], base_pc + 4 * index)
-                    for index, slot in enumerate(self._template)]
+        # Each slot's constant row fields, resolved once: the template
+        # never changes.
+        template = []
+        for index, (kind, payload) in enumerate(self._template):
+            op = (payload if kind == _KIND_INT or kind == _KIND_FP
+                  else OpClass.BRANCH if kind == _KIND_BRANCH
+                  else OpClass.STORE if payload else OpClass.LOAD)
+            code, pc = op.op_code, spec.base_pc + 4 * index
+            template.append((kind, payload, code, FU_BY_OP[code], pc,
+                             pc >> 5, OVH_BY_OP[code], CLS_BY_OP[code]))
 
         while emitted < n_instructions:
-            for kind, payload, pc in template:
+            for kind, payload, code, fu, pc, line, ovh, cls in template:
                 if emitted >= n_instructions:
                     return
 
@@ -161,32 +166,31 @@ class SyntheticWorkload:
                     addr = next_address()
                     if payload:  # store
                         src = recent_int[-1] if recent_int else _INT_WINDOW_BASE
-                        yield dyninst(op_store, srcs=(src,), addr=addr,
-                                      pc=pc, informing=informing)
+                        yield (code, fu, -1, src, -1, addr, -1, pc, line,
+                               inf, 0, ovh, cls)
                     elif serial_chase:
-                        yield dyninst(op_load, dest=_CHASE_REG,
-                                      srcs=(_CHASE_REG,), addr=addr, pc=pc,
-                                      informing=informing)
+                        yield (code, fu, _CHASE_REG, _CHASE_REG, -1, addr, -1,
+                               pc, line, inf, 0, ovh, cls)
                         last_load_dest = _CHASE_REG
                     else:
                         dest = _MEM_WINDOW_BASE + mem_next
                         mem_next = (mem_next + 1) % _MEM_WINDOW_SIZE
-                        yield dyninst(op_load, dest=dest, addr=addr,
-                                      pc=pc, informing=informing)
+                        yield (code, fu, dest, -1, -1, addr, -1, pc, line,
+                               inf, 0, ovh, cls)
                         last_load_dest = dest
                 elif kind == _KIND_INT:
                     dest = _INT_WINDOW_BASE + int_next
                     int_next = (int_next + 1) % window
-                    srcs: Tuple[int, ...]
-                    if (last_load_dest is not None
+                    if (last_load_dest >= 0
                             and rng_random() < load_use_fraction):
-                        srcs = (last_load_dest,)
-                        last_load_dest = None
+                        src = last_load_dest
+                        last_load_dest = -1
                     elif recent_int:
-                        srcs = (recent_int[rng_randrange(len(recent_int))],)
+                        src = recent_int[rng_randrange(len(recent_int))]
                     else:
-                        srcs = ()
-                    yield dyninst(payload, dest=dest, srcs=srcs, pc=pc)
+                        src = -1
+                    yield (code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
+                           ovh, cls)
                     recent_int.append(dest)
                     if len(recent_int) > window:
                         recent_int.pop(0)
@@ -194,14 +198,21 @@ class SyntheticWorkload:
                     dest = _FP_WINDOW_BASE + fp_next
                     prev = _FP_WINDOW_BASE + (fp_next - 1) % _FP_WINDOW_SIZE
                     fp_next = (fp_next + 1) % _FP_WINDOW_SIZE
-                    srcs = (prev,) if rng_random() < 0.5 else ()
-                    yield dyninst(payload, dest=dest, srcs=srcs, pc=pc)
+                    src = prev if rng_random() < 0.5 else -1
+                    yield (code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
+                           ovh, cls)
                 else:  # branch
-                    taken = rng_random() < payload
+                    taken = 1 if rng_random() < payload else 0
                     src = recent_int[-1] if recent_int else _INT_WINDOW_BASE
-                    yield dyninst(op_branch, srcs=(src,), taken=taken,
-                                  pc=pc)
+                    yield (code, fu, -1, src, -1, -1, taken, pc, line, 1, 0,
+                           ovh, cls)
                 emitted += 1
+
+    def stream(self, n_instructions: int,
+               informing: bool = True) -> Iterator[DynInst]:
+        """Yield exactly *n_instructions* dynamic instructions: the
+        :meth:`rows`, read back as ``DynInst`` objects."""
+        return map(from_row, self.rows(n_instructions, informing))
 
     # -- introspection ---------------------------------------------------------
     def static_reference_pcs(self) -> List[int]:

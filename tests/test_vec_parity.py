@@ -99,7 +99,7 @@ def test_parity_on_warmup_equal_run():
 def test_row_rejects_more_than_two_sources():
     from repro.isa.instructions import DynInst
     from repro.isa.opclass import OpClass
-    from repro.vec.decode import to_row
+    from repro.isa.rows import to_row
 
     assert to_row(DynInst(OpClass.IALU, dest=3, srcs=(1, 2)))[2:5] == (
         3, 1, 2)
