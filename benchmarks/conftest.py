@@ -55,3 +55,18 @@ def _claims_run_under_benchmark_only(benchmark):
     of the timed tests; pull in the benchmark fixture so ``pytest
     benchmarks/ --benchmark-only`` runs them instead of skipping them."""
     return benchmark
+
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+_UNUSED_FIXTURE = pytest.mark.filterwarnings(
+    "ignore:Benchmark fixture was not used"
+    ":pytest_benchmark.logger.PytestBenchmarkWarning")
+
+
+def pytest_collection_modifyitems(items):
+    """A claim test holds the benchmark fixture (above) without timing
+    anything, which pytest-benchmark reports as a warning per test;
+    that is by design here, so the warning is filtered, not the test."""
+    for item in items:
+        if str(item.path).startswith(_HERE + os.sep):
+            item.add_marker(_UNUSED_FIXTURE)

@@ -26,6 +26,7 @@ def test_branch_vs_exception_runs(run_once):
 
 
 def test_exception_style_costs_more(bve_result):
+    """Needs the full stream length: it fails with REPRO_BENCH_QUICK=1."""
     s1 = bve_result.get("compress", "ooo", "S1").normalized
     e1 = bve_result.get("compress", "ooo", "E1").normalized
     s10 = bve_result.get("compress", "ooo", "S10").normalized
@@ -35,7 +36,8 @@ def test_exception_style_costs_more(bve_result):
 
 
 def test_extra_cost_in_paper_ballpark(bve_result):
-    """Paper: +9% (1-inst) and +7% (10-inst); accept 2-25%."""
+    """Paper: +9% (1-inst) and +7% (10-inst); accept 2-25%.  Needs the
+    full stream length: it fails with REPRO_BENCH_QUICK=1."""
     s1 = bve_result.get("compress", "ooo", "S1").normalized
     e1 = bve_result.get("compress", "ooo", "E1").normalized
     s10 = bve_result.get("compress", "ooo", "S10").normalized

@@ -27,6 +27,7 @@ def test_figure3_runs(run_once):
 
 
 def test_in_order_blowup(figure3_result):
+    """Needs the full stream length: it fails with REPRO_BENCH_QUICK=1."""
     s10 = figure3_result.get("su2cor", "inorder", "S10")
     assert s10.normalized > 1.8  # paper: ~3x
     baseline = figure3_result.get("su2cor", "inorder", "N")
@@ -43,6 +44,7 @@ def test_out_of_order_only_modestly_affected(figure3_result):
 
 
 def test_conflicts_come_from_the_direct_mapped_cache(figure3_result):
+    """Needs the full stream length: it fails with REPRO_BENCH_QUICK=1."""
     in_order_miss = figure3_result.get("su2cor", "inorder", "N").l1_miss_rate
     ooo_miss = figure3_result.get("su2cor", "ooo", "N").l1_miss_rate
     assert in_order_miss > 1.5 * ooo_miss

@@ -4,10 +4,12 @@ One :class:`Gateway` owns the whole request path between the HTTP layer
 and the exec engine::
 
     request -> token bucket (per tenant) -> spec validation
-            -> content-addressed cache probe          (hit: answer now)
+            -> settled results in memory              (hit: answer now)
+            -> content-addressed cache probe          (hit: remember, answer)
             -> in-flight coalescing on the cache key  (dup: join the run)
             -> bounded admission queue                (full: 503)
             -> worker shard -> JobRunner -> result + run manifest
+                                                      (remember on finish)
 
 Worker shards are asyncio tasks that hand admitted tickets to a
 ``ThreadPoolExecutor`` (one thread per shard) where a per-request
@@ -22,6 +24,16 @@ Coalescing: two identical in-flight requests share one
 :class:`Ticket` — the engine runs once, both responses are fed from the
 same future, and the ``serve.coalesced`` counter records the join.
 
+Settled results: ``settled`` is the finished counterpart of
+``in_flight``, a map from cache key to result holding at most
+:data:`MAX_SETTLED` results, least recently served evicted first.  A
+result enters it only after passing the blob's crc check on a disk hit,
+or when this gateway's own run finishes, so a re-request reads no blob.
+A hit from memory answers exactly as a disk hit does (``cache: "hit"``,
+``serve.cache_hits``); ``serve.memory_hits`` counts the share served
+from memory.  Failed jobs are never remembered, and remembered results
+are shared read-only.  Only the event-loop thread touches the map.
+
 Every decision increments a counter or histogram in an
 :class:`repro.obs.metrics.Registry`, exported at ``/metrics`` as
 OpenMetrics by the app layer.
@@ -32,6 +44,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
@@ -42,6 +55,9 @@ from repro.obs.metrics import Registry
 from repro.serve.spec import SpecError, validate_job_spec
 from repro.trace import maybe_tracer, parse_traceparent
 from repro.vec import resolve_backend
+
+#: Most settled results a gateway keeps in memory (about 1.5 KB each).
+MAX_SETTLED = 1024
 
 
 class RateLimited(Exception):
@@ -214,6 +230,9 @@ class Gateway:
                if self.options.cache_dir else {}),
             max_bytes=self.options.cache_max_bytes)
         self.in_flight: Dict[str, Ticket] = {}
+        #: Results this gateway verified or ran, by cache key, least
+        #: recently served first (see the module docstring).
+        self.settled: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self.buckets: Dict[str, TokenBucket] = {}
         self.draining = False
         self.journal = None
@@ -494,7 +513,14 @@ class Gateway:
 
         probe_span = (tracer.start_span("cache.probe", parent=root)
                       if tracer is not None else None)
-        cached = self.cache.get(job)
+        cached = self.settled.get(key)
+        if cached is not None:
+            self.settled.move_to_end(key)
+            self.registry.counter("serve.memory_hits").inc()
+        else:
+            cached = self.cache.get(job)
+            if cached is not None:
+                self._remember(key, cached)
         if probe_span is not None:
             probe_span.set_attr("hit", cached is not None)
             probe_span.finish()
@@ -546,6 +572,14 @@ class Gateway:
         self.registry.histogram("serve.queue_depth").record(
             self.queue.qsize())
         return await asyncio.shield(ticket.future)
+
+    def _remember(self, key: str, result: Dict[str, Any]) -> None:
+        """Keep a verified or freshly run *result*, evicting the least
+        recently served one beyond :data:`MAX_SETTLED`."""
+        self.settled[key] = result
+        self.settled.move_to_end(key)
+        if len(self.settled) > MAX_SETTLED:
+            self.settled.popitem(last=False)
 
     @staticmethod
     def _coalesced_view(outcome: Dict[str, Any]) -> Dict[str, Any]:
@@ -640,6 +674,7 @@ class Gateway:
             # The engine stored the result in the cache before returning,
             # so a journaled finish implies the result is durable.
             self._journal_record("job_finished", key=ticket.key)
+            self._remember(ticket.key, outcome["result"])
         if not ticket.future.done():
             if error is not None:
                 ticket.future.set_exception(error)

@@ -73,7 +73,8 @@ class Request:
             raise BadRequest("expected a JSON body")
         try:
             return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
+        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder's stack.
             raise BadRequest(f"body is not valid JSON: {exc}")
 
     @property
@@ -156,7 +157,10 @@ async def read_request(reader) -> Optional[Request]:
 
     keep_alive = (version != "HTTP/1.0"
                   and headers.get("connection", "").lower() != "close")
-    return Request(method.upper(), target, headers, body, keep_alive)
+    try:
+        return Request(method.upper(), target, headers, body, keep_alive)
+    except ValueError as exc:  # urlsplit: e.g. an unclosed "//[" host
+        raise BadRequest(f"malformed request target: {exc}")
 
 
 def _head(status: int, content_type: str, extra: Tuple[Tuple[str, str], ...],

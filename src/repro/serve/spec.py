@@ -27,12 +27,18 @@ A bar spec may name a ``backend`` (``"interp"`` | ``"vec"``, see
 :mod:`repro.vec`): it is validated — an unknown backend is a 400 —
 but deliberately excluded from the SimJob, because backends produce
 digit-exact results and the cache key must stay backend-free.
-``instructions`` is capped (:data:`MAX_INSTRUCTIONS`) so one request
-cannot wedge a worker shard for hours.
+``instructions`` is capped (:data:`MAX_INSTRUCTIONS`), and so are a
+bar's handler length (:data:`MAX_HANDLER_INSTRUCTIONS`) and an
+access-control machine's processors (:data:`MAX_PROCESSORS`), so one
+request cannot wedge a worker shard for hours.  A bar label is
+canonical — ASCII digits, no leading zero — so one simulation has one
+cache key, and an access-control machine is built here, so a machine
+the simulator would refuse is a 400 rather than a failed run.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.exec.job import KIND_ACCESS_CONTROL, KIND_BAR, SimJob
@@ -40,6 +46,18 @@ from repro.exec.job import KIND_ACCESS_CONTROL, KIND_BAR, SimJob
 #: Hard per-request ceiling on simulated instructions (and warmup): the
 #: admission layer's guard against a single spec monopolizing a shard.
 MAX_INSTRUCTIONS = 2_000_000
+
+#: Longest trap handler a served bar may run: the paper's largest
+#: (§4.2.2), and the largest any harness experiment runs (``S100``).
+MAX_HANDLER_INSTRUCTIONS = 100
+
+#: Most processors a served access-control machine may have: four times
+#: Table 2's 16 (no experiment varies it).
+MAX_PROCESSORS = 64
+
+#: A bar label other than ``N``: a kind, then a handler length in ASCII
+#: digits with no leading zero.
+_BAR_LABEL = re.compile(r"(?:S|U|E|CC)([1-9][0-9]*)")
 
 #: Spec fields accepted per kind (anything else is rejected loudly —
 #: a typo like "benchmrk" must not silently fall back to a default).
@@ -94,23 +112,36 @@ def _reject_unknown(payload: Mapping[str, Any], allowed: frozenset) -> None:
                         f"{sorted(allowed)}")
 
 
+def _check_label(label: str) -> None:
+    """Accept only canonical labels (``S10``, never ``S010`` or a
+    non-ASCII digit: one simulation, one cache key) whose handler is at
+    most :data:`MAX_HANDLER_INSTRUCTIONS` long."""
+    if label == "N":
+        return
+    match = _BAR_LABEL.fullmatch(label)
+    if match is None:
+        raise SpecError("label", f"unknown bar label {label[:32]!r}: "
+                                 f"expected "
+                                 f"'N', 'S<n>', 'U<n>', 'E<n>' or 'CC<n>' "
+                                 f"with n in ASCII digits and no leading "
+                                 f"zero")
+    digits = match.group(1)
+    if (len(digits) > len(str(MAX_HANDLER_INSTRUCTIONS))
+            or int(digits) > MAX_HANDLER_INSTRUCTIONS):
+        raise SpecError("label", f"handler length exceeds "
+                                 f"{MAX_HANDLER_INSTRUCTIONS} instructions")
+
+
 def _validate_bar(payload: Mapping[str, Any]) -> SimJob:
     from repro.harness.configs import MACHINES
-    from repro.harness.runner import (
-        DEFAULT_INSTRUCTIONS,
-        DEFAULT_WARMUP,
-        bar_config,
-    )
+    from repro.harness.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
     from repro.workloads import SPEC92
 
     _reject_unknown(payload, _BAR_FIELDS)
     benchmark = _require_str(payload, "benchmark", SPEC92)
     machine = _require_str(payload, "machine", MACHINES)
     label = _require_str(payload, "label", None)
-    try:
-        bar_config(label)
-    except ValueError as exc:
-        raise SpecError("label", str(exc))
+    _check_label(label)
     instructions = _optional_int(payload, "instructions",
                                  DEFAULT_INSTRUCTIONS, 1, MAX_INSTRUCTIONS)
     warmup = _optional_int(payload, "warmup", DEFAULT_WARMUP, 0,
@@ -181,8 +212,31 @@ def _validate_access_control(payload: Mapping[str, Any]) -> SimJob:
                                 f"{name} must be an integer, got "
                                 f"{type(value).__name__}")
         machine_params = dict(asdict(TABLE2_MACHINE), **params)
+    _build_machine(machine_params, AccessControlMethod[method])
     return SimJob.access_control(workload=workload, method=method,
                                  machine_params=machine_params)
+
+
+def _build_machine(params: Dict[str, int], method) -> None:
+    """Build the coherence simulator *params* describe, so a machine it
+    would refuse is rejected here.  The divisors are checked first: the
+    directory divides by ``coherence_unit`` when built and by
+    ``page_size`` on every ECC write."""
+    from repro.coherence import CoherenceMachineParams
+    from repro.coherence.multiproc import MultiprocessorSim
+
+    if not 1 <= params["processors"] <= MAX_PROCESSORS:
+        raise SpecError("machine_params",
+                        f"processors must be between 1 and "
+                        f"{MAX_PROCESSORS}, got {params['processors']}")
+    for name in ("coherence_unit", "page_size"):
+        if params[name] < 1:
+            raise SpecError("machine_params",
+                            f"{name} must be positive, got {params[name]}")
+    try:
+        MultiprocessorSim(CoherenceMachineParams(**params), method)
+    except ValueError as exc:
+        raise SpecError("machine_params", str(exc))
 
 
 _VALIDATORS = {

@@ -15,6 +15,7 @@ from repro.obs.export import parse_openmetrics
 from repro.serve import (
     Draining,
     Gateway,
+    JobError,
     QueueFull,
     ServeClient,
     ServeOptions,
@@ -200,6 +201,135 @@ class TestCoalescing:
         assert out0["result"] == out1["result"]
         assert sorted([out0["meta"]["coalesced"],
                        out1["meta"]["coalesced"]]) == [False, True]
+
+
+def count_probes(gateway):
+    """Record the key of every ``ResultCache.get`` on *gateway*'s cache
+    (the engine's probes included: each run shares the instance)."""
+    keys = []
+    inner = gateway.cache.get
+
+    def get(job):
+        keys.append(job.cache_key())
+        return inner(job)
+
+    gateway.cache.get = get
+    return keys
+
+
+def submit_all(options, specs, execute=None):
+    """Boot an in-process gateway, submit *specs* in order, drain it.
+    Returns ``(gateway, outcomes, probes)``; a failed submission's
+    outcome is the exception it raised."""
+    async def scenario():
+        kwargs = {} if execute is None else {"execute": execute}
+        gateway = Gateway(options, **kwargs)
+        await gateway.start()
+        probes = count_probes(gateway)
+        outcomes = []
+        for spec in specs:
+            try:
+                outcomes.append(await gateway.submit(spec))
+            except Exception as exc:
+                outcomes.append(exc)
+        await gateway.drain(grace=5)
+        return gateway, outcomes, probes
+
+    return asyncio.run(scenario())
+
+
+class TestSettledResults:
+    """The gateway keeps the results it verified or ran: a re-request
+    reads no blob and answers exactly as a disk hit does."""
+
+    def test_rerequest_reads_no_blob(self, tmp_path):
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        spec = tiny_spec(seed=61)
+        gateway, (miss, hit), probes = submit_all(options, [spec, spec])
+        assert miss["meta"]["cache"] == "miss"
+        assert hit["meta"]["cache"] == "hit"
+        assert hit["result"] == miss["result"]
+        # The gateway's probe and the engine's, both on the miss.
+        assert len(probes) == 2
+        counters = gateway.registry.counters()
+        assert counters["serve.cache_hits"] == 1
+        assert counters["serve.memory_hits"] == 1
+
+        # A fresh gateway reads the verified blob once, then remembers.
+        fresh, (disk, memory), probes = submit_all(options, [spec, spec])
+        assert [disk["meta"]["cache"], memory["meta"]["cache"]] == \
+            ["hit", "hit"]
+        assert disk["result"] == memory["result"] == miss["result"]
+        assert len(probes) == 1
+        assert fresh.cache.stats.hits == 1
+        counters = fresh.registry.counters()
+        assert counters["serve.cache_hits"] == 2
+        assert counters["serve.memory_hits"] == 1
+
+    def test_corrupted_blob(self, tmp_path):
+        """The loaded gateway keeps serving the right result; the next
+        one to boot quarantines the blob and re-runs the cell."""
+        from repro.sanitize.chaos import flip_byte
+
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        spec = tiny_spec(seed=62)
+        blob = Gateway(options).cache.path_for(
+            validate_job_spec(spec).cache_key())
+
+        async def scenario():
+            gateway = Gateway(options)
+            await gateway.start()
+            first = await gateway.submit(spec)
+            flip_byte(str(blob))
+            again = await gateway.submit(spec)
+            await gateway.drain(grace=5)
+            return first, again
+
+        first, again = asyncio.run(scenario())
+        assert again["meta"]["cache"] == "hit"
+        assert again["result"] == first["result"]
+
+        fresh, (rerun,), _ = submit_all(options, [spec])
+        assert rerun["meta"]["cache"] == "miss"
+        assert rerun["result"] == first["result"]
+        assert fresh.cache.stats.corrupt == 1
+        assert (tmp_path / "cache" / "quarantine" / blob.name).exists()
+        assert blob.exists()  # the re-run stored a good blob again
+
+    def test_least_recently_served_is_evicted(self, tmp_path, monkeypatch):
+        from repro.serve import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "MAX_SETTLED", 2)
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        a, b, c = (tiny_spec(seed=s) for s in (63, 64, 65))
+        # a, b run; a is served again; c runs and evicts b, not a.
+        _, outcomes, probes = submit_all(
+            options, [a, b, a, c, a, b], execute=echo_execute)
+        assert [o["meta"]["cache"] for o in outcomes] == \
+            ["miss", "miss", "hit", "miss", "hit", "hit"]
+        key_b = validate_job_spec(b).cache_key()
+        # Two probes per miss, then only b is read from disk again.
+        assert probes[6:] == [key_b]
+
+    def test_failed_job_is_not_remembered(self, tmp_path):
+        calls = []
+
+        def flaky_execute(job):
+            calls.append(job.seed)
+            if len(calls) == 1:
+                raise RuntimeError("transient engine failure")
+            return echo_execute(job)
+
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        spec = tiny_spec(seed=66)
+        gateway, (failed, retried), _ = submit_all(
+            options, [spec, spec], execute=flaky_execute)
+        assert isinstance(failed, JobError)
+        assert retried["meta"]["cache"] == "miss"
+        assert retried["result"] == {"label": "compress/ooo/S10",
+                                     "benchmark": "compress", "seed": 66}
+        assert len(calls) == 2
+        assert gateway.registry.counters().get("serve.memory_hits", 0) == 0
 
 
 class TestAdmission:
@@ -404,6 +534,26 @@ class TestStructuredErrors:
         assert status == 400
         assert body["error"] == "invalid_spec"
         assert body["field"] == "machine"
+
+    # The oversized label is S101, not S1000000000: should the cap ever
+    # regress, this test must fail, not build a 10**9-row handler.
+    @pytest.mark.parametrize("spec, field", [
+        (tiny_spec(label="S101"), "label"),
+        (tiny_spec(label="S03"), "label"),
+        ({"kind": "access_control", "workload": "migratory",
+          "method": "INFORMING", "machine_params": {"coherence_unit": 0}},
+         "machine_params"),
+        ({"kind": "access_control", "workload": "migratory",
+          "method": "INFORMING", "machine_params": {"l1_size": 3}},
+         "machine_params")])
+    def test_spec_the_simulator_refuses_costs_no_run(self, served, spec,
+                                                    field):
+        with served.client() as client:
+            status, body = client.submit(spec)
+        assert status == 400
+        assert (body["error"], body["field"]) == ("invalid_spec", field)
+        counters = served.gateway.registry.counters()
+        assert counters.get("serve.admitted", 0) == 0
 
     def test_unknown_run_is_404(self, served):
         with served.client() as client:

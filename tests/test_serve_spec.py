@@ -9,7 +9,9 @@ from repro.coherence import TABLE2_MACHINE, AccessControlMethod
 from repro.exec import SimJob
 from repro.harness.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.serve.spec import (
+    MAX_HANDLER_INSTRUCTIONS,
     MAX_INSTRUCTIONS,
+    MAX_PROCESSORS,
     SpecError,
     job_to_spec,
     validate_job_spec,
@@ -89,6 +91,23 @@ class TestDefaults:
         assert job.config_dict()["machine_params"] == asdict(TABLE2_MACHINE)
 
 
+#: Labels a shard must never run: not canonical (another cache key for
+#: the same simulation), or a handler longer than the paper's largest.
+BAD_LABELS = [
+    "S03", "U010", "S0", "S\u0663", "CC\u0661", "S\uff11", "S1000000000",
+    "U1000000000", "E1000000000", "CC1000000000",
+    f"S{MAX_HANDLER_INSTRUCTIONS + 1}", "S" + "1" * 5000, "S+1", " S1",
+    "S1 ", "s1", "CC", "C1"]
+
+#: Machines the coherence simulator refuses; each once passed
+#: validation and then failed in the shard's run.
+BAD_MACHINES = [
+    {"l1_size": 3}, {"l1_assoc": 0}, {"processors": 0},
+    {"message_latency": -1}, {"coherence_unit": 0}, {"page_size": 0},
+    {"coherence_unit": 48}, {"l2_assoc": -2},
+    {"processors": MAX_PROCESSORS + 1}]
+
+
 class TestRejects:
     """Every malformed spec raises SpecError naming the offending field
     (the gateway renders it as a structured 400, never a traceback)."""
@@ -130,7 +149,11 @@ class TestRejects:
         ({"kind": "access_control", "workload": "migratory",
           "method": "INFORMING",
           "machine_params": {"processors": "four"}}, "machine_params"),
-    ])
+    ] + [({"benchmark": "compress", "machine": "ooo", "label": label},
+          "label") for label in BAD_LABELS]
+      + [({"kind": "access_control", "workload": "migratory",
+           "method": "ECC", "machine_params": params}, "machine_params")
+         for params in BAD_MACHINES])
     def test_rejected_with_field(self, payload, field):
         with pytest.raises(SpecError) as excinfo:
             validate_job_spec(payload)
@@ -139,6 +162,26 @@ class TestRejects:
         assert body["error"] == "invalid_spec"
         assert body["field"] == field
         assert isinstance(body["message"], str)
+
+    @pytest.mark.parametrize("label", ["N", "S1", "U10", "E10", "CC1",
+                                       "S100"])
+    def test_canonical_label_accepted(self, label):
+        job = validate_job_spec({"benchmark": "compress", "machine": "ooo",
+                                 "label": label})
+        assert job.config_dict()["label"] == label
+
+    def test_table2_machine_accepted(self):
+        params = asdict(TABLE2_MACHINE)
+        for method in AccessControlMethod:
+            job = validate_job_spec({"kind": "access_control",
+                                     "workload": "migratory",
+                                     "method": method.name,
+                                     "machine_params": params})
+            assert job.config_dict()["machine_params"] == params
+        validate_job_spec({"kind": "access_control",
+                           "workload": "migratory", "method": "ECC",
+                           "machine_params": {"processors":
+                                              MAX_PROCESSORS}})
 
     def test_machine_params_override_is_accepted(self):
         params = dict(asdict(TABLE2_MACHINE), message_latency=500)

@@ -134,6 +134,11 @@ class TestTraceparentPropagation:
         assert "http.request" in names
         assert "cache.probe" in names
         assert "dispatch" not in names  # never reached the engine
+        # The hit came from memory and still kept its probe span.
+        counters = traced_server.gateway.registry.counters()
+        assert counters["serve.memory_hits"] == 1
+        (probe,) = [r for r in records if r["name"] == "cache.probe"]
+        assert probe["attrs"]["hit"] is True
 
 
 class TestHealthz:

@@ -7,13 +7,17 @@ report the default ``vec`` backend, then:
 1. submits a tiny cell and verifies the served result is digit-exact
    against a direct in-process ``interp`` JobRunner run of the same
    SimJob — a cross-backend check;
-2. exercises coalescing: two identical *uncached* concurrent requests
+2. re-submits it: a hit, equal to the direct run; then flips a byte of
+   its blob under ``cache/`` and re-submits again: the gateway serves
+   the result it remembers, still equal to the direct run;
+3. exercises coalescing: two identical *uncached* concurrent requests
    must produce exactly one execution and one coalesce;
-3. scrapes ``/metrics`` (the exposition must parse back losslessly)
-   and fetches the served run's manifest, which must record
-   ``settings.backend == "vec"``;
-4. sends SIGTERM and requires a clean drain: exit code 0;
-5. boots with ``REPRO_BACKEND=turbo`` and requires exit code 2.
+4. scrapes ``/metrics`` (the exposition must parse back losslessly;
+   ``serve_memory_hits`` must count both re-requests) and fetches the
+   served run's manifest, which must record ``settings.backend ==
+   "vec"``;
+5. sends SIGTERM and requires a clean drain: exit code 0;
+6. boots with ``REPRO_BACKEND=turbo`` and requires exit code 2.
 
 The work directory (result cache, journals, manifests) is removed when
 every check passes; a failed run keeps it and prints its path.
@@ -36,8 +40,9 @@ import threading
 import time
 from pathlib import Path
 
-from repro.exec import ExecOptions, JobRunner
+from repro.exec import ExecOptions, JobRunner, ResultCache
 from repro.obs.export import parse_openmetrics
+from repro.sanitize.chaos import flip_byte
 from repro.serve import ServeClient, validate_job_spec
 from repro.vec import BACKEND_ENV
 
@@ -99,7 +104,22 @@ def smoke(workdir: Path) -> None:
                      "JobRunner run")
             print("digit-exact parity OK (served vec == direct interp)")
 
-            # 2. Coalescing: identical uncached concurrent requests.
+            # 2. Re-requests: from memory, even after the blob rots.
+            def resubmit(step: str) -> None:
+                status, again = client.submit(SPEC)
+                if status != 200 or again["meta"]["cache"] != "hit":
+                    fail(f"{step}: {status} {again.get('meta')}")
+                if again["result"] != direct:
+                    fail(f"{step}: result differs from the direct run")
+
+            resubmit("re-request")
+            flip_byte(str(ResultCache(workdir / "cache").path_for(
+                validate_job_spec(SPEC).cache_key())))
+            resubmit("re-request after a byte flip")
+            print("re-requests OK (hits equal to the direct run, "
+                  "corrupted blob never read)")
+
+            # 3. Coalescing: identical uncached concurrent requests.
             proof = dict(SPEC, seed=777, instructions=20_000, warmup=2_000)
             outcomes = [None, None]
 
@@ -118,7 +138,7 @@ def smoke(workdir: Path) -> None:
             if outcomes[0][1]["result"] != outcomes[1][1]["result"]:
                 fail("coalesced twins returned different results")
 
-            # 3. Metrics: scrape, parse back, check the proof counters.
+            # 4. Metrics: scrape, parse back, check the proof counters.
             status, text = client.metrics_text()
             if status != 200:
                 fail(f"/metrics: {status}")
@@ -131,6 +151,10 @@ def smoke(workdir: Path) -> None:
                 fail(f"coalesce proof: executed={executed} "
                      f"coalesced={coalesced} (want 2 and 1)")
             print("coalescing OK (executed=2 total, coalesced=1)")
+            memory_hits = counters.get("serve_memory_hits", 0)
+            if memory_hits < 2:
+                fail(f"serve_memory_hits={memory_hits}, want at least 2")
+            print(f"memory hits OK ({memory_hits})")
 
             run_id = outcome["meta"]["run_id"]
             status, manifest = client.run_manifest(run_id)
@@ -141,14 +165,14 @@ def smoke(workdir: Path) -> None:
                      f" want 'vec'")
             print(f"manifest lookup OK ({run_id}, backend vec)")
 
-        # 4. Clean shutdown on SIGTERM.
+        # 5. Clean shutdown on SIGTERM.
         process.send_signal(signal.SIGTERM)
         code = process.wait(timeout=30)
         if code != 0:
             fail(f"server exited with {code} after SIGTERM")
         print("graceful shutdown OK")
 
-        # 5. An unknown backend fails the boot, before anything binds.
+        # 6. An unknown backend fails the boot, before anything binds.
         bad = workdir / "bad"
         process = subprocess.Popen(serve_command(bad, bad / "ready"),
                                    env=dict(env, **{BACKEND_ENV: "turbo"}))
