@@ -6,6 +6,8 @@ reorder buffer (exception-style) costs ~9% / ~7% extra execution time for
 handling informing traps as mispredicted branches does buy us something".
 """
 
+import functools
+
 import pytest
 
 from conftest import INSTRUCTIONS, SEED, WARMUP
@@ -51,3 +53,48 @@ def test_same_handler_work_either_way(bve_result):
     e10 = bve_result.get("compress", "ooo", "E10")
     ratio = e10.handler_invocations / max(1, s10.handler_invocations)
     assert 0.7 < ratio < 1.3
+
+
+@pytest.fixture(scope="module")
+def equal_shadow_cycles():
+    """Cycles of compress on the ooo machine per (backend, bar), every
+    core built with the informing shadow slots, so that an E bar differs
+    from its S bar by the trap style alone (``build_core`` otherwise
+    gives only the branch-like bars the extra slots)."""
+    from repro.harness.configs import (
+        INFORMING_SHADOW_SLOTS,
+        MACHINES,
+        build_core,
+    )
+    from repro.harness.runner import bar_config, shared_stream, stream_bound
+    from repro.memory import derive_seed
+    from repro.vec.ooo import run_ooo_vec
+
+    cycles = {}
+    for label in ("N", "S1", "E1", "S10", "E10"):
+        bar = bar_config(label)
+        for backend in ("interp", "vec"):
+            core = build_core(MACHINES["ooo"], informing=bar.informing,
+                              shadow_override=INFORMING_SHADOW_SLOTS,
+                              replacement_seed=derive_seed(SEED))
+            stream = shared_stream("compress", SEED,
+                                   stream_bound(INSTRUCTIONS, WARMUP),
+                                   "plain", rows=backend == "vec")
+            run = (core.run if backend == "interp"
+                   else functools.partial(run_ooo_vec, core))
+            stats = run(stream, max_app_insts=INSTRUCTIONS + WARMUP,
+                        warmup_insts=WARMUP)
+            cycles[backend, label] = stats.cycles
+    return cycles
+
+
+@pytest.mark.parametrize("backend", ["interp", "vec"])
+def test_trap_style_alone_costs_more(equal_shadow_cycles, backend):
+    """With equal shadow slots, an exception-style trap still costs more
+    than a branch-style one, so a core that ignored the trap style would
+    fail here.  Needs the full stream length."""
+    base = equal_shadow_cycles[backend, "N"]
+    bar = {label: equal_shadow_cycles[backend, label] / base
+           for label in ("S1", "E1", "S10", "E10")}
+    assert bar["E1"] > bar["S1"], bar
+    assert bar["E10"] > bar["S10"], bar

@@ -163,10 +163,9 @@ class App:
 
     # -- job submission ------------------------------------------------------
     async def handle_job(self, request: Request, writer) -> bool:
-        payload = request.json()
         try:
             outcome = await self.gateway.submit(
-                payload, request.tenant,
+                request.body, request.tenant,
                 traceparent=request.headers.get("traceparent"))
         except (SpecError, RateLimited, QueueFull, Draining,
                 JobError) as exc:
@@ -185,11 +184,10 @@ class App:
         response only starts once the job is admitted (or served from
         cache / a coalesced run).
         """
-        payload = request.json()
         events: asyncio.Queue = asyncio.Queue()
         task = asyncio.ensure_future(
             self.gateway.submit(
-                payload, request.tenant, subscriber=events,
+                request.body, request.tenant, subscriber=events,
                 traceparent=request.headers.get("traceparent")))
         first = asyncio.ensure_future(events.get())
         await asyncio.wait({task, first},

@@ -3,12 +3,15 @@
 One :class:`Gateway` owns the whole request path between the HTTP layer
 and the exec engine::
 
-    request -> token bucket (per tenant) -> spec validation
-            -> settled results in memory              (hit: answer now)
-            -> content-addressed cache probe          (hit: remember, answer)
-            -> in-flight coalescing on the cache key  (dup: join the run)
-            -> bounded admission queue                (full: 503)
-            -> worker shard -> JobRunner -> result + run manifest
+    body -> spec memo by body digest                  (new body: decode it)
+         -> token bucket (per tenant)
+         -> spec validation                           (memo hit: skipped)
+         -> settled results in memory                 (hit: answer now,
+                                                       body encoded once)
+         -> content-addressed cache probe             (hit: remember, answer)
+         -> in-flight coalescing on the cache key     (dup: join the run)
+         -> bounded admission queue                   (full: 503)
+         -> worker shard -> JobRunner -> result + run manifest
                                                       (remember on finish)
 
 Worker shards are asyncio tasks that hand admitted tickets to a
@@ -34,6 +37,15 @@ A hit from memory answers exactly as a disk hit does (``cache: "hit"``,
 from memory.  Failed jobs are never remembered, and remembered results
 are shared read-only.  Only the event-loop thread touches the map.
 
+Spec memo: ``memo`` maps the SHA-256 digest of a request body to the
+job and cache key it validated to, so a repeated body is neither
+decoded nor validated again; a body that fails to decode or validate is
+never remembered.  A settled entry keeps its plain-JSON hit response
+once it has been served, so a repeated hit is one write of stored
+bytes.  The memo has the same bound, eviction order and thread as
+``settled``; its key is the digest, so its size does not depend on the
+bodies'.
+
 Every decision increments a counter or histogram in an
 :class:`repro.obs.metrics.Registry`, exported at ``/metrics`` as
 OpenMetrics by the app layer.
@@ -42,22 +54,56 @@ OpenMetrics by the app layer.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob
 from repro.exec.job import execute_job
 from repro.obs.metrics import Registry
+from repro.serve.http import decode_json, json_body
 from repro.serve.spec import SpecError, validate_job_spec
 from repro.trace import maybe_tracer, parse_traceparent
 from repro.vec import resolve_backend
 
-#: Most settled results a gateway keeps in memory (about 1.5 KB each).
+#: Most settled results a gateway keeps in memory (about 1.5 KB each),
+#: and most request bodies whose validated spec it remembers.
 MAX_SETTLED = 1024
+
+
+def _keep(entries: "OrderedDict", key, value) -> None:
+    """Store *value* as the most recently used of *entries*, evicting
+    the least recently used beyond :data:`MAX_SETTLED`."""
+    entries[key] = value
+    entries.move_to_end(key)
+    if len(entries) > MAX_SETTLED:
+        entries.popitem(last=False)
+
+
+class Settled:
+    """A result this gateway verified or ran (see the module docstring)."""
+
+    __slots__ = ("result", "_hit_body")
+
+    def __init__(self, result: Dict[str, Any]) -> None:
+        self.result = result
+        self._hit_body: Optional[bytes] = None
+
+    def hit(self, key: str, label: str) -> Dict[str, Any]:
+        """The outcome of a hit on this result."""
+        return {"result": self.result,
+                "meta": {"key": key[:16], "label": label, "cache": "hit",
+                         "coalesced": False, "run_id": None, "wall": 0.0}}
+
+    def hit_body(self, key: str, label: str) -> bytes:
+        """:meth:`hit` as a JSON response body, encoded on first use."""
+        if self._hit_body is None:
+            self._hit_body = json_body(self.hit(key, label))
+        return self._hit_body
 
 
 class RateLimited(Exception):
@@ -232,7 +278,10 @@ class Gateway:
         self.in_flight: Dict[str, Ticket] = {}
         #: Results this gateway verified or ran, by cache key, least
         #: recently served first (see the module docstring).
-        self.settled: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self.settled: "OrderedDict[str, Settled]" = OrderedDict()
+        #: The job and cache key each request body validated to, by the
+        #: body's SHA-256 digest, least recently used first.
+        self.memo: "OrderedDict[bytes, Tuple[SimJob, str]]" = OrderedDict()
         self.buckets: Dict[str, TokenBucket] = {}
         self.draining = False
         self.journal = None
@@ -430,14 +479,24 @@ class Gateway:
                 self.registry.counter("serve.trace.flushed").inc()
         return path
 
-    async def submit(self, payload: Any, tenant: str = "anonymous",
+    async def submit(self, spec: Any, tenant: str = "anonymous",
                      subscriber: Optional["asyncio.Queue"] = None,
-                     traceparent: Optional[str] = None) -> Dict[str, Any]:
+                     traceparent: Optional[str] = None) -> Any:
         """Validate, admit and execute one job spec; return the outcome.
+
+        *spec* is a request body (bytes) or a decoded payload, such as
+        a dict from an in-process caller.  A body this gateway validated
+        before is recalled from ``memo`` by its SHA-256 digest; a new
+        body is decoded first, and one that is not JSON raises
+        :class:`~repro.serve.http.BadRequest` before the request is
+        counted or admitted.
 
         The outcome dict is ``{"result": <engine result>, "meta": {...}}``
         with meta carrying cache state, run id/manifest/journal and wall
-        time.  *subscriber*, when given, receives the run's records as
+        time.  A hit on a body with no *subscriber* and no trace returns
+        that dict's JSON encoding instead (:func:`~repro.serve.http.json_body`
+        bytes), kept with the settled result so it is encoded once.
+        *subscriber*, when given, receives the run's records as
         they are kept (and ``None`` as the end-of-stream sentinel).
 
         *traceparent* is the request's W3C trace context header, if any:
@@ -447,14 +506,20 @@ class Gateway:
         the response meta gains ``trace_id`` / ``spans`` (the journal now
         holding the tree).
 
-        Raises SpecError / RateLimited / QueueFull / Draining / JobError.
+        Raises BadRequest / SpecError / RateLimited / QueueFull /
+        Draining / JobError.
         """
         t0 = time.monotonic()
+        digest = None
+        if isinstance(spec, bytes):
+            digest = hashlib.sha256(spec).digest()
+            if digest not in self.memo:
+                spec = decode_json(spec)
         self.registry.counter("serve.requests").inc()
         tracer, root = self._start_trace(traceparent, tenant)
         ok = False
         try:
-            outcome = await self._submit(payload, tenant, subscriber,
+            outcome = await self._submit(spec, digest, tenant, subscriber,
                                          tracer, root)
             ok = True
         except SpecError:
@@ -488,8 +553,8 @@ class Gateway:
             int((time.monotonic() - t0) * 1000))
         return outcome
 
-    async def _submit(self, payload, tenant, subscriber,
-                      tracer=None, root=None) -> Dict[str, Any]:
+    async def _submit(self, spec, digest, tenant, subscriber,
+                      tracer=None, root=None) -> Any:
         if self.draining:
             raise Draining("gateway is draining")
         if self.options.rate > 0:
@@ -506,32 +571,30 @@ class Gateway:
                 raise RateLimited(tenant, bucket.retry_after())
         if tracer is not None:
             with tracer.span("request.parse", parent=root):
-                job = validate_job_spec(payload)
+                job, key = self._validate(spec, digest)
         else:
-            job = validate_job_spec(payload)
-        key = job.cache_key()
+            job, key = self._validate(spec, digest)
 
         probe_span = (tracer.start_span("cache.probe", parent=root)
                       if tracer is not None else None)
-        cached = self.settled.get(key)
-        if cached is not None:
+        entry = self.settled.get(key)
+        if entry is not None:
             self.settled.move_to_end(key)
             self.registry.counter("serve.memory_hits").inc()
         else:
             cached = self.cache.get(job)
             if cached is not None:
-                self._remember(key, cached)
+                entry = self._remember(key, cached)
         if probe_span is not None:
-            probe_span.set_attr("hit", cached is not None)
+            probe_span.set_attr("hit", entry is not None)
             probe_span.finish()
-        if cached is not None:
+        if entry is not None:
             self.registry.counter("serve.cache_hits").inc()
             if subscriber is not None:
                 subscriber.put_nowait(None)
-            return {"result": cached,
-                    "meta": {"key": key[:16], "label": job.label,
-                             "cache": "hit", "coalesced": False,
-                             "run_id": None, "wall": 0.0}}
+            elif tracer is None and digest is not None:
+                return entry.hit_body(key, job.label)
+            return entry.hit(key, job.label)
 
         ticket = self.in_flight.get(key)
         if ticket is not None:
@@ -573,13 +636,25 @@ class Gateway:
             self.queue.qsize())
         return await asyncio.shield(ticket.future)
 
-    def _remember(self, key: str, result: Dict[str, Any]) -> None:
-        """Keep a verified or freshly run *result*, evicting the least
-        recently served one beyond :data:`MAX_SETTLED`."""
-        self.settled[key] = result
-        self.settled.move_to_end(key)
-        if len(self.settled) > MAX_SETTLED:
-            self.settled.popitem(last=False)
+    def _validate(self, spec, digest) -> Tuple[SimJob, str]:
+        """The job and cache key of *spec*.  A body :meth:`submit` left
+        undecoded was in ``memo`` there and still is, since nothing was
+        awaited in between; a decoded body is validated and, when it
+        came as bytes, remembered under its *digest*."""
+        if isinstance(spec, bytes):
+            self.memo.move_to_end(digest)
+            return self.memo[digest]
+        job = validate_job_spec(spec)
+        known = job, job.cache_key()
+        if digest is not None:
+            _keep(self.memo, digest, known)
+        return known
+
+    def _remember(self, key: str, result: Dict[str, Any]) -> Settled:
+        """Keep a verified or freshly run *result*."""
+        entry = Settled(result)
+        _keep(self.settled, key, entry)
+        return entry
 
     @staticmethod
     def _coalesced_view(outcome: Dict[str, Any]) -> Dict[str, Any]:

@@ -49,6 +49,22 @@ class BadRequest(HttpError):
                                     "message": message}, **extra))
 
 
+def decode_json(body: bytes) -> Any:
+    """A request body as JSON; raises BadRequest on garbage."""
+    if not body:
+        raise BadRequest("expected a JSON body")
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack.
+        raise BadRequest(f"body is not valid JSON: {exc}")
+
+
+def json_body(payload: Any) -> bytes:
+    """The encoding of every JSON response body: sorted keys, one line."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
 class Request:
     """One parsed HTTP request."""
 
@@ -66,16 +82,6 @@ class Request:
         self.headers = headers
         self.body = body
         self.keep_alive = keep_alive
-
-    def json(self) -> Any:
-        """The request body as JSON; raises BadRequest on garbage."""
-        if not self.body:
-            raise BadRequest("expected a JSON body")
-        try:
-            return json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError, RecursionError) as exc:
-            # RecursionError: nesting deeper than the decoder's stack.
-            raise BadRequest(f"body is not valid JSON: {exc}")
 
     @property
     def tenant(self) -> str:
@@ -109,10 +115,10 @@ async def read_request(reader) -> Optional[Request]:
         raise HttpError(431, {"error": "request_line_too_long"})
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
-        raise BadRequest(f"malformed request line {line!r}")
+        raise BadRequest(f"malformed request line {line[:32]!r}")
     method, target, version = parts
     if not version.startswith("HTTP/1."):
-        raise BadRequest(f"unsupported protocol {version}")
+        raise BadRequest(f"unsupported protocol {version[:32]}")
 
     headers: Dict[str, str] = {}
     total = 0
@@ -130,18 +136,27 @@ async def read_request(reader) -> Optional[Request]:
             break
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
-            raise BadRequest(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+            raise BadRequest(f"malformed header line {line[:32]!r}")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
 
+    # Framing a proxy could read differently is refused (RFC 9112 §6.1,
+    # §6.3): any Transfer-Encoding, and a length other than 1*DIGIT,
+    # which int() would also take as "+10", "-0" or "1_0".
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding request bodies are not "
+                         "supported; send Content-Length")
     body = b""
     length_str = headers.get("content-length")
     if length_str is not None:
+        if not (length_str.isascii() and length_str.isdigit()):
+            raise BadRequest(f"bad Content-Length {length_str[:32]!r}")
         try:
             length = int(length_str)
-        except ValueError:
-            raise BadRequest(f"bad Content-Length {length_str!r}")
-        if length < 0:
-            raise BadRequest(f"bad Content-Length {length_str!r}")
+        except ValueError:  # past int()'s digit limit: too large anyway
+            length = MAX_BODY_BYTES + 1
         if length > MAX_BODY_BYTES:
             raise HttpError(413, {"error": "body_too_large",
                                   "limit": MAX_BODY_BYTES})
@@ -150,10 +165,6 @@ async def read_request(reader) -> Optional[Request]:
                 body = await reader.readexactly(length)
             except (asyncio.IncompleteReadError, ConnectionError):
                 raise BadRequest("connection closed inside body")
-    elif headers.get("transfer-encoding"):
-        raise HttpError(400, {"error": "bad_request",
-                              "message": "chunked request bodies are not "
-                                         "supported; send Content-Length"})
 
     keep_alive = (version != "HTTP/1.0"
                   and headers.get("connection", "").lower() != "close")
@@ -177,10 +188,11 @@ def _head(status: int, content_type: str, extra: Tuple[Tuple[str, str], ...],
 
 def json_response(writer, status: int, payload: Any, *,
                   keep_alive: bool = True) -> None:
-    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    """Send *payload* as JSON, or *payload* itself when it is bytes
+    :func:`json_body` already encoded, in one write."""
+    body = payload if isinstance(payload, bytes) else json_body(payload)
     writer.write(_head(status, "application/json", (), len(body),
-                       keep_alive))
-    writer.write(body)
+                       keep_alive) + body)
 
 
 def text_response(writer, status: int, body: str,

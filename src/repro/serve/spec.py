@@ -80,6 +80,20 @@ class SpecError(ValueError):
                 "message": self.message}
 
 
+def _quote(value: Any) -> str:
+    """*value* as an error message quotes it: its first 32 characters at
+    most, so a 400 stays small whatever the request sent."""
+    if isinstance(value, str):
+        return repr(value[:32])
+    return repr(value)[:32]
+
+
+def _names(names) -> str:
+    """The first three of *names*, quoted, and a count of the rest."""
+    shown = "[" + ", ".join(_quote(name) for name in names[:3]) + "]"
+    return shown + (f" and {len(names) - 3} more" if len(names) > 3 else "")
+
+
 def _require_str(payload: Mapping[str, Any], field: str,
                  choices) -> str:
     value = payload.get(field)
@@ -87,8 +101,8 @@ def _require_str(payload: Mapping[str, Any], field: str,
         raise SpecError(field, f"required and must be a string, "
                                f"got {type(value).__name__}")
     if choices is not None and value not in choices:
-        raise SpecError(field, f"unknown value {value!r}; expected one of "
-                               f"{sorted(choices)}")
+        raise SpecError(field, f"unknown value {_quote(value)}; expected "
+                               f"one of {sorted(choices)}")
     return value
 
 
@@ -100,15 +114,15 @@ def _optional_int(payload: Mapping[str, Any], field: str, default: int,
                                f"got {type(value).__name__}")
     if not minimum <= value <= maximum:
         raise SpecError(field, f"must be between {minimum} and {maximum}, "
-                               f"got {value}")
+                               f"got {_quote(value)}")
     return value
 
 
 def _reject_unknown(payload: Mapping[str, Any], allowed: frozenset) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
-        raise SpecError(unknown[0],
-                        f"unknown field(s) {unknown}; allowed: "
+        raise SpecError(unknown[0][:32],
+                        f"unknown field(s) {_names(unknown)}; allowed: "
                         f"{sorted(allowed)}")
 
 
@@ -120,7 +134,7 @@ def _check_label(label: str) -> None:
         return
     match = _BAR_LABEL.fullmatch(label)
     if match is None:
-        raise SpecError("label", f"unknown bar label {label[:32]!r}: "
+        raise SpecError("label", f"unknown bar label {_quote(label)}: "
                                  f"expected "
                                  f"'N', 'S<n>', 'U<n>', 'E<n>' or 'CC<n>' "
                                  f"with n in ASCII digits and no leading "
@@ -153,16 +167,16 @@ def _validate_bar(payload: Mapping[str, Any]) -> SimJob:
         # digit-exact, so the job's cache key — the service's identity —
         # is backend-free, and which backend a shard actually runs is
         # the server operator's choice (REPRO_BACKEND).
-        from repro.vec import BackendError, resolve_backend
+        from repro.vec import BACKENDS
 
         backend = payload["backend"]
         if not isinstance(backend, str):
             raise SpecError("backend", f"must be a string, got "
                                        f"{type(backend).__name__}")
-        try:
-            resolve_backend(backend)
-        except BackendError as exc:
-            raise SpecError("backend", str(exc))
+        if backend not in BACKENDS:
+            raise SpecError("backend", f"backend: unknown backend "
+                                       f"{_quote(backend)}; expected one "
+                                       f"of {list(BACKENDS)}")
     policy = "lru"
     if "policy" in payload:
         # Unlike backend, the policy changes simulated results, so it IS
@@ -204,8 +218,8 @@ def _validate_access_control(payload: Mapping[str, Any]) -> SimJob:
         unknown = sorted(set(params) - known)
         if unknown:
             raise SpecError("machine_params",
-                            f"unknown parameter(s) {unknown}; allowed: "
-                            f"{sorted(known)}")
+                            f"unknown parameter(s) {_names(unknown)}; "
+                            f"allowed: {sorted(known)}")
         for name, value in params.items():
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SpecError("machine_params",
@@ -256,8 +270,8 @@ def validate_job_spec(payload: Any) -> SimJob:
                                 f"{type(payload).__name__}")
     kind = payload.get("kind", KIND_BAR)
     if not isinstance(kind, str) or kind not in _VALIDATORS:
-        raise SpecError("kind", f"unknown kind {kind!r}; expected one of "
-                                f"{sorted(_VALIDATORS)}")
+        raise SpecError("kind", f"unknown kind {_quote(kind)}; expected one "
+                                f"of {sorted(_VALIDATORS)}")
     return _VALIDATORS[kind](payload)
 
 

@@ -9,6 +9,7 @@ spec builds the machine its shard would build.
 import asyncio
 from dataclasses import asdict
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.coherence import (
@@ -20,7 +21,7 @@ from repro.coherence.multiproc import MultiprocessorSim
 from repro.exec import SimJob
 from repro.harness.configs import MACHINES
 from repro.harness.runner import bar_config
-from repro.serve.http import HttpError, Request, read_request
+from repro.serve.http import HttpError, Request, decode_json, read_request
 from repro.serve.spec import (
     MAX_HANDLER_INSTRUCTIONS,
     MAX_PROCESSORS,
@@ -57,9 +58,9 @@ def latin1(max_size):
 header_names = st.sampled_from(["Content-Length", "Connection",
                                 "Transfer-Encoding", "X-Tenant",
                                 "Accept", "traceparent"]) | latin1(8)
-header_values = st.sampled_from(["0", "2", "7", "-1", "1_0", "abc",
-                                 "99999999", "close", "chunked",
-                                 "text/event-stream"]) | latin1(12)
+header_values = st.sampled_from(["0", "2", "7", "010", "-1", "-0", "+2",
+                                 "1_0", "abc", "99999999", "close",
+                                 "chunked", "text/event-stream"]) | latin1(12)
 
 
 @st.composite
@@ -100,13 +101,62 @@ class TestReadRequest:
         else:
             assert last is None or isinstance(last, Request)
         for request in [r for r in outcomes if isinstance(r, Request)]:
+            # Framed by one plain decimal Content-Length, or by none.
+            assert "transfer-encoding" not in request.headers
+            length = request.headers.get("content-length", "0")
+            assert length.isascii() and length.isdigit()
+            assert int(length) == len(request.body)
             assert isinstance(request.tenant, str)
             request.wants_stream()
             if request.body:
                 try:
-                    request.json()
+                    decode_json(request.body)
                 except HttpError as exc:
                     assert exc.status == 400
+
+
+FRAME = b"POST /v1/jobs HTTP/1.1\r\n%s\r\n0123456789"
+
+
+@pytest.mark.parametrize("headers", [
+    b"Content-Length: 1_0\r\n", b"Content-Length: +10\r\n",
+    b"Content-Length: -0\r\n", b"Content-Length: \xb9\xb2\r\n",
+    b"Content-Length: 3\r\nContent-Length: 10\r\n",
+    b"Content-Length: 10\r\nContent-Length: 010\r\n",
+    b"Content-Length: 10\r\nTransfer-Encoding: chunked\r\n",
+    b"Transfer-Encoding: chunked\r\nContent-Length: 10\r\n",
+    b"Transfer-Encoding: gzip\r\n"],
+    ids=["underscore", "plus", "minus-zero", "latin1-digits",
+         "two-lengths", "two-spellings", "length-then-chunked",
+         "chunked-then-length", "gzip"])
+def test_framing_a_proxy_could_read_otherwise_is_400(headers):
+    """RFC 9112 §6.1 and §6.3: no length but 1*DIGIT, no two lengths,
+    no Transfer-Encoding."""
+    (outcome,) = read_all(FRAME % headers)
+    assert isinstance(outcome, HttpError)
+    assert outcome.status == 400
+
+
+@pytest.mark.parametrize("headers", [
+    b"Content-Length: 10\r\n", b"Content-Length: 010\r\n",
+    b"Content-Length: 10\r\ncontent-length: 10\r\n"],
+    ids=["plain", "leading-zero", "repeated"])
+def test_plain_length_frames_the_body(headers):
+    request, eof = read_all(FRAME % headers)
+    assert request.body == b"0123456789"
+    assert eof is None
+
+
+@pytest.mark.parametrize("data", [
+    b"GET /" + b"a" * 8000 + b" HTTP/1.1 x\r\n\r\n",
+    b"GET / HTTP/" + b"9" * 8000 + b"\r\n\r\n",
+    b"GET / HTTP/1.1\r\n" + b"X" * 30000 + b"\r\n\r\n",
+    b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 30000 + b"x\r\n\r\n"],
+    ids=["request-line", "protocol", "header-line", "length"])
+def test_a_400_quotes_little_of_the_request(data):
+    (outcome,) = read_all(data)
+    assert outcome.status == 400
+    assert len(outcome.payload["message"]) < 100
 
 
 def build_machine(job: SimJob) -> None:

@@ -3,11 +3,14 @@ it resolves at boot, caching, coalescing, admission control, SSE
 streaming, metrics, structured errors."""
 
 import asyncio
+import http.client
 import json
+import tempfile
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durable import read_records
 from repro.exec import ExecOptions, JobRunner
@@ -17,11 +20,13 @@ from repro.serve import (
     Gateway,
     JobError,
     QueueFull,
+    RateLimited,
     ServeClient,
     ServeOptions,
     validate_job_spec,
 )
 from repro.serve.app import App
+from repro.serve.http import json_body, json_response
 from repro.vec import BACKEND_ENV
 
 
@@ -332,6 +337,179 @@ class TestSettledResults:
         assert gateway.registry.counters().get("serve.memory_hits", 0) == 0
 
 
+def post(server, body: bytes):
+    """POST raw *body* bytes to /v1/jobs; ``(status, response bytes)``."""
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        conn.request("POST", "/v1/jobs", body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def count_validations(monkeypatch):
+    """Record the payload of every ``validate_job_spec`` the gateway runs."""
+    from repro.serve import gateway as gateway_module
+
+    calls = []
+    inner = gateway_module.validate_job_spec
+
+    def validate(payload):
+        calls.append(payload)
+        return inner(payload)
+
+    monkeypatch.setattr(gateway_module, "validate_job_spec", validate)
+    return calls
+
+
+def body_of(spec, **dumps):
+    return json.dumps(spec, **dumps).encode("utf-8")
+
+
+class TestSpecMemo:
+    """A repeated request body is neither decoded nor validated again,
+    and a settled hit's response body is encoded once."""
+
+    def test_repeat_body_is_not_validated_again(self, served, monkeypatch):
+        spec = tiny_spec(seed=71)
+        job = validate_job_spec(spec)
+        calls = count_validations(monkeypatch)
+        replies = [post(served, body_of(spec)) for _ in range(3)]
+        assert [status for status, _ in replies] == [200, 200, 200]
+        assert calls == [spec]
+        miss = json.loads(replies[0][1])
+        assert miss["meta"]["cache"] == "miss"
+        # Byte for byte the JSON encoding of the hit outcome dict.
+        hit = {"result": miss["result"],
+               "meta": {"key": job.cache_key()[:16], "label": job.label,
+                        "cache": "hit", "coalesced": False,
+                        "run_id": None, "wall": 0.0}}
+        encoded = (json.dumps(hit, sort_keys=True) + "\n").encode("utf-8")
+        assert replies[1][1] == replies[2][1] == encoded
+        counters = served.gateway.registry.counters()
+        assert counters["serve.requests"] == 3
+        assert counters["serve.cache_hits"] == 2
+        assert counters["serve.memory_hits"] == 2
+
+    def test_reordered_body_validates_once_more_and_hits(self, tmp_path,
+                                                         monkeypatch):
+        calls = count_validations(monkeypatch)
+        spec = tiny_spec(seed=72)
+        body = body_of(spec)
+        reordered = body_of(dict(reversed(list(spec.items()))), indent=1)
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        gateway, (miss, *hits), probes = submit_all(
+            options, [body, body, reordered, reordered],
+            execute=echo_execute)
+        assert miss["meta"]["cache"] == "miss"
+        assert len(calls) == 2
+        assert len(set(hits)) == 1
+        assert json.loads(hits[0])["meta"]["cache"] == "hit"
+        assert len(gateway.memo) == 2
+        assert {key for _, key in gateway.memo.values()} == \
+            {validate_job_spec(spec).cache_key()}
+        assert len(probes) == 2  # both on the miss
+
+    @pytest.mark.parametrize("body, error, counted", [
+        (b"{not json", "bad_request", 0),
+        (b"", "bad_request", 0),
+        (body_of(tiny_spec(machine="vax")), "invalid_spec", 3)],
+        ids=["not-json", "empty", "invalid-spec"])
+    def test_bad_body_gets_its_400_every_time(self, tmp_path, body, error,
+                                              counted):
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        with LiveServer(options, execute=echo_execute) as server:
+            replies = [post(server, body) for _ in range(3)]
+            counters = server.gateway.registry.counters()
+            remembered = len(server.gateway.memo)
+        assert replies == [replies[0]] * 3
+        status, payload = replies[0]
+        assert status == 400
+        assert json.loads(payload)["error"] == error
+        assert remembered == 0
+        assert counters.get("serve.requests", 0) == counted
+        assert counters.get("serve.rejected.invalid_spec", 0) == counted
+
+    def test_repeat_body_meets_the_bucket_and_the_drain(self, tmp_path):
+        options = ServeOptions(shards=1, rate=0.001, burst=2,
+                               cache_dir=str(tmp_path / "cache"))
+        body = body_of(tiny_spec(seed=76))
+
+        async def scenario():
+            gateway = Gateway(options, execute=echo_execute)
+            await gateway.start()
+            await gateway.submit(body)
+            await gateway.submit(body)
+            with pytest.raises(RateLimited):
+                await gateway.submit(body)
+            await gateway.drain(grace=1)
+            with pytest.raises(Draining):
+                await gateway.submit(body)
+            return gateway
+
+        counters = asyncio.run(scenario()).registry.counters()
+        assert counters["serve.rejected.rate_limited"] == 1
+        assert counters["serve.rejected.draining"] == 1
+        assert counters["serve.cache_hits"] == 1
+
+    def test_least_recently_used_body_is_validated_again(self, tmp_path,
+                                                         monkeypatch):
+        from repro.serve import gateway as gateway_module
+
+        monkeypatch.setattr(gateway_module, "MAX_SETTLED", 2)
+        calls = count_validations(monkeypatch)
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        a, b, c = (body_of(tiny_spec(seed=s)) for s in (73, 74, 75))
+        # a is used again before c evicts b, the least recently used.
+        _, outcomes, _ = submit_all(options, [a, b, a, c, a, b],
+                                    execute=echo_execute)
+        assert not any(isinstance(o, Exception) for o in outcomes)
+        assert [payload["seed"] for payload in calls] == [73, 74, 75, 74]
+
+    def test_json_response_is_one_write(self):
+        class Writer:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(data)
+
+        payload = {"b": 1, "a": [1.5, None]}
+        plain, stored = Writer(), Writer()
+        json_response(plain, 200, payload)
+        json_response(stored, 200, json_body(payload))
+        assert len(plain.writes) == 1
+        assert stored.writes == plain.writes
+        assert plain.writes[0].endswith(
+            b'\r\n\r\n{"a": [1.5, null], "b": 1}\n')
+
+    @given(spec=st.fixed_dictionaries({
+               "kind": st.just("bar"),
+               "benchmark": st.sampled_from(["compress", "su2cor", "ear"]),
+               "machine": st.sampled_from(["ooo", "inorder"]),
+               "label": st.sampled_from(["N", "S1", "U10", "E10", "CC1"]),
+               "instructions": st.integers(1, 10 ** 6),
+               "seed": st.integers(-(2 ** 31), 2 ** 31)}),
+           order=st.randoms(use_true_random=False),
+           indent=st.sampled_from([None, 0, 2]))
+    @settings(max_examples=25, deadline=None)
+    def test_memo_path_equals_a_fresh_gateway(self, spec, order, indent):
+        items = list(spec.items())
+        order.shuffle(items)
+        body = body_of(dict(items), indent=indent)
+        with tempfile.TemporaryDirectory() as root:
+            options = ServeOptions(shards=1, cache_dir=root)
+            _, (miss, hit, again), _ = submit_all(
+                options, [body, body, body], execute=echo_execute)
+            _, (fresh,), _ = submit_all(options, [spec],
+                                        execute=echo_execute)
+        assert fresh["meta"]["cache"] == "hit"
+        assert miss["result"] == fresh["result"]
+        assert hit == again == json_body(fresh)
+
+
 class TestAdmission:
     def test_rate_limit_gives_structured_429(self, tmp_path):
         options = ServeOptions(shards=1, rate=0.001, burst=1,
@@ -554,6 +732,27 @@ class TestStructuredErrors:
         assert (body["error"], body["field"]) == ("invalid_spec", field)
         counters = served.gateway.registry.counters()
         assert counters.get("serve.admitted", 0) == 0
+
+    @pytest.mark.parametrize("field", ["benchmark", "kind", "backend",
+                                       "fields", "machine_params"])
+    def test_huge_rejected_input_gets_a_small_400(self, served, field):
+        """A 400 quotes at most 32 characters of a value or name, and
+        lists a few unknown names with a count of the rest."""
+        many = {f"{i:05d}" + "z" * 58: 1 for i in range(20_000)}
+        if field == "fields":
+            spec = dict(tiny_spec(), **many)
+        elif field == "machine_params":
+            spec = {"kind": "access_control", "workload": "migratory",
+                    "method": "ECC", "machine_params": many}
+        else:
+            spec = tiny_spec(**{field: "x" * 1_000_000})
+        with served.client() as client:
+            status, body, _ = client.request("POST", "/v1/jobs", spec)
+        assert status == 400
+        assert len(body) < 1024
+        error = json.loads(body)
+        assert error["error"] == "invalid_spec"
+        assert len(error["field"]) <= 32
 
     def test_unknown_run_is_404(self, served):
         with served.client() as client:

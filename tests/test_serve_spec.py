@@ -163,6 +163,29 @@ class TestRejects:
         assert body["field"] == field
         assert isinstance(body["message"], str)
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"kind": "bar", "benchmark": "compress", "machine": "vax",
+          "label": "N"},
+         "unknown value 'vax'; expected one of ['inorder', 'lab', 'ooo']"),
+        ({"kind": 3}, "unknown kind 3; expected one of "
+                      "['access_control', 'bar']"),
+        ({"benchmark": "compress", "machine": "ooo", "label": "N",
+          "backend": "turbo"},
+         "backend: unknown backend 'turbo'; expected one of "
+         "['interp', 'vec']"),
+        ({"benchmark": "compress", "machine": "ooo", "label": "N",
+          "seed": 2 ** 40},
+         f"must be between {-(2 ** 31)} and {2 ** 31}, got {2 ** 40}"),
+        ({"benchmark": "compress", "machine": "ooo", "label": "N",
+          "benchmrk": "typo", "mchine": "ooo"},
+         "unknown field(s) ['benchmrk', 'mchine']; allowed: ['backend', "
+         "'benchmark', 'instructions', 'kind', 'label', 'machine', "
+         "'policy', 'seed', 'warmup']")])
+    def test_short_input_is_quoted_whole(self, payload, message):
+        with pytest.raises(SpecError) as excinfo:
+            validate_job_spec(payload)
+        assert excinfo.value.message == message
+
     @pytest.mark.parametrize("label", ["N", "S1", "U10", "E10", "CC1",
                                        "S100"])
     def test_canonical_label_accepted(self, label):

@@ -141,6 +141,33 @@ class TestTraceparentPropagation:
         assert probe["attrs"]["hit"] is True
 
 
+    def test_traced_repeat_body_keeps_its_spans(self, tmp_path):
+        """A body the gateway already validated is recalled, not parsed;
+        its trace still shows the parse and the probe."""
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"),
+                               trace_dir=str(tmp_path / "spans"))
+        body = json.dumps(tiny_spec(seed=9)).encode("utf-8")
+
+        async def scenario():
+            gateway = Gateway(options, execute=echo_execute)
+            await gateway.start()
+            await gateway.submit(body)  # miss, untraced: body remembered
+            outcome = await gateway.submit(body,
+                                           traceparent=mint_traceparent())
+            await gateway.drain(grace=5)
+            return gateway, outcome
+
+        gateway, outcome = asyncio.run(scenario())
+        assert outcome["meta"]["cache"] == "hit"
+        assert len(gateway.memo) == 1
+        records, bad = read_spans(outcome["meta"]["spans"])
+        assert bad == 0
+        by_name = {r["name"]: r for r in records}
+        assert {"http.request", "request.parse", "cache.probe"} <= \
+            set(by_name)
+        assert by_name["cache.probe"]["attrs"]["hit"] is True
+
+
 class TestHealthz:
     def test_healthz_carries_build_and_subsystem_metadata(self,
                                                           traced_server):

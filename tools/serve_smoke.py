@@ -9,11 +9,14 @@ report the default ``vec`` backend, then:
    SimJob — a cross-backend check;
 2. re-submits it: a hit, equal to the direct run; then flips a byte of
    its blob under ``cache/`` and re-submits again: the gateway serves
-   the result it remembers, still equal to the direct run;
+   the result it remembers, still equal to the direct run; sends the
+   same body once more, and requires every repeat's response body to
+   be byte-identical; then sends the spec with its keys in another
+   order, which must be a hit equal to the direct run too;
 3. exercises coalescing: two identical *uncached* concurrent requests
    must produce exactly one execution and one coalesce;
 4. scrapes ``/metrics`` (the exposition must parse back losslessly;
-   ``serve_memory_hits`` must count both re-requests) and fetches the
+   ``serve_memory_hits`` must count all four re-requests) and fetches the
    served run's manifest, which must record ``settings.backend ==
    "vec"``;
 5. sends SIGTERM and requires a clean drain: exit code 0;
@@ -105,19 +108,26 @@ def smoke(workdir: Path) -> None:
             print("digit-exact parity OK (served vec == direct interp)")
 
             # 2. Re-requests: from memory, even after the blob rots.
-            def resubmit(step: str) -> None:
-                status, again = client.submit(SPEC)
+            def resubmit(step: str, spec=SPEC) -> bytes:
+                status, data, _ = client.request("POST", "/v1/jobs", spec)
+                again = json.loads(data)
                 if status != 200 or again["meta"]["cache"] != "hit":
                     fail(f"{step}: {status} {again.get('meta')}")
                 if again["result"] != direct:
                     fail(f"{step}: result differs from the direct run")
+                return data
 
-            resubmit("re-request")
+            repeats = [resubmit("re-request")]
             flip_byte(str(ResultCache(workdir / "cache").path_for(
                 validate_job_spec(SPEC).cache_key())))
-            resubmit("re-request after a byte flip")
+            repeats.append(resubmit("re-request after a byte flip"))
+            repeats.append(resubmit("exact body again"))
+            if len(set(repeats)) != 1:
+                fail("repeated requests got different response bodies")
+            resubmit("keys in another order",
+                     dict(reversed(list(SPEC.items()))))
             print("re-requests OK (hits equal to the direct run, "
-                  "corrupted blob never read)")
+                  "byte-identical repeats, corrupted blob never read)")
 
             # 3. Coalescing: identical uncached concurrent requests.
             proof = dict(SPEC, seed=777, instructions=20_000, warmup=2_000)
@@ -152,8 +162,8 @@ def smoke(workdir: Path) -> None:
                      f"coalesced={coalesced} (want 2 and 1)")
             print("coalescing OK (executed=2 total, coalesced=1)")
             memory_hits = counters.get("serve_memory_hits", 0)
-            if memory_hits < 2:
-                fail(f"serve_memory_hits={memory_hits}, want at least 2")
+            if memory_hits < 4:
+                fail(f"serve_memory_hits={memory_hits}, want at least 4")
             print(f"memory hits OK ({memory_hits})")
 
             run_id = outcome["meta"]["run_id"]
