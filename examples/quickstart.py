@@ -1,38 +1,41 @@
-"""Quickstart: run a real (tiny) program on the R10000-like core and count
-its cache misses with an informing memory operation.
+"""Quickstart: run a tiny loop on the R10000-like core and count its cache
+misses with an informing memory operation.
 
-The program is written in the package's mini assembly, executed
-functionally to produce a dynamic trace, and then simulated cycle by cycle
-with a one-instruction miss handler attached through the MHAR — the
-low-overhead cache-miss-trap mechanism of Section 2.2.
+The loop is built as a dynamic instruction stream with the ``repro.isa``
+builders, then simulated cycle by cycle with a one-instruction miss handler
+attached through the MHAR — the low-overhead cache-miss-trap mechanism of
+Section 2.2.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.apps import MissCounter
 from repro.harness import R10000_SPEC, build_core
-from repro.isa import Interpreter, assemble
+from repro.isa import alu, branch, load
 
-# A strided sum over a 16KB array: every 32-byte line is touched once, so
-# we expect one miss per line (16KB / 32B = 512) on a cold cache.
-PROGRAM = """
-        li   r1, 0x100000     # array base
-        li   r2, 0            # index (bytes)
-        li   r3, 16384        # array size
-        li   r4, 0            # accumulator
-loop:
-        add  r5, r1, r2
-        ld   r6, 0(r5)        # the informing load
-        add  r4, r4, r6
-        addi r2, r2, 4
-        blt  r2, r3, loop
-        halt
-"""
+BASE = 0x100000   # array base (r1)
+SIZE = 16384      # array size in bytes (r3)
+
+
+def strided_sum():
+    """Yield a strided sum over a 16KB array, one 4-byte word per step.
+
+    Every 32-byte line is touched once, so we expect one miss per line
+    (16KB / 32B = 512) on a cold cache.  Registers: r1 base, r2 index,
+    r3 size, r4 accumulator, r5 address, r6 loaded value.
+    """
+    for reg, pc in ((1, 0x1000), (2, 0x1004), (3, 0x1008), (4, 0x100c)):
+        yield alu(reg, pc=pc)                          # li   rN, ...
+    for i in range(0, SIZE, 4):
+        yield alu(5, (1, 2), pc=0x1010)                # add  r5, r1, r2
+        yield load(BASE + i, 6, (5,), pc=0x1014)       # ld   r6, 0(r5)
+        yield alu(4, (4, 6), pc=0x1018)                # add  r4, r4, r6
+        yield alu(2, (2,), pc=0x101c)                  # addi r2, r2, 4
+        yield branch(i + 4 < SIZE, (2, 3), pc=0x1020)  # blt  r2, r3, loop
 
 
 def main() -> None:
-    program = assemble(PROGRAM)
-    trace = Interpreter(program).trace(max_insts=100_000)
+    trace = list(strided_sum())
     print(f"program executed {len(trace)} dynamic instructions")
 
     counter = MissCounter()

@@ -11,8 +11,6 @@
   does not evaluate this client).
 * :mod:`repro.apps.sampling` — duty-cycled profiling, the §4.2.2 remedy
   for expensive handlers.
-* :mod:`repro.apps.multiversion` — the §4.1.2 multi-version code option:
-  informing feedback selects between plain and prefetching loop versions.
 * :mod:`repro.apps.page_remap` — conflict-driven page recoloring, the
   operating-system client from the paper's introduction.
 * :mod:`repro.apps.bypass` — adaptive cache bypass: the miss handler
@@ -31,7 +29,6 @@ from repro.apps.multithreading import (
     simulate_multithreading,
 )
 from repro.apps.sampling import SamplingController, SamplingProfiler
-from repro.apps.multiversion import AdaptiveVersionSelector
 from repro.apps.page_remap import PageConflictAnalyzer, remap_stream
 from repro.apps.bypass import AdaptiveBypassController
 from repro.apps.experiments import APP_EXPERIMENTS, run_app_experiment
@@ -49,7 +46,6 @@ __all__ = [
     "simulate_multithreading",
     "SamplingController",
     "SamplingProfiler",
-    "AdaptiveVersionSelector",
     "PageConflictAnalyzer",
     "remap_stream",
 ]

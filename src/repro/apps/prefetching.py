@@ -13,7 +13,7 @@ Two of the paper's three options are implemented:
   typically comes from :class:`~repro.apps.monitoring.MissProfiler`).
 
 The third option (multi-version code selected at run time) reduces to the
-same two primitives and is exercised in the example scripts.
+same two primitives and is not modelled separately.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Branch predictors.
 
 Both simulated machines use a table of 2-bit saturating counters (Table 1).
-The informing-operation machinery additionally relies on static not-taken
-prediction: an explicit ``BLMISS`` check or the implicit trap branch is
-always predicted not-taken, so the mispredict penalty applies only to the
-cache-miss case (Section 2.1).
+The cores predict an explicit ``BLMISS`` check or the implicit trap branch
+not-taken without consulting the table, so the mispredict penalty applies
+only to the cache-miss case (Section 2.1).
 """
 
 from __future__ import annotations
@@ -58,23 +57,3 @@ class TwoBitCounterPredictor(BranchPredictor):
         if self.lookups == 0:
             return 1.0
         return 1.0 - self.mispredicts / self.lookups
-
-
-class StaticNotTakenPredictor(BranchPredictor):
-    """Always predicts not-taken (the informing-check prediction policy)."""
-
-    def predict(self, pc: int) -> bool:
-        return False
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass
-
-
-class AlwaysTakenPredictor(BranchPredictor):
-    """Always predicts taken (baseline for predictor comparisons in tests)."""
-
-    def predict(self, pc: int) -> bool:
-        return True
-
-    def update(self, pc: int, taken: bool) -> None:
-        pass

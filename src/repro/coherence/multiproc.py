@@ -57,11 +57,6 @@ class ProcessorStats:
     faults: int = 0
     finish_time: int = 0
 
-    @property
-    def total_cycles(self) -> int:
-        return (self.compute_cycles + self.cache_cycles
-                + self.access_control_cycles + self.protocol_cycles)
-
 
 @dataclass
 class CoherenceResult:

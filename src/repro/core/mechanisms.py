@@ -83,10 +83,3 @@ class InformingConfig:
     def active(self) -> bool:
         """True when misses will actually invoke a handler."""
         return self.mechanism is not Mechanism.NONE and self.handler is not None
-
-    @property
-    def adds_per_reference_instruction(self) -> bool:
-        """One extra instruction per informing reference, even on hits."""
-        if self.mechanism is Mechanism.CONDITION_CODE:
-            return True
-        return self.mechanism is Mechanism.TRAP and self.unique_handlers

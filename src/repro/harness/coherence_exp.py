@@ -19,10 +19,6 @@ class Figure4Row:
     reference_checking: float
     ecc: float
 
-    @property
-    def informing_wins(self) -> bool:
-        return self.reference_checking > 1.0 and self.ecc > 1.0
-
 
 @dataclass
 class Figure4Result:

@@ -1,20 +1,17 @@
-"""Serialise experiment results to JSON/CSV for external analysis.
+"""Serialise experiment results to JSON for external analysis.
 
 Every runner result in :mod:`repro.harness.runner` and
-:mod:`repro.harness.coherence_exp` can be exported; files round-trip
-through :func:`load_figure` so experiments can be archived and re-rendered
-without re-simulating.
+:mod:`repro.harness.coherence_exp` can be exported; this is what each
+experiment's ``--json PATH`` writes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import List
 
 from repro.harness.coherence_exp import Figure4Result, SensitivityPoint
-from repro.harness.runner import BarResult, FigureResult
+from repro.harness.runner import FigureResult
 
 _BAR_FIELDS = [
     "benchmark", "machine", "label", "cycles", "normalized", "busy",
@@ -37,27 +34,6 @@ def figure_to_json(result: FigureResult, indent: int = 2) -> str:
     return json.dumps(figure_to_dict(result), indent=indent)
 
 
-def load_figure(text: str) -> FigureResult:
-    """Rebuild a FigureResult from :func:`figure_to_json` output."""
-    data = json.loads(text)
-    result = FigureResult(name=data["name"])
-    for row in data["bars"]:
-        extra = {k: v for k, v in row.items() if k != "normalized"}
-        bar = BarResult(**extra)
-        bar.normalized = row.get("normalized", 0.0)
-        result.bars.append(bar)
-    return result
-
-
-def figure_to_csv(result: FigureResult) -> str:
-    output = io.StringIO()
-    writer = csv.DictWriter(output, fieldnames=_BAR_FIELDS)
-    writer.writeheader()
-    for bar in result.bars:
-        writer.writerow({field: getattr(bar, field) for field in _BAR_FIELDS})
-    return output.getvalue()
-
-
 def figure4_to_dict(result: Figure4Result) -> dict:
     return {
         "rows": [
@@ -76,17 +52,6 @@ def figure4_to_dict(result: Figure4Result) -> dict:
 
 def figure4_to_json(result: Figure4Result, indent: int = 2) -> str:
     return json.dumps(figure4_to_dict(result), indent=indent)
-
-
-def sensitivity_to_csv(points: List[SensitivityPoint]) -> str:
-    output = io.StringIO()
-    writer = csv.writer(output)
-    writer.writerow(["message_latency", "l1_size", "reference_checking",
-                     "ecc"])
-    for point in points:
-        writer.writerow([point.message_latency, point.l1_size,
-                         point.reference_checking, point.ecc])
-    return output.getvalue()
 
 
 def sensitivity_to_json(points: List[SensitivityPoint],

@@ -39,22 +39,6 @@ def render_figure(result: FigureResult, title: str = "") -> str:
     return "\n".join(lines)
 
 
-def render_bar_chart(result: FigureResult, machine: str, label: str,
-                     width: int = 50) -> str:
-    """A quick horizontal bar chart of normalized time for one bar label."""
-    rows = [bar for bar in result.bars
-            if bar.machine == machine and bar.label == label]
-    if not rows:
-        return "(no data)"
-    peak = max(bar.normalized for bar in rows)
-    lines = [f"normalized execution time — {label} on "
-             f"{_MACHINE_TITLES.get(machine, machine)}"]
-    for bar in rows:
-        filled = int(round(width * bar.normalized / peak)) if peak else 0
-        lines.append(f"{bar.benchmark:<10} {'#' * filled} {bar.normalized:.2f}")
-    return "\n".join(lines)
-
-
 def summarize_claims(result: FigureResult) -> List[str]:
     """Human-readable checks of the paper's headline claims, where testable
     from the given figure."""

@@ -119,10 +119,6 @@ class BarConfig:
     informing: Optional[InformingConfig]
     per_ref_instrumentation: Optional[str] = None  # None | "mhar" | "cc"
 
-    @property
-    def is_baseline(self) -> bool:
-        return self.informing is None
-
 
 def bar_config(label: str) -> BarConfig:
     """Build a BarConfig from a short label.

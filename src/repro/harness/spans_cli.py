@@ -27,9 +27,8 @@ CI assertion: a single connected tree, spans from at least
 ``--expect-processes`` distinct pids, a critical path that telescopes
 exactly to the root's duration, and (with ``--wall``) a root duration
 within ``--tolerance`` of an externally measured wall — exit 1 on any
-violation, 2 when there is nothing to analyze.  ``--chrome`` /
-``--otlp`` re-export the selected trace for chrome://tracing or an
-OpenTelemetry collector.
+violation, 2 when there is nothing to analyze.  ``--chrome``
+re-exports the selected trace for chrome://tracing or Perfetto.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.durable.journal import read_records
-from repro.trace.exporters import spans_to_chrome, spans_to_otlp
+from repro.trace.exporters import spans_to_chrome
 
 #: Minimum same-named spans before the p99 anomaly gate is applied.
 MIN_ANOMALY_SAMPLES = 8
@@ -470,9 +469,6 @@ def spans_main(argv=None) -> int:
     parser.add_argument("--chrome", default=None, metavar="PATH",
                         help="also export the selected trace as Chrome "
                              "trace_event JSON")
-    parser.add_argument("--otlp", default=None, metavar="PATH",
-                        help="also export the selected trace as "
-                             "OTLP/JSON resourceSpans")
     parser.add_argument("--check", action="store_true",
                         help="CI mode: exit 1 unless the trace is one "
                              "connected tree whose critical path "
@@ -526,9 +522,6 @@ def spans_main(argv=None) -> int:
     if args.chrome:
         with open(args.chrome, "w") as fh:
             json.dump(spans_to_chrome(selected), fh, indent=2)
-    if args.otlp:
-        with open(args.otlp, "w") as fh:
-            json.dump(spans_to_otlp(selected), fh, indent=2)
 
     if args.json:
         payload = dict(analysis, source=source, trace_id=trace_id,
@@ -541,8 +534,6 @@ def spans_main(argv=None) -> int:
         analysis.pop("_tree")
         if args.chrome:
             print(f"chrome trace written to {args.chrome}")
-        if args.otlp:
-            print(f"otlp export written to {args.otlp}")
 
     if args.check:
         failures = run_checks(analysis, args.expect_processes,

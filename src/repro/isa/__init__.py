@@ -1,11 +1,11 @@
 """Instruction-set substrate for the informing-memory-operations simulators.
 
-The simulators in :mod:`repro.inorder` and :mod:`repro.ooo` are trace driven:
-they consume streams of :class:`~repro.isa.instructions.DynInst` records.
-This package defines the op classes, the dynamic-instruction record, a small
-static-program representation with an assembler, and a functional interpreter
-that turns static programs into dynamic traces (used by the examples and the
-application-level tests).
+The simulators in :mod:`repro.inorder`, :mod:`repro.ooo` and :mod:`repro.vec`
+are trace driven: they consume streams of
+:class:`~repro.isa.instructions.DynInst` records (or their row form,
+:mod:`repro.isa.rows`).  This package defines the op classes, the
+dynamic-instruction record with its builders (:func:`alu`, :func:`load`,
+:func:`branch`, ...), the row encoding and the register namespace.
 """
 
 from repro.isa.opclass import OpClass, FUKind, FU_FOR_OP, is_mem_op
@@ -21,25 +21,7 @@ from repro.isa.instructions import (
     prefetch,
     store,
 )
-from repro.isa.registers import (
-    NUM_INT_REGS,
-    NUM_FP_REGS,
-    NUM_REGS,
-    REG_ZERO,
-    RegisterAllocator,
-    fp_reg,
-    int_reg,
-)
-from repro.isa.program import Instruction, Label, Program
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.interp import Interpreter, TraceLimitExceeded
-from repro.isa.tracefile import (
-    TraceFormatError,
-    load_trace,
-    read_trace,
-    save_trace,
-    write_trace,
-)
+from repro.isa.registers import NUM_INT_REGS, NUM_FP_REGS, NUM_REGS, REG_ZERO
 
 __all__ = [
     "OpClass",
@@ -60,19 +42,4 @@ __all__ = [
     "NUM_FP_REGS",
     "NUM_REGS",
     "REG_ZERO",
-    "RegisterAllocator",
-    "fp_reg",
-    "int_reg",
-    "Instruction",
-    "Label",
-    "Program",
-    "AssemblyError",
-    "assemble",
-    "Interpreter",
-    "TraceLimitExceeded",
-    "TraceFormatError",
-    "save_trace",
-    "load_trace",
-    "read_trace",
-    "write_trace",
 ]

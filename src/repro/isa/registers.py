@@ -3,9 +3,9 @@
 Registers are plain small integers.  Indices 0..31 are the integer file and
 32..63 the floating-point file.  Index 0 is the hardwired zero register and
 is never a true dependence source or destination.  The informing-operation
-machinery reserves a small window of integer registers for the *single*
-generic miss handler so that successive invocations are data dependent on
-one another, exactly as the paper's pessimistic model assumes.
+machinery reserves an integer register for the *single* generic miss
+handler so that successive invocations are data dependent on one another,
+exactly as the paper's pessimistic model assumes.
 """
 
 from __future__ import annotations
@@ -17,56 +17,5 @@ NUM_REGS = NUM_INT_REGS + NUM_FP_REGS
 #: Hardwired zero; reads are always ready, writes are discarded.
 REG_ZERO = 0
 
-#: Integer registers reserved for miss-handler code (single-handler mode).
+#: Integer register the single generic miss handler chains through.
 HANDLER_REG_BASE = 26
-HANDLER_REG_COUNT = 4
-
-
-def int_reg(index: int) -> int:
-    """Return the register id of integer register *index* (0..31)."""
-    if not 0 <= index < NUM_INT_REGS:
-        raise ValueError(f"integer register index out of range: {index}")
-    return index
-
-
-def fp_reg(index: int) -> int:
-    """Return the register id of floating-point register *index* (0..31)."""
-    if not 0 <= index < NUM_FP_REGS:
-        raise ValueError(f"fp register index out of range: {index}")
-    return NUM_INT_REGS + index
-
-
-def is_fp_reg(reg: int) -> bool:
-    """Return True if *reg* names a floating-point register."""
-    return reg >= NUM_INT_REGS
-
-
-class RegisterAllocator:
-    """Round-robin allocator over a register window.
-
-    Workload generators use one of these per value class so that generated
-    code has a controllable dependence distance: a window of *n* registers
-    means an instruction depends on the value produced ``n`` definitions
-    ago at the earliest.
-    """
-
-    def __init__(self, base: int, count: int) -> None:
-        if count <= 0:
-            raise ValueError("allocator window must be positive")
-        if base <= REG_ZERO:
-            raise ValueError("allocator window may not include the zero register")
-        if base + count > NUM_REGS:
-            raise ValueError("allocator window exceeds the register file")
-        self.base = base
-        self.count = count
-        self._next = 0
-
-    def alloc(self) -> int:
-        """Return the next register in the window."""
-        reg = self.base + self._next
-        self._next = (self._next + 1) % self.count
-        return reg
-
-    def reset(self) -> None:
-        """Restart the rotation at the window base."""
-        self._next = 0

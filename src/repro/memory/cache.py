@@ -1,9 +1,8 @@
 """A set-associative cache with pluggable replacement (true LRU default).
 
-The cache tracks tags, dirty bits and replacement ordering only — data
-values live in the functional layer (:mod:`repro.isa.interp`) or nowhere at
-all for the statistical workloads.  All methods take byte addresses; *line
-addresses* are derived internally.
+The cache tracks tags, dirty bits and replacement ordering only: the
+simulators are trace driven, so no data values are modelled.  All methods
+take byte addresses; *line addresses* are derived internally.
 
 Recency is tracked through dict insertion order (Python dicts are ordered):
 each set maps line address -> dirty flag, a recency refresh is a delete and
@@ -116,9 +115,6 @@ class Cache:
     def line_addr(self, addr: int) -> int:
         """Line-granularity address of byte address *addr*."""
         return addr >> self._line_shift
-
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr & self._set_mask
 
     # -- operations ----------------------------------------------------------
     def probe(self, addr: int, is_write: bool = False, update_lru: bool = True

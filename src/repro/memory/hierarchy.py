@@ -137,9 +137,6 @@ class MemoryHierarchy:
         self.bypassed_fills = 0
 
     # -- internal helpers ----------------------------------------------------
-    def _line_addr(self, addr: int) -> int:
-        return addr >> self._line_shift
-
     def _line_to_byte(self, line_addr: int) -> int:
         return line_addr << self._line_shift
 

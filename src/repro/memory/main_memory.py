@@ -29,8 +29,3 @@ class MainMemory:
         self._next_free = start + self.cycles_per_access
         self.accesses += 1
         return start
-
-    def reset(self) -> None:
-        self._next_free = 0
-        self.accesses = 0
-        self.queued_cycles = 0

@@ -41,12 +41,6 @@ class MemStats:
             return 0.0
         return (self.l1_misses + self.l1_secondary_misses) / self.l1_accesses
 
-    @property
-    def l2_local_miss_rate(self) -> float:
-        if self.l2_accesses == 0:
-            return 0.0
-        return self.l2_misses / self.l2_accesses
-
     def note_line(self, line_addr: int) -> None:
         """Record a missed line for compulsory/other classification."""
         if line_addr not in self._seen_lines:

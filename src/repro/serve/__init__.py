@@ -30,7 +30,6 @@ from repro.serve.gateway import (
 from repro.serve.spec import (
     MAX_INSTRUCTIONS,
     SpecError,
-    job_to_spec,
     validate_job_spec,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "ServeOptions",
     "SpecError",
     "TokenBucket",
-    "job_to_spec",
     "mint_traceparent",
     "validate_job_spec",
 ]

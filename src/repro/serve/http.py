@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
@@ -24,6 +25,8 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 2 * 1024 * 1024
+#: Request-line versions served: HTTP/1.0, HTTP/1.1 and later 1.x minors.
+_VERSION = re.compile(r"HTTP/1\.[0-9]")
 
 REASONS = {
     200: "OK", 202: "Accepted", 204: "No Content",
@@ -117,7 +120,9 @@ async def read_request(reader) -> Optional[Request]:
     if len(parts) != 3:
         raise BadRequest(f"malformed request line {line[:32]!r}")
     method, target, version = parts
-    if not version.startswith("HTTP/1."):
+    # RFC 9112 §2.3: HTTP-version = "HTTP/" DIGIT "." DIGIT, case
+    # sensitive; a later 1.x minor is served as 1.1 (RFC 9110 §2.5).
+    if not _VERSION.fullmatch(version):
         raise BadRequest(f"unsupported protocol {version[:32]}")
 
     headers: Dict[str, str] = {}

@@ -273,24 +273,3 @@ def validate_job_spec(payload: Any) -> SimJob:
         raise SpecError("kind", f"unknown kind {_quote(kind)}; expected one "
                                 f"of {sorted(_VALIDATORS)}")
     return _VALIDATORS[kind](payload)
-
-
-def job_to_spec(job: SimJob) -> Dict[str, Any]:
-    """The wire spec for *job* — the inverse of :func:`validate_job_spec`.
-
-    Round-trip guarantee (tested property):
-    ``validate_job_spec(job_to_spec(j)).cache_key() == j.cache_key()``
-    for every job the validator accepts.
-    """
-    cfg = job.config_dict()
-    if job.kind == KIND_BAR:
-        spec = {"kind": KIND_BAR, "benchmark": job.benchmark,
-                "machine": job.machine, "label": cfg["label"],
-                "instructions": job.instructions, "warmup": job.warmup,
-                "seed": job.seed}
-        if "policy" in cfg:
-            spec["policy"] = cfg["policy"]
-        return spec
-    return {"kind": KIND_ACCESS_CONTROL, "workload": job.benchmark,
-            "method": cfg["method"],
-            "machine_params": cfg["machine_params"]}

@@ -50,7 +50,6 @@ __all__ = [
     "set_ambient",
     "clear_ambient",
     "ambient",
-    "ambient_span",
     "job_trace_span",
 ]
 
@@ -96,10 +95,6 @@ def clear_ambient() -> None:
 
 def ambient() -> Tuple[Optional[Tracer], Optional[Span]]:
     return getattr(_AMBIENT, "tracer", None), getattr(_AMBIENT, "span", None)
-
-
-def ambient_span() -> Optional[Span]:
-    return getattr(_AMBIENT, "span", None)
 
 
 # --------------------------------------------------------------------------

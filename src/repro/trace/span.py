@@ -55,12 +55,6 @@ class Span:
         self.status = "ok"
         self.pid = os.getpid()
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            return 0.0
-        return max(0.0, self.end - self.start)
-
     def context(self) -> TraceContext:
         return TraceContext(self.trace_id, self.span_id, sampled=True)
 

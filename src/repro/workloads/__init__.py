@@ -19,7 +19,6 @@ from repro.workloads.patterns import (
     PointerChasePattern,
     RandomPattern,
     SequentialPattern,
-    StridedPattern,
 )
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
 from repro.workloads.characterize import WorkloadProfile, characterize
@@ -38,7 +37,6 @@ from repro.workloads.spec92 import (
 __all__ = [
     "AccessPattern",
     "SequentialPattern",
-    "StridedPattern",
     "RandomPattern",
     "ConflictPattern",
     "PointerChasePattern",

@@ -12,7 +12,7 @@ out-of-order machine's 32KB 2-way L1 — su2cor's pathology.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 
 class AccessPattern:
@@ -56,27 +56,6 @@ class SequentialPattern(AccessPattern):
 
     def reset(self) -> None:
         self._offset = 0
-
-
-class StridedPattern(AccessPattern):
-    """Several concurrent sequential streams, visited round-robin."""
-
-    def __init__(self, bases: Sequence[int], extent: int, stride: int = 4) -> None:
-        if not bases:
-            raise ValueError("need at least one stream base")
-        self.streams: List[SequentialPattern] = [
-            SequentialPattern(base, extent, stride) for base in bases]
-        self._turn = 0
-
-    def next_address(self) -> int:
-        stream = self.streams[self._turn]
-        self._turn = (self._turn + 1) % len(self.streams)
-        return stream.next_address()
-
-    def reset(self) -> None:
-        for stream in self.streams:
-            stream.reset()
-        self._turn = 0
 
 
 class RandomPattern(AccessPattern):

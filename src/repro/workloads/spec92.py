@@ -47,7 +47,6 @@ from repro.workloads.patterns import (
     PointerChasePattern,
     RandomPattern,
     SequentialPattern,
-    StridedPattern,
 )
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
 

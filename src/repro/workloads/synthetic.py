@@ -213,19 +213,3 @@ class SyntheticWorkload:
         """Yield exactly *n_instructions* dynamic instructions: the
         :meth:`rows`, read back as ``DynInst`` objects."""
         return map(from_row, self.rows(n_instructions, informing))
-
-    # -- introspection ---------------------------------------------------------
-    def static_reference_pcs(self) -> List[int]:
-        """pcs of the static memory-reference slots (profiling ground truth)."""
-        return [self.spec.base_pc + 4 * i
-                for i, slot in enumerate(self._template)
-                if slot[0] == _KIND_MEM]
-
-    def composition(self) -> dict:
-        """Static slot counts by kind."""
-        counts = {"mem": 0, "int": 0, "fp": 0, "branch": 0}
-        names = {_KIND_MEM: "mem", _KIND_INT: "int",
-                 _KIND_FP: "fp", _KIND_BRANCH: "branch"}
-        for slot in self._template:
-            counts[names[slot[0]]] += 1
-        return counts

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.branch import (
-    AlwaysTakenPredictor,
-    StaticNotTakenPredictor,
-    TwoBitCounterPredictor,
-)
+from repro.branch import TwoBitCounterPredictor
 
 
 class TestTwoBitCounters:
@@ -73,15 +69,3 @@ class TestTwoBitCounters:
             TwoBitCounterPredictor(entries=12)
         with pytest.raises(ValueError):
             TwoBitCounterPredictor(entries=0)
-
-
-class TestStaticPredictors:
-    def test_not_taken(self):
-        predictor = StaticNotTakenPredictor()
-        assert predictor.predict(0x1) is False
-        predictor.update(0x1, True)
-        assert predictor.predict(0x1) is False
-
-    def test_always_taken(self):
-        predictor = AlwaysTakenPredictor()
-        assert predictor.predict(0x1) is True

@@ -21,7 +21,6 @@ class TestInformingConfig:
     def test_none_baseline(self):
         config = InformingConfig()
         assert not config.active
-        assert not config.adds_per_reference_instruction
 
     def test_handler_requires_mechanism(self):
         with pytest.raises(ValueError):
@@ -34,18 +33,6 @@ class TestInformingConfig:
     def test_trap_with_null_handler_is_inactive(self):
         config = InformingConfig(mechanism=Mechanism.TRAP)
         assert not config.active  # MHAR == 0
-
-    def test_per_reference_instruction_modes(self):
-        single = InformingConfig(mechanism=Mechanism.TRAP,
-                                 handler=GenericHandler(10))
-        unique = InformingConfig(mechanism=Mechanism.TRAP,
-                                 handler=GenericHandler(10, unique=True),
-                                 unique_handlers=True)
-        cc = InformingConfig(mechanism=Mechanism.CONDITION_CODE,
-                             handler=GenericHandler(10, unique=True))
-        assert not single.adds_per_reference_instruction
-        assert unique.adds_per_reference_instruction
-        assert cc.adds_per_reference_instruction
 
 
 class TestGenericHandler:

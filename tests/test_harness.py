@@ -14,7 +14,7 @@ from repro.harness.runner import (
     run_bar,
     run_figure,
 )
-from repro.harness.report import render_bar_chart, render_figure, summarize_claims
+from repro.harness.report import render_figure, summarize_claims
 from repro.coherence import CoherenceMachineParams
 from repro.core import Mechanism, TrapStyle
 
@@ -167,11 +167,6 @@ class TestReportRendering:
         text = render_figure(self.figure(), "title")
         assert "espresso" in text
         assert "S1" in text
-
-    def test_render_bar_chart(self):
-        text = render_bar_chart(self.figure(), "ooo", "S1")
-        assert "espresso" in text
-        assert "#" in text
 
     def test_summarize_claims(self):
         notes = summarize_claims(self.figure())

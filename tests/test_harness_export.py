@@ -1,7 +1,5 @@
 """Unit tests for result serialisation."""
 
-import csv
-import io
 import json
 
 import pytest
@@ -9,10 +7,8 @@ import pytest
 from repro.harness.coherence_exp import Figure4Result, Figure4Row, SensitivityPoint
 from repro.harness.export import (
     figure4_to_json,
-    figure_to_csv,
     figure_to_json,
-    load_figure,
-    sensitivity_to_csv,
+    sensitivity_to_json,
 )
 from repro.harness.runner import BarResult, FigureResult
 
@@ -30,28 +26,9 @@ def sample_figure():
 
 
 class TestFigureJSON:
-    def test_round_trip(self):
-        original = sample_figure()
-        restored = load_figure(figure_to_json(original))
-        assert restored.name == original.name
-        assert len(restored.bars) == 2
-        for a, b in zip(original.bars, restored.bars):
-            assert a.label == b.label
-            assert a.cycles == b.cycles
-            assert a.normalized == pytest.approx(b.normalized)
-
     def test_json_is_valid(self):
         data = json.loads(figure_to_json(sample_figure()))
         assert data["bars"][1]["normalized"] == pytest.approx(1.1)
-
-
-class TestFigureCSV:
-    def test_csv_parses(self):
-        text = figure_to_csv(sample_figure())
-        rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == 2
-        assert rows[0]["benchmark"] == "compress"
-        assert int(rows[1]["cycles"]) == 1100
 
 
 class TestFigure4JSON:
@@ -65,10 +42,9 @@ class TestFigure4JSON:
         assert data["rows"][0]["workload"] == "read_mostly"
 
 
-class TestSensitivityCSV:
+class TestSensitivityJSON:
     def test_serialises_points(self):
         points = [SensitivityPoint(900, 16384, 1.2, 1.1)]
-        rows = list(csv.reader(io.StringIO(sensitivity_to_csv(points))))
-        assert rows[0] == ["message_latency", "l1_size",
-                           "reference_checking", "ecc"]
-        assert rows[1][0] == "900"
+        data = json.loads(sensitivity_to_json(points))
+        assert data["points"] == [{"message_latency": 900, "l1_size": 16384,
+                                   "reference_checking": 1.2, "ecc": 1.1}]

@@ -2,14 +2,17 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.branch import TwoBitCounterPredictor
+from repro.core import InformingConfig, Mechanism, TrapStyle
 from repro.memory import Cache, CacheConfig, MSHRFile, MemoryHierarchy
 from repro.memory import HierarchyConfig
 from repro.pipeline import StreamStack
 from repro.isa import alu, load
 from repro.sim import Simulator
+from repro.workloads import SPEC92
 
 from tests.helpers import STREAM_SOURCES
 
@@ -260,6 +263,56 @@ class TestCoreInvariantProperties:
         informed = make_ooo(informing=trap_config(n=2)).run(list(trace))
         assert informed.app_instructions == base.app_instructions == len(refs)
         assert informed.cycles >= 1
+
+
+def _spec92_cell(backend, benchmark, machine, seed, informing):
+    """Stats and memory stats of one SPEC92 cell (4,000 measured
+    instructions after 1,000 of warm-up) on a Table 1 machine."""
+    from dataclasses import asdict
+
+    from repro.harness.configs import MACHINES, build_core
+    from repro.harness.runner import stream_bound
+    from repro.memory import derive_seed
+    from repro.pipeline.stream import SharedStream
+    from repro.vec.inorder import run_inorder_vec
+    from repro.vec.ooo import run_ooo_vec
+    from repro.workloads import spec92_workload
+
+    instructions, warmup = 4_000, 1_000
+    core = build_core(MACHINES[machine], informing=informing,
+                      replacement_seed=derive_seed(seed))
+    workload = spec92_workload(benchmark, seed_offset=seed)
+    bound = stream_bound(instructions, warmup)
+    if backend == "interp":
+        stats = core.run(workload.stream(bound),
+                         max_app_insts=instructions + warmup,
+                         warmup_insts=warmup)
+    else:
+        run = run_ooo_vec if machine == "ooo" else run_inorder_vec
+        stats = run(core, SharedStream(workload.rows(bound)),
+                    max_app_insts=instructions + warmup, warmup_insts=warmup)
+    return asdict(stats), asdict(core.hierarchy.stats)
+
+
+class TestPaperProperties:
+    @pytest.mark.parametrize("backend", ["interp", "vec"])
+    @given(benchmark=st.sampled_from(sorted(SPEC92)),
+           machine=st.sampled_from(["ooo", "inorder"]),
+           seed=st.integers(0, 20),
+           trap_style=st.sampled_from(list(TrapStyle)),
+           unique=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_mhar_zero_is_no_informing(self, backend, benchmark, machine,
+                                       seed, trap_style, unique):
+        """§2: writing 0 into the MHAR disables informing, so a trap
+        machine with no handler runs exactly the uninformed run: cycles,
+        app and handler instructions, graduation slots and L1 misses."""
+        disabled = InformingConfig(mechanism=Mechanism.TRAP,
+                                   trap_style=trap_style,
+                                   unique_handlers=unique)
+        assert (_spec92_cell(backend, benchmark, machine, seed, disabled)
+                == _spec92_cell(backend, benchmark, machine, seed,
+                                InformingConfig()))
 
 
 # ---------------------------------------------------------------------------

@@ -151,12 +151,27 @@ def test_plain_length_frames_the_body(headers):
     b"GET /" + b"a" * 8000 + b" HTTP/1.1 x\r\n\r\n",
     b"GET / HTTP/" + b"9" * 8000 + b"\r\n\r\n",
     b"GET / HTTP/1.1\r\n" + b"X" * 30000 + b"\r\n\r\n",
-    b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 30000 + b"x\r\n\r\n"],
-    ids=["request-line", "protocol", "header-line", "length"])
+    b"POST / HTTP/1.1\r\nContent-Length: " + b"9" * 30000 + b"x\r\n\r\n",
+    b"GET / HTTP/1." + b"1" * 8000 + b"\r\n\r\n",
+    b"GET / HTTP/1.\r\n\r\n",
+    b"GET / HTTP/1.x\r\n\r\n",
+    b"GET / HTTP/1.10\r\n\r\n",
+    b"GET / http/1.1\r\n\r\n"],
+    ids=["request-line", "protocol", "header-line", "length",
+         "minor-8000-digits", "no-minor", "letter-minor", "two-digit-minor",
+         "lowercase-name"])
 def test_a_400_quotes_little_of_the_request(data):
     (outcome,) = read_all(data)
     assert outcome.status == 400
     assert len(outcome.payload["message"]) < 100
+
+
+def test_a_later_minor_version_is_served_as_1_1():
+    """RFC 9110 §2.5: a 1.x minor we do not know is read as 1.1."""
+    request, eof = read_all(b"GET /healthz HTTP/1.2\r\n\r\n")
+    assert request.path == "/healthz"
+    assert request.keep_alive
+    assert eof is None
 
 
 def build_machine(job: SimJob) -> None:

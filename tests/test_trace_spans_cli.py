@@ -186,16 +186,16 @@ class TestCli:
         path = write_spans(tmp_path / "journal.jsonl",
                            request_shaped_records())
         chrome = tmp_path / "chrome.json"
-        otlp = tmp_path / "otlp.json"
-        assert spans_main([path, "--json", "--chrome", str(chrome),
-                           "--otlp", str(otlp)]) == 0
+        assert spans_main([path, "--json", "--chrome", str(chrome)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trace_id"] == TRACE
         assert payload["spans"] == 7
         assert payload["connected"] is True
         assert payload["critical_path"]
         assert len(json.loads(chrome.read_text())["traceEvents"]) == 7
-        assert json.loads(otlp.read_text())["resourceSpans"]
+        with pytest.raises(SystemExit) as exc:  # --otlp is not an option
+            spans_main([path, "--otlp", str(tmp_path / "otlp.json")])
+        assert exc.value.code == 2
 
     def test_largest_trace_wins_and_trace_id_selects(self, tmp_path,
                                                      capsys):
