@@ -1,6 +1,6 @@
 """Same-sitting interp-vs-vec benchmark over the cold figure2 grid.
 
-The drift lesson from BENCH_hotpath.json: absolute walls on a given
+The drift lesson of DESIGN.md §6: absolute walls on a given
 host move by ~30% between sittings, so a speedup claim is only honest
 when both sides of the pair are measured back-to-back on the same
 machine.  This script does exactly that — it sweeps every figure2
@@ -145,7 +145,7 @@ def main(argv=None) -> int:
                 "note": "Both walls measured back-to-back in one process "
                         "(this script), so the speedup ratio is immune to "
                         "the ~30% between-sitting host drift documented "
-                        "in BENCH_hotpath.json. Gate on the ratio, never "
+                        "in DESIGN.md §6. Gate on the ratio, never "
                         "on a fresh absolute wall vs a committed one.",
             },
         }

@@ -16,16 +16,10 @@ Usage::
     PYTHONPATH=src python -m pytest benchmarks/test_hotpath_micro.py \
         --benchmark-disable -q
 
-    # refresh the committed timing snapshot
-    REPRO_HOTPATH_RECORD=1 PYTHONPATH=src python -m pytest \
-        benchmarks/test_hotpath_micro.py --benchmark-disable -q
-
-    # record fresh timings to a separate file (the perf-gate CI job does
-    # this, then `python -m repro.harness compare`s it against the
-    # committed BENCH_hotpath.json with a noise threshold)
-    REPRO_HOTPATH_RECORD=1 REPRO_HOTPATH_RECORD_TO=fresh.json \
-        PYTHONPATH=src python -m pytest \
-        benchmarks/test_hotpath_micro.py --benchmark-disable -q
+A timing means something only against another taken in the same
+sitting: ``benchmarks/hotpath_pair.py`` times these scenarios on two
+source trees in alternation, which is how the perf-gate CI job gates a
+change against its merge base (see DESIGN.md §6).
 
 Each scenario returns a checksum-ish value that is asserted against a
 pinned constant, so the check-only mode doubles as a cheap functional
@@ -33,11 +27,6 @@ regression test of the optimized paths (the golden-parity suite in
 ``tests/test_golden_parity.py`` is the authoritative cycle-exactness
 check).
 """
-
-import json
-import os
-import statistics
-import time
 
 import pytest
 
@@ -47,41 +36,8 @@ from repro.memory.config import CacheConfig
 from repro.pipeline.stream import SharedStream, StreamStack
 from repro.workloads import spec92_workload
 
-#: Committed timing snapshot (see ``record`` below).
-BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                          "BENCH_hotpath.json")
-
-RECORD = os.environ.get("REPRO_HOTPATH_RECORD") == "1"
-
-#: Redirect the recorded snapshot (perf-gate: record fresh timings next
-#: to, not over, the committed baseline).
-RECORD_TO = os.environ.get("REPRO_HOTPATH_RECORD_TO") or BENCH_PATH
-
-#: Timing rule of a record: a sample repeats a scenario until it has run
-#: for SAMPLE_SECONDS, and the record is the median over SAMPLES samples
-#: of seconds per call.  Millisecond scenarios timed once per sample are
-#: bimodal on a loaded host; a few hundred milliseconds of calls are not.
-SAMPLE_SECONDS = 0.2
-SAMPLES = 5
-
 
 # -- scenarios ---------------------------------------------------------------
-def calibration() -> int:
-    """Fixed pure-Python spin: a host-speed yardstick, not a hot path.
-
-    Its timing is recorded alongside the real scenarios so ``harness
-    compare``'s bench mode can divide out host/sitting speed differences
-    (the committed BENCH_hotpath.json note documents ~30% wall drift
-    between sittings on one machine — more across machines).  Comparing
-    calibration-normalized ratios turns the perf-gate's committed-vs-
-    fresh diff into a same-units comparison instead of a drift lottery.
-    """
-    acc = 0
-    for i in range(2_000_000):
-        acc = (acc + i) % 1_000_003
-    return acc
-
-
 def cache_probe_hits() -> int:
     """Steady-state L1 hits: the single most executed memory-layer path."""
     cache = Cache(CacheConfig(size=8 * 1024, assoc=4, line_size=32))
@@ -151,7 +107,6 @@ def ooo_10k() -> int:
 
 
 SCENARIOS = {
-    "calibration": calibration,
     "cache_probe_hits": cache_probe_hits,
     "cache_fill_evictions": cache_fill_evictions,
     "row_generation": row_generation,
@@ -163,7 +118,6 @@ SCENARIOS = {
 #: Functional pins: the optimized paths must keep producing these exact
 #: values (simulators and workloads are fully deterministic).
 EXPECTED = {
-    "calibration": 21,
     "cache_probe_hits": 40 * 256,
     "cache_fill_evictions": 20 * 512 - 128,
     "row_generation": 20_000,
@@ -178,53 +132,3 @@ def test_hotpath(name, benchmark):
         assert value == EXPECTED[name]
     else:
         assert value > 0  # cycle counts; exactness lives in golden parity
-
-
-def seconds_per_call(func) -> float:
-    """Median over :data:`SAMPLES` samples of *func*'s seconds per call;
-    a sample calls it until :data:`SAMPLE_SECONDS` have passed."""
-    samples = []
-    for _ in range(SAMPLES):
-        calls = 0
-        start = time.perf_counter()
-        while True:
-            func()
-            calls += 1
-            elapsed = time.perf_counter() - start
-            if elapsed >= SAMPLE_SECONDS:
-                break
-        samples.append(elapsed / calls)
-    return statistics.median(samples)
-
-
-def test_record_snapshot():
-    """Rewrite BENCH_hotpath.json (opt-in via REPRO_HOTPATH_RECORD=1).
-
-    Times each scenario by the :data:`SAMPLES` x :data:`SAMPLE_SECONDS`
-    rule (:func:`seconds_per_call`) and merges the numbers
-    into the committed snapshot, preserving any other sections (the cold
-    figure2 wall-time evidence is maintained by hand — it needs a paired
-    baseline measurement on the same machine in the same sitting).
-    ``REPRO_HOTPATH_RECORD_TO=PATH`` records to a separate file instead —
-    the perf-gate CI job uses that to get fresh timings to ``harness
-    compare`` against the committed baseline.  The write is atomic
-    (tmp + rename), so an interrupted recording never truncates the
-    baseline.
-    """
-    if not RECORD:
-        pytest.skip("set REPRO_HOTPATH_RECORD=1 to rewrite BENCH_hotpath.json")
-    from repro.exec import atomic_write_json
-
-    timings = {name: round(seconds_per_call(func), 6)
-               for name, func in sorted(SCENARIOS.items())}
-    payload = {}
-    if os.path.exists(RECORD_TO):
-        with open(RECORD_TO) as fh:
-            payload = json.load(fh)
-    payload["schema"] = 1
-    payload["microbenchmarks"] = {
-        "unit": f"seconds per call (median of {SAMPLES} samples of "
-                f">= {SAMPLE_SECONDS} s)",
-        "timings": timings,
-    }
-    atomic_write_json(RECORD_TO, payload)

@@ -20,7 +20,10 @@ the resume plan:
 * the re-run cells run under the run's own ``settings`` from the
   journal header — backend, sanitizer, ``--trace-events`` directory and
   sampling rate — so a ``--sanitize`` run resumes sanitized
-  (``--backend`` overrides the backend).
+  (``--backend`` overrides the backend);
+* a run without the result cache (``--no-cache``, the header's
+  ``cache: false``) resumes without it: every cell re-runs, none is
+  read from or written to the cache.
 
 Resuming a resume works the same way: each resumed run writes its own
 journal under its own run id, with ``resumed_from`` linking the chain in
@@ -60,6 +63,9 @@ class RunState:
     #: The run's ``settings`` from the journal header (backend, sanitize,
     #: trace_events, trace_sample); empty for journals that predate them.
     settings: Dict[str, Any] = field(default_factory=dict)
+    #: Whether the run used the result cache; journals that predate the
+    #: header's ``cache`` field did.
+    cache: bool = True
     #: ``[{"key": <cache key>, "job": <SimJob.to_dict()>}, ...]`` in grid
     #: order, from the ``run_start`` record.
     job_records: List[Dict[str, Any]] = field(default_factory=list)
@@ -132,6 +138,7 @@ def load_run_state(ref: str, runs_root: Optional[str] = None) -> RunState:
         seed=head.get("seed"),
         workers=head.get("workers") or 1,
         settings=head.get("settings") or {},
+        cache=head.get("cache", True) is not False,
         truncated=truncated,
         bad_lines=bad_lines,
     )
@@ -230,7 +237,7 @@ def resume_main(argv=None) -> int:
     settings = state.settings
     options = ExecOptions(
         jobs=args.jobs or state.workers or 1,
-        cache=not args.no_cache,
+        cache=state.cache and not args.no_cache,
         timeout=args.timeout,
         progress=args.progress,
         manifest_dir=root,

@@ -35,7 +35,9 @@ when ``options.install_signal_handlers`` is set) stops the run admitting
 new work — in-flight jobs finish and are stored/recorded normally,
 not-yet-started jobs are given up with a ``drained`` telemetry event,
 and the run returns partial results (``None`` for drained slots) after
-closing the run record and writing the run manifest.
+closing the run record and writing the run manifest.  Pool workers do
+not take the drain handler with them: they ignore SIGINT, die on
+SIGTERM, and end on their own once the parent that forked them is gone.
 
 The run record: every run keeps one ordered list of records in
 :attr:`JobRunner.records` — a ``journal_header``, the ``run_start`` grid,
@@ -180,6 +182,28 @@ def _sim_view(result: Dict[str, Any]) -> Dict[str, Any]:
     # Non-bar kinds (access_control, apps, test payloads): every field
     # the executor returned is simulated output.
     return dict(result)
+
+
+def _pool_worker_init(parent: int) -> None:
+    """Initializer of every pool worker.
+
+    A forked worker inherits the parent's signal handlers, the
+    runner's drain handler among them, and blocks on its call queue
+    whether or not the parent lives.  So SIGTERM gets its default
+    action back; SIGINT, which a terminal sends to the whole process
+    group, is ignored, so that the parent's drain still lets in-flight
+    cells finish; and a daemon thread ends the worker once *parent* is
+    no longer its parent.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def _timed_call(execute: Callable[[SimJob], Dict[str, Any]],
@@ -669,7 +693,9 @@ class JobRunner:
         cache_state = "miss" if self.cache else "off"
         workers = min(self.options.jobs, len(pending))
         timeout = self.options.timeout
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_pool_worker_init,
+                                   initargs=(os.getpid(),))
         aborted = False
         # Trace propagation across the pool boundary: each submission
         # carries its job span's traceparent, and the worker's spans

@@ -18,10 +18,10 @@ a run, and this package delivers it *across* runs:
   a running grid's journal live: per-job state, worker utilization,
   cache-hit ratio, throughput, ETA (:mod:`repro.perf.watch`).
 
-The ``perf-gate`` CI job wires these together: fresh hotpath timings are
-``compare``'d against ``BENCH_hotpath.json`` (fail >25%, warn >10%) and
-the run manifest is uploaded as an artifact, so every future perf PR is
-measured against an enforced baseline instead of a hand-edited JSON.
+The ``perf-gate`` CI job wires these together: hotpath timings of the
+merge base and of the change, recorded alternately in one sitting, are
+``compare``'d (fail >25%, warn >10%), and the run manifests are
+uploaded as an artifact.
 """
 
 from repro.perf.compare import (

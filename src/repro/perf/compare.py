@@ -10,14 +10,14 @@ Three comparison modes, picked from what A and B actually are:
   resampled (bootstrap over the repeated cells) into a confidence
   interval, and a delta whose CI straddles 1.0 is classified
   ``no change`` rather than eyeballed.
-* **bench mode** — A/B are ``BENCH_hotpath.json`` style snapshot files
-  (``BENCH_vec.json`` and ``BENCH_serve.json`` share the schema); their
+* **bench mode** — A/B are BENCH snapshot files (``BENCH_vec.json``,
+  ``BENCH_serve.json``, or the hotpath records
+  ``benchmarks/test_hotpath_micro.py`` writes); their
   ``microbenchmarks`` timings are compared as ratios against
-  ``--warn-above`` / ``--fail-above`` thresholds (the perf-gate CI job
-  runs exactly this against fresh microbenchmark timings).  When
-  both snapshots carry the ``micro/calibration`` host-speed yardstick,
-  micro ratios are calibration-normalized so host/sitting wall drift
-  cancels out of the committed-vs-fresh comparison.
+  ``--warn-above`` / ``--fail-above`` thresholds.  The ratio means
+  something only when both sides were timed in one sitting: the
+  perf-gate CI job records the merge base and the change alternately
+  and compares their median timings this way.
 * **trace mode** (``--trace-dir``) — A/B are ``repro.obs`` artifact
   directories; per-cell ``*.metrics.json`` payloads are compared
   digit-exact.
@@ -225,36 +225,14 @@ def _bench_timings(data: Dict[str, Any]) -> Dict[str, float]:
     return {f"micro/{name}": seconds for name, seconds in micro.items()}
 
 
-#: The host-speed yardstick scenario recorded by test_hotpath_micro.py;
-#: when both snapshots carry it, micro timings are compared as
-#: calibration-normalized ratios (host/sitting drift divided out).
-CALIBRATION_TIMING = "micro/calibration"
-
-
 def compare_bench(a: Dict[str, Any], b: Dict[str, Any],
                   fail_above: float = DEFAULT_FAIL_ABOVE,
                   warn_above: float = DEFAULT_WARN_ABOVE) -> Dict[str, Any]:
-    """Bench-mode report: single-sample timing ratios vs thresholds.
-
-    Raw walls from two different sittings (or hosts) disagree by tens of
-    percent without any code change, so when both snapshots recorded the
-    :data:`CALIBRATION_TIMING` yardstick, every other ``micro/*`` ratio
-    is divided by the calibration ratio first — comparing "times the
-    host's own Python speed" instead of seconds against seconds.
-    """
+    """Bench-mode report: timing ratios (B over A) vs thresholds."""
     timings_a, timings_b = _bench_timings(a), _bench_timings(b)
     rows: List[Dict[str, Any]] = []
     notes: List[str] = []
-    scale = None
-    cal_a = timings_a.get(CALIBRATION_TIMING)
-    cal_b = timings_b.get(CALIBRATION_TIMING)
-    if cal_a and cal_b:
-        scale = cal_b / cal_a
-        notes.append(f"micro/* ratios normalized by the calibration "
-                     f"ratio x{scale:.3f} (host/sitting speed drift)")
     for name in sorted(set(timings_a) | set(timings_b)):
-        if name == CALIBRATION_TIMING:
-            continue
         if name not in timings_a or name not in timings_b:
             notes.append(f"{name} present in only one snapshot; skipped")
             continue
@@ -263,8 +241,6 @@ def compare_bench(a: Dict[str, Any], b: Dict[str, Any],
             notes.append(f"{name} has a zero baseline; skipped")
             continue
         ratio = tb / ta
-        if scale is not None and name.startswith("micro/"):
-            ratio /= scale
         if ratio >= fail_above:
             verdict = "regression"
         elif ratio >= warn_above:

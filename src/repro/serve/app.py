@@ -1,4 +1,4 @@
-"""HTTP routing for the gateway: the asyncio server and its endpoints.
+"""HTTP routing for the gateway: the connection protocol and its endpoints.
 
 Routes::
 
@@ -9,6 +9,16 @@ Routes::
     GET  /stats            registry + cache + admission state as JSON
     GET  /runs             run ids of served manifests (when enabled)
     GET  /runs/<id>        one served run's manifest.json
+
+Each client connection is one :class:`Connection` (an
+``asyncio.Protocol``) that parses requests out of its own buffer with
+:func:`~repro.serve.http.parse_request`.  Inside ``data_received`` it
+answers, with one write each, every request that needs no waiting: a
+hit (:meth:`Gateway.submit_front` finds it settled or on disk), the
+introspection endpoints and every error the front or the parser
+raises.  Only a request that must wait, a miss the gateway coalesces or
+queues (:meth:`Gateway.submit_tail`) or an SSE stream, becomes a task,
+and the connection reads nothing more until that task has answered.
 
 Every error — malformed spec, rate limit, full queue, engine failure —
 renders as a structured JSON body with a definite status code; a client
@@ -21,13 +31,14 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Set, Tuple, Union
 
 from repro.obs.export import to_openmetrics
 from repro.serve.gateway import (
     Draining,
     Gateway,
     JobError,
+    Pending,
     QueueFull,
     RateLimited,
 )
@@ -36,7 +47,7 @@ from repro.serve.http import (
     Request,
     SseStream,
     json_response,
-    read_request,
+    parse_request,
     text_response,
 )
 from repro.serve.spec import SpecError
@@ -70,12 +81,142 @@ def error_payload(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     return 500, {"error": "internal", "kind": type(exc).__name__}
 
 
+class Connection(asyncio.Protocol):
+    """One client connection: requests are parsed out of one buffer, and
+    each that needs no waiting is answered inside ``data_received``.
+
+    The first request that must wait (a miss, or an SSE stream) becomes
+    the connection's task; reading pauses until it ends, so pipelined
+    requests are answered in order and the buffer stays bounded.
+    Reading also pauses while the transport's write buffer is full, and
+    :meth:`drain` waits for it, as ``StreamWriter.drain`` does.
+    """
+
+    def __init__(self, app: "App") -> None:
+        self.app = app
+        self.transport = None
+        self.buffer = bytearray()
+        self.eof = False
+        #: The task of the request being waited on, if any.
+        self.task: Optional["asyncio.Task"] = None
+        self._write_paused = False
+        self._drained: Optional["asyncio.Future"] = None
+
+    # -- the response helpers' writer -----------------------------------------
+    def write(self, data: bytes) -> None:
+        self.transport.write(data)
+
+    async def drain(self) -> None:
+        """Wait until the transport takes more; ConnectionResetError
+        once the connection is gone."""
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        if self._write_paused:
+            self._drained = asyncio.get_running_loop().create_future()
+            await self._drained
+
+    # -- protocol callbacks ---------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.app.connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.app.connections.discard(self)
+        if self._drained is not None and not self._drained.done():
+            self._drained.set_exception(
+                ConnectionResetError("connection lost"))
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.task is None:
+            self.serve()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        if self.task is None:
+            self.serve()
+        return True  # the connection closes itself once it has answered
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._drained is not None and not self._drained.done():
+            self._drained.set_result(None)
+        if self.task is None:
+            self.transport.resume_reading()
+            self.serve()
+
+    # -- requests -------------------------------------------------------------
+    def serve(self) -> None:
+        """Answer the complete requests in the buffer, in order, up to
+        the first that must wait, which becomes :attr:`task`."""
+        while not self.transport.is_closing() and not self._write_paused:
+            try:
+                parsed = parse_request(self.buffer, self.eof)
+            except HttpError as exc:
+                json_response(self, exc.status, exc.payload,
+                              keep_alive=False)
+                self.transport.close()
+                return
+            if parsed is None:
+                if self.eof:
+                    self.transport.close()
+                return
+            request, used = parsed
+            del self.buffer[:used]
+            try:
+                answer = self.app.answer(request, self)
+            except Exception as exc:  # last resort: never a traceback
+                _report(exc)
+                answer = False
+            if answer is True:
+                continue
+            if answer is False:
+                self.transport.close()
+                return
+            self.transport.pause_reading()
+            self.task = asyncio.ensure_future(self._finish(answer))
+            return
+
+    async def _finish(self, answer: Awaitable[bool]) -> None:
+        """Wait for *answer*, then go on with the buffer or close."""
+        keep_alive = False
+        try:
+            keep_alive = await answer
+            await self.drain()
+        except ConnectionError:
+            keep_alive = False
+        except asyncio.CancelledError:
+            keep_alive = False
+            raise
+        except Exception as exc:  # last resort: never a traceback
+            _report(exc)
+            keep_alive = False
+        finally:
+            self.task = None
+            if not keep_alive or self.app.gateway.draining:
+                self.transport.close()
+        if not self._write_paused:
+            self.transport.resume_reading()
+        self.serve()
+
+
+def _report(exc: Exception) -> None:
+    print(f"serve: connection handler error: "
+          f"{type(exc).__name__}: {exc}", file=sys.stderr)
+
+
 class App:
-    """Route table + connection loop over one :class:`Gateway`."""
+    """Route table over one :class:`Gateway`, served by one
+    :class:`Connection` per client."""
 
     def __init__(self, gateway: Gateway) -> None:
         self.gateway = gateway
         self.server: Optional[asyncio.AbstractServer] = None
+        self.connections: Set[Connection] = set()
 
     # -- server lifecycle ----------------------------------------------------
     async def start(self, host: str, port: int) -> Tuple[str, int]:
@@ -83,58 +224,48 @@ class App:
         await self.gateway.start()
         # A deep accept backlog: the load benchmark opens 1000+
         # connections in one burst and must not see connection resets.
-        self.server = await asyncio.start_server(
-            self.handle_connection, host, port, backlog=2048)
+        self.server = await asyncio.get_running_loop().create_server(
+            lambda: Connection(self), host, port, backlog=2048)
         bound = self.server.sockets[0].getsockname()
         return bound[0], bound[1]
 
     async def shutdown(self, grace: Optional[float] = None) -> int:
-        """Graceful stop: close the listener, then drain the gateway."""
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
-            self.server = None
-        return await self.gateway.drain(grace)
-
-    # -- connection loop -----------------------------------------------------
-    async def handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    json_response(writer, exc.status, exc.payload,
-                                  keep_alive=False)
-                    break
-                if request is None:
-                    break
-                keep_alive = await self.dispatch(request, writer)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        except Exception as exc:  # last-resort: never leak a traceback
-            print(f"serve: connection handler error: "
-                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        """Graceful stop: close the listener, drain the gateway, close
+        the connections that wait on nothing (the others close once
+        they have answered), then wait for the listener, which from
+        Python 3.12 on waits for every connection to close."""
+        server, self.server = self.server, None
+        if server is not None:
+            server.close()
+        abandoned = await self.gateway.drain(grace)
+        for connection in list(self.connections):
+            if connection.task is None:
+                connection.transport.close()
+        if server is not None:
+            await server.wait_closed()
+        return abandoned
 
     # -- routing -------------------------------------------------------------
     async def dispatch(self, request: Request, writer) -> bool:
         """Handle one request; returns whether to keep the connection."""
+        answer = self.answer(request, writer)
+        if isinstance(answer, bool):
+            return answer
+        return await answer
+
+    def answer(self, request: Request, writer) -> Union[bool,
+                                                        Awaitable[bool]]:
+        """Answer *request* now when it needs no waiting, and return
+        whether to keep the connection; otherwise return the awaitable
+        that answers it and returns that."""
         path, method = request.path, request.method
         try:
             if path == "/v1/jobs":
                 if method != "POST":
                     return self._method_not_allowed(request, writer, "POST")
                 if request.wants_stream():
-                    return await self.handle_job_stream(request, writer)
-                return await self.handle_job(request, writer)
+                    return self.handle_job_stream(request, writer)
+                return self.handle_job(request, writer)
             if method != "GET":
                 return self._method_not_allowed(request, writer, "GET")
             if path == "/healthz":
@@ -161,43 +292,62 @@ class App:
                       keep_alive=request.keep_alive)
         return request.keep_alive
 
+    def _error(self, request: Request, writer, exc: BaseException) -> bool:
+        status, body = error_payload(exc)
+        json_response(writer, status, body, keep_alive=request.keep_alive)
+        return request.keep_alive
+
     # -- job submission ------------------------------------------------------
-    async def handle_job(self, request: Request, writer) -> bool:
+    def handle_job(self, request: Request, writer):
+        """A hit answers now; a miss returns the awaitable that waits
+        for its run (:meth:`Gateway.submit_tail`)."""
         try:
-            outcome = await self.gateway.submit(
+            step = self.gateway.submit_front(
                 request.body, request.tenant,
                 traceparent=request.headers.get("traceparent"))
-        except (SpecError, RateLimited, QueueFull, Draining,
-                JobError) as exc:
-            status, body = error_payload(exc)
-            json_response(writer, status, body,
-                          keep_alive=request.keep_alive)
-            return request.keep_alive
+        except (SpecError, RateLimited, Draining) as exc:
+            return self._error(request, writer, exc)
+        if isinstance(step, Pending):
+            return self._wait_job(request, writer, step)
+        json_response(writer, 200, step, keep_alive=request.keep_alive)
+        return request.keep_alive
+
+    async def _wait_job(self, request: Request, writer,
+                        pending: Pending) -> bool:
+        try:
+            outcome = await self.gateway.submit_tail(pending)
+        except (QueueFull, Draining, JobError) as exc:
+            return self._error(request, writer, exc)
         json_response(writer, 200, outcome, keep_alive=request.keep_alive)
         return request.keep_alive
 
-    async def handle_job_stream(self, request: Request, writer) -> bool:
+    def handle_job_stream(self, request: Request, writer):
         """SSE submission: run records live, then result/error.
 
         Pre-admission failures (bad spec, rate limit, full queue) are
         still plain JSON errors with their real status code — the SSE
         response only starts once the job is admitted (or served from
-        cache / a coalesced run).
+        cache / a coalesced run).  A rejection at the front answers now;
+        anything else returns the awaitable that streams.
         """
         events: asyncio.Queue = asyncio.Queue()
-        task = asyncio.ensure_future(
-            self.gateway.submit(
+        try:
+            step = self.gateway.submit_front(
                 request.body, request.tenant, subscriber=events,
-                traceparent=request.headers.get("traceparent")))
+                traceparent=request.headers.get("traceparent"))
+        except (SpecError, RateLimited, Draining) as exc:
+            return self._error(request, writer, exc)
+        return self._stream_job(request, writer, events, step)
+
+    async def _stream_job(self, request: Request, writer,
+                          events: "asyncio.Queue", step) -> bool:
+        task = asyncio.ensure_future(self.gateway.submit_tail(step))
         first = asyncio.ensure_future(events.get())
         await asyncio.wait({task, first},
                            return_when=asyncio.FIRST_COMPLETED)
         if task.done() and task.exception() is not None:
             first.cancel()
-            status, body = error_payload(task.exception())
-            json_response(writer, status, body,
-                          keep_alive=request.keep_alive)
-            return request.keep_alive
+            return self._error(request, writer, task.exception())
 
         stream = SseStream(writer)
         pending = first
@@ -221,8 +371,7 @@ class App:
                 break
             outcome = await task
             await stream.send(outcome, event="result")
-        except (SpecError, RateLimited, QueueFull, Draining,
-                JobError) as exc:
+        except (QueueFull, Draining, JobError) as exc:
             _, body = error_payload(exc)
             try:
                 await stream.send(body, event="error")

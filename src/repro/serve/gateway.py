@@ -1,17 +1,19 @@
 """The serving core: admission, coalescing, rate limits, worker shards.
 
 One :class:`Gateway` owns the whole request path between the HTTP layer
-and the exec engine::
+and the exec engine.  :meth:`Gateway.submit` is a synchronous front,
+which the HTTP layer runs inside ``data_received``, followed by an
+awaited tail, which only a miss reaches::
 
-    body -> spec memo by body digest                  (new body: decode it)
-         -> token bucket (per tenant)
-         -> spec validation                           (memo hit: skipped)
-         -> settled results in memory                 (hit: answer now,
+  front:  body -> spec memo by body digest            (new body: decode it)
+               -> drain check, token bucket (per tenant)
+               -> spec validation                     (memo hit: skipped)
+               -> settled results in memory           (hit: answer now,
                                                        body encoded once)
-         -> content-addressed cache probe             (hit: remember, answer)
-         -> in-flight coalescing on the cache key     (dup: join the run)
-         -> bounded admission queue                   (full: 503)
-         -> worker shard -> JobRunner -> result + run manifest
+               -> content-addressed cache probe       (hit: remember, answer)
+  tail:        -> in-flight coalescing on the key     (dup: join the run)
+               -> bounded admission queue             (full: 503)
+               -> worker shard -> JobRunner -> result + run manifest
                                                       (remember on finish)
 
 Worker shards are asyncio tasks that hand admitted tickets to a
@@ -60,7 +62,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob
 from repro.exec.job import execute_job
@@ -99,10 +101,11 @@ class Settled:
                 "meta": {"key": key[:16], "label": label, "cache": "hit",
                          "coalesced": False, "run_id": None, "wall": 0.0}}
 
-    def hit_body(self, key: str, label: str) -> bytes:
-        """:meth:`hit` as a JSON response body, encoded on first use."""
+    def hit_body(self, key: str, job: SimJob) -> bytes:
+        """:meth:`hit` of *job* as a JSON response body, encoded (and
+        the job's label built) on first use."""
         if self._hit_body is None:
-            self._hit_body = json_body(self.hit(key, label))
+            self._hit_body = json_body(self.hit(key, job.label))
         return self._hit_body
 
 
@@ -215,6 +218,19 @@ class Ticket:
         self.tracer = None
         self.parent_span = None
         self.queue_span = None
+
+
+class Pending(NamedTuple):
+    """A request the front of :meth:`Gateway.submit` admitted but could
+    not answer, a miss: what its tail needs to coalesce or queue it."""
+
+    job: SimJob
+    key: str
+    tenant: str
+    subscriber: Optional["asyncio.Queue"]
+    tracer: Any
+    root: Any
+    t0: float
 
 
 class _TicketSink:
@@ -506,8 +522,24 @@ class Gateway:
         the response meta gains ``trace_id`` / ``spans`` (the journal now
         holding the tree).
 
+        It is :meth:`submit_front` followed by :meth:`submit_tail`.
+
         Raises BadRequest / SpecError / RateLimited / QueueFull /
         Draining / JobError.
+        """
+        return await self.submit_tail(self.submit_front(
+            spec, tenant, subscriber, traceparent))
+
+    def submit_front(self, spec: Any, tenant: str = "anonymous",
+                     subscriber: Optional["asyncio.Queue"] = None,
+                     traceparent: Optional[str] = None) -> Any:
+        """The part of :meth:`submit` that never waits: the memo, the
+        ``serve.requests`` counter, trace sampling, the drain and the
+        token bucket, validation, then the settled and disk probes.
+
+        Returns the outcome of a hit, or the :class:`Pending` miss that
+        :meth:`submit_tail` finishes.  Raises BadRequest / SpecError /
+        RateLimited / Draining.
         """
         t0 = time.monotonic()
         digest = None
@@ -517,32 +549,41 @@ class Gateway:
                 spec = decode_json(spec)
         self.registry.counter("serve.requests").inc()
         tracer, root = self._start_trace(traceparent, tenant)
-        ok = False
         try:
-            outcome = await self._submit(spec, digest, tenant, subscriber,
-                                         tracer, root)
-            ok = True
-        except SpecError:
-            self.registry.counter("serve.rejected.invalid_spec").inc()
+            job, key, entry = self._admit(spec, digest, tenant, tracer, root)
+        except BaseException as exc:
+            self._rejected(exc, tracer, root)
             raise
-        except RateLimited:
-            self.registry.counter("serve.rejected.rate_limited").inc()
+        if entry is None:
+            return Pending(job, key, tenant, subscriber, tracer, root, t0)
+        self.registry.counter("serve.cache_hits").inc()
+        if subscriber is not None:
+            subscriber.put_nowait(None)
+        elif tracer is None and digest is not None:
+            return self._answered(entry.hit_body(key, job), t0, None, None)
+        return self._answered(entry.hit(key, job.label), t0, tracer, root)
+
+    async def submit_tail(self, step: Any) -> Any:
+        """The part of :meth:`submit` that waits: a :class:`Pending`
+        miss joins the run in flight on its key or is queued for a
+        shard, and its outcome is returned when the run settles.  Any
+        other *step* is the outcome of a hit, returned as it is.
+
+        Raises QueueFull / Draining / JobError.
+        """
+        if not isinstance(step, Pending):
+            return step
+        try:
+            outcome = await self._wait(step)
+        except BaseException as exc:
+            self._rejected(exc, step.tracer, step.root)
             raise
-        except QueueFull:
-            self.registry.counter("serve.rejected.queue_full").inc()
-            raise
-        except Draining:
-            self.registry.counter("serve.rejected.draining").inc()
-            raise
-        except JobError:
-            self.registry.counter("serve.failures").inc()
-            raise
-        finally:
-            if tracer is not None:
-                root.finish(None if ok else "error")
-                if not ok:
-                    self._keep_spans(tracer, None)
+        return self._answered(outcome, step.t0, step.tracer, step.root)
+
+    def _answered(self, outcome, t0: float, tracer, root) -> Any:
+        """Close a served request: its span tree and its latency."""
         if tracer is not None:
+            root.finish(None)
             # The engine kept its spans in the run's journal; the
             # gateway's spans follow so one file holds the whole tree.
             meta = dict(outcome.get("meta") or {})
@@ -553,8 +594,23 @@ class Gateway:
             int((time.monotonic() - t0) * 1000))
         return outcome
 
-    async def _submit(self, spec, digest, tenant, subscriber,
-                      tracer=None, root=None) -> Any:
+    def _rejected(self, exc: BaseException, tracer, root) -> None:
+        """Count a request that ends in *exc* and keep its spans."""
+        for kind, name in ((SpecError, "serve.rejected.invalid_spec"),
+                           (RateLimited, "serve.rejected.rate_limited"),
+                           (QueueFull, "serve.rejected.queue_full"),
+                           (Draining, "serve.rejected.draining"),
+                           (JobError, "serve.failures")):
+            if isinstance(exc, kind):
+                self.registry.counter(name).inc()
+                break
+        if tracer is not None:
+            root.finish("error")
+            self._keep_spans(tracer, None)
+
+    def _admit(self, spec, digest, tenant, tracer, root):
+        """Drain, bucket, validation and probes: ``(job, key, entry)``,
+        where *entry* is the :class:`Settled` result of a hit, else None."""
         if self.draining:
             raise Draining("gateway is draining")
         if self.options.rate > 0:
@@ -588,14 +644,13 @@ class Gateway:
         if probe_span is not None:
             probe_span.set_attr("hit", entry is not None)
             probe_span.finish()
-        if entry is not None:
-            self.registry.counter("serve.cache_hits").inc()
-            if subscriber is not None:
-                subscriber.put_nowait(None)
-            elif tracer is None and digest is not None:
-                return entry.hit_body(key, job.label)
-            return entry.hit(key, job.label)
+        return job, key, entry
 
+    async def _wait(self, pending: "Pending") -> Dict[str, Any]:
+        """Coalesce *pending* onto the run in flight on its key, or
+        queue it for a shard; the run's outcome."""
+        job, key, subscriber = pending.job, pending.key, pending.subscriber
+        tracer, root = pending.tracer, pending.root
         ticket = self.in_flight.get(key)
         if ticket is not None:
             self.registry.counter("serve.coalesced").inc()
@@ -631,15 +686,15 @@ class Gateway:
         # Write-ahead: the job is journaled the moment it is admitted,
         # before any execution, so a crash from here on re-enqueues it.
         self._journal_record("job_accepted", key=key, job=job.to_dict(),
-                             tenant=tenant)
+                             tenant=pending.tenant)
         self.registry.histogram("serve.queue_depth").record(
             self.queue.qsize())
         return await asyncio.shield(ticket.future)
 
     def _validate(self, spec, digest) -> Tuple[SimJob, str]:
-        """The job and cache key of *spec*.  A body :meth:`submit` left
-        undecoded was in ``memo`` there and still is, since nothing was
-        awaited in between; a decoded body is validated and, when it
+        """The job and cache key of *spec*.  A body :meth:`submit_front`
+        left undecoded was in ``memo`` there and still is, since nothing
+        was awaited in between; a decoded body is validated and, when it
         came as bytes, remembered under its *digest*."""
         if isinstance(spec, bytes):
             self.memo.move_to_end(digest)

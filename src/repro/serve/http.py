@@ -1,21 +1,23 @@
-"""Minimal asyncio HTTP/1.1 layer for the gateway — no framework.
+"""Minimal HTTP/1.1 layer for the gateway — no framework.
 
-Just enough protocol for a JSON service: request parsing off an
-``asyncio.StreamReader`` (request line, headers, ``Content-Length``
-bodies), keep-alive, JSON and plain-text responses, and chunked
-transfer encoding for Server-Sent Events streams.  Limits are enforced
-while *reading* (oversized headers or bodies are rejected with 431/413
+Just enough protocol for a JSON service: :func:`parse_request` takes the
+first request out of a connection's buffer (request line, headers,
+``Content-Length`` bodies), and the response helpers write JSON and
+plain-text responses, each in one write, and Server-Sent Events streams
+in chunked transfer encoding.  Limits are enforced while *reading*
+(oversized request lines, headers or bodies are rejected with 431/413
 before being buffered), so a misbehaving client cannot balloon the
-process.
+process.  The parser is one pure function of the buffered bytes, so a
+request gets the same outcome however its bytes were split into reads.
 
-This is intentionally not a general web server: no TLS, no pipelining
-beyond sequential keep-alive, no multipart.  The gateway fronts trusted
-lab/LAN traffic; anything bigger belongs behind a real reverse proxy.
+This is intentionally not a general web server: no TLS, no multipart,
+and pipelined requests are answered one after another.  The gateway
+fronts trusted lab/LAN traffic; anything bigger belongs behind a real
+reverse proxy.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import re
 from typing import Any, Dict, Optional, Tuple
@@ -98,24 +100,44 @@ class Request:
         return "text/event-stream" in self.headers.get("accept", "")
 
 
-async def read_request(reader) -> Optional[Request]:
-    """Parse one request off *reader*; None on a clean EOF between requests.
+def _headers(lines) -> Dict[str, str]:
+    """The header fields of *lines* (each without its CRLF), in order;
+    BadRequest at the first malformed or conflicting one."""
+    headers: Dict[str, str] = {}
+    for line in lines:
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            line = bytes(line) + b"\r\n"  # quoted as it arrived
+            raise BadRequest(f"malformed header line {line[:32]!r}")
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise BadRequest("conflicting Content-Length headers")
+        headers[name] = value
+    return headers
+
+
+def parse_request(buffer, eof: bool = False
+                  ) -> Optional[Tuple[Request, int]]:
+    """The first request in *buffer* (bytes or bytearray) and the number
+    of bytes it takes, or None while it is incomplete.
+
+    *eof* says the client will send nothing more: an empty buffer is
+    then a clean end (None), and an incomplete request a 400.  Each
+    limit is checked as soon as the bytes that break it are present,
+    before the rest is buffered, so the outcome of a byte string does
+    not depend on how it was split into reads.
 
     Raises:
         HttpError: 400/413/431 on malformed or oversized input.
     """
-    try:
-        line = await reader.readuntil(b"\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between keep-alive requests
-        raise BadRequest("connection closed inside request line")
-    except asyncio.LimitOverrunError:
-        raise HttpError(431, {"error": "request_line_too_long"})
-    except ConnectionError:
+    end = buffer.find(b"\r\n", 0, MAX_REQUEST_LINE)
+    if end < 0:
+        if len(buffer) >= MAX_REQUEST_LINE:
+            raise HttpError(431, {"error": "request_line_too_long"})
+        if eof and buffer:
+            raise BadRequest("connection closed inside request line")
         return None
-    if len(line) > MAX_REQUEST_LINE:
-        raise HttpError(431, {"error": "request_line_too_long"})
+    line = bytes(buffer[:end + 2])
     parts = line.decode("latin-1").strip().split()
     if len(parts) != 3:
         raise BadRequest(f"malformed request line {line[:32]!r}")
@@ -125,27 +147,23 @@ async def read_request(reader) -> Optional[Request]:
     if not _VERSION.fullmatch(version):
         raise BadRequest(f"unsupported protocol {version[:32]}")
 
-    headers: Dict[str, str] = {}
-    total = 0
-    while True:
-        try:
-            line = await reader.readuntil(b"\r\n")
-        except asyncio.LimitOverrunError:
+    # The header lines run from *start* to the blank line; all of them,
+    # blank line included, fit in MAX_HEADER_BYTES.
+    start = end + 2
+    limit = start + MAX_HEADER_BYTES
+    blank = buffer.find(b"\r\n\r\n", end, limit)
+    if blank < 0:
+        if len(buffer) < limit and not eof:
+            return None
+        # The lines that did arrive are read first, so a malformed one
+        # is reported as a line-by-line reader would report it.
+        last = buffer.rfind(b"\r\n", start, limit)
+        _headers(buffer[start:last].split(b"\r\n") if last >= 0 else ())
+        if len(buffer) >= limit:
             raise HttpError(431, {"error": "headers_too_large"})
-        except (asyncio.IncompleteReadError, ConnectionError):
-            raise BadRequest("connection closed inside headers")
-        total += len(line)
-        if total > MAX_HEADER_BYTES:
-            raise HttpError(431, {"error": "headers_too_large"})
-        if line in (b"\r\n", b"\n"):
-            break
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise BadRequest(f"malformed header line {line[:32]!r}")
-        name, value = name.strip().lower(), value.strip()
-        if name == "content-length" and headers.get(name, value) != value:
-            raise BadRequest("conflicting Content-Length headers")
-        headers[name] = value
+        raise BadRequest("connection closed inside headers")
+    headers = _headers(buffer[start:blank].split(b"\r\n")
+                       if blank > end else ())
 
     # Framing a proxy could read differently is refused (RFC 9112 §6.1,
     # §6.3): any Transfer-Encoding, and a length other than 1*DIGIT,
@@ -153,7 +171,7 @@ async def read_request(reader) -> Optional[Request]:
     if "transfer-encoding" in headers:
         raise BadRequest("Transfer-Encoding request bodies are not "
                          "supported; send Content-Length")
-    body = b""
+    length = 0
     length_str = headers.get("content-length")
     if length_str is not None:
         if not (length_str.isascii() and length_str.isdigit()):
@@ -165,18 +183,21 @@ async def read_request(reader) -> Optional[Request]:
         if length > MAX_BODY_BYTES:
             raise HttpError(413, {"error": "body_too_large",
                                   "limit": MAX_BODY_BYTES})
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError):
-                raise BadRequest("connection closed inside body")
+    body_start = blank + 4
+    stop = body_start + length
+    if len(buffer) < stop:
+        if eof:
+            raise BadRequest("connection closed inside body")
+        return None
 
     keep_alive = (version != "HTTP/1.0"
                   and headers.get("connection", "").lower() != "close")
     try:
-        return Request(method.upper(), target, headers, body, keep_alive)
+        request = Request(method.upper(), target, headers,
+                          bytes(buffer[body_start:stop]), keep_alive)
     except ValueError as exc:  # urlsplit: e.g. an unclosed "//[" host
         raise BadRequest(f"malformed request target: {exc}")
+    return request, stop
 
 
 def _head(status: int, content_type: str, extra: Tuple[Tuple[str, str], ...],
@@ -203,9 +224,10 @@ def json_response(writer, status: int, payload: Any, *,
 def text_response(writer, status: int, body: str,
                   content_type: str = "text/plain; charset=utf-8", *,
                   keep_alive: bool = True) -> None:
+    """Send *body* as text, head and body in one write."""
     data = body.encode("utf-8")
-    writer.write(_head(status, content_type, (), len(data), keep_alive))
-    writer.write(data)
+    writer.write(_head(status, content_type, (), len(data), keep_alive)
+                 + data)
 
 
 class SseStream:

@@ -2,7 +2,10 @@
 manifest status."""
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -157,3 +160,57 @@ class TestSignals:
         runner.execute = double_signal
         with pytest.raises(KeyboardInterrupt):
             runner.run([make_job("a"), make_job("b")])
+
+
+def session_pids(session: int):
+    """Live (not zombie) pids whose session id is *session*."""
+    pids = set()
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open(f"/proc/{name}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # it ended while we looked
+        if fields[0] != "Z" and int(fields[3]) == session:
+            pids.add(int(name))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_pool_workers_end_with_their_parent(tmp_path):
+    """A SIGKILLed CLI grid leaves no pool worker behind, although each
+    was forked with the drain handler installed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    grid = subprocess.Popen(
+        [sys.executable, "-m", "repro.harness", "figure2", "--quick",
+         "--jobs", "2", "--no-cache", "--no-manifest"],
+        env=env, cwd=str(tmp_path), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        workers = set()
+        while len(workers) < 2 and time.monotonic() < deadline:
+            assert grid.poll() is None, "the grid ended before its pool"
+            workers = session_pids(grid.pid) - {grid.pid}
+            time.sleep(0.05)
+        assert len(workers) >= 2, "no pool workers appeared"
+        os.kill(grid.pid, signal.SIGKILL)
+        grid.wait(10)
+        deadline = time.monotonic() + 5
+        while workers and time.monotonic() < deadline:
+            workers &= session_pids(grid.pid)
+            time.sleep(0.05)
+        assert not workers, f"workers {sorted(workers)} outlived the parent"
+    finally:
+        try:
+            os.killpg(grid.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if grid.poll() is None:
+            grid.wait(10)

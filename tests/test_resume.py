@@ -290,6 +290,38 @@ class TestResumeCli:
         for job, expected in zip(jobs, baseline):
             assert cache.get(job) == expected
 
+    def test_no_cache_run_resumes_without_the_cache(self, roots,
+                                                    monkeypatch, capsys):
+        """A ``--no-cache`` run's resume neither reads nor writes the
+        cache, even where another run left an entry for its cell."""
+        from repro.exec import ResultCache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", roots["cache"])
+        jobs = self.grid()[:2]
+        first = JobRunner(options(roots, cache=False))
+        baseline = first.run(jobs)
+        run_id = first.last_run_id
+        journal = os.path.join(roots["runs"], run_id, "journal.jsonl")
+        with open(journal) as fh:
+            lines = fh.readlines()
+        finish = next(i for i, line in enumerate(lines)
+                      if '"rec":"job_finish"' in line)
+        with open(journal, "w") as fh:
+            fh.writelines(lines[:finish + 1])
+        cache = ResultCache(roots["cache"])
+        cache.put(jobs[1], baseline[1])  # another run's entry
+        entries = sorted(p.name for p in cache.root.rglob("*.json"))
+
+        exit_code = resume_main([run_id, "--runs-root", roots["runs"],
+                                 "--quiet"])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert "cache       0 hits" in out
+        assert "2 re-executed, 0 failed" in out
+        assert sorted(p.name for p in cache.root.rglob("*.json")) == \
+            entries
+        assert load_run_state(run_id, roots["runs"]).cache is False
+
     def test_resume_respects_backend_flag(self, roots, monkeypatch,
                                           capsys):
         from repro.vec import BACKEND_ENV

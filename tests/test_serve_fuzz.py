@@ -1,12 +1,14 @@
 """Fuzzing the request path.
 
-Arbitrary bytes off a connection end as requests, a clean EOF, or a
-structured 4xx, never a stray exception; arbitrary JSON into the
-job-spec validator ends as a job or a ``SpecError``, and every accepted
-spec builds the machine its shard would build.
+Arbitrary bytes in a connection's buffer end as requests, a clean EOF
+or "need more", or a structured 4xx, never a stray exception; one
+connection answers the same bytes with the same responses however they
+are split into reads; arbitrary JSON into the job-spec validator ends
+as a job or a ``SpecError``, and every accepted spec builds the machine
+its shard would build.
 """
 
-import asyncio
+import json
 from dataclasses import asdict
 
 import pytest
@@ -21,7 +23,9 @@ from repro.coherence.multiproc import MultiprocessorSim
 from repro.exec import SimJob
 from repro.harness.configs import MACHINES
 from repro.harness.runner import bar_config
-from repro.serve.http import HttpError, Request, decode_json, read_request
+from repro.serve import Gateway, ServeOptions
+from repro.serve.app import App, Connection
+from repro.serve.http import HttpError, Request, decode_json, parse_request
 from repro.serve.spec import (
     MAX_HANDLER_INSTRUCTIONS,
     MAX_PROCESSORS,
@@ -31,24 +35,22 @@ from repro.serve.spec import (
 from repro.workloads.parallel import PARALLEL_KERNELS
 
 
-def read_all(data: bytes):
-    """Every outcome of reading *data* off one keep-alive connection:
-    requests until a clean EOF (None) or an error."""
-    async def read():
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        outcomes = []
-        while True:
-            try:
-                request = await read_request(reader)
-            except HttpError as exc:
-                return outcomes + [exc]
-            outcomes.append(request)
-            if request is None:
-                return outcomes
-
-    return asyncio.run(read())
+def parse_all(data: bytes, eof: bool = True):
+    """Every outcome of parsing *data* off one keep-alive connection:
+    requests until None (a clean EOF, or with *eof* false, "need more")
+    or an error."""
+    outcomes = []
+    while True:
+        try:
+            parsed = parse_request(data, eof)
+        except HttpError as exc:
+            return outcomes + [exc]
+        if parsed is None:
+            return outcomes + [None]
+        request, used = parsed
+        assert 0 < used <= len(data)
+        outcomes.append(request)
+        data = data[used:]
 
 
 def latin1(max_size):
@@ -86,33 +88,50 @@ def near_requests(draw):
     return out if cut is None else out[:cut]
 
 
-class TestReadRequest:
+def check_requests(outcomes):
+    """Requests, then None or a 4xx; each request framed by one plain
+    decimal Content-Length, or by none."""
+    *requests, last = outcomes
+    assert all(isinstance(r, Request) for r in requests)
+    if isinstance(last, HttpError):
+        assert 400 <= last.status < 500
+    else:
+        assert last is None or isinstance(last, Request)
+    for request in [r for r in outcomes if isinstance(r, Request)]:
+        assert "transfer-encoding" not in request.headers
+        length = request.headers.get("content-length", "0")
+        assert length.isascii() and length.isdigit()
+        assert int(length) == len(request.body)
+        assert isinstance(request.body, bytes)
+        assert isinstance(request.tenant, str)
+        request.wants_stream()
+        if request.body:
+            try:
+                decode_json(request.body)
+            except HttpError as exc:
+                assert exc.status == 400
+
+
+class TestParseRequest:
     @given(st.binary(max_size=200) | near_requests())
     @example(b"GET //[ HTTP/1.1\r\n\r\n")
     @example(b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 8000\r\n\r\n"
              + b"[" * 4000 + b"]" * 4000)
     @settings(max_examples=150, deadline=None)
     def test_bytes_end_in_a_request_eof_or_4xx(self, data):
-        outcomes = read_all(data)
-        *requests, last = outcomes
-        assert all(isinstance(r, Request) for r in requests)
-        if isinstance(last, HttpError):
-            assert 400 <= last.status < 500
-        else:
-            assert last is None or isinstance(last, Request)
-        for request in [r for r in outcomes if isinstance(r, Request)]:
-            # Framed by one plain decimal Content-Length, or by none.
-            assert "transfer-encoding" not in request.headers
-            length = request.headers.get("content-length", "0")
-            assert length.isascii() and length.isdigit()
-            assert int(length) == len(request.body)
-            assert isinstance(request.tenant, str)
-            request.wants_stream()
-            if request.body:
-                try:
-                    decode_json(request.body)
-                except HttpError as exc:
-                    assert exc.status == 400
+        check_requests(parse_all(data))
+
+    @given(st.binary(max_size=200) | near_requests())
+    @settings(max_examples=150, deadline=None)
+    def test_bytes_end_in_a_request_need_more_or_4xx(self, data):
+        """Without an EOF an incomplete request is "need more"; each
+        request found is the one a reader at EOF finds."""
+        outcomes = parse_all(data, eof=False)
+        check_requests(outcomes)
+        at_eof = parse_all(data)
+        found = [r for r in outcomes if isinstance(r, Request)]
+        assert [r.target for r in found] == \
+            [r.target for r in at_eof[:len(found)]]
 
 
 FRAME = b"POST /v1/jobs HTTP/1.1\r\n%s\r\n0123456789"
@@ -132,7 +151,7 @@ FRAME = b"POST /v1/jobs HTTP/1.1\r\n%s\r\n0123456789"
 def test_framing_a_proxy_could_read_otherwise_is_400(headers):
     """RFC 9112 §6.1 and §6.3: no length but 1*DIGIT, no two lengths,
     no Transfer-Encoding."""
-    (outcome,) = read_all(FRAME % headers)
+    (outcome,) = parse_all(FRAME % headers)
     assert isinstance(outcome, HttpError)
     assert outcome.status == 400
 
@@ -142,7 +161,7 @@ def test_framing_a_proxy_could_read_otherwise_is_400(headers):
     b"Content-Length: 10\r\ncontent-length: 10\r\n"],
     ids=["plain", "leading-zero", "repeated"])
 def test_plain_length_frames_the_body(headers):
-    request, eof = read_all(FRAME % headers)
+    request, eof = parse_all(FRAME % headers)
     assert request.body == b"0123456789"
     assert eof is None
 
@@ -161,17 +180,150 @@ def test_plain_length_frames_the_body(headers):
          "minor-8000-digits", "no-minor", "letter-minor", "two-digit-minor",
          "lowercase-name"])
 def test_a_400_quotes_little_of_the_request(data):
-    (outcome,) = read_all(data)
+    (outcome,) = parse_all(data)
     assert outcome.status == 400
     assert len(outcome.payload["message"]) < 100
 
 
 def test_a_later_minor_version_is_served_as_1_1():
     """RFC 9110 §2.5: a 1.x minor we do not know is read as 1.1."""
-    request, eof = read_all(b"GET /healthz HTTP/1.2\r\n\r\n")
+    request, eof = parse_all(b"GET /healthz HTTP/1.2\r\n\r\n")
     assert request.path == "/healthz"
     assert request.keep_alive
     assert eof is None
+
+
+class Transport:
+    """What a :class:`Connection` writes, and whether it closed."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = False
+
+    def write(self, data):
+        assert not self.closed, "a write after close"
+        self.written += data
+
+    def close(self):
+        self.closed = True
+
+    def is_closing(self):
+        return self.closed
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+
+HIT_SPEC = {"kind": "bar", "benchmark": "compress", "machine": "ooo",
+            "label": "S10", "instructions": 2000, "warmup": 500, "seed": 5}
+
+
+def post(body: bytes, *extra: bytes) -> bytes:
+    return (b"POST /v1/jobs HTTP/1.1\r\n" + b"".join(extra)
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+#: Requests whose responses do not change from one connection to the
+#: next: no /healthz (uptime) or /metrics (counters), and no job that
+#: would wait for a shard.
+KEEP = [
+    b"GET /nope?x=%20 HTTP/1.1\r\nHost: a\r\n\r\n",
+    b"GET /v1/jobs HTTP/1.1\r\n\r\n",
+    b"POST /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
+    b"GET /runs/x HTTP/1.1\r\n\r\n",
+    post(json.dumps(HIT_SPEC).encode()),
+    post(json.dumps(HIT_SPEC, indent=1).encode(), b"X-Tenant: b\r\n"),
+    post(b"{not json"),
+    post(json.dumps(dict(HIT_SPEC, machine="vax")).encode()),
+]
+CLOSE = [
+    b"GET /nope HTTP/1.0\r\n\r\n",
+    b"GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n",
+    b"GARBAGE\r\n\r\n",
+    b"GET / HTTP/2.0\r\n\r\n",
+    b"GET / HTTP/1.1\r\nno colon\r\n\r\n",
+    b"POST /v1/jobs HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+    b"POST /v1/jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n",
+]
+
+
+@pytest.fixture(scope="module")
+def app(tmp_path_factory):
+    """An app whose gateway holds HIT_SPEC's result on disk, unstarted:
+    every request in KEEP and CLOSE is answered without waiting."""
+    gateway = Gateway(ServeOptions(
+        cache_dir=str(tmp_path_factory.mktemp("cache"))))
+    job = validate_job_spec(HIT_SPEC)
+    gateway.cache.put(job, {"label": job.label, "seed": job.seed})
+    return App(gateway)
+
+
+def feed(app, pieces, eof=True):
+    """Deliver *pieces* as reads on one connection, then EOF; the bytes
+    written back and whether the connection closed."""
+    transport = Transport()
+    connection = Connection(app)
+    connection.connection_made(transport)
+    for piece in pieces:
+        if transport.closed:
+            break
+        connection.data_received(piece)
+    if eof and not transport.closed:
+        connection.eof_received()
+    assert connection.task is None
+    return bytes(transport.written), transport.closed
+
+
+def cut(data, offsets):
+    points = sorted({0, len(data), *(o % (len(data) + 1) for o in offsets)})
+    return [data[a:b] for a, b in zip(points, points[1:])]
+
+
+class TestOneConnection:
+    """The same bytes get the same responses, in the same order, however
+    they arrive: whole, cut anywhere, one byte per read, or pipelined."""
+
+    @given(requests=st.lists(st.sampled_from(KEEP), min_size=1, max_size=4),
+           last=st.none() | st.sampled_from(CLOSE),
+           tail=st.integers(0, 40),
+           offsets=st.lists(st.integers(0, 4000), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_splits_do_not_change_the_responses(self, app, requests, last,
+                                                tail, offsets):
+        requests = requests + ([last] if last is not None else [])
+        data = b"".join(requests)
+        if last is None:  # maybe cut the last request short of its EOF
+            tail %= len(requests[-1])
+            data = data[:len(data) - tail]
+        whole = feed(app, [data])
+        assert feed(app, cut(data, offsets)) == whole
+        assert feed(app, [data[i:i + 1] for i in range(len(data))]) == whole
+        assert whole[1]  # EOF or a closing request ends the connection
+
+        # Pipelined is sequential: each request alone, in order.
+        alone = [feed(app, [request], eof=False) for request in requests]
+        if last is None and tail:
+            alone[-1] = feed(app, [requests[-1][:len(requests[-1]) - tail]])
+        expected = b"".join(written for written, _ in alone)
+        assert whole[0] == expected
+        assert [closed for _, closed in alone[:-1]] == \
+            [False] * (len(alone) - 1)
+
+    @pytest.mark.parametrize("request_bytes", CLOSE[2:],
+                             ids=["line", "version", "header", "length",
+                                  "chunked", "too-large"])
+    def test_a_malformed_request_closes_after_its_4xx(self, app,
+                                                      request_bytes):
+        written, closed = feed(app, [request_bytes + KEEP[0]], eof=False)
+        assert closed
+        head = written.split(b"\r\n", 1)[0]
+        assert 400 <= int(head.split()[1]) < 500
+        assert written.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close\r\n" in written
 
 
 def build_machine(job: SimJob) -> None:

@@ -5,6 +5,7 @@ streaming, metrics, structured errors."""
 import asyncio
 import http.client
 import json
+import socket
 import tempfile
 import threading
 import time
@@ -761,7 +762,158 @@ class TestStructuredErrors:
         assert body["error"] == "run_not_found"
 
 
+def exchange(server, data: bytes) -> bytes:
+    """Send *data* on a fresh connection, half-close it, and read the
+    raw bytes the gateway sends until it closes."""
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        out = b""
+        while True:
+            got = sock.recv(65536)
+            if not got:
+                return out
+            out += got
+
+
+def raw_post(body: bytes, target: bytes = b"/v1/jobs") -> bytes:
+    return (b"POST " + target + b" HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % len(body) + body)
+
+
+PINNED_SPEC = json.dumps(tiny_spec(seed=12)).encode()
+PINNED_HIT = (b'{"meta": {"cache": "hit", "coalesced": false, '
+              b'"key": "9f521253870974cd", "label": "compress/ooo/S10", '
+              b'"run_id": null, "wall": 0.0}, '
+              b'"result": {"label": "compress/ooo/S10", "seed": 12}}\n')
+
+#: One response per route and status, byte for byte as the gateway has
+#: always sent them.
+PINNED = [
+    ("job-200", raw_post(PINNED_SPEC),
+     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 185\r\nConnection: keep-alive\r\n\r\n" + PINNED_HIT),
+    ("job-sse-200", raw_post(PINNED_SPEC, b"/v1/jobs?stream=1"),
+     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
+     b"Connection: close\r\nCache-Control: no-store\r\n"
+     b"Transfer-Encoding: chunked\r\n\r\nce\r\nevent: result\ndata: "
+     + PINNED_HIT + b"\n\r\n0\r\n\r\n"),
+    ("job-400-body", raw_post(b""),
+     b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 60\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "bad_request", "message": "expected a JSON body"}\n'),
+    ("job-400-spec", raw_post(json.dumps(tiny_spec(machine="vax")).encode()),
+     b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 123\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "invalid_spec", "field": "machine", "message": '
+     b"\"unknown value 'vax'; expected one of ['inorder', 'lab', "
+     b"'ooo']\"}\n"),
+    ("job-500", raw_post(json.dumps(tiny_spec(seed=13)).encode()),
+     b"HTTP/1.1 500 Internal Server Error\r\n"
+     b"Content-Type: application/json\r\nContent-Length: 139\r\n"
+     b"Connection: keep-alive\r\n\r\n"
+     b'{"error": "job_failed", "kind": "JobFailedError", "message": '
+     b'"job compress/ooo/S10 failed after 1 attempt(s): RuntimeError: '
+     b'engine fault"}\n'),
+    ("line-400", b"GARBAGE\r\n\r\n",
+     b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 79\r\nConnection: close\r\n\r\n"
+     b'{"error": "bad_request", "message": "malformed request line '
+     b"b'GARBAGE\\\\r\\\\n'\"}\n"),
+    ("path-404", b"GET /nope HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 40\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "not_found", "path": "/nope"}\n'),
+    ("path-404-http10", b"GET /nope HTTP/1.0\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 40\r\nConnection: close\r\n\r\n"
+     b'{"error": "not_found", "path": "/nope"}\n'),
+    ("run-404", b"GET /runs/x HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 32\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "manifests_disabled"}\n'),
+    ("method-405", b"GET /v1/jobs HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json"
+     b"\r\nContent-Length: 51\r\nConnection: keep-alive\r\n\r\n"
+     b'{"allowed": "POST", "error": "method_not_allowed"}\n'),
+    ("body-413", b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9999999\r\n\r\n",
+     b"HTTP/1.1 413 Payload Too Large\r\nContent-Type: application/json"
+     b"\r\nContent-Length: 46\r\nConnection: close\r\n\r\n"
+     b'{"error": "body_too_large", "limit": 2097152}\n'),
+    ("headers-431", b"GET / HTTP/1.1\r\nX: " + b"x" * 33000 + b"\r\n\r\n",
+     b"HTTP/1.1 431 Request Header Fields Too Large\r\n"
+     b"Content-Type: application/json\r\nContent-Length: 31\r\n"
+     b"Connection: close\r\n\r\n"
+     b'{"error": "headers_too_large"}\n'),
+]
+
+
+class TestWireFormat:
+    def test_each_route_and_status_sends_its_pinned_bytes(self, tmp_path):
+        def execute(job):
+            if job.seed == 13:
+                raise RuntimeError("engine fault")
+            return {"label": job.label, "seed": job.seed}
+
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        with LiveServer(options, execute=execute) as server:
+            assert exchange(server, b"GET /metrics HTTP/1.1\r\n\r\n") == (
+                b"HTTP/1.1 200 OK\r\nContent-Type: application/openmetrics-"
+                b"text; version=1.0.0; charset=utf-8\r\nContent-Length: 6"
+                b"\r\nConnection: keep-alive\r\n\r\n# EOF\n")
+            exchange(server, raw_post(PINNED_SPEC))  # the miss to hit
+            for name, request, response in PINNED:
+                assert exchange(server, request) == response, name
+            server.loop.call_soon_threadsafe(
+                setattr, server.gateway, "draining", True)
+            time.sleep(0.1)
+            assert exchange(server, raw_post(PINNED_SPEC)) == (
+                b"HTTP/1.1 503 Service Unavailable\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 61\r\n"
+                b"Connection: keep-alive\r\n\r\n"
+                b'{"error": "draining", "message": '
+                b'"gateway is shutting down"}\n')
+
+
+def read_to_eof(sock) -> bytes:
+    out = b""
+    while True:
+        got = sock.recv(65536)
+        if not got:
+            return out
+        out += got
+
+
 class TestGracefulShutdown:
+    def test_connections_close_once_answered(self, tmp_path):
+        """Shutdown closes an idle keep-alive connection, and one with a
+        request in flight once it has answered: nothing is left for the
+        listener to wait on (Python 3.12's ``wait_closed`` waits)."""
+        release = threading.Event()
+
+        def gated_execute(job):
+            assert release.wait(10)
+            return {"label": job.label}
+
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
+        with LiveServer(options, execute=gated_execute) as server:
+            idle = socket.create_connection((server.host, server.port),
+                                            timeout=10)
+            busy = socket.create_connection((server.host, server.port),
+                                            timeout=10)
+            idle.sendall(b"GET /nope HTTP/1.1\r\n\r\n")
+            assert idle.recv(65536).startswith(b"HTTP/1.1 404 ")
+            busy.sendall(raw_post(json.dumps(tiny_spec(seed=81)).encode()))
+            time.sleep(0.2)  # the miss is in the shard, gated
+            threading.Timer(0.3, release.set).start()
+        with idle, busy:
+            assert read_to_eof(idle) == b""
+            answer = read_to_eof(busy)
+        assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: keep-alive" in answer
+        assert server.abandoned == 0
+
     def test_in_flight_job_finishes_during_drain(self, tmp_path):
         release = threading.Event()
 

@@ -12,7 +12,9 @@ report the default ``vec`` backend, then:
    the result it remembers, still equal to the direct run; sends the
    same body once more, and requires every repeat's response body to
    be byte-identical; then sends the spec with its keys in another
-   order, which must be a hit equal to the direct run too;
+   order, which must be a hit equal to the direct run too; then, over
+   raw sockets, sends the request in 1-byte writes and twice in one
+   write, and requires responses byte-identical to the whole request's;
 3. exercises coalescing: two identical *uncached* concurrent requests
    must produce exactly one execution and one coalesce;
 4. scrapes ``/metrics`` (the exposition must parse back losslessly;
@@ -34,8 +36,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -68,6 +72,34 @@ def wait_for_ready(ready_file: Path, process, timeout: float = 30.0):
             return host, int(port)
         time.sleep(0.05)
     fail("server did not become ready in time")
+
+
+def raw_responses(host: str, port: int, data: bytes, count: int,
+                  step: int = 0):
+    """Send *data* on a fresh connection, whole or in *step*-byte
+    writes, and return the raw bytes of the first *count* responses."""
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(0, len(data), step or len(data)):
+            sock.sendall(data[i:i + (step or len(data))])
+        buffer, responses = b"", []
+        while len(responses) < count:
+            head = buffer.find(b"\r\n\r\n")
+            if head >= 0:
+                length = re.search(rb"Content-Length: (\d+)", buffer[:head])
+                end = head + 4 + int(length.group(1))
+                if len(buffer) >= end:
+                    responses.append(buffer[:end])
+                    buffer = buffer[end:]
+                    continue
+            try:
+                got = sock.recv(65536)
+            except socket.timeout:
+                got = b""
+            if not got:
+                fail(f"got {len(responses)} of {count} response(s)")
+            buffer += got
+    return responses
 
 
 def serve_command(workdir: Path, ready: Path):
@@ -128,6 +160,18 @@ def smoke(workdir: Path) -> None:
                      dict(reversed(list(SPEC.items()))))
             print("re-requests OK (hits equal to the direct run, "
                   "byte-identical repeats, corrupted blob never read)")
+
+            body = json.dumps(SPEC).encode()
+            request = (b"POST /v1/jobs HTTP/1.1\r\nHost: smoke\r\n"
+                       b"Content-Type: application/json\r\n"
+                       b"Content-Length: %d\r\n\r\n" % len(body) + body)
+            whole = raw_responses(host, port, request, 1)
+            if raw_responses(host, port, request, 1, step=1) != whole:
+                fail("a request sent in 1-byte writes got another response")
+            if raw_responses(host, port, request * 2, 2) != whole * 2:
+                fail("two requests in one write got other responses")
+            print("framing OK (1-byte writes and two pipelined requests "
+                  "answered byte for byte as one whole request)")
 
             # 3. Coalescing: identical uncached concurrent requests.
             proof = dict(SPEC, seed=777, instructions=20_000, warmup=2_000)
