@@ -34,16 +34,19 @@ import asyncio
 import json
 import random
 import resource
+import shutil
 import sys
+import tempfile
 import threading
 import time
 from typing import Dict, List
 
 from repro.exec import ExecOptions, JobRunner
 from repro.obs.export import parse_openmetrics
-from repro.serve import ServeClient, ServeOptions, validate_job_spec
 from repro.serve.app import App
-from repro.serve.gateway import Gateway
+from repro.serve.client import ServeClient
+from repro.serve.gateway import Gateway, ServeOptions
+from repro.serve.spec import validate_job_spec
 
 #: Keep individual cells small: the load phase is about the gateway, not
 #: the simulator, and the warm-up must run every catalog cell once.
@@ -309,16 +312,20 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--cache-dir", default=None,
-                        help="cache directory (default: a temp dir)")
+                        help="cache directory (default: a temp dir, "
+                             "removed at exit)")
     parser.add_argument("--record-to", default=None, metavar="PATH",
                         help="write the snapshot JSON here")
     args = parser.parse_args(argv)
 
-    import tempfile
+    made = None
     if args.cache_dir is None:
-        args.cache_dir = tempfile.mkdtemp(prefix="bench-serve-cache-")
-
-    snapshot = run_bench(args)
+        made = args.cache_dir = tempfile.mkdtemp(prefix="bench-serve-cache-")
+    try:
+        snapshot = run_bench(args)
+    finally:
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
     if args.record_to:
         with open(args.record_to, "w") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)

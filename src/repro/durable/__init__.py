@@ -4,7 +4,9 @@
 serve gateway: :mod:`repro.durable.journal` provides the crc32-framed
 append-only journal both of them write, and :mod:`repro.durable.resume`
 turns a dead run's journal back into a finished figure
-(``python -m repro.harness resume <run_id>``).
+(``python -m repro.harness resume <run_id>``).  The package re-exports
+the journal, which every importer needs; ``resume`` loads with its
+command.
 """
 
 from repro.durable.journal import (
@@ -21,13 +23,6 @@ from repro.durable.journal import (
     read_records,
     unframe,
 )
-from repro.durable.resume import (
-    JournalError,
-    RunState,
-    journal_path_for,
-    load_run_state,
-    resume_main,
-)
 
 __all__ = [
     "EXEC_KIND",
@@ -35,16 +30,11 @@ __all__ = [
     "HEADER_RECORD",
     "JOURNAL_NAME",
     "JOURNAL_SCHEMA",
-    "JournalError",
     "RecordScanner",
     "RunJournal",
-    "RunState",
     "check_header",
     "frame",
     "header_record",
-    "journal_path_for",
-    "load_run_state",
     "read_records",
-    "resume_main",
     "unframe",
 ]

@@ -59,9 +59,6 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -462,7 +459,7 @@ class JobRunner:
         fresh JobRunner for independent accounting.  Each call is its own
         run: its own id, records and (with a root) journal and manifest.
 
-        *resume* is a :class:`repro.durable.RunState` (or anything with
+        *resume* is a :class:`repro.durable.resume.RunState` (or anything with
         ``completed``/``attempts`` keyed by cache key): journal-completed
         cells are replayed from the cache without re-executing (a
         ``replayed`` event plus FINISHED with ``cache="replay"``), and
@@ -678,7 +675,7 @@ class JobRunner:
 
     # -- parallel path -------------------------------------------------------
     @staticmethod
-    def _abort_pool(pool: ProcessPoolExecutor) -> None:
+    def _abort_pool(pool) -> None:
         """Stop a pool without waiting on in-flight (possibly hung) jobs."""
         pool.shutdown(wait=False, cancel_futures=True)
         for proc in list((getattr(pool, "_processes", None) or {}).values()):
@@ -690,6 +687,12 @@ class JobRunner:
     def _run_parallel(self, jobs, keys, pending, results, sink,
                       initial_attempts: Optional[Dict[int, int]] = None
                       ) -> None:
+        # Imported here, so that a serial run (``jobs == 1``, as every
+        # served cell is) never loads the process pool or multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         cache_state = "miss" if self.cache else "off"
         workers = min(self.options.jobs, len(pending))
         timeout = self.options.timeout

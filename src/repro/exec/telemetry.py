@@ -47,11 +47,14 @@ REPLAYED = "replayed"
 
 @functools.lru_cache(maxsize=1)
 def git_sha() -> Optional[str]:
-    """The repository HEAD sha, or None outside a git checkout."""
+    """The HEAD sha of the checkout this package was loaded from, or None
+    when it was not loaded from a git checkout.  git runs in the
+    package's own directory: the working directory may be any other
+    repository, or none."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"], capture_output=True, text=True,
-            timeout=5)
+            timeout=5, cwd=os.path.dirname(os.path.abspath(__file__)))
     except (OSError, subprocess.SubprocessError):
         return None
     sha = out.stdout.strip()

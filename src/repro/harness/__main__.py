@@ -110,7 +110,6 @@ import argparse
 import sys
 
 from repro.harness import configs
-from repro.harness import coherence_exp
 from repro.harness import report
 from repro.harness import runner
 
@@ -368,7 +367,7 @@ def main(argv=None) -> int:
             result, "Condition-code check vs per-reference MHAR set"))
         maybe_export(export.figure_to_json(result))
     elif args.experiment == "figure4":
-        from repro.harness import export
+        from repro.harness import coherence_exp, export
         workloads = args.benchmarks.split(",") if args.benchmarks else None
         result = coherence_exp.figure4(workloads=workloads, engine=engine)
         print(coherence_exp.render_figure4(result))
@@ -389,7 +388,7 @@ def main(argv=None) -> int:
             print()
         maybe_export(export.profiles_to_json(profiles))
     elif args.experiment == "sensitivity":
-        from repro.harness import export
+        from repro.harness import coherence_exp, export
         workloads = args.benchmarks.split(",") if args.benchmarks else None
         points = coherence_exp.sensitivity(workloads=workloads,
                                            engine=engine)
@@ -465,7 +464,7 @@ def dispatch(argv=None) -> int:
     if argv and argv[0] == "profile":
         return profile_main(argv[1:])
     if argv and argv[0] == "report":
-        from repro.obs import report_main
+        from repro.obs.report import report_main
         return report_main(argv[1:])
     if argv and argv[0] == "compare":
         from repro.perf.compare import compare_main
@@ -489,7 +488,7 @@ def dispatch(argv=None) -> int:
         from repro.serve.cli import main as serve_main
         return serve_main(argv[1:])
     if argv and argv[0] == "resume":
-        from repro.durable import resume_main
+        from repro.durable.resume import resume_main
         return resume_main(argv[1:])
     return main(argv)
 

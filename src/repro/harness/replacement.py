@@ -144,8 +144,8 @@ def write_explain_artifacts(payload: Dict[str, Any], directory: str,
 
     from repro.harness.explain import analyze_trace
     from repro.harness.runner import bar_config, run_bar
-    from repro.obs import Observer
     from repro.obs.export import write_jsonl
+    from repro.obs.observer import Observer
 
     os.makedirs(directory, exist_ok=True)
     machine = payload["machine"]

@@ -201,13 +201,13 @@ def run_bar(
     ``seed`` is a workload seed offset (see
     :func:`repro.workloads.spec92.spec92_workload`); 0 keeps the default
     seed path untouched.  ``sanitize=True`` attaches a
-    :class:`repro.sanitize.Sanitizer` (runtime invariant checking) to the
-    core.
+    :class:`repro.sanitize.invariants.Sanitizer` (runtime invariant
+    checking) to the core.
 
-    ``observe`` attaches a :class:`repro.obs.Observer` (event tracing and
-    metrics): pass an Observer to keep, True/False to force one on/off,
-    or None to observe exactly when *trace_dir* is given.  With a
-    *trace_dir*, the run writes
+    ``observe`` attaches a :class:`repro.obs.observer.Observer` (event
+    tracing and metrics): pass an Observer to keep, True/False to force
+    one on/off, or None to observe exactly when *trace_dir* is given.
+    With a *trace_dir*, the run writes
     ``<benchmark>_<machine>_<label>.events.jsonl`` and
     ``*.metrics.json`` there; the returned BarResult is bit-exact with
     an unobserved run either way.  The engine passes ``sanitize``,
@@ -231,8 +231,6 @@ def run_bar(
     constant, so existing captures stay digit-exact.
     """
     from repro.memory import derive_seed
-    from repro.obs import Observer
-    from repro.sanitize import Sanitizer
     from repro.trace import ambient
     from repro.vec import resolve_backend, vec_supports
 
@@ -241,13 +239,16 @@ def run_bar(
     # path — every guard below is a single identity test, preserving the
     # hot-path numbers the perf gate pins.
     tracer, parent_span = ambient()
-    san = Sanitizer() if sanitize else None
-    if isinstance(observe, Observer):
-        obs: Optional[Observer] = observe
-    elif observe or (observe is None and trace_dir):
-        obs = Observer()
-    else:
-        obs = None
+    san = None
+    if sanitize:
+        from repro.sanitize.invariants import Sanitizer
+        san = Sanitizer()
+    if observe is None:
+        observe = bool(trace_dir)
+    if observe is True:
+        from repro.obs.observer import Observer
+        observe = Observer()
+    obs = observe or None
     if (resolve_backend(backend) == "vec" and san is None and obs is None
             and vec_supports(bar)):
         from repro.vec import run_bar_vec

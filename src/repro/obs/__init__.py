@@ -3,15 +3,15 @@
 The observability layer the paper's premise implies the simulator itself
 should have: informing operations give *software* memory-performance
 feedback; ``repro.obs`` gives the *experimenter* the same per-reference
-visibility.  An :class:`Observer` attaches to a core exactly like the
-:mod:`repro.sanitize` sanitizer — one ``if self._obs is not None``
-identity test per hook site, zero cost when off — and records
-cycle-stamped structured events (cache hits/misses/fills/evictions,
-MSHR lifetimes, informing trap entry/exit), counter and histogram
-metrics, per-set conflict heat, and the MSHR occupancy high-water
-timeline.  Exporters serialize traces as JSONL or Chrome
-``trace_event`` JSON; ``python -m repro.harness report`` renders the
-text report.
+visibility.  An :class:`~repro.obs.observer.Observer` attaches to a
+core exactly like the :mod:`repro.sanitize` sanitizer — one
+``if self._obs is not None`` identity test per hook site, zero cost
+when off — and records cycle-stamped structured events (cache
+hits/misses/fills/evictions, MSHR lifetimes, informing trap
+entry/exit), counter and histogram metrics, per-set conflict heat, and
+the MSHR occupancy high-water timeline.  Exporters serialize traces as
+JSONL or Chrome ``trace_event`` JSON; ``python -m repro.harness
+report`` renders the text report.
 
 Enable per-cell with ``run_bar(..., observe=Observer())`` or
 ``run_bar(..., trace_dir=DIR)``, or for a whole harness invocation
@@ -23,6 +23,10 @@ writes ``<benchmark>_<machine>_<label>.events.jsonl`` +
 Observation is strictly read-only: traced runs are bit-exact with
 untraced ones (CI replays the golden ``figure2 --quick`` grid under
 tracing to enforce this).
+
+The package re-exports the event, export and metrics helpers that every
+importer uses (the gateway's ``/metrics`` among them); the observer and
+the report live in :mod:`repro.obs.observer` and :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -41,23 +45,17 @@ from repro.obs.export import (
     write_run_artifacts,
 )
 from repro.obs.metrics import Counter, Histogram, Registry, top_n
-from repro.obs.observer import Observer
-from repro.obs.report import render_report, report_main, summarize
 
 __all__ = [
     "EVENT_KINDS",
     "Counter",
     "Histogram",
-    "Observer",
     "Registry",
     "chrome_trace",
     "job_trace_path",
     "make_event",
     "parse_openmetrics",
     "read_jsonl",
-    "render_report",
-    "report_main",
-    "summarize",
     "to_openmetrics",
     "top_n",
     "write_chrome_trace",

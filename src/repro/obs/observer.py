@@ -1,10 +1,10 @@
 """The :class:`Observer`: cycle-stamped event capture + live metrics.
 
-Mirrors the :class:`repro.sanitize.Sanitizer` attachment pattern: the
-observer is wired into a core (or a bare hierarchy) by setting the
-``_obs`` slot on each component, and every hook site in the simulator
-costs exactly one ``if self._obs is not None`` identity test when
-tracing is off.  All hooks are strictly read-only with respect to
+Mirrors the :class:`repro.sanitize.invariants.Sanitizer` attachment
+pattern: the observer is wired into a core (or a bare hierarchy) by
+setting the ``_obs`` slot on each component, and every hook site in the
+simulator costs exactly one ``if self._obs is not None`` identity test
+when tracing is off.  All hooks are strictly read-only with respect to
 simulator state — they never touch recency order, MSHR bookkeeping or
 pipeline structures — so a traced run is bit-exact with an untraced one
 (the ``obs`` mode of ``tests/test_golden_parity.py`` replays the golden

@@ -22,19 +22,12 @@ The ``perf-gate`` CI job wires these together: hotpath timings of the
 merge base and of the change, recorded alternately in one sitting, are
 ``compare``'d (fail >25%, warn >10%), and the run manifests are
 uploaded as an artifact.
+
+The package re-exports only the manifest API, which every importer
+needs (the engine and the gateway write manifests, the readers resolve
+run ids through it); ``compare`` and ``watch`` load with their commands.
 """
 
-from repro.perf.compare import (
-    DEFAULT_FAIL_ABOVE,
-    DEFAULT_WARN_ABOVE,
-    bootstrap_ci,
-    classify_ratio,
-    compare_bench,
-    compare_main,
-    compare_manifests,
-    compare_trace_dirs,
-    render_compare,
-)
 from repro.perf.manifest import (
     DEFAULT_RUNS_ROOT,
     ENV_RUNS_DIR,
@@ -50,40 +43,19 @@ from repro.perf.manifest import (
     runs_root,
     write_run_manifest,
 )
-from repro.perf.watch import (
-    JournalFollower,
-    WatchError,
-    follow,
-    replay,
-    watch_main,
-)
 
 __all__ = [
-    "DEFAULT_FAIL_ABOVE",
     "DEFAULT_RUNS_ROOT",
-    "DEFAULT_WARN_ABOVE",
     "ENV_RUNS_DIR",
     "MANIFEST_KIND",
     "MANIFEST_SCHEMA",
     "ManifestError",
-    "JournalFollower",
-    "WatchError",
-    "bootstrap_ci",
-    "classify_ratio",
-    "compare_bench",
-    "compare_main",
-    "compare_manifests",
-    "compare_trace_dirs",
     "config_digest",
     "fold_manifest",
-    "follow",
     "list_runs",
     "load_manifest",
     "machine_fingerprint",
     "new_run_id",
-    "render_compare",
-    "replay",
     "runs_root",
-    "watch_main",
     "write_run_manifest",
 ]

@@ -64,7 +64,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob
+from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob, git_sha
 from repro.exec.job import execute_job
 from repro.obs.metrics import Registry
 from repro.serve.http import decode_json, json_body
@@ -306,6 +306,9 @@ class Gateway:
             "recovered": 0, "orphaned": 0, "already_cached": 0,
             "bad_lines": 0, "truncated": False}
         self.started_at = time.time()
+        #: The build's git sha for ``/healthz``, resolved in :meth:`start`
+        #: so that no probe waits on a ``git`` subprocess.
+        self.git_sha: Optional[str] = None
         #: This process's span file for traced hits and rejections.
         self.spans_name = (f"serve_spans-{os.getpid()}-"
                            f"{int(self.started_at * 1000)}.jsonl")
@@ -316,7 +319,8 @@ class Gateway:
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
-        """Bind to the running loop and start the worker shards.
+        """Bind to the running loop, resolve the build's git sha and start
+        the worker shards.
 
         With a journal configured, the previous incarnation's journal is
         replayed first: jobs it had accepted but never finished are
@@ -326,6 +330,7 @@ class Gateway:
         itself recoverable.
         """
         self.loop = asyncio.get_running_loop()
+        self.git_sha = git_sha()
         self.queue = asyncio.Queue(maxsize=self.options.queue_limit)
         self._executor = ThreadPoolExecutor(
             max_workers=self.options.shards,
@@ -823,7 +828,6 @@ class Gateway:
         observability/durability subsystems)."""
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
-        from repro.exec.telemetry import git_sha
         from repro.perf.manifest import MANIFEST_SCHEMA
 
         return {
@@ -833,7 +837,7 @@ class Gateway:
             "queue_depth": self.queue.qsize() if self.queue else 0,
             "queue_limit": self.options.queue_limit,
             "in_flight": len(self.in_flight),
-            "git_sha": git_sha(),
+            "git_sha": self.git_sha,
             "backend": self.backend,
             "schemas": {
                 "job": SCHEMA_VERSION,

@@ -9,7 +9,11 @@ and instruction-level parallelism.  See DESIGN.md §2 for the substitution
 argument and :mod:`repro.workloads.spec92` for the per-benchmark parameters.
 
 :mod:`repro.workloads.parallel` provides the shared-memory kernels for the
-Section 4.3 coherence case study.
+Section 4.3 coherence case study, :mod:`repro.workloads.wrongpath` the
+wrong-path streams of the §3.3 MSHR experiment, and
+:mod:`repro.workloads.characterize` the ``characterize`` command's
+profiles; no cell of a grid runs them, so the package does not import
+them.
 """
 
 from repro.workloads.patterns import (
@@ -21,11 +25,6 @@ from repro.workloads.patterns import (
     SequentialPattern,
 )
 from repro.workloads.synthetic import SyntheticWorkload, WorkloadSpec
-from repro.workloads.characterize import WorkloadProfile, characterize
-from repro.workloads.wrongpath import (
-    make_wrong_path_factory,
-    spec92_wrong_path_factory,
-)
 from repro.workloads.spec92 import (
     FIGURE2_BENCHMARKS,
     FP_BENCHMARKS,
@@ -48,8 +47,4 @@ __all__ = [
     "FP_BENCHMARKS",
     "FIGURE2_BENCHMARKS",
     "spec92_workload",
-    "WorkloadProfile",
-    "characterize",
-    "make_wrong_path_factory",
-    "spec92_wrong_path_factory",
 ]

@@ -16,7 +16,7 @@ import pytest
 
 from repro.isa.instructions import DynInst
 from repro.isa.opclass import OpClass
-from repro.obs import Observer
+from repro.obs.observer import Observer
 from repro.obs.events import L1_HIT, L1_MERGE, L1_MISS
 
 from .helpers import make_inorder, make_ooo, small_hierarchy

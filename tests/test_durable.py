@@ -146,7 +146,7 @@ class TestRunRecordFsyncs:
     def test_served_miss_adds_no_fsync(self, tmp_path, monkeypatch):
         import asyncio
 
-        from repro.serve import Gateway, ServeOptions
+        from repro.serve.gateway import Gateway, ServeOptions
 
         calls = self.fsyncs(monkeypatch)
 

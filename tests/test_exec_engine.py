@@ -2,7 +2,11 @@
 telemetry."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,37 @@ class TestAtomicWrite:
                      if p.name.endswith(".tmp")]
         assert leftovers == []
         assert json.loads(path.read_text())["schema"] == 2
+
+
+class TestGitSha:
+    """Journal headers, manifests and ``/healthz`` name the commit of
+    the code that ran, wherever the run was started from."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def sha_from(self, cwd):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.exec.telemetry import git_sha; print(git_sha())"],
+            cwd=cwd, env=dict(os.environ, PYTHONPATH=self.SRC),
+            capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        return out.stdout.strip()
+
+    def test_the_working_directory_is_not_the_build(self, tmp_path):
+        other = tmp_path / "other-checkout"
+        other.mkdir()
+        git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+               "-c", "init.defaultBranch=main", "-C", str(other)]
+        subprocess.run(git + ["init", "-q"], check=True)
+        subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "x"],
+                       check=True)
+        other_sha = subprocess.run(git + ["rev-parse", "HEAD"], check=True,
+                                   capture_output=True,
+                                   text=True).stdout.strip()
+        own = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=os.path.join(self.SRC, "repro"),
+                             capture_output=True, text=True)
+        want = own.stdout.strip() if own.returncode == 0 else "None"
+        assert self.sha_from(other) == want != other_sha
+        assert self.sha_from(tmp_path) == want

@@ -46,7 +46,7 @@ import pytest
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.harness.__main__ import dispatch
 from repro.harness.export import _BAR_FIELDS
-from repro.sanitize import Sanitizer
+from repro.sanitize.invariants import Sanitizer
 from repro.vec import BACKEND_ENV
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir,

@@ -210,7 +210,7 @@ class TestDiagnose:
 @pytest.fixture(scope="module")
 def traced_cell():
     from repro.harness.runner import bar_config, run_bar
-    from repro.obs import Observer
+    from repro.obs.observer import Observer
 
     observer = Observer(trace=True)
     run_bar("compress", "lab", bar_config("S10"), 1500, 750,

@@ -11,7 +11,7 @@ from tests.helpers import make_inorder, make_ooo, small_hierarchy, trap_config
 from repro.core import TrapStyle
 from repro.isa.instructions import alu, load
 from repro.memory import CacheConfig
-from repro.sanitize import Sanitizer
+from repro.sanitize.invariants import Sanitizer
 
 
 def big_l2_hierarchy():

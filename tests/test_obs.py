@@ -13,7 +13,6 @@ import pytest
 
 from repro.obs import (
     EVENT_KINDS,
-    Observer,
     chrome_trace,
     job_trace_path,
     make_event,
@@ -24,6 +23,7 @@ from repro.obs import (
 )
 from repro.obs import events as ev
 from repro.obs.metrics import Counter, Histogram, Registry, top_n
+from repro.obs.observer import Observer
 
 
 class _FakeEntry:

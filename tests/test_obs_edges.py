@@ -8,11 +8,10 @@ from repro.obs import (
     Registry,
     parse_openmetrics,
     read_jsonl,
-    render_report,
-    summarize,
     to_openmetrics,
     write_openmetrics,
 )
+from repro.obs.report import render_report, summarize
 
 
 class TestEmptyTrace:

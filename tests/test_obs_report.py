@@ -12,9 +12,10 @@ import os
 import pytest
 
 from repro.harness.runner import bar_config, run_bar
-from repro.obs import Observer, read_jsonl, render_report, summarize
 from repro.obs import events as ev
-from repro.obs.report import report_main
+from repro.obs import read_jsonl
+from repro.obs.observer import Observer
+from repro.obs.report import render_report, report_main, summarize
 from repro.workloads import spec92_workload
 
 from .helpers import make_inorder, make_ooo, small_hierarchy, trap_config

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.perf import (
+from repro.perf.compare import (
     bootstrap_ci,
     classify_ratio,
     compare_bench,

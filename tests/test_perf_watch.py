@@ -6,7 +6,8 @@ import pytest
 
 from repro.durable import JOURNAL_SCHEMA, frame, header_record
 from repro.exec import ExecOptions, JobRunner, SimJob
-from repro.perf import JournalFollower, WatchError, follow, replay, watch_main
+from repro.perf.watch import (JournalFollower, WatchError, follow, replay,
+                              watch_main)
 from repro.sanitize.chaos import flip_byte, truncate_tail
 
 

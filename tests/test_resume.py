@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from repro.durable import JournalError, load_run_state, read_records
-from repro.durable.resume import resume_main
+from repro.durable import read_records
+from repro.durable.resume import JournalError, load_run_state, resume_main
 from repro.exec import ExecOptions, JobFailedError, JobRunner, SimJob
 from repro.sanitize.chaos import flip_byte
 

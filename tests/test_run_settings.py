@@ -20,7 +20,8 @@ from repro.durable.resume import resume_main
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.harness.runner import bar_config, run_bar
 from repro.obs import job_trace_path
-from repro.sanitize import InvariantViolation, Sanitizer
+from repro.sanitize import InvariantViolation
+from repro.sanitize.invariants import Sanitizer
 from repro.trace import clear_ambient
 from repro.vec import BACKEND_ENV, BackendError
 

@@ -8,13 +8,9 @@ import pytest
 from tests.helpers import make_inorder, make_ooo, small_hierarchy, trap_config
 from repro.core import TrapStyle
 from repro.isa.instructions import alu, load
-from repro.sanitize import (
-    CAUGHT_BY,
-    FAULT_CLASSES,
-    ChaosInjector,
-    InvariantViolation,
-    Sanitizer,
-)
+from repro.sanitize import InvariantViolation
+from repro.sanitize.chaos import CAUGHT_BY, FAULT_CLASSES, ChaosInjector
+from repro.sanitize.invariants import Sanitizer
 
 #: Detection must land within this many cycles of the corruption.  With
 #: ``every=1`` the sanitizer sweeps on every memory access, so detection

@@ -7,12 +7,9 @@ import pytest
 
 from tests.helpers import make_inorder, make_ooo, small_hierarchy, trap_config
 from repro.core.mechanisms import INSTRUCTION_BYTES, return_pc
-from repro.sanitize import (
-    CAUGHT_BY,
-    INVARIANTS,
-    InvariantViolation,
-    Sanitizer,
-)
+from repro.sanitize import InvariantViolation
+from repro.sanitize.chaos import CAUGHT_BY
+from repro.sanitize.invariants import INVARIANTS, Sanitizer
 from tests.test_golden_parity import (
     COMPARED_FIELDS,
     QUICK_INSTRUCTIONS,

@@ -23,7 +23,7 @@ from repro.coherence.multiproc import MultiprocessorSim
 from repro.exec import SimJob
 from repro.harness.configs import MACHINES
 from repro.harness.runner import bar_config
-from repro.serve import Gateway, ServeOptions
+from repro.serve.gateway import Gateway, ServeOptions
 from repro.serve.app import App, Connection
 from repro.serve.http import HttpError, Request, decode_json, parse_request
 from repro.serve.spec import (

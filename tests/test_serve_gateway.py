@@ -16,18 +16,18 @@ from hypothesis import given, settings, strategies as st
 from repro.durable import read_records
 from repro.exec import ExecOptions, JobRunner
 from repro.obs.export import parse_openmetrics
-from repro.serve import (
+from repro.serve.app import App
+from repro.serve.client import ServeClient
+from repro.serve.gateway import (
     Draining,
     Gateway,
     JobError,
     QueueFull,
     RateLimited,
-    ServeClient,
     ServeOptions,
-    validate_job_spec,
 )
-from repro.serve.app import App
 from repro.serve.http import json_body, json_response
+from repro.serve.spec import validate_job_spec
 from repro.vec import BACKEND_ENV
 
 

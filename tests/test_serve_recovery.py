@@ -9,7 +9,8 @@ import pytest
 
 from repro.durable import read_records
 from repro.sanitize.chaos import arm_journal_enospc, truncate_tail
-from repro.serve import Gateway, ServeOptions, validate_job_spec
+from repro.serve.gateway import Gateway, ServeOptions
+from repro.serve.spec import validate_job_spec
 from tests.test_serve_gateway import LiveServer, tiny_spec
 
 
@@ -81,7 +82,7 @@ class TestJournalWrites:
         def broken_execute(job):
             raise ValueError("chaos: engine failure")
 
-        from repro.serve import JobError
+        from repro.serve.gateway import JobError
 
         async def scenario():
             gateway = Gateway(serve_options(tmp_path),

@@ -5,14 +5,15 @@ and the serve span artifacts."""
 import asyncio
 import json
 import os
+import subprocess
 import time
 
 import pytest
 
 from repro.durable import read_records
 from repro.sanitize.chaos import truncate_tail
-from repro.serve import Gateway, QueueFull, ServeOptions, mint_traceparent
-from repro.serve.client import ServeClient  # noqa: F401  (re-export check)
+from repro.serve.client import mint_traceparent
+from repro.serve.gateway import Gateway, QueueFull, ServeOptions
 from repro.harness.spans_cli import build_tree, group_by_trace
 from repro.trace import clear_ambient
 
@@ -181,6 +182,31 @@ class TestHealthz:
         assert subsystems["trace"] is False  # trace_sample 0.0
         assert subsystems["durable"] is False
         assert "git_sha" in health
+
+    def test_health_after_start_runs_no_subprocess(self, tmp_path,
+                                                   monkeypatch):
+        """The build's git sha is resolved once at boot, before the
+        listener accepts: a probe never waits on ``git``."""
+        from repro.exec.telemetry import git_sha
+
+        git_sha.cache_clear()
+        gateway = Gateway(ServeOptions(shards=1,
+                                       cache_dir=str(tmp_path / "cache")))
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError(f"health() started {args!r}")
+
+        async def scenario():
+            await gateway.start()
+            with monkeypatch.context() as patch:
+                patch.setattr(subprocess, "Popen", no_subprocess)
+                health = gateway.health()
+            await gateway.drain(grace=5)
+            return health
+
+        health = asyncio.run(scenario())
+        assert health["status"] == "ok"
+        assert health["git_sha"] == git_sha()
 
     def test_stats_exposes_trace_state(self, traced_server):
         with traced_server.client() as client:

@@ -33,7 +33,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.durable import load_run_state, read_records
+from repro.durable import read_records
+from repro.durable.resume import load_run_state
 
 GOLDEN = Path(__file__).resolve().parent.parent / "results" / "golden" / \
     "figure2_quick.json"

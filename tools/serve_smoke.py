@@ -50,7 +50,8 @@ from pathlib import Path
 from repro.exec import ExecOptions, JobRunner, ResultCache
 from repro.obs.export import parse_openmetrics
 from repro.sanitize.chaos import flip_byte
-from repro.serve import ServeClient, validate_job_spec
+from repro.serve.client import ServeClient
+from repro.serve.spec import validate_job_spec
 from repro.vec import BACKEND_ENV
 
 SPEC = {"kind": "bar", "benchmark": "compress", "machine": "ooo",

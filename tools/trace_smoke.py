@@ -38,7 +38,8 @@ from pathlib import Path
 
 from repro.durable import RunJournal
 from repro.exec import ExecOptions, JobRunner, SimJob
-from repro.serve import ServeClient, validate_job_spec
+from repro.serve.client import ServeClient
+from repro.serve.spec import validate_job_spec
 from repro.trace import Tracer, TraceContext, format_traceparent
 
 SPEC = {"kind": "bar", "benchmark": "compress", "machine": "ooo",
