@@ -31,12 +31,17 @@ disables itself, warns once, and every later append reports ``False`` —
 the run it is journaling must not die for the sake of its log.  Callers
 surface ``journal.errors`` as a named, counted outcome in their own
 telemetry.
+
+Whole-file JSON records (run manifests, BENCH snapshots) are written by
+:func:`atomic_write_json`, which lives here so that their readers load
+nothing from the engine.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import tempfile
 import warnings
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -265,3 +270,26 @@ def check_header(records: List[Dict[str, Any]], kind: str) -> bool:
     head = records[0]
     return (head.get("rec") == HEADER_RECORD and head.get("kind") == kind
             and head.get("schema") == JOURNAL_SCHEMA)
+
+
+def atomic_write_json(path, data: Any) -> None:
+    """Write *data* as JSON via a same-directory tmp file + rename.
+
+    ``os.replace`` is atomic on POSIX, so readers (and git) only ever see
+    the old file or the complete new one — never a truncated write.
+    """
+    path = os.fspath(path)
+    payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

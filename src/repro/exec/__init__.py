@@ -11,10 +11,10 @@ each run's record (journal and manifest, see :mod:`repro.exec.engine`).
 ``python -m repro.exec cache stats|purge`` manages the on-disk store.
 """
 
+from repro.durable.journal import atomic_write_json
 from repro.exec.cache import (
     CacheStats,
     ResultCache,
-    atomic_write_json,
     default_cache_dir,
     parse_size,
 )

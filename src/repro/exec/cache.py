@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 import warnings
 import zlib
@@ -53,28 +52,6 @@ QUARANTINE_DIRNAME = "quarantine"
 #: A ``.tmp.<pid>`` file younger than this is presumed to belong to a
 #: live writer mid-``os.replace`` and is left alone by the sweeps.
 TMP_MAX_AGE_SECONDS = 3600.0
-
-
-def atomic_write_json(path, data: Any) -> None:
-    """Write *data* as JSON via a same-directory tmp file + rename.
-
-    ``os.replace`` is atomic on POSIX, so readers (and git) only ever see
-    the old file or the complete new one — never a truncated write.
-    """
-    path = Path(path)
-    payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent or Path(".")),
-                               prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, str(path))
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _canonical(obj: Any) -> str:

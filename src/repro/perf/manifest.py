@@ -34,7 +34,7 @@ import platform
 import time
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.exec.cache import atomic_write_json
+from repro.durable.journal import atomic_write_json
 
 #: Manifest layout version; compare/load reject versions they don't know.
 MANIFEST_SCHEMA = 1
@@ -207,7 +207,8 @@ def write_run_manifest(directory: Optional[str],
 
 
 class ManifestError(ValueError):
-    """A manifest could not be located or has an unknown schema."""
+    """A manifest could not be located or read, or has an unknown
+    schema."""
 
 
 def resolve_manifest_path(ref: str,
@@ -231,9 +232,21 @@ def load_manifest(ref: str, root: Optional[str] = None) -> Dict[str, Any]:
         raise ManifestError(
             f"no manifest found for {ref!r} (tried the path itself, "
             f"<ref>/manifest.json, and {runs_root(root)}/<ref>/manifest.json)")
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("kind") != MANIFEST_KIND:
+    return read_manifest(path)
+
+
+def read_manifest(path: str) -> Dict[str, Any]:
+    """Load and validate the manifest file at *path*: ManifestError for
+    one that cannot be read or is not a UTF-8 JSON object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ManifestError(f"cannot read {path}: {exc.strerror}")
+    except (ValueError, RecursionError) as exc:
+        # ValueError: not UTF-8 or not JSON, or a NUL in the path.
+        raise ManifestError(f"{path} is not a JSON manifest: {exc}")
+    if not isinstance(data, dict) or data.get("kind") != MANIFEST_KIND:
         raise ManifestError(f"{path} is not a run manifest")
     if data.get("schema") != MANIFEST_SCHEMA:
         raise ManifestError(

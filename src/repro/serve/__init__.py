@@ -2,12 +2,11 @@
 
 A long-lived asyncio HTTP/JSON service that fronts the repro.exec
 engine: typed job-spec validation (:mod:`~repro.serve.spec`), a
-content-addressed cache probe, per-tenant token-bucket rate limiting,
-request coalescing of identical in-flight cells, a bounded admission
-queue, worker shards running :class:`~repro.exec.JobRunner`, streaming
-progress as the run's journal records (SSE), an OpenMetrics
-``/metrics`` endpoint, and graceful drain on SIGTERM
-(:mod:`~repro.serve.gateway`, :mod:`~repro.serve.app`).
+content-addressed cache probe, request coalescing of identical
+in-flight cells, a bounded admission queue, worker shards running
+:class:`~repro.exec.JobRunner`, an OpenMetrics ``/metrics`` endpoint,
+and graceful drain on SIGTERM (:mod:`~repro.serve.gateway`,
+:mod:`~repro.serve.app`).
 
 A served result is byte-identical to the same cell run through
 ``python -m repro.harness`` — specs build jobs through the exact CLI

@@ -2,12 +2,9 @@
 
 Routes::
 
-    POST /v1/jobs          submit a job spec; JSON response, or SSE when
-                           ``?stream=1`` / ``Accept: text/event-stream``
+    POST /v1/jobs          submit a job spec; JSON response
     GET  /healthz          liveness/readiness (503 while draining)
     GET  /metrics          OpenMetrics exposition of the serve registry
-    GET  /stats            registry + cache + admission state as JSON
-    GET  /runs             run ids of served manifests (when enabled)
     GET  /runs/<id>        one served run's manifest.json
 
 Each client connection is one :class:`Connection` (an
@@ -16,36 +13,27 @@ Each client connection is one :class:`Connection` (an
 answers, with one write each, every request that needs no waiting: a
 hit (:meth:`Gateway.submit_front` finds it settled or on disk), the
 introspection endpoints and every error the front or the parser
-raises.  Only a request that must wait, a miss the gateway coalesces or
-queues (:meth:`Gateway.submit_tail`) or an SSE stream, becomes a task,
-and the connection reads nothing more until that task has answered.
+raises.  Only a miss, which the gateway coalesces or queues
+(:meth:`Gateway.submit_tail`), becomes a task, and the connection reads
+nothing more until that task has answered.
 
-Every error — malformed spec, rate limit, full queue, engine failure —
-renders as a structured JSON body with a definite status code; a client
-never sees a traceback.  SSE responses send the run's records (the same
-header and job records its ``journal.jsonl`` holds) as ``record``
-events, then a terminal ``result`` or ``error`` event.
+Every error — malformed spec, full queue, engine failure — renders as a
+structured JSON body with a definite status code; a client never sees a
+traceback.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
 import sys
 from typing import Any, Awaitable, Dict, Optional, Set, Tuple, Union
 
 from repro.obs.export import to_openmetrics
-from repro.serve.gateway import (
-    Draining,
-    Gateway,
-    JobError,
-    Pending,
-    QueueFull,
-    RateLimited,
-)
+from repro.serve.gateway import Draining, Gateway, JobError, Pending, QueueFull
 from repro.serve.http import (
     HttpError,
     Request,
-    SseStream,
     json_response,
     parse_request,
     text_response,
@@ -53,21 +41,10 @@ from repro.serve.http import (
 from repro.serve.spec import SpecError
 
 
-def _swallow_task_outcome(task: "asyncio.Task") -> None:
-    """Done-callback for a submit task whose SSE client vanished:
-    retrieve the exception so asyncio never logs it as unretrieved."""
-    if task.cancelled():
-        return
-    task.exception()
-
-
 def error_payload(exc: BaseException) -> Tuple[int, Dict[str, Any]]:
     """Map a gateway exception to (status, structured JSON body)."""
     if isinstance(exc, SpecError):
         return 400, exc.to_dict()
-    if isinstance(exc, RateLimited):
-        return 429, {"error": "rate_limited", "tenant": exc.tenant,
-                     "retry_after": round(exc.retry_after, 3)}
     if isinstance(exc, QueueFull):
         return 503, {"error": "queue_full", "message": str(exc)}
     if isinstance(exc, Draining):
@@ -85,9 +62,9 @@ class Connection(asyncio.Protocol):
     """One client connection: requests are parsed out of one buffer, and
     each that needs no waiting is answered inside ``data_received``.
 
-    The first request that must wait (a miss, or an SSE stream) becomes
-    the connection's task; reading pauses until it ends, so pipelined
-    requests are answered in order and the buffer stays bounded.
+    The first request that must wait, a miss, becomes the connection's
+    task; reading pauses until it ends, so pipelined requests are
+    answered in order and the buffer stays bounded.
     Reading also pauses while the transport's write buffer is full, and
     :meth:`drain` waits for it, as ``StreamWriter.drain`` does.
     """
@@ -182,13 +159,20 @@ class Connection(asyncio.Protocol):
             return
 
     async def _finish(self, answer: Awaitable[bool]) -> None:
-        """Wait for *answer*, then go on with the buffer or close."""
+        """Wait for *answer*, then go on with the buffer or close.
+
+        A client gone before its miss was answered is counted as
+        ``serve.client_disconnects``; the run itself carries on, so its
+        result still lands in the cache and the journal.
+        """
         keep_alive = False
         try:
             keep_alive = await answer
             await self.drain()
         except ConnectionError:
             keep_alive = False
+            self.app.gateway.registry.counter(
+                "serve.client_disconnects").inc()
         except asyncio.CancelledError:
             keep_alive = False
             raise
@@ -246,13 +230,6 @@ class App:
         return abandoned
 
     # -- routing -------------------------------------------------------------
-    async def dispatch(self, request: Request, writer) -> bool:
-        """Handle one request; returns whether to keep the connection."""
-        answer = self.answer(request, writer)
-        if isinstance(answer, bool):
-            return answer
-        return await answer
-
     def answer(self, request: Request, writer) -> Union[bool,
                                                         Awaitable[bool]]:
         """Answer *request* now when it needs no waiting, and return
@@ -263,8 +240,6 @@ class App:
             if path == "/v1/jobs":
                 if method != "POST":
                     return self._method_not_allowed(request, writer, "POST")
-                if request.wants_stream():
-                    return self.handle_job_stream(request, writer)
                 return self.handle_job(request, writer)
             if method != "GET":
                 return self._method_not_allowed(request, writer, "GET")
@@ -272,10 +247,6 @@ class App:
                 return self.handle_healthz(request, writer)
             if path == "/metrics":
                 return self.handle_metrics(request, writer)
-            if path == "/stats":
-                return self.handle_stats(request, writer)
-            if path == "/runs":
-                return self.handle_runs_index(request, writer)
             if path.startswith("/runs/"):
                 return self.handle_run(request, writer, path[len("/runs/"):])
             json_response(writer, 404, {"error": "not_found", "path": path},
@@ -303,9 +274,8 @@ class App:
         for its run (:meth:`Gateway.submit_tail`)."""
         try:
             step = self.gateway.submit_front(
-                request.body, request.tenant,
-                traceparent=request.headers.get("traceparent"))
-        except (SpecError, RateLimited, Draining) as exc:
+                request.body, traceparent=request.headers.get("traceparent"))
+        except (SpecError, Draining) as exc:
             return self._error(request, writer, exc)
         if isinstance(step, Pending):
             return self._wait_job(request, writer, step)
@@ -320,83 +290,6 @@ class App:
             return self._error(request, writer, exc)
         json_response(writer, 200, outcome, keep_alive=request.keep_alive)
         return request.keep_alive
-
-    def handle_job_stream(self, request: Request, writer):
-        """SSE submission: run records live, then result/error.
-
-        Pre-admission failures (bad spec, rate limit, full queue) are
-        still plain JSON errors with their real status code — the SSE
-        response only starts once the job is admitted (or served from
-        cache / a coalesced run).  A rejection at the front answers now;
-        anything else returns the awaitable that streams.
-        """
-        events: asyncio.Queue = asyncio.Queue()
-        try:
-            step = self.gateway.submit_front(
-                request.body, request.tenant, subscriber=events,
-                traceparent=request.headers.get("traceparent"))
-        except (SpecError, RateLimited, Draining) as exc:
-            return self._error(request, writer, exc)
-        return self._stream_job(request, writer, events, step)
-
-    async def _stream_job(self, request: Request, writer,
-                          events: "asyncio.Queue", step) -> bool:
-        task = asyncio.ensure_future(self.gateway.submit_tail(step))
-        first = asyncio.ensure_future(events.get())
-        await asyncio.wait({task, first},
-                           return_when=asyncio.FIRST_COMPLETED)
-        if task.done() and task.exception() is not None:
-            first.cancel()
-            return self._error(request, writer, task.exception())
-
-        stream = SseStream(writer)
-        pending = first
-        try:
-            await stream.start()
-            while True:
-                if pending is None:
-                    pending = asyncio.ensure_future(events.get())
-                await asyncio.wait({task, pending},
-                                   return_when=asyncio.FIRST_COMPLETED)
-                if pending.done():
-                    record = pending.result()
-                    pending = None
-                    if record is None:  # end-of-stream sentinel
-                        break
-                    await stream.send(record, event="record")
-                    continue
-                # Task finished exceptionally without a sentinel.
-                pending.cancel()
-                pending = None
-                break
-            outcome = await task
-            await stream.send(outcome, event="result")
-        except (QueueFull, Draining, JobError) as exc:
-            _, body = error_payload(exc)
-            try:
-                await stream.send(body, event="error")
-            except ConnectionError:
-                self.gateway.registry.counter(
-                    "serve.client_disconnects").inc()
-                return False
-        except ConnectionError:
-            # The client dropped mid-stream.  The run itself keeps going
-            # (its result still lands in the cache and its ticket still
-            # resolves for any coalesced waiters) — only this stream dies,
-            # as a counted outcome.
-            self.gateway.registry.counter("serve.client_disconnects").inc()
-            if pending is not None:
-                pending.cancel()
-            task.add_done_callback(_swallow_task_outcome)
-            return False
-        finally:
-            if pending is not None and not pending.done():
-                pending.cancel()
-        try:
-            await stream.close()
-        except ConnectionError:
-            self.gateway.registry.counter("serve.client_disconnects").inc()
-        return False  # chunked stream ends the connection
 
     # -- introspection endpoints ---------------------------------------------
     def handle_healthz(self, request: Request, writer) -> bool:
@@ -413,25 +306,11 @@ class App:
                       keep_alive=request.keep_alive)
         return request.keep_alive
 
-    def handle_stats(self, request: Request, writer) -> bool:
-        json_response(writer, 200, self.gateway.stats(),
-                      keep_alive=request.keep_alive)
-        return request.keep_alive
-
-    def handle_runs_index(self, request: Request, writer) -> bool:
-        from repro.perf.manifest import list_runs
-
-        root = self.gateway.options.manifest_dir
-        if root is None:
-            json_response(writer, 404, {"error": "manifests_disabled"},
-                          keep_alive=request.keep_alive)
-            return request.keep_alive
-        json_response(writer, 200, {"runs": list_runs(root)},
-                      keep_alive=request.keep_alive)
-        return request.keep_alive
-
     def handle_run(self, request: Request, writer, run_id: str) -> bool:
-        from repro.perf.manifest import ManifestError, load_manifest
+        """``<manifest_dir>/<run_id>/manifest.json``, for a *run_id* that
+        is one path component other than ``.`` and ``..``; no other file
+        is read."""
+        from repro.perf.manifest import ManifestError, read_manifest
 
         root = self.gateway.options.manifest_dir
         if root is None:
@@ -439,7 +318,10 @@ class App:
                           keep_alive=request.keep_alive)
             return request.keep_alive
         try:
-            manifest = load_manifest(run_id, root)
+            if run_id in ("", ".", "..") or os.path.basename(run_id) != run_id:
+                raise ManifestError(f"{run_id!r} is not a run id")
+            manifest = read_manifest(os.path.join(root, run_id,
+                                                  "manifest.json"))
         except ManifestError as exc:
             json_response(writer, 404, {"error": "run_not_found",
                                         "run": run_id,

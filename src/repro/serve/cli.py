@@ -46,10 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker threads executing jobs (default 2)")
     parser.add_argument("--queue-limit", type=int, default=64,
                         help="admission queue depth; beyond it, 503")
-    parser.add_argument("--rate", type=float, default=0.0,
-                        help="per-tenant requests/second (0 = unlimited)")
-    parser.add_argument("--burst", type=float, default=20.0,
-                        help="per-tenant token-bucket capacity")
     parser.add_argument("--cache-dir", default=None,
                         help="result cache directory (default: "
                              "REPRO_CACHE_DIR or ~/.cache/repro-exec)")
@@ -58,7 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "oldest entries under service traffic")
     parser.add_argument("--manifest-dir", default=None,
                         help="write a repro.perf run manifest per served "
-                             "execution under this root (enables /runs)")
+                             "execution under this root (enables "
+                             "/runs/<id>)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="per-job wall-clock limit in seconds")
     parser.add_argument("--journal", default=None, metavar="PATH",
@@ -97,8 +94,6 @@ def options_from_args(args) -> ServeOptions:
     return ServeOptions(
         shards=args.shards,
         queue_limit=args.queue_limit,
-        rate=args.rate,
-        burst=args.burst,
         cache_dir=args.cache_dir,
         cache_max_bytes=max_bytes,
         manifest_dir=args.manifest_dir,
@@ -119,13 +114,13 @@ async def serve(gateway: Gateway, host: str, port: int,
     print(f"repro.serve listening on http://{bound_host}:{bound_port} "
           f"({options.shards} shard(s), queue {options.queue_limit})",
           flush=True)
-    recovery = app.gateway.recovery
-    if options.journal_path and (recovery["recovered"]
-                                 or recovery["orphaned"]):
+    recovery = gateway.recovery
+    if recovery["recovered"] or recovery["orphaned"] or recovery["bad_lines"]:
         print(f"repro.serve: journal replay recovered "
               f"{recovery['recovered']} job(s) "
               f"({recovery['already_cached']} already cached), "
-              f"{recovery['orphaned']} orphaned", flush=True)
+              f"{recovery['orphaned']} orphaned, "
+              f"{recovery['bad_lines']} unreadable line(s)", flush=True)
     if ready_file:
         with open(ready_file, "w") as fh:
             fh.write(f"{bound_host} {bound_port}\n")

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import random
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.trace import TraceContext, format_traceparent, new_span_id, new_trace_id
@@ -27,24 +25,14 @@ def mint_traceparent(sampled: bool = True) -> str:
     return format_traceparent(
         TraceContext(new_trace_id(), new_span_id(), sampled=sampled))
 
-#: Cap on a single 429 backoff sleep, whatever ``retry_after`` claims.
-MAX_RETRY_WAIT = 5.0
-#: Fallback delay when a 429 body carries no usable ``retry_after``.
-DEFAULT_RETRY_AFTER = 0.25
-
 
 class ServeClient:
     """Blocking keep-alive client for one gateway endpoint."""
 
-    def __init__(self, host: str, port: int,
-                 tenant: Optional[str] = None,
-                 timeout: float = 60.0) -> None:
+    def __init__(self, host: str, port: int, timeout: float = 60.0) -> None:
         self.host = host
         self.port = port
-        self.tenant = tenant
         self.timeout = timeout
-        #: 429 responses this client retried (test/telemetry hook).
-        self.rate_limit_retries = 0
         self._conn: Optional[http.client.HTTPConnection] = None
 
     # -- plumbing ------------------------------------------------------------
@@ -71,8 +59,6 @@ class ServeClient:
                 ) -> Tuple[int, bytes, Dict[str, str]]:
         """One request/response cycle; reconnects once on a dead socket."""
         headers = {}
-        if self.tenant:
-            headers["X-Tenant"] = self.tenant
         if traceparent:
             headers["traceparent"] = traceparent
         data = None
@@ -102,68 +88,16 @@ class ServeClient:
 
     # -- endpoints -----------------------------------------------------------
     def submit(self, spec: Dict[str, Any],
-               retries: int = 0,
                traceparent: Optional[str] = None) -> Tuple[int, Any]:
         """POST a job spec; returns (status, outcome-or-error body).
 
-        With *retries* > 0, a 429 is retried up to that many times,
-        honoring the ``retry_after`` hint the gateway puts in the body
-        (jittered up to +25% so a herd of limited clients does not
-        reconverge on the same instant, capped at
-        :data:`MAX_RETRY_WAIT`).  Any other status — success or error —
-        returns immediately; the final 429, if the budget runs out, is
-        returned rather than raised.
-
         *traceparent* (see :func:`mint_traceparent`) propagates a trace
-        context with the submission; retries reuse the same context —
-        one logical request, one trace.
+        context with the submission.
         """
-        attempt = 0
-        while True:
-            status, body = self.json("POST", "/v1/jobs", spec,
-                                     traceparent=traceparent)
-            if status != 429 or attempt >= retries:
-                return status, body
-            try:
-                hint = float(body.get("retry_after"))
-            except (AttributeError, TypeError, ValueError):
-                hint = DEFAULT_RETRY_AFTER
-            delay = min(MAX_RETRY_WAIT,
-                        max(hint, 0.0) * (1.0 + random.uniform(0.0, 0.25)))
-            self.rate_limit_retries += 1
-            attempt += 1
-            time.sleep(delay)
-
-    def submit_stream(self, spec: Dict[str, Any]) -> Tuple[int, list]:
-        """POST with SSE; returns (status, parsed event list).
-
-        Each event is ``{"event": <name or None>, "data": <object>}`` in
-        arrival order.  On a pre-admission error the status is the error
-        code and the list holds the single JSON error body.
-        """
-        status, payload, headers = self.request(
-            "POST", "/v1/jobs?stream=1", spec)
-        if "text/event-stream" not in headers.get("content-type", ""):
-            return status, [json.loads(payload.decode("utf-8"))]
-        events = []
-        name = None
-        for line in payload.decode("utf-8").splitlines():
-            if line.startswith("event: "):
-                name = line[len("event: "):]
-            elif line.startswith("data: "):
-                events.append({"event": name,
-                               "data": json.loads(line[len("data: "):])})
-                name = None
-        return status, events
+        return self.json("POST", "/v1/jobs", spec, traceparent=traceparent)
 
     def healthz(self) -> Tuple[int, Dict[str, Any]]:
         return self.json("GET", "/healthz")
-
-    def stats(self) -> Tuple[int, Dict[str, Any]]:
-        return self.json("GET", "/stats")
-
-    def runs(self) -> Tuple[int, Dict[str, Any]]:
-        return self.json("GET", "/runs")
 
     def run_manifest(self, run_id: str) -> Tuple[int, Dict[str, Any]]:
         return self.json("GET", f"/runs/{run_id}")

@@ -1,4 +1,4 @@
-"""The serving core: admission, coalescing, rate limits, worker shards.
+"""The serving core: admission, coalescing, worker shards.
 
 One :class:`Gateway` owns the whole request path between the HTTP layer
 and the exec engine.  :meth:`Gateway.submit` is a synchronous front,
@@ -6,7 +6,7 @@ which the HTTP layer runs inside ``data_received``, followed by an
 awaited tail, which only a miss reaches::
 
   front:  body -> spec memo by body digest            (new body: decode it)
-               -> drain check, token bucket (per tenant)
+               -> drain check
                -> spec validation                     (memo hit: skipped)
                -> settled results in memory           (hit: answer now,
                                                        body encoded once)
@@ -62,7 +62,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.exec import ExecOptions, JobRunner, ResultCache, SimJob, git_sha
 from repro.exec.job import execute_job
@@ -109,15 +109,6 @@ class Settled:
         return self._hit_body
 
 
-class RateLimited(Exception):
-    """The tenant's token bucket is empty; renders as 429."""
-
-    def __init__(self, tenant: str, retry_after: float) -> None:
-        super().__init__(f"tenant {tenant!r} is rate limited")
-        self.tenant = tenant
-        self.retry_after = retry_after
-
-
 class QueueFull(Exception):
     """The admission queue is at capacity; renders as 503."""
 
@@ -135,43 +126,12 @@ class JobError(Exception):
         self.message = message
 
 
-class TokenBucket:
-    """Classic token bucket: ``rate`` tokens/s, capacity ``burst``."""
-
-    __slots__ = ("rate", "burst", "tokens", "stamp")
-
-    def __init__(self, rate: float, burst: float,
-                 now: Optional[float] = None) -> None:
-        self.rate = rate
-        self.burst = burst
-        self.tokens = burst
-        self.stamp = time.monotonic() if now is None else now
-
-    def try_acquire(self, now: Optional[float] = None) -> bool:
-        now = time.monotonic() if now is None else now
-        self.tokens = min(self.burst,
-                          self.tokens + (now - self.stamp) * self.rate)
-        self.stamp = now
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
-
-    def retry_after(self) -> float:
-        """Seconds until one token is available (at the current fill)."""
-        if self.rate <= 0:
-            return 1.0
-        return max(0.0, (1.0 - self.tokens) / self.rate)
-
-
 @dataclass
 class ServeOptions:
     """Knobs for one gateway instance (CLI flags map 1:1)."""
 
     shards: int = 2                 # worker threads running JobRunners
     queue_limit: int = 64           # bounded admission queue depth
-    rate: float = 0.0               # tokens/s per tenant; 0 = unlimited
-    burst: float = 20.0             # bucket capacity
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
     manifest_dir: Optional[str] = None  # per-served-run manifests; None off
@@ -197,8 +157,7 @@ class ServeOptions:
 class Ticket:
     """One admitted execution; coalesced requests share it."""
 
-    __slots__ = ("job", "key", "future", "subscribers", "events",
-                 "waiters", "created", "tracer", "parent_span",
+    __slots__ = ("job", "key", "future", "tracer", "parent_span",
                  "queue_span")
 
     def __init__(self, job: SimJob, key: str,
@@ -206,12 +165,6 @@ class Ticket:
         self.job = job
         self.key = key
         self.future = future
-        #: SSE subscriber queues; fed the run's records as they are kept.
-        self.subscribers: List["asyncio.Queue"] = []
-        #: Run records already published (late subscribers replay).
-        self.events: List[Dict[str, Any]] = []
-        self.waiters = 1
-        self.created = time.monotonic()
         #: repro.trace state of the admitting request (None untraced):
         #: the shard thread finishes ``queue_span`` when it picks the
         #: ticket up and parents its dispatch span on ``parent_span``.
@@ -226,32 +179,9 @@ class Pending(NamedTuple):
 
     job: SimJob
     key: str
-    tenant: str
-    subscriber: Optional["asyncio.Queue"]
     tracer: Any
     root: Any
     t0: float
-
-
-class _TicketSink:
-    """Engine record sink that republishes the run's records (header,
-    run_start, job records, run_end) onto the loop for SSE subscribers.
-
-    Runs on the shard thread; hops to the event loop with
-    ``call_soon_threadsafe`` so subscriber queues are only touched from
-    the loop.
-    """
-
-    def __init__(self, loop, publish: Callable, ticket: Ticket) -> None:
-        self.loop = loop
-        self.publish = publish
-        self.ticket = ticket
-
-    def emit(self, event) -> None:
-        pass
-
-    def record(self, record: Dict[str, Any]) -> None:
-        self.loop.call_soon_threadsafe(self.publish, self.ticket, record)
 
 
 def run_id_of(manifest_path: Optional[str]) -> Optional[str]:
@@ -298,7 +228,6 @@ class Gateway:
         #: The job and cache key each request body validated to, by the
         #: body's SHA-256 digest, least recently used first.
         self.memo: "OrderedDict[bytes, Tuple[SimJob, str]]" = OrderedDict()
-        self.buckets: Dict[str, TokenBucket] = {}
         self.draining = False
         self.journal = None
         #: Boot-time journal replay summary (see :meth:`_recover_journal`).
@@ -325,7 +254,8 @@ class Gateway:
         With a journal configured, the previous incarnation's journal is
         replayed first: jobs it had accepted but never finished are
         re-enqueued (``serve.recovered``), unrebuildable records are
-        counted as ``serve.orphaned``, and the journal is rewritten fresh
+        counted as ``serve.orphaned`` and unreadable lines as
+        ``serve.journal_bad_lines``, and the journal is rewritten fresh
         seeded with the re-accepted jobs — so a crash during recovery is
         itself recoverable.
         """
@@ -405,7 +335,6 @@ class Gateway:
                 self.recovery["recovered"] += 1
                 continue
             ticket = Ticket(job, key, self.loop.create_future())
-            ticket.waiters = 0
             # Nobody awaits a recovered ticket unless a new request
             # coalesces onto it; consume the future's outcome so an
             # execution failure never logs "exception never retrieved".
@@ -417,14 +346,13 @@ class Gateway:
                 continue
             self.in_flight[key] = ticket
             self._journal_record("job_accepted", key=key,
-                                 job=record["job"],
-                                 tenant=record.get("tenant"),
-                                 recovered=True)
+                                 job=record["job"], recovered=True)
             self.recovery["recovered"] += 1
         self.registry.counter("serve.recovered").inc(
             self.recovery["recovered"])
         self.registry.counter("serve.orphaned").inc(
             self.recovery["orphaned"])
+        self.registry.counter("serve.journal_bad_lines").inc(bad_lines)
 
     async def drain(self, grace: Optional[float] = None) -> int:
         """Stop admitting, wait for in-flight work, stop the shards.
@@ -457,7 +385,7 @@ class Gateway:
         return abandoned
 
     # -- submission ----------------------------------------------------------
-    def _start_trace(self, traceparent: Optional[str], tenant: str):
+    def _start_trace(self, traceparent: Optional[str]):
         """Head-based sampling decision for one request.
 
         Returns ``(tracer, root_span)`` — ``(None, None)`` (the common,
@@ -476,7 +404,7 @@ class Gateway:
             self.registry.counter("serve.trace.unsampled").inc()
             return None, None
         self.registry.counter("serve.trace.sampled").inc()
-        root = tracer.start_span("http.request", tenant=tenant)
+        root = tracer.start_span("http.request")
         return tracer, root
 
     def _keep_spans(self, tracer, path: Optional[str]) -> Optional[str]:
@@ -500,8 +428,7 @@ class Gateway:
                 self.registry.counter("serve.trace.flushed").inc()
         return path
 
-    async def submit(self, spec: Any, tenant: str = "anonymous",
-                     subscriber: Optional["asyncio.Queue"] = None,
+    async def submit(self, spec: Any,
                      traceparent: Optional[str] = None) -> Any:
         """Validate, admit and execute one job spec; return the outcome.
 
@@ -514,11 +441,9 @@ class Gateway:
 
         The outcome dict is ``{"result": <engine result>, "meta": {...}}``
         with meta carrying cache state, run id/manifest/journal and wall
-        time.  A hit on a body with no *subscriber* and no trace returns
-        that dict's JSON encoding instead (:func:`~repro.serve.http.json_body`
-        bytes), kept with the settled result so it is encoded once.
-        *subscriber*, when given, receives the run's records as
-        they are kept (and ``None`` as the end-of-stream sentinel).
+        time.  An untraced hit on a body returns that dict's JSON
+        encoding instead (:func:`~repro.serve.http.json_body` bytes),
+        kept with the settled result so it is encoded once.
 
         *traceparent* is the request's W3C trace context header, if any:
         a sampled context makes this request traced end to end — gateway
@@ -529,22 +454,19 @@ class Gateway:
 
         It is :meth:`submit_front` followed by :meth:`submit_tail`.
 
-        Raises BadRequest / SpecError / RateLimited / QueueFull /
-        Draining / JobError.
+        Raises BadRequest / SpecError / QueueFull / Draining / JobError.
         """
-        return await self.submit_tail(self.submit_front(
-            spec, tenant, subscriber, traceparent))
+        return await self.submit_tail(self.submit_front(spec, traceparent))
 
-    def submit_front(self, spec: Any, tenant: str = "anonymous",
-                     subscriber: Optional["asyncio.Queue"] = None,
+    def submit_front(self, spec: Any,
                      traceparent: Optional[str] = None) -> Any:
         """The part of :meth:`submit` that never waits: the memo, the
-        ``serve.requests`` counter, trace sampling, the drain and the
-        token bucket, validation, then the settled and disk probes.
+        ``serve.requests`` counter, trace sampling, the drain check,
+        validation, then the settled and disk probes.
 
         Returns the outcome of a hit, or the :class:`Pending` miss that
         :meth:`submit_tail` finishes.  Raises BadRequest / SpecError /
-        RateLimited / Draining.
+        Draining.
         """
         t0 = time.monotonic()
         digest = None
@@ -553,18 +475,16 @@ class Gateway:
             if digest not in self.memo:
                 spec = decode_json(spec)
         self.registry.counter("serve.requests").inc()
-        tracer, root = self._start_trace(traceparent, tenant)
+        tracer, root = self._start_trace(traceparent)
         try:
-            job, key, entry = self._admit(spec, digest, tenant, tracer, root)
+            job, key, entry = self._admit(spec, digest, tracer, root)
         except BaseException as exc:
             self._rejected(exc, tracer, root)
             raise
         if entry is None:
-            return Pending(job, key, tenant, subscriber, tracer, root, t0)
+            return Pending(job, key, tracer, root, t0)
         self.registry.counter("serve.cache_hits").inc()
-        if subscriber is not None:
-            subscriber.put_nowait(None)
-        elif tracer is None and digest is not None:
+        if tracer is None and digest is not None:
             return self._answered(entry.hit_body(key, job), t0, None, None)
         return self._answered(entry.hit(key, job.label), t0, tracer, root)
 
@@ -602,7 +522,6 @@ class Gateway:
     def _rejected(self, exc: BaseException, tracer, root) -> None:
         """Count a request that ends in *exc* and keep its spans."""
         for kind, name in ((SpecError, "serve.rejected.invalid_spec"),
-                           (RateLimited, "serve.rejected.rate_limited"),
                            (QueueFull, "serve.rejected.queue_full"),
                            (Draining, "serve.rejected.draining"),
                            (JobError, "serve.failures")):
@@ -613,23 +532,11 @@ class Gateway:
             root.finish("error")
             self._keep_spans(tracer, None)
 
-    def _admit(self, spec, digest, tenant, tracer, root):
-        """Drain, bucket, validation and probes: ``(job, key, entry)``,
+    def _admit(self, spec, digest, tracer, root):
+        """Drain check, validation and probes: ``(job, key, entry)``,
         where *entry* is the :class:`Settled` result of a hit, else None."""
         if self.draining:
             raise Draining("gateway is draining")
-        if self.options.rate > 0:
-            admit_span = (tracer.start_span("admission", parent=root)
-                          if tracer is not None else None)
-            bucket = self.buckets.get(tenant)
-            if bucket is None:
-                bucket = self.buckets[tenant] = TokenBucket(
-                    self.options.rate, self.options.burst)
-            acquired = bucket.try_acquire()
-            if admit_span is not None:
-                admit_span.finish(None if acquired else "error")
-            if not acquired:
-                raise RateLimited(tenant, bucket.retry_after())
         if tracer is not None:
             with tracer.span("request.parse", parent=root):
                 job, key = self._validate(spec, digest)
@@ -654,16 +561,11 @@ class Gateway:
     async def _wait(self, pending: "Pending") -> Dict[str, Any]:
         """Coalesce *pending* onto the run in flight on its key, or
         queue it for a shard; the run's outcome."""
-        job, key, subscriber = pending.job, pending.key, pending.subscriber
+        job, key = pending.job, pending.key
         tracer, root = pending.tracer, pending.root
         ticket = self.in_flight.get(key)
         if ticket is not None:
             self.registry.counter("serve.coalesced").inc()
-            ticket.waiters += 1
-            if subscriber is not None:
-                for record in ticket.events:  # replay, then follow live
-                    subscriber.put_nowait(record)
-                ticket.subscribers.append(subscriber)
             if tracer is not None:
                 with tracer.span("coalesce.wait", parent=root,
                                  key=key[:16]):
@@ -675,8 +577,6 @@ class Gateway:
         if self.queue is None:
             raise Draining("gateway not started")
         ticket = Ticket(job, key, self.loop.create_future())
-        if subscriber is not None:
-            ticket.subscribers.append(subscriber)
         if tracer is not None:
             ticket.tracer = tracer
             ticket.parent_span = root
@@ -690,8 +590,7 @@ class Gateway:
         self.registry.counter("serve.admitted").inc()
         # Write-ahead: the job is journaled the moment it is admitted,
         # before any execution, so a crash from here on re-enqueues it.
-        self._journal_record("job_accepted", key=key, job=job.to_dict(),
-                             tenant=pending.tenant)
+        self._journal_record("job_accepted", key=key, job=job.to_dict())
         self.registry.histogram("serve.queue_depth").record(
             self.queue.qsize())
         return await asyncio.shield(ticket.future)
@@ -769,9 +668,7 @@ class Gateway:
             run_meta={"experiment": "serve",
                       "argv": ["serve", ticket.job.label],
                       "seed": ticket.job.seed})
-        sink = _TicketSink(self.loop, self._publish, ticket)
-        runner = JobRunner(options, execute=self.execute, sinks=[sink],
-                           cache=self.cache)
+        runner = JobRunner(options, execute=self.execute, cache=self.cache)
         t0 = time.monotonic()
         try:
             result = runner.run([ticket.job])[0]
@@ -792,13 +689,7 @@ class Gateway:
                          "spans": None,
                          "wall": round(wall, 6)}}
 
-    # -- completion / streaming ----------------------------------------------
-    def _publish(self, ticket: Ticket, record: Dict[str, Any]) -> None:
-        """Loop-side: fan a run record out to the subscribers."""
-        ticket.events.append(record)
-        for queue in ticket.subscribers:
-            queue.put_nowait(record)
-
+    # -- completion ----------------------------------------------------------
     def _finish(self, ticket: Ticket, outcome=None,
                 error: Optional[JobError] = None) -> None:
         self.in_flight.pop(ticket.key, None)
@@ -815,9 +706,6 @@ class Gateway:
                 ticket.future.set_exception(error)
             else:
                 ticket.future.set_result(outcome)
-        for queue in ticket.subscribers:
-            queue.put_nowait(None)  # end-of-stream sentinel
-        ticket.subscribers.clear()
 
     # -- introspection -------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -848,30 +736,4 @@ class Gateway:
                 "trace": self.options.trace_sample > 0.0,
                 "durable": self.journal is not None,
             },
-        }
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "health": self.health(),
-            "metrics": self.registry.to_dict(),
-            "cache": self.cache.describe(),
-            "tenants": len(self.buckets),
-            "durability": self.durability(),
-            "trace": {"sample": self.options.trace_sample},
-        }
-
-    def durability(self) -> Dict[str, Any]:
-        """Journal + boot-recovery state for ``/stats``."""
-        counters = self.registry.counters()
-        return {
-            "journal": self.options.journal_path,
-            "enabled": self.journal is not None,
-            "degraded": (self.journal.disabled
-                         if self.journal is not None else False),
-            "journal_errors": counters.get("serve.journal_errors", 0),
-            "recovered": self.recovery["recovered"],
-            "orphaned": self.recovery["orphaned"],
-            "already_cached": self.recovery["already_cached"],
-            "journal_bad_lines": self.recovery["bad_lines"],
-            "journal_truncated": self.recovery["truncated"],
         }

@@ -3,8 +3,7 @@
 Just enough protocol for a JSON service: :func:`parse_request` takes the
 first request out of a connection's buffer (request line, headers,
 ``Content-Length`` bodies), and the response helpers write JSON and
-plain-text responses, each in one write, and Server-Sent Events streams
-in chunked transfer encoding.  Limits are enforced while *reading*
+plain-text responses, each in one write.  Limits are enforced while *reading*
 (oversized request lines, headers or bodies are rejected with 431/413
 before being buffered), so a misbehaving client cannot balloon the
 process.  The parser is one pure function of the buffered bytes, so a
@@ -21,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 #: Protocol limits.
 MAX_REQUEST_LINE = 8 * 1024
@@ -34,7 +33,7 @@ REASONS = {
     200: "OK", 202: "Accepted", 204: "No Content",
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
     408: "Request Timeout", 413: "Payload Too Large",
-    429: "Too Many Requests", 431: "Request Header Fields Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -73,31 +72,17 @@ def json_body(payload: Any) -> bytes:
 class Request:
     """One parsed HTTP request."""
 
-    __slots__ = ("method", "target", "path", "query", "headers", "body",
-                 "keep_alive")
+    __slots__ = ("method", "target", "path", "headers", "body", "keep_alive")
 
     def __init__(self, method: str, target: str,
                  headers: Dict[str, str], body: bytes,
                  keep_alive: bool) -> None:
         self.method = method
         self.target = target
-        split = urlsplit(target)
-        self.path = unquote(split.path)
-        self.query = dict(parse_qsl(split.query))
+        self.path = unquote(urlsplit(target).path)
         self.headers = headers
         self.body = body
         self.keep_alive = keep_alive
-
-    @property
-    def tenant(self) -> str:
-        """Rate-limit identity: the X-Tenant header, else ``"anonymous"``."""
-        return self.headers.get("x-tenant", "anonymous").strip() or "anonymous"
-
-    def wants_stream(self) -> bool:
-        """SSE requested? ``?stream=1`` or ``Accept: text/event-stream``."""
-        if self.query.get("stream", "") in ("1", "true", "yes"):
-            return True
-        return "text/event-stream" in self.headers.get("accept", "")
 
 
 def _headers(lines) -> Dict[str, str]:
@@ -200,16 +185,13 @@ def parse_request(buffer, eof: bool = False
     return request, stop
 
 
-def _head(status: int, content_type: str, extra: Tuple[Tuple[str, str], ...],
-          length: Optional[int], keep_alive: bool) -> bytes:
-    lines = [f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
-             f"Content-Type: {content_type}"]
-    if length is not None:
-        lines.append(f"Content-Length: {length}")
-    lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-    for name, value in extra:
-        lines.append(f"{name}: {value}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+def _head(status: int, content_type: str, length: int,
+          keep_alive: bool) -> bytes:
+    return (f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {length}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+            f"\r\n").encode("latin-1")
 
 
 def json_response(writer, status: int, payload: Any, *,
@@ -217,8 +199,8 @@ def json_response(writer, status: int, payload: Any, *,
     """Send *payload* as JSON, or *payload* itself when it is bytes
     :func:`json_body` already encoded, in one write."""
     body = payload if isinstance(payload, bytes) else json_body(payload)
-    writer.write(_head(status, "application/json", (), len(body),
-                       keep_alive) + body)
+    writer.write(_head(status, "application/json", len(body), keep_alive)
+                 + body)
 
 
 def text_response(writer, status: int, body: str,
@@ -226,47 +208,5 @@ def text_response(writer, status: int, body: str,
                   keep_alive: bool = True) -> None:
     """Send *body* as text, head and body in one write."""
     data = body.encode("utf-8")
-    writer.write(_head(status, content_type, (), len(data), keep_alive)
-                 + data)
+    writer.write(_head(status, content_type, len(data), keep_alive) + data)
 
-
-class SseStream:
-    """A Server-Sent Events response over chunked transfer encoding.
-
-    Usage: ``await stream.start()``, then any number of
-    ``await stream.send(record, event=...)``, then ``await stream.close()``.
-    Each record is one ``data:`` line of JSON — exactly the objects a
-    telemetry JSONL stream holds, so SSE consumers and trace readers
-    share a schema.
-    """
-
-    def __init__(self, writer) -> None:
-        self.writer = writer
-        self._open = False
-
-    async def start(self) -> None:
-        self.writer.write(_head(
-            200, "text/event-stream",
-            (("Cache-Control", "no-store"),
-             ("Transfer-Encoding", "chunked")), None, False))
-        self._open = True
-        await self.writer.drain()
-
-    def _chunk(self, data: bytes) -> None:
-        self.writer.write(f"{len(data):x}\r\n".encode("latin-1"))
-        self.writer.write(data)
-        self.writer.write(b"\r\n")
-
-    async def send(self, record: Any, event: Optional[str] = None) -> None:
-        lines = []
-        if event:
-            lines.append(f"event: {event}")
-        lines.append("data: " + json.dumps(record, sort_keys=True))
-        self._chunk(("\n".join(lines) + "\n\n").encode("utf-8"))
-        await self.writer.drain()
-
-    async def close(self) -> None:
-        if self._open:
-            self.writer.write(b"0\r\n\r\n")
-            self._open = False
-            await self.writer.drain()

@@ -1,25 +1,21 @@
 """Typed job-spec validation shared between the gateway and the CLI.
 
 A job spec is the HTTP wire form of one :class:`repro.exec.SimJob`: a
-JSON object naming the kind-specific knobs.  :func:`validate_job_spec`
-turns an untrusted payload into a ``SimJob`` **through the same
-constructors the harness CLI uses** (:meth:`SimJob.bar` /
-:meth:`SimJob.access_control`), so an accepted HTTP spec and the
-equivalent CLI invocation serialize to the *same* content address —
-the cache key is the proof of equivalence, and the service can never
-serve a result the harness would not have computed.
+JSON object naming the cell's knobs.  :func:`validate_job_spec` turns
+an untrusted payload into a ``SimJob`` **through the same constructor
+the harness CLI uses** (:meth:`SimJob.bar`), so an accepted HTTP spec
+and the equivalent CLI invocation serialize to the *same* content
+address — the cache key is the proof of equivalence, and the service
+can never serve a result the harness would not have computed.
 
 Malformed payloads raise :class:`SpecError`, which carries the failing
 field and a message and renders as a structured 4xx JSON body — a bad
 request must never surface as a traceback.
 
-Spec shapes::
+The spec shape, one Figure 2 bar cell (``bar``, the only kind)::
 
     {"kind": "bar", "benchmark": "compress", "machine": "ooo",
      "label": "S10", "instructions": 30000, "warmup": 15000, "seed": 0}
-
-    {"kind": "access_control", "workload": "migratory",
-     "method": "INFORMING", "machine_params": {...}}
 
 ``instructions``/``warmup`` default to the harness defaults and
 ``seed`` to 0, matching ``python -m repro.harness figure2``'s cells.
@@ -27,21 +23,18 @@ A bar spec may name a ``backend`` (``"interp"`` | ``"vec"``, see
 :mod:`repro.vec`): it is validated — an unknown backend is a 400 —
 but deliberately excluded from the SimJob, because backends produce
 digit-exact results and the cache key must stay backend-free.
-``instructions`` is capped (:data:`MAX_INSTRUCTIONS`), and so are a
-bar's handler length (:data:`MAX_HANDLER_INSTRUCTIONS`) and an
-access-control machine's processors (:data:`MAX_PROCESSORS`), so one
-request cannot wedge a worker shard for hours.  A bar label is
-canonical — ASCII digits, no leading zero — so one simulation has one
-cache key, and an access-control machine is built here, so a machine
-the simulator would refuse is a 400 rather than a failed run.
+``instructions`` is capped (:data:`MAX_INSTRUCTIONS`), and so is the
+handler length (:data:`MAX_HANDLER_INSTRUCTIONS`), so one request
+cannot wedge a worker shard for hours.  A label is canonical — ASCII
+digits, no leading zero — so one simulation has one cache key.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Mapping
 
-from repro.exec.job import KIND_ACCESS_CONTROL, KIND_BAR, SimJob
+from repro.exec.job import KIND_BAR, SimJob
 
 #: Hard per-request ceiling on simulated instructions (and warmup): the
 #: admission layer's guard against a single spec monopolizing a shard.
@@ -51,20 +44,15 @@ MAX_INSTRUCTIONS = 2_000_000
 #: (§4.2.2), and the largest any harness experiment runs (``S100``).
 MAX_HANDLER_INSTRUCTIONS = 100
 
-#: Most processors a served access-control machine may have: four times
-#: Table 2's 16 (no experiment varies it).
-MAX_PROCESSORS = 64
-
 #: A bar label other than ``N``: a kind, then a handler length in ASCII
 #: digits with no leading zero.
 _BAR_LABEL = re.compile(r"(?:S|U|E|CC)([1-9][0-9]*)")
 
-#: Spec fields accepted per kind (anything else is rejected loudly —
-#: a typo like "benchmrk" must not silently fall back to a default).
+#: Spec fields accepted (anything else is rejected loudly — a typo like
+#: "benchmrk" must not silently fall back to a default).
 _BAR_FIELDS = frozenset(
     ["kind", "benchmark", "machine", "label", "instructions", "warmup",
      "seed", "backend", "policy"])
-_AC_FIELDS = frozenset(["kind", "workload", "method", "machine_params"])
 
 
 class SpecError(ValueError):
@@ -192,73 +180,6 @@ def _validate_bar(payload: Mapping[str, Any]) -> SimJob:
                       policy=policy)
 
 
-def _validate_access_control(payload: Mapping[str, Any]) -> SimJob:
-    from dataclasses import asdict, fields
-
-    from repro.coherence import (
-        TABLE2_MACHINE,
-        AccessControlMethod,
-        CoherenceMachineParams,
-    )
-    from repro.workloads.parallel import PARALLEL_KERNELS
-
-    _reject_unknown(payload, _AC_FIELDS)
-    workload = _require_str(payload, "workload", PARALLEL_KERNELS)
-    method = _require_str(payload, "method",
-                          {m.name for m in AccessControlMethod})
-    params = payload.get("machine_params", None)
-    if params is None:
-        machine_params = asdict(TABLE2_MACHINE)
-    else:
-        if not isinstance(params, Mapping):
-            raise SpecError("machine_params",
-                            f"must be an object, got "
-                            f"{type(params).__name__}")
-        known = {f.name for f in fields(CoherenceMachineParams)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise SpecError("machine_params",
-                            f"unknown parameter(s) {_names(unknown)}; "
-                            f"allowed: {sorted(known)}")
-        for name, value in params.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError("machine_params",
-                                f"{name} must be an integer, got "
-                                f"{type(value).__name__}")
-        machine_params = dict(asdict(TABLE2_MACHINE), **params)
-    _build_machine(machine_params, AccessControlMethod[method])
-    return SimJob.access_control(workload=workload, method=method,
-                                 machine_params=machine_params)
-
-
-def _build_machine(params: Dict[str, int], method) -> None:
-    """Build the coherence simulator *params* describe, so a machine it
-    would refuse is rejected here.  The divisors are checked first: the
-    directory divides by ``coherence_unit`` when built and by
-    ``page_size`` on every ECC write."""
-    from repro.coherence import CoherenceMachineParams
-    from repro.coherence.multiproc import MultiprocessorSim
-
-    if not 1 <= params["processors"] <= MAX_PROCESSORS:
-        raise SpecError("machine_params",
-                        f"processors must be between 1 and "
-                        f"{MAX_PROCESSORS}, got {params['processors']}")
-    for name in ("coherence_unit", "page_size"):
-        if params[name] < 1:
-            raise SpecError("machine_params",
-                            f"{name} must be positive, got {params[name]}")
-    try:
-        MultiprocessorSim(CoherenceMachineParams(**params), method)
-    except ValueError as exc:
-        raise SpecError("machine_params", str(exc))
-
-
-_VALIDATORS = {
-    KIND_BAR: _validate_bar,
-    KIND_ACCESS_CONTROL: _validate_access_control,
-}
-
-
 def validate_job_spec(payload: Any) -> SimJob:
     """Validate an untrusted spec payload into a :class:`SimJob`.
 
@@ -269,7 +190,7 @@ def validate_job_spec(payload: Any) -> SimJob:
         raise SpecError("spec", f"job spec must be a JSON object, got "
                                 f"{type(payload).__name__}")
     kind = payload.get("kind", KIND_BAR)
-    if not isinstance(kind, str) or kind not in _VALIDATORS:
+    if kind != KIND_BAR:
         raise SpecError("kind", f"unknown kind {_quote(kind)}; expected one "
-                                f"of {sorted(_VALIDATORS)}")
-    return _VALIDATORS[kind](payload)
+                                f"of {[KIND_BAR]}")
+    return _validate_bar(payload)

@@ -63,3 +63,11 @@ def test_harness_cli_loads_coherence_only_to_run_it():
     assert "repro.harness.runner" in loaded
     unwanted = {"repro.harness.coherence_exp", "repro.coherence"}
     assert sorted(loaded & unwanted) == []
+
+
+def test_compare_loads_no_engine():
+    """A reader of run manifests loads no engine, tracer or simulator."""
+    loaded = loaded_after("import repro.perf.compare")
+    assert "repro.perf.manifest" in loaded
+    unwanted = {"repro.exec.engine", "repro.exec.telemetry", "repro.trace"}
+    assert sorted(loaded & unwanted) == []

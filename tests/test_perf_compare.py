@@ -203,6 +203,19 @@ class TestCLI:
         assert compare_main([bad, good]) == 2
         assert "schema 999" in capsys.readouterr().out
 
+    def test_damaged_manifest_is_exit_2(self, tmp_path, capsys):
+        """Exit 1 means a regression; a cut manifest is a named error."""
+        for run_id in ("a", "b"):
+            (tmp_path / run_id).mkdir()
+            (tmp_path / run_id / "manifest.json").write_text(
+                json.dumps(make_manifest([0.5, 0.5], run_id=run_id)))
+        cut = tmp_path / "b" / "manifest.json"
+        cut.write_bytes(cut.read_bytes()[:300])
+        assert compare_main(["a", "b", "--runs-root", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("compare: error: ")
+        assert "manifest.json is not a JSON manifest" in out
+
     def test_trace_dir_mode_via_cli(self, tmp_path, capsys):
         for side in ("a", "b"):
             (tmp_path / side).mkdir()

@@ -178,6 +178,20 @@ class TestResolution:
             load_manifest(str(path))
         assert "schema 999" in str(err.value)
 
+    @pytest.mark.parametrize("damage", ["cut", "list", "latin-1"])
+    def test_damaged_manifest_is_a_named_error(self, tmp_path, damage):
+        """A file that is not a UTF-8 JSON object is a ManifestError."""
+        runner, _ = run_with_manifest(tmp_path)
+        path = runner.last_manifest
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write({"cut": data[:300], "list": b"[1, 2]",
+                      "latin-1": data.replace(b"exp-test", b"\xe9")}[damage])
+        with pytest.raises(ManifestError) as err:
+            load_manifest(path)
+        assert path in str(err.value)
+
     def test_non_manifest_json_rejected(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"something": "else"}))

@@ -5,34 +5,29 @@ or "need more", or a structured 4xx, never a stray exception; one
 connection answers the same bytes with the same responses however they
 are split into reads; arbitrary JSON into the job-spec validator ends
 as a job or a ``SpecError``, and every accepted spec builds the machine
-its shard would build.
+its shard would build; a ``/runs/<ref>`` lookup reads nothing outside
+the manifest root.
 """
 
 import json
-from dataclasses import asdict
+import os
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.coherence import (
-    TABLE2_MACHINE,
-    AccessControlMethod,
-    CoherenceMachineParams,
-)
-from repro.coherence.multiproc import MultiprocessorSim
 from repro.exec import SimJob
 from repro.harness.configs import MACHINES
 from repro.harness.runner import bar_config
+from repro.perf.manifest import MANIFEST_KIND, MANIFEST_SCHEMA
 from repro.serve.gateway import Gateway, ServeOptions
 from repro.serve.app import App, Connection
 from repro.serve.http import HttpError, Request, decode_json, parse_request
 from repro.serve.spec import (
     MAX_HANDLER_INSTRUCTIONS,
-    MAX_PROCESSORS,
     SpecError,
     validate_job_spec,
 )
-from repro.workloads.parallel import PARALLEL_KERNELS
 
 
 def parse_all(data: bytes, eof: bool = True):
@@ -58,7 +53,7 @@ def latin1(max_size):
 
 
 header_names = st.sampled_from(["Content-Length", "Connection",
-                                "Transfer-Encoding", "X-Tenant",
+                                "Transfer-Encoding", "Host",
                                 "Accept", "traceparent"]) | latin1(8)
 header_values = st.sampled_from(["0", "2", "7", "010", "-1", "-0", "+2",
                                  "1_0", "abc", "99999999", "close",
@@ -103,8 +98,6 @@ def check_requests(outcomes):
         assert length.isascii() and length.isdigit()
         assert int(length) == len(request.body)
         assert isinstance(request.body, bytes)
-        assert isinstance(request.tenant, str)
-        request.wants_stream()
         if request.body:
             try:
                 decode_json(request.body)
@@ -235,7 +228,7 @@ KEEP = [
     b"POST /healthz HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}",
     b"GET /runs/x HTTP/1.1\r\n\r\n",
     post(json.dumps(HIT_SPEC).encode()),
-    post(json.dumps(HIT_SPEC, indent=1).encode(), b"X-Tenant: b\r\n"),
+    post(json.dumps(HIT_SPEC, indent=1).encode(), b"Host: b\r\n"),
     post(b"{not json"),
     post(json.dumps(dict(HIT_SPEC, machine="vax")).encode()),
 ]
@@ -329,19 +322,14 @@ class TestOneConnection:
 def build_machine(job: SimJob) -> None:
     """Build what a shard builds for *job*, short of running it."""
     cfg = job.config_dict()
-    if job.kind == "bar":
-        assert job.machine in MACHINES
-        bar = bar_config(cfg["label"])
-        if bar.informing is not None:
-            length = bar.informing.handler.length
-            assert length <= MAX_HANDLER_INSTRUCTIONS
-            # Canonical: one simulation, one label, one cache key.
-            assert cfg["label"][-len(str(length)):] == str(length)
-        return
-    params = cfg["machine_params"]
-    assert params["processors"] <= MAX_PROCESSORS
-    MultiprocessorSim(CoherenceMachineParams(**params),
-                      AccessControlMethod[cfg["method"]])
+    assert job.kind == "bar"
+    assert job.machine in MACHINES
+    bar = bar_config(cfg["label"])
+    if bar.informing is not None:
+        length = bar.informing.handler.length
+        assert length <= MAX_HANDLER_INSTRUCTIONS
+        # Canonical: one simulation, one label, one cache key.
+        assert cfg["label"][-len(str(length)):] == str(length)
 
 
 json_values = st.recursive(
@@ -359,22 +347,12 @@ field_values = labels | edge_ints | json_values
 
 bar_base = {"kind": "bar", "benchmark": "compress", "machine": "ooo",
             "label": "S10", "instructions": 2000, "warmup": 500}
-machine_fields = sorted(asdict(TABLE2_MACHINE))
 
 
 @st.composite
 def near_specs(draw):
     """A valid spec with a few fields replaced, dropped or added."""
-    if draw(st.booleans()):
-        spec = dict(bar_base)
-    else:
-        spec = {"kind": "access_control",
-                "workload": draw(st.sampled_from(sorted(PARALLEL_KERNELS))),
-                "method": draw(st.sampled_from(
-                    [m.name for m in AccessControlMethod])),
-                "machine_params": draw(st.dictionaries(
-                    st.sampled_from(machine_fields), edge_ints,
-                    max_size=3))}
+    spec = dict(bar_base)
     names = st.sampled_from(sorted(spec) + ["seed", "policy", "backend",
                                             "extra"])
     for name in draw(st.lists(names, max_size=2)):
@@ -389,14 +367,6 @@ class TestValidateJobSpec:
     @given(json_values | near_specs())
     @example({"kind": "access_control", "workload": "migratory",
               "method": "ECC", "machine_params": {"l1_size": 3}})
-    @example({"kind": "access_control", "workload": "migratory",
-              "method": "ECC", "machine_params": {"l1_assoc": 0}})
-    @example({"kind": "access_control", "workload": "migratory",
-              "method": "ECC", "machine_params": {"processors": 0}})
-    @example({"kind": "access_control", "workload": "migratory",
-              "method": "ECC", "machine_params": {"message_latency": -1}})
-    @example({"kind": "access_control", "workload": "migratory",
-              "method": "ECC", "machine_params": {"coherence_unit": 0}})
     @example(dict(bar_base, label="S03"))
     @example(dict(bar_base, label="S1000000000"))
     @settings(max_examples=150, deadline=None)
@@ -407,3 +377,73 @@ class TestValidateJobSpec:
             assert exc.to_dict()["error"] == "invalid_spec"
             return
         build_machine(job)
+
+
+#: The one run the manifest root of :func:`runs_app` holds.
+RUN_ID = "20260101T000000-serve-1-0"
+
+
+@pytest.fixture(scope="module")
+def runs_app(tmp_path_factory):
+    """An app serving the manifest root ``<tmp>/runs``, which holds
+    :data:`RUN_ID`; ``<tmp>/elsewhere`` holds a manifest outside it."""
+    base = tmp_path_factory.mktemp("manifests")
+    manifest = {"kind": MANIFEST_KIND, "schema": MANIFEST_SCHEMA}
+    for directory in (base / "runs" / RUN_ID, base / "elsewhere"):
+        directory.mkdir(parents=True)
+        (directory / "manifest.json").write_text(json.dumps(
+            dict(manifest, run_id=directory.name)))
+    gateway = Gateway(ServeOptions(cache_dir=str(base / "cache"),
+                                   manifest_dir=str(base / "runs")))
+    return App(gateway), str(base)
+
+
+#: ``/runs/<ref>`` refs as they appear in a request target, ``{base}``
+#: standing for the directory that holds the manifest root: the real id,
+#: dot segments, absolute and working-directory-relative paths,
+#: percent-encoded ``/`` and NUL, and long ids.
+NEAR_REFS = [
+    RUN_ID, "", ".", "..", "%2E%2E", "..%2Felsewhere", "..%2F" + RUN_ID,
+    "../elsewhere", "{base}/elsewhere", "{base}/elsewhere/manifest.json",
+    "{base}/runs/" + RUN_ID, "%2F{base}%2Felsewhere", "/etc/hostname",
+    "pyproject.toml", "src%2Frepro", "%00", RUN_ID + "%00", "%00" + RUN_ID,
+    RUN_ID + "%2F", RUN_ID + "/.", "x" * 255, "x" * 256, "y" * 8000]
+
+run_refs = (
+    st.sampled_from(NEAR_REFS)
+    | st.sampled_from(sorted(os.listdir(".")) or ["."])
+    | st.text(st.sampled_from(list("ab.-_/%0123456789F")), max_size=40)
+    | st.builds("".join, st.lists(st.sampled_from(
+        [RUN_ID, "..", ".", "/", "%2F", "%00"]), max_size=4)))
+
+
+def one_json_response(written: bytes):
+    """The status and body of the one JSON response in *written*."""
+    assert written.count(b"HTTP/1.1 ") == 1, written[:200]
+    head, body = written.split(b"\r\n\r\n", 1)
+    assert b"Content-Type: application/json\r\n" in head
+    assert b"Content-Length: %d\r\n" % len(body) in head
+    return int(head.split()[1]), json.loads(body)
+
+
+@given(ref=run_refs)
+@example(ref="..%2Felsewhere")
+@example(ref="{base}/elsewhere/manifest.json")
+@example(ref="/etc/hostname")
+@example(ref="pyproject.toml")
+@example(ref=RUN_ID)
+@settings(max_examples=150, deadline=None)
+def test_a_run_lookup_reads_only_the_manifest_root(runs_app, ref):
+    """Each ``/runs/<ref>`` gets exactly one JSON response, and only the
+    real run id a 200: no dot segment, path or NUL reaches another
+    file."""
+    app, base = runs_app
+    ref = ref.replace("{base}", base)
+    written, closed = feed(app, [b"GET /runs/%s HTTP/1.1\r\n\r\n"
+                                 % ref.encode("utf-8")])
+    assert closed
+    status, body = one_json_response(written)
+    if unquote(ref) == RUN_ID:
+        assert (status, body["run_id"]) == (200, RUN_ID)
+    else:
+        assert status != 200, ref

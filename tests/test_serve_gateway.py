@@ -1,6 +1,6 @@
 """The serving gateway: digit-exact parity with direct runs, the backend
-it resolves at boot, caching, coalescing, admission control, SSE
-streaming, metrics, structured errors."""
+it resolves at boot, caching, coalescing, admission control, metrics,
+structured errors."""
 
 import asyncio
 import http.client
@@ -23,7 +23,6 @@ from repro.serve.gateway import (
     Gateway,
     JobError,
     QueueFull,
-    RateLimited,
     ServeOptions,
 )
 from repro.serve.http import json_body, json_response
@@ -77,8 +76,8 @@ class LiveServer:
         self.loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(15)
 
-    def client(self, tenant=None):
-        return ServeClient(self.host, self.port, tenant=tenant)
+    def client(self):
+        return ServeClient(self.host, self.port)
 
 
 @pytest.fixture
@@ -433,9 +432,8 @@ class TestSpecMemo:
         assert counters.get("serve.requests", 0) == counted
         assert counters.get("serve.rejected.invalid_spec", 0) == counted
 
-    def test_repeat_body_meets_the_bucket_and_the_drain(self, tmp_path):
-        options = ServeOptions(shards=1, rate=0.001, burst=2,
-                               cache_dir=str(tmp_path / "cache"))
+    def test_repeat_body_meets_the_drain(self, tmp_path):
+        options = ServeOptions(shards=1, cache_dir=str(tmp_path / "cache"))
         body = body_of(tiny_spec(seed=76))
 
         async def scenario():
@@ -443,15 +441,12 @@ class TestSpecMemo:
             await gateway.start()
             await gateway.submit(body)
             await gateway.submit(body)
-            with pytest.raises(RateLimited):
-                await gateway.submit(body)
             await gateway.drain(grace=1)
             with pytest.raises(Draining):
                 await gateway.submit(body)
             return gateway
 
         counters = asyncio.run(scenario()).registry.counters()
-        assert counters["serve.rejected.rate_limited"] == 1
         assert counters["serve.rejected.draining"] == 1
         assert counters["serve.cache_hits"] == 1
 
@@ -512,59 +507,6 @@ class TestSpecMemo:
 
 
 class TestAdmission:
-    def test_rate_limit_gives_structured_429(self, tmp_path):
-        options = ServeOptions(shards=1, rate=0.001, burst=1,
-                               cache_dir=str(tmp_path / "cache"))
-        with LiveServer(options, execute=echo_execute) as server:
-            with server.client(tenant="alice") as client:
-                status, _ = client.submit(tiny_spec())
-                assert status == 200
-                status, body = client.submit(tiny_spec(seed=1))
-            assert status == 429
-            assert body["error"] == "rate_limited"
-            assert body["tenant"] == "alice"
-            assert body["retry_after"] > 0
-
-            # A different tenant has its own bucket.
-            with server.client(tenant="bob") as client:
-                status, _ = client.submit(tiny_spec(seed=2))
-            assert status == 200
-
-    def test_client_retries_429_to_success(self, tmp_path):
-        """The client-side backoff loop: a rate-limited submit sleeps out
-        the ``retry_after`` hint and lands on its feet."""
-        options = ServeOptions(shards=1, rate=5.0, burst=1,
-                               cache_dir=str(tmp_path / "cache"))
-        with LiveServer(options, execute=echo_execute) as server:
-            with server.client(tenant="carol") as client:
-                status, _ = client.submit(tiny_spec())  # drains the bucket
-                assert status == 200
-                status, outcome = client.submit(tiny_spec(seed=1),
-                                                retries=5)
-            assert status == 200
-            assert outcome["result"]["seed"] == 1
-            assert client.rate_limit_retries >= 1
-
-    def test_client_retry_budget_returns_final_429(self, tmp_path,
-                                                   monkeypatch):
-        from repro.serve import client as client_module
-
-        sleeps = []
-        monkeypatch.setattr(client_module.time, "sleep", sleeps.append)
-        options = ServeOptions(shards=1, rate=0.001, burst=1,
-                               cache_dir=str(tmp_path / "cache"))
-        with LiveServer(options, execute=echo_execute) as server:
-            with server.client(tenant="dave") as client:
-                assert client.submit(tiny_spec())[0] == 200
-                status, body = client.submit(tiny_spec(seed=1), retries=2)
-            assert status == 429  # budget spent: returned, not raised
-            assert body["error"] == "rate_limited"
-            assert client.rate_limit_retries == 2
-            assert len(sleeps) == 2
-            # Each sleep honors the hint, jittered, capped at the max.
-            assert all(0 < delay <= client_module.MAX_RETRY_WAIT
-                       for delay in sleeps)
-
     def test_full_queue_gives_queue_full(self, tmp_path):
         def slow_execute(job):
             time.sleep(0.4)
@@ -606,35 +548,32 @@ class TestAdmission:
 
 
 class TestStreaming:
-    def test_sse_sends_the_run_records(self, served):
-        from repro.durable import read_records
-
-        spec = tiny_spec(seed=11)
-        with served.client() as client:
-            status, events = client.submit_stream(spec)
-            _, plain = client.submit(spec)  # now cached: same result
-        assert status == 200
-        names = [e["event"] for e in events]
-        assert set(names[:-1]) == {"record"}
-        assert names[-1] == "result"
-        records = [e["data"] for e in events[:-1]]
-        assert [r["rec"] for r in records] == [
-            "journal_header", "run_start", "job_start", "job_finish",
-            "run_end"]
-        header = records[0]
-        assert header["schema"] == 1
-        assert header["experiment"] == "serve"
-        assert events[-1]["data"]["result"] == plain["result"]
-        # The very records the run's journal holds.
-        journal = events[-1]["data"]["meta"]["journal"]
-        assert read_records(journal)[0] == records
+    """``?stream=1`` and ``Accept: text/event-stream`` ask for nothing
+    special: a job is answered as plain JSON, as every POST is."""
 
     def test_stream_of_invalid_spec_is_plain_400(self, served):
         with served.client() as client:
-            status, events = client.submit_stream({"kind": "bar"})
+            status, body, headers = client.request(
+                "POST", "/v1/jobs?stream=1", {"kind": "bar"})
         assert status == 400
-        assert events == [{"error": "invalid_spec", "field": "benchmark",
-                           "message": events[0]["message"]}]
+        assert headers["content-type"] == "application/json"
+        error = json.loads(body)
+        assert error == {"error": "invalid_spec", "field": "benchmark",
+                         "message": error["message"]}
+
+    def test_event_stream_accept_is_answered_as_json(self, served):
+        conn = http.client.HTTPConnection(served.host, served.port,
+                                          timeout=30)
+        try:
+            conn.request("POST", "/v1/jobs", body=body_of(tiny_spec(seed=11)),
+                         headers={"Accept": "text/event-stream"})
+            response = conn.getresponse()
+            outcome = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert response.getheader("Content-Type") == "application/json"
+        assert outcome["meta"]["cache"] == "miss"
 
 
 class TestIntrospection:
@@ -657,22 +596,6 @@ class TestIntrospection:
         assert counters["serve_executed"] >= 1
         assert counters["serve_cache_hits"] >= 1
         assert "serve_request_latency_ms" in parsed["histograms"]
-
-    def test_stats_endpoint(self, served):
-        with served.client() as client:
-            client.submit(tiny_spec(seed=31))
-            status, body = client.stats()
-        assert status == 200
-        assert body["health"]["status"] == "ok"
-        assert body["cache"]["entries"] >= 1
-        assert body["metrics"]["counters"]["serve.requests"] >= 1
-
-    def test_runs_lists_served_manifests(self, served):
-        with served.client() as client:
-            _, outcome = client.submit(tiny_spec(seed=41))
-            status, body = client.runs()
-        assert status == 200
-        assert outcome["meta"]["run_id"] in body["runs"]
 
 
 class TestStructuredErrors:
@@ -718,13 +641,7 @@ class TestStructuredErrors:
     # regress, this test must fail, not build a 10**9-row handler.
     @pytest.mark.parametrize("spec, field", [
         (tiny_spec(label="S101"), "label"),
-        (tiny_spec(label="S03"), "label"),
-        ({"kind": "access_control", "workload": "migratory",
-          "method": "INFORMING", "machine_params": {"coherence_unit": 0}},
-         "machine_params"),
-        ({"kind": "access_control", "workload": "migratory",
-          "method": "INFORMING", "machine_params": {"l1_size": 3}},
-         "machine_params")])
+        (tiny_spec(label="S03"), "label")])
     def test_spec_the_simulator_refuses_costs_no_run(self, served, spec,
                                                     field):
         with served.client() as client:
@@ -735,16 +652,13 @@ class TestStructuredErrors:
         assert counters.get("serve.admitted", 0) == 0
 
     @pytest.mark.parametrize("field", ["benchmark", "kind", "backend",
-                                       "fields", "machine_params"])
+                                       "fields"])
     def test_huge_rejected_input_gets_a_small_400(self, served, field):
         """A 400 quotes at most 32 characters of a value or name, and
         lists a few unknown names with a count of the rest."""
         many = {f"{i:05d}" + "z" * 58: 1 for i in range(20_000)}
         if field == "fields":
             spec = dict(tiny_spec(), **many)
-        elif field == "machine_params":
-            spec = {"kind": "access_control", "workload": "migratory",
-                    "method": "ECC", "machine_params": many}
         else:
             spec = tiny_spec(**{field: "x" * 1_000_000})
         with served.client() as client:
@@ -760,6 +674,21 @@ class TestStructuredErrors:
             status, body = client.run_manifest("20000101T000000-none-0-0")
         assert status == 404
         assert body["error"] == "run_not_found"
+
+    def test_damaged_manifest_is_404(self, served):
+        with served.client() as client:
+            _, outcome = client.submit(tiny_spec(seed=42))
+            run_id, path = (outcome["meta"]["run_id"],
+                            outcome["meta"]["manifest"])
+            with open(path, "rb") as fh:
+                data = fh.read()
+            for damaged in (data[:300], b"[1, 2]"):
+                with open(path, "wb") as fh:
+                    fh.write(damaged)
+                status, body = client.run_manifest(run_id)
+                assert status == 404
+                assert (body["error"], body["run"]) == ("run_not_found",
+                                                        run_id)
 
 
 def exchange(server, data: bytes) -> bytes:
@@ -794,11 +723,9 @@ PINNED = [
     ("job-200", raw_post(PINNED_SPEC),
      b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
      b"Content-Length: 185\r\nConnection: keep-alive\r\n\r\n" + PINNED_HIT),
-    ("job-sse-200", raw_post(PINNED_SPEC, b"/v1/jobs?stream=1"),
-     b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n"
-     b"Connection: close\r\nCache-Control: no-store\r\n"
-     b"Transfer-Encoding: chunked\r\n\r\nce\r\nevent: result\ndata: "
-     + PINNED_HIT + b"\n\r\n0\r\n\r\n"),
+    ("job-stream-200", raw_post(PINNED_SPEC, b"/v1/jobs?stream=1"),
+     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 185\r\nConnection: keep-alive\r\n\r\n" + PINNED_HIT),
     ("job-400-body", raw_post(b""),
      b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
      b"Content-Length: 60\r\nConnection: keep-alive\r\n\r\n"
@@ -809,6 +736,13 @@ PINNED = [
      b'{"error": "invalid_spec", "field": "machine", "message": '
      b"\"unknown value 'vax'; expected one of ['inorder', 'lab', "
      b"'ooo']\"}\n"),
+    ("job-400-kind", raw_post(json.dumps(
+        {"kind": "access_control", "workload": "migratory",
+         "method": "INFORMING"}).encode()),
+     b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 112\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "invalid_spec", "field": "kind", "message": '
+     b"\"unknown kind 'access_control'; expected one of ['bar']\"}\n"),
     ("job-500", raw_post(json.dumps(tiny_spec(seed=13)).encode()),
      b"HTTP/1.1 500 Internal Server Error\r\n"
      b"Content-Type: application/json\r\nContent-Length: 139\r\n"
@@ -829,6 +763,14 @@ PINNED = [
      b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
      b"Content-Length: 40\r\nConnection: close\r\n\r\n"
      b'{"error": "not_found", "path": "/nope"}\n'),
+    ("stats-404", b"GET /stats HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 41\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "not_found", "path": "/stats"}\n'),
+    ("runs-404", b"GET /runs HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+     b"Content-Length: 40\r\nConnection: keep-alive\r\n\r\n"
+     b'{"error": "not_found", "path": "/runs"}\n'),
     ("run-404", b"GET /runs/x HTTP/1.1\r\n\r\n",
      b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
      b"Content-Length: 32\r\nConnection: keep-alive\r\n\r\n"

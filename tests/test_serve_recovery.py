@@ -1,17 +1,28 @@
 """Gateway durability: the service journal, restart recovery, and
-service-level chaos (torn journals, ENOSPC, dropped SSE clients)."""
+service-level chaos (torn journals, ENOSPC, dropped clients)."""
 
 import asyncio
+import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.durable import read_records
+from repro.obs.export import parse_openmetrics
 from repro.sanitize.chaos import arm_journal_enospc, truncate_tail
+from repro.serve.client import ServeClient
 from repro.serve.gateway import Gateway, ServeOptions
 from repro.serve.spec import validate_job_spec
-from tests.test_serve_gateway import LiveServer, tiny_spec
+from tests.test_serve_gateway import LiveServer, read_to_eof, tiny_spec
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def echo_execute(job):
@@ -76,7 +87,7 @@ class TestJournalWrites:
         key = validate_job_spec(tiny_spec(seed=1)).cache_key()
         assert records[1]["key"] == key
         assert records[1]["job"]["benchmark"] == "compress"
-        assert gateway.durability()["enabled"]
+        assert gateway.journal is not None
 
     def test_failed_job_journaled_as_failed(self, tmp_path):
         def broken_execute(job):
@@ -111,10 +122,10 @@ class TestRestartRecovery:
         first.cache.path_for(victim.cache_key()).unlink()
 
         second = run_incarnation(options, wait_empty=True)
-        durability = second.durability()
-        assert durability["recovered"] == 1
-        assert durability["orphaned"] == 0
-        assert durability["already_cached"] == 0
+        recovery = second.recovery
+        assert recovery["recovered"] == 1
+        assert recovery["orphaned"] == 0
+        assert recovery["already_cached"] == 0
         # The recovered job really ran and its result is durable now.
         assert second.registry.counters()["serve.executed"] == 1
         assert second.cache.get(victim) is not None
@@ -133,9 +144,8 @@ class TestRestartRecovery:
         forge_crash(options.journal_path)  # drop the finish, keep the cache
 
         second = run_incarnation(options)
-        durability = second.durability()
-        assert durability["recovered"] == 1
-        assert durability["already_cached"] == 1
+        assert second.recovery["recovered"] == 1
+        assert second.recovery["already_cached"] == 1
         assert second.registry.counters().get("serve.executed", 0) == 0
 
     def test_new_request_coalesces_onto_recovered_ticket(self, tmp_path):
@@ -175,11 +185,12 @@ class TestRestartRecovery:
         # finish, so the (cached) job counts as recovered/already_cached.
         truncate_tail(options.journal_path, 5)
         second = run_incarnation(options)
-        durability = second.durability()
-        assert durability["journal_truncated"] is True
-        assert durability["journal_bad_lines"] == 1
-        assert durability["recovered"] == 1
-        assert durability["already_cached"] == 1
+        recovery = second.recovery
+        assert recovery["truncated"] is True
+        assert recovery["bad_lines"] == 1
+        assert recovery["recovered"] == 1
+        assert recovery["already_cached"] == 1
+        assert second.registry.counters()["serve.journal_bad_lines"] == 1
 
     def test_unrebuildable_record_is_orphaned(self, tmp_path):
         from repro.durable import RunJournal
@@ -192,9 +203,8 @@ class TestRestartRecovery:
             journal.record("job_accepted", key="f" * 64,
                            job={"alien": True})
         second = run_incarnation(options)
-        durability = second.durability()
-        assert durability["orphaned"] == 1
-        assert durability["recovered"] == 0
+        assert second.recovery["orphaned"] == 1
+        assert second.recovery["recovered"] == 0
 
     def test_alien_journal_orphans_every_record(self, tmp_path):
         from repro.durable import RunJournal, header_record
@@ -204,7 +214,7 @@ class TestRestartRecovery:
             journal.append(header_record("exec_run", run_id="r1"))
             journal.record("job_start", key="a" * 64)
         gateway = run_incarnation(options)
-        assert gateway.durability()["orphaned"] == 2
+        assert gateway.recovery["orphaned"] == 2
         # And the file was rewritten as a fresh serve journal.
         records, _, _ = read_records(options.journal_path)
         assert records[0]["kind"] == "serve"
@@ -221,34 +231,41 @@ class TestServiceChaos:
         # Both jobs served fine; the journal died quietly and visibly.
         assert gateway.registry.counters()["serve.executed"] == 2
         assert gateway.registry.counters()["serve.journal_errors"] >= 1
-        durability = gateway.durability()
-        assert durability["degraded"] is True
-        assert durability["journal_errors"] >= 1
+        assert gateway.journal.disabled is True
 
-    def test_client_disconnect_mid_sse_is_counted(self, tmp_path):
-        import json
-        import socket
-
+    def test_client_disconnect_mid_miss_is_counted(self, tmp_path):
+        started = threading.Event()
         release = threading.Event()
 
         def gated_execute(job):
+            started.set()
             assert release.wait(10)
             return {"label": job.label, "seed": job.seed}
 
+        def request(spec, *headers):
+            body = json.dumps(spec).encode()
+            return (b"POST /v1/jobs HTTP/1.1\r\n" + b"".join(headers)
+                    + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
         options = serve_options(tmp_path)
         with LiveServer(options, execute=gated_execute) as server:
-            body = json.dumps(tiny_spec(seed=9)).encode()
-            request = (f"POST /v1/jobs?stream=1 HTTP/1.1\r\n"
-                       f"Host: {server.host}\r\n"
-                       f"Content-Type: application/json\r\n"
-                       f"Content-Length: {len(body)}\r\n"
-                       f"\r\n").encode() + body
-            sock = socket.create_connection((server.host, server.port),
-                                            timeout=10)
-            sock.sendall(request)
-            head = sock.recv(64)  # the SSE response has started
-            assert b"200" in head
-            # The client vanishes mid-stream: reset, don't FIN-drain.
+            address = (server.host, server.port)
+            # A miss answered normally, then closed, drops nobody.
+            release.set()
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(request(tiny_spec(seed=8),
+                                     b"Connection: close\r\n"))
+                answer = read_to_eof(sock)
+            assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+            counters = server.gateway.registry.counters()
+            assert counters.get("serve.client_disconnects", 0) == 0
+
+            release.clear()
+            started.clear()
+            sock = socket.create_connection(address, timeout=10)
+            sock.sendall(request(tiny_spec(seed=9)))
+            assert started.wait(10)  # the miss is in the shard
+            # The client vanishes mid-run: reset, don't FIN-drain.
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
                             b"\x01\x00\x00\x00\x00\x00\x00\x00")
             sock.close()
@@ -257,29 +274,59 @@ class TestServiceChaos:
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
                 counters = server.gateway.registry.counters()
-                if (counters.get("serve.client_disconnects", 0) >= 1
-                        and counters.get("serve.executed", 0) >= 1):
+                if counters.get("serve.client_disconnects", 0) >= 1:
                     break
                 time.sleep(0.05)
             counters = server.gateway.registry.counters()
-            assert counters["serve.client_disconnects"] >= 1
+            assert counters["serve.client_disconnects"] == 1
             # The run itself survived the disconnect: executed, cached,
             # journaled finished.
-            assert counters["serve.executed"] == 1
+            assert counters["serve.executed"] == 2
             victim = validate_job_spec(tiny_spec(seed=9))
             assert server.gateway.cache.get(victim) is not None
         records, _, _ = read_records(options.journal_path)
         assert [r["rec"] for r in records][-1] == "job_finished"
 
-    def test_stats_endpoint_exposes_durability(self, tmp_path):
+    def test_metrics_expose_the_recovery(self, tmp_path):
         options = serve_options(tmp_path, shards=2)
         run_incarnation(options, [tiny_spec(seed=10)])
         forge_crash(options.journal_path)
         with LiveServer(options) as server:
             with server.client() as client:
-                status, body = client.stats()
+                status, text = client.metrics_text()
         assert status == 200
-        durability = body["durability"]
-        assert durability["enabled"] is True
-        assert durability["recovered"] == 1
-        assert durability["journal"] == options.journal_path
+        counters = parse_openmetrics(text)["counters"]
+        assert counters["serve_recovered"] == 1
+        assert counters["serve_orphaned"] == 0
+        assert counters["serve_journal_bad_lines"] == 0
+
+    def test_torn_journal_is_counted_and_announced(self, tmp_path):
+        """A journal of two garbage lines: ``/metrics`` counts them as
+        ``serve.journal_bad_lines``, and the boot line says so."""
+        journal = tmp_path / "serve-journal.jsonl"
+        journal.write_text("garbage one\ngarbage two\n")
+        ready = tmp_path / "ready"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0",
+             "--shards", "1", "--cache-dir", str(tmp_path / "cache"),
+             "--journal", str(journal), "--ready-file", str(ready)],
+            stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=SRC))
+        try:
+            deadline = time.monotonic() + 30
+            while not (ready.exists() and ready.read_text().endswith("\n")):
+                assert process.poll() is None, "the gateway exited"
+                assert time.monotonic() < deadline, "the gateway never rose"
+                time.sleep(0.02)
+            host, port = ready.read_text().split()
+            with ServeClient(host, int(port)) as client:
+                status, text = client.metrics_text()
+        finally:
+            process.send_signal(signal.SIGTERM)
+            out, _ = process.communicate(timeout=30)
+        assert status == 200
+        counters = parse_openmetrics(text)["counters"]
+        assert counters["serve_journal_bad_lines"] == 2
+        assert ("journal replay recovered 0 job(s) (0 already cached), "
+                "0 orphaned, 2 unreadable line(s)") in out
+        assert process.returncode == 0

@@ -1,22 +1,17 @@
 """Job-spec validation: HTTP/CLI cache-key parity, structured rejects."""
 
-from dataclasses import asdict
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.coherence import TABLE2_MACHINE, AccessControlMethod
 from repro.exec import SimJob
 from repro.harness.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.serve.spec import (
     MAX_HANDLER_INSTRUCTIONS,
     MAX_INSTRUCTIONS,
-    MAX_PROCESSORS,
     SpecError,
     validate_job_spec,
 )
 from repro.workloads import SPEC92
-from repro.workloads.parallel import PARALLEL_KERNELS
 
 #: Bar labels the harness grids actually use (bar_config's vocabulary).
 LABELS = ["N", "S2", "S10", "S50", "U4", "U8", "E16", "E50", "CC2", "CC10"]
@@ -29,12 +24,6 @@ bar_specs = st.fixed_dictionaries({
     "instructions": st.integers(min_value=1, max_value=MAX_INSTRUCTIONS),
     "warmup": st.integers(min_value=0, max_value=MAX_INSTRUCTIONS),
     "seed": st.integers(min_value=-(2 ** 31), max_value=2 ** 31),
-})
-
-ac_specs = st.fixed_dictionaries({
-    "kind": st.just("access_control"),
-    "workload": st.sampled_from(sorted(PARALLEL_KERNELS)),
-    "method": st.sampled_from([m.name for m in AccessControlMethod]),
 })
 
 
@@ -53,15 +42,6 @@ class TestCacheKeyParity:
         assert via_http.cache_key() == via_cli.cache_key()
         assert via_http.to_dict() == via_cli.to_dict()
 
-    @given(ac_specs)
-    @settings(max_examples=50)
-    def test_access_control_spec_matches_cli_construction(self, spec):
-        via_http = validate_job_spec(spec)
-        via_cli = SimJob.access_control(
-            workload=spec["workload"], method=spec["method"],
-            machine_params=asdict(TABLE2_MACHINE))
-        assert via_http.cache_key() == via_cli.cache_key()
-
 
 class TestDefaults:
     def test_bar_defaults_match_harness(self):
@@ -76,12 +56,6 @@ class TestDefaults:
                                  "label": "N"})
         assert job.kind == "bar"
 
-    def test_access_control_defaults_to_table2_machine(self):
-        job = validate_job_spec({"kind": "access_control",
-                                 "workload": sorted(PARALLEL_KERNELS)[0],
-                                 "method": "INFORMING"})
-        assert job.config_dict()["machine_params"] == asdict(TABLE2_MACHINE)
-
 
 #: Labels a shard must never run: not canonical (another cache key for
 #: the same simulation), or a handler longer than the paper's largest.
@@ -90,14 +64,6 @@ BAD_LABELS = [
     "U1000000000", "E1000000000", "CC1000000000",
     f"S{MAX_HANDLER_INSTRUCTIONS + 1}", "S" + "1" * 5000, "S+1", " S1",
     "S1 ", "s1", "CC", "C1"]
-
-#: Machines the coherence simulator refuses; each once passed
-#: validation and then failed in the shard's run.
-BAD_MACHINES = [
-    {"l1_size": 3}, {"l1_assoc": 0}, {"processors": 0},
-    {"message_latency": -1}, {"coherence_unit": 0}, {"page_size": 0},
-    {"coherence_unit": 48}, {"l2_assoc": -2},
-    {"processors": MAX_PROCESSORS + 1}]
 
 
 class TestRejects:
@@ -129,23 +95,22 @@ class TestRejects:
           "label": "N", "warmup": -1}, "warmup"),
         ({"kind": "bar", "benchmark": "compress", "machine": "ooo",
           "label": "N", "benchmrk": "typo"}, "benchmrk"),
+        # The access-control kind is not served (``harness figure4``
+        # runs it), whatever fields come with it.
         ({"kind": "access_control", "workload": "nope",
-          "method": "INFORMING"}, "workload"),
+          "method": "INFORMING"}, "kind"),
         ({"kind": "access_control", "workload": "migratory",
-          "method": "MAGIC"}, "method"),
+          "method": "MAGIC"}, "kind"),
         ({"kind": "access_control", "workload": "migratory",
-          "method": "INFORMING", "machine_params": 7}, "machine_params"),
-        ({"kind": "access_control", "workload": "migratory",
-          "method": "INFORMING",
-          "machine_params": {"warp_drive": 1}}, "machine_params"),
+          "method": "INFORMING", "machine_params": 7}, "kind"),
         ({"kind": "access_control", "workload": "migratory",
           "method": "INFORMING",
-          "machine_params": {"processors": "four"}}, "machine_params"),
+          "machine_params": {"warp_drive": 1}}, "kind"),
+        ({"kind": "access_control", "workload": "migratory",
+          "method": "INFORMING",
+          "machine_params": {"processors": "four"}}, "kind"),
     ] + [({"benchmark": "compress", "machine": "ooo", "label": label},
-          "label") for label in BAD_LABELS]
-      + [({"kind": "access_control", "workload": "migratory",
-           "method": "ECC", "machine_params": params}, "machine_params")
-         for params in BAD_MACHINES])
+          "label") for label in BAD_LABELS])
     def test_rejected_with_field(self, payload, field):
         with pytest.raises(SpecError) as excinfo:
             validate_job_spec(payload)
@@ -159,8 +124,7 @@ class TestRejects:
         ({"kind": "bar", "benchmark": "compress", "machine": "vax",
           "label": "N"},
          "unknown value 'vax'; expected one of ['inorder', 'lab', 'ooo']"),
-        ({"kind": 3}, "unknown kind 3; expected one of "
-                      "['access_control', 'bar']"),
+        ({"kind": 3}, "unknown kind 3; expected one of ['bar']"),
         ({"benchmark": "compress", "machine": "ooo", "label": "N",
           "backend": "turbo"},
          "backend: unknown backend 'turbo'; expected one of "
@@ -184,24 +148,3 @@ class TestRejects:
         job = validate_job_spec({"benchmark": "compress", "machine": "ooo",
                                  "label": label})
         assert job.config_dict()["label"] == label
-
-    def test_table2_machine_accepted(self):
-        params = asdict(TABLE2_MACHINE)
-        for method in AccessControlMethod:
-            job = validate_job_spec({"kind": "access_control",
-                                     "workload": "migratory",
-                                     "method": method.name,
-                                     "machine_params": params})
-            assert job.config_dict()["machine_params"] == params
-        validate_job_spec({"kind": "access_control",
-                           "workload": "migratory", "method": "ECC",
-                           "machine_params": {"processors":
-                                              MAX_PROCESSORS}})
-
-    def test_machine_params_override_is_accepted(self):
-        params = dict(asdict(TABLE2_MACHINE), message_latency=500)
-        job = validate_job_spec({"kind": "access_control",
-                                 "workload": "migratory",
-                                 "method": "ECC",
-                                 "machine_params": {"message_latency": 500}})
-        assert job.config_dict()["machine_params"] == params

@@ -94,8 +94,7 @@ class TestTraceparentPropagation:
                 tiny_spec(seed=2), traceparent="not-a-traceparent")
             assert status == 200
             assert "trace_id" not in body["meta"]
-            _, stats = client.stats()
-        counters = stats["metrics"]["counters"]
+        counters = traced_server.gateway.registry.counters()
         assert counters.get("serve.trace.malformed_context") == 1
 
     def test_foreign_header_is_counted_and_continued(self, traced_server):
@@ -104,8 +103,7 @@ class TestTraceparentPropagation:
             status, _ = client.submit(tiny_spec(seed=3),
                                       traceparent=header)
             assert status == 200
-            _, stats = client.stats()
-        counters = stats["metrics"]["counters"]
+        counters = traced_server.gateway.registry.counters()
         assert counters.get("serve.trace.foreign_context") == 1
         assert counters.get("serve.trace.sampled") == 1
 
@@ -207,11 +205,6 @@ class TestHealthz:
         health = asyncio.run(scenario())
         assert health["status"] == "ok"
         assert health["git_sha"] == git_sha()
-
-    def test_stats_exposes_trace_state(self, traced_server):
-        with traced_server.client() as client:
-            _, stats = client.stats()
-        assert stats["trace"] == {"sample": 0.0}
 
 
 class TestServerSideSampling:
