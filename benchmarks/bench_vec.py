@@ -92,7 +92,6 @@ def main(argv=None) -> int:
 
     from repro.exec import atomic_write_json
     from repro.harness.runner import bar_config, clear_streams, run_bar
-    from repro.vec import run_bar_vec
     from repro.workloads import FIGURE2_BENCHMARKS
 
     benchmarks = (args.benchmarks.split(",") if args.benchmarks
@@ -108,10 +107,14 @@ def main(argv=None) -> int:
         return run_bar(benchmark, machine, bar, instructions, warmup,
                        backend="interp")
 
+    def run_vec(benchmark, machine, bar, instructions, warmup):
+        return run_bar(benchmark, machine, bar, instructions, warmup,
+                       backend="vec")
+
     clear_streams()
     interp_results, interp_wall = _sweep(run_interp, cells, configs)
     clear_streams()
-    vec_results, vec_wall = _sweep(run_bar_vec, cells, configs)
+    vec_results, vec_wall = _sweep(run_vec, cells, configs)
 
     mismatches = _diff(interp_results, vec_results)
     for line in mismatches[:20]:

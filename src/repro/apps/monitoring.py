@@ -12,9 +12,10 @@ Two tools:
   block counts a binary rewriter provides), giving per-reference miss
   rates.
 
-Both expose ``handler`` (attach to a core via ``InformingConfig``) and
-``observer`` so the measured counts and the modelled handler cost stay in
-lockstep.
+Both expose ``handler``, a :class:`CallbackHandler` that counts each miss
+as it injects the modelled handler body, and ``informing_config()`` to
+attach it to a core, so the measured counts and the modelled handler
+cost stay in lockstep.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ the invocation statistics the experiments report.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.core.handlers import SINGLE_HANDLER_BASE_PC
 from repro.core.mechanisms import InformingConfig, Mechanism, return_pc
@@ -17,20 +17,15 @@ from repro.isa.instructions import DynInst
 
 
 class InformingEngine:
-    """Run-time informing-operation state.
+    """Run-time informing-operation state for one *config*.
 
-    Args:
-        config: the informing configuration.
-        observer: optional Python-level hook called on every handler
-            invocation with the missing reference — the zero-cost
-            measurement channel tests and applications use alongside the
-            modelled handler cost.
+    The cores report each handler entry to an attached instrument
+    themselves (``Probe.on_trap``, after :meth:`on_miss` returns), so the
+    engine carries no hook.
     """
 
-    def __init__(self, config: InformingConfig,
-                 observer: Optional[Callable[[DynInst], None]] = None) -> None:
+    def __init__(self, config: InformingConfig) -> None:
         self.config = config
-        self.observer = observer
         self.invocations = 0
         self.injected_instructions = 0
         self.enabled = True  # cleared models writing 0 into the MHAR
@@ -40,10 +35,6 @@ class InformingEngine:
         # return PC at each handler entry.
         self.mhar = SINGLE_HANDLER_BASE_PC if config.active else 0
         self.mhrr = 0
-        # Optional runtime invariant checker (repro.sanitize).
-        self._san = None
-        # Optional observer (repro.obs), same attachment pattern.
-        self._obs = None
 
     # -- run-time control (what user code would do by writing the MHAR) ----
     def disable(self) -> None:
@@ -77,12 +68,8 @@ class InformingEngine:
             return None
         self.invocations += 1
         self.mhrr = return_pc(inst.pc)
-        if self.observer is not None:
-            self.observer(inst)
         body = self.config.handler.instructions(inst)
         self.injected_instructions += len(body)
-        if self._obs is not None:
-            self._obs.on_trap_fire(inst, len(body))
         return body
 
     @property

@@ -380,24 +380,17 @@ class JobRunner:
         return extra
 
     def _effective_backend(self, job: SimJob) -> Optional[str]:
-        """The backend a just-executed bar job actually ran on.
+        """The backend a just-executed bar job ran on: the run's.
 
-        Mirrors the dispatch in :func:`repro.harness.runner.run_bar`: a
-        "vec" run downgrades to "interp" when a sanitizer/observer is
-        attached — making vec fallbacks visible in telemetry rather than
-        silent.  Every bar a job's label names is one the flat kernels
-        replay (``bar_config`` builds no callback handlers, the one bar
-        ``vec_supports`` refuses), under any replacement policy.  None
-        for non-bar jobs (they have no backend choice).
+        Every bar a job's label names is one the flat kernels replay
+        (``bar_config`` builds no callback handlers, the one bar
+        ``vec_supports`` refuses), with any instrument attached and under
+        any replacement policy.  None for non-bar jobs (they have no
+        backend choice).
         """
         from repro.exec.job import KIND_BAR
 
-        if job.kind != KIND_BAR:
-            return None
-        cell = self._cell
-        if cell["backend"] != "vec" or cell["sanitize"] or cell["trace_dir"]:
-            return "interp"
-        return "vec"
+        return self._cell["backend"] if job.kind == KIND_BAR else None
 
     def _open_run(self, jobs: Sequence[SimJob]) -> str:
         """Mint this run's id and open its record with the header.

@@ -79,11 +79,8 @@ class JobEvent:
     #: Path of the repro.obs event trace this job wrote (finished jobs
     #: executed under --trace-events only).
     trace: Optional[str] = None
-    #: Effective simulation backend of an executed job ("interp" | "vec").
-    #: Reports what actually ran — a vec request that fell back to interp
-    #: (unsupported bar, stateful replacement policy, sanitizer/observer
-    #: attached) records "interp", which is how vec-fallback visibility is
-    #: tested.  None on cache hits and non-bar jobs.
+    #: Simulation backend an executed bar job ran on ("interp" | "vec").
+    #: None on cache hits and non-bar jobs.
     backend: Optional[str] = None
     #: repro.trace span id of this job's span, when the run is sampled
     #: (``--trace-sample``) — joins the job record to the run's ``span``

@@ -152,7 +152,6 @@ def build_hierarchy(spec: MachineSpec, extended_mshr: bool = False,
 def build_core(
     spec: MachineSpec,
     informing: Optional[InformingConfig] = None,
-    observer=None,
     extended_mshr: bool = False,
     wrong_path_factory=None,
     shadow_override: Optional[int] = None,
@@ -186,7 +185,5 @@ def build_core(
             core_config = replace(core_config,
                                   shadow_branches=INFORMING_SHADOW_SLOTS)
         return OutOfOrderCore(core_config, hierarchy, informing=informing,
-                              observer=observer,
                               wrong_path_factory=wrong_path_factory)
-    return InOrderCore(core_config, hierarchy, informing=informing,
-                       observer=observer)
+    return InOrderCore(core_config, hierarchy, informing=informing)

@@ -216,12 +216,12 @@ def run_bar(
     ``--backend``).
 
     ``backend`` selects the simulation backend (see :mod:`repro.vec`):
-    ``"interp"`` (object interpreters), ``"vec"`` (flat decoded-stream
-    replay, digit-exact with interp), or None for
-    :func:`repro.vec.resolve_backend`'s default.  The vec backend has no
-    sanitizer/observer hooks and no Python-callback handler support, so
-    those runs (and unsupported bars) transparently use interp; results
-    are identical either way.
+    ``"interp"`` (object interpreters), ``"vec"`` (flat row replay,
+    digit-exact with interp), or None for
+    :func:`repro.vec.resolve_backend`'s default.  Both run with the
+    sanitizer and observer attached; a bar with a Python-callback
+    handler, the one :func:`repro.vec.vec_supports` refuses, runs on
+    interp.
 
     ``policy`` selects the L1/L2 replacement policy by registry name
     (:mod:`repro.memory.replacement`); ``"lru"`` is the paper's default.
@@ -239,50 +239,41 @@ def run_bar(
     # path — every guard below is a single identity test, preserving the
     # hot-path numbers the perf gate pins.
     tracer, parent_span = ambient()
-    san = None
+    spec = MACHINES[machine_key]
+    core = build_core(spec, informing=bar.informing,
+                      replacement_policy=policy,
+                      replacement_seed=derive_seed(seed))
     if sanitize:
         from repro.sanitize.invariants import Sanitizer
-        san = Sanitizer()
+        Sanitizer().attach(core)
     if observe is None:
         observe = bool(trace_dir)
     if observe is True:
         from repro.obs.observer import Observer
         observe = Observer()
     obs = observe or None
-    if (resolve_backend(backend) == "vec" and san is None and obs is None
-            and vec_supports(bar)):
-        from repro.vec import run_bar_vec
-
-        if tracer is None:
-            return run_bar_vec(benchmark, machine_key, bar, instructions,
-                               warmup, seed=seed, policy=policy)
-        with tracer.span("replay", parent=parent_span, backend="vec",
-                         benchmark=benchmark, machine=machine_key,
-                         label=bar.label):
-            return run_bar_vec(benchmark, machine_key, bar, instructions,
-                               warmup, seed=seed, policy=policy)
-    spec = MACHINES[machine_key]
-    core = build_core(spec, informing=bar.informing,
-                      replacement_policy=policy,
-                      replacement_seed=derive_seed(seed))
-    if san is not None:
-        san.attach(core)
     if obs is not None:
         obs.attach(core)
+    vec = resolve_backend(backend) == "vec" and vec_supports(bar)
     decode_span = (tracer.start_span("stream.decode", parent=parent_span,
                                      benchmark=benchmark)
                    if tracer is not None else None)
     stream = shared_stream(benchmark, seed, stream_bound(instructions, warmup),
-                           bar.per_ref_instrumentation or "plain")
+                           bar.per_ref_instrumentation or "plain", rows=vec)
     if decode_span is not None:
         decode_span.finish()
     replay_span = (tracer.start_span("replay", parent=parent_span,
-                                     backend="interp", benchmark=benchmark,
+                                     backend="vec" if vec else "interp",
+                                     benchmark=benchmark,
                                      machine=machine_key, label=bar.label,
                                      warmup=warmup, instructions=instructions)
                    if tracer is not None else None)
-    stats = core.run(stream, max_app_insts=instructions + warmup,
-                     warmup_insts=warmup)
+    if vec:
+        from repro.vec.runner import replay
+        stats = replay(core, stream, instructions, warmup)
+    else:
+        stats = core.run(stream, max_app_insts=instructions + warmup,
+                         warmup_insts=warmup)
     if replay_span is not None:
         replay_span.set_attr("cycles", stats.cycles)
         replay_span.finish()

@@ -28,16 +28,11 @@ from repro.isa.opclass import OpClass
 from repro.isa.registers import NUM_REGS, REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import CoreConfig, FUPool, GraduationStats, StreamStack
+from repro.pipeline.gradstats import reset_after_warmup
 
 #: Cycles after issue at which a reference's hit/miss outcome is known
 #: (the 21164 detects the miss at the tag check, two stages after issue).
 TAG_CHECK_DELAY = 2
-
-#: Instruction classes that are informing/optimization overhead rather than
-#: application work: per-reference instrumentation inserted by
-#: repro.core.instrumentation, and non-binding prefetches planted by the
-#: software prefetching clients.
-_OVERHEAD_OPS = (OpClass.MHAR_SET, OpClass.BLMISS, OpClass.PREFETCH)
 
 
 class _InFlight:
@@ -64,7 +59,6 @@ class InOrderCore:
             memory-through-integer-pipes arrangement).
         hierarchy: the memory hierarchy (owns all cache state and timing).
         informing: informing-operation configuration; defaults to none.
-        observer: optional Python hook invoked per handler invocation.
     """
 
     def __init__(
@@ -72,11 +66,10 @@ class InOrderCore:
         config: CoreConfig,
         hierarchy: MemoryHierarchy,
         informing: Optional[InformingConfig] = None,
-        observer=None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.engine = InformingEngine(informing or InformingConfig(), observer)
+        self.engine = InformingEngine(informing or InformingConfig())
         self.predictor = TwoBitCounterPredictor(config.predictor_entries)
         self.stats = GraduationStats(width=config.issue_width)
 
@@ -143,11 +136,9 @@ class InOrderCore:
         mispredict_penalty = config.mispredict_penalty
         engine_wants = engine.wants
         extended_mshrs = hierarchy.mshrs.extended_lifetime
-        # Runtime invariant checker (repro.sanitize); None in normal runs,
-        # so every hook below costs a single identity test.
-        san = hierarchy._san
-        # Observer (repro.obs), same pattern and same off cost.
-        obs = hierarchy._obs
+        # Attached instrument (repro.probe); None in normal runs, so every
+        # hook below costs a single identity test.
+        probe = hierarchy._probe
         # Graduation slots accumulate in locals and flush in blocks
         # (see GraduationStats.record_cycles).
         acc_cycles = acc_busy = acc_cache = acc_other = 0
@@ -157,12 +148,11 @@ class InOrderCore:
             if pending_trap is not None and cycle >= pending_trap[0]:
                 _fire, trap_entry, missed_ref, trap_mshr = pending_trap
                 pending_trap = None
-                if obs is not None:
-                    obs.cycle = cycle  # stamp for the engine's trap.fire
                 body = engine.on_miss(missed_ref)
                 if body is not None:
-                    if san is not None:
-                        san.on_trap(engine, missed_ref, cycle)
+                    if probe is not None:
+                        probe.on_trap(engine, missed_ref.pc, missed_ref.addr,
+                                      cycle, len(body))
                     if trap_mshr is not None:
                         hierarchy.mark_informed(trap_mshr)
                     while inflight and inflight[-1].seq > trap_entry.seq:
@@ -184,25 +174,24 @@ class InOrderCore:
             while (inflight and committed < width
                    and inflight[0].complete_cycle <= cycle):
                 entry = inflight.popleft()
-                if san is not None:
-                    san.on_commit(
-                        entry.seq, entry.complete_cycle, cycle,
-                        pending_trap[1].seq if pending_trap is not None
-                        else None)
                 if extended_mshrs and entry.mshr_id is not None:
                     hierarchy.release_mshr(entry.mshr_id, False)
                 stack_committed(entry.point)
                 inst = entry.inst
                 op = inst.op
-                if (inst.handler_code or op is op_mhar_set
-                        or op is op_blmiss or op is op_prefetch):
+                # Handler code, MHAR sets, BLMISS checks and prefetches
+                # are overhead, not application work.
+                handler = (inst.handler_code or op is op_mhar_set
+                           or op is op_blmiss or op is op_prefetch)
+                if probe is not None:
+                    probe.on_commit(
+                        entry.seq, entry.complete_cycle, cycle, handler,
+                        pending_trap[1].seq if pending_trap is not None
+                        else None)
+                if handler:
                     stats.handler_instructions += 1
-                    if obs is not None:
-                        obs.on_handler_commit(cycle)
                 else:
                     stats.app_instructions += 1
-                    if obs is not None:
-                        obs.on_app_commit(cycle)
                     app_committed += 1
                     if app_committed == warmup_insts:
                         # Pre-warm-up slots die with the old stats object.
@@ -215,12 +204,12 @@ class InOrderCore:
             if (inflight and inflight[0].was_miss
                     and inflight[0].complete_cycle > cycle):
                 acc_cache += lost
-                if obs is not None:
-                    obs.on_slots(cycle, committed, lost, True)
+                if probe is not None:
+                    probe.on_slots(cycle, committed, lost, True)
             else:
                 acc_other += lost
-                if obs is not None:
-                    obs.on_slots(cycle, committed, lost, False)
+                if probe is not None:
+                    probe.on_slots(cycle, committed, lost, False)
 
             if max_app_insts is not None and app_committed >= max_app_insts:
                 break
@@ -301,8 +290,8 @@ class InOrderCore:
                     if not is_prefetch and not inst.handler_code:
                         cc_outcome_cycle = cycle + TAG_CHECK_DELAY
                         if result.needs_inform:
-                            if san is not None:
-                                san.on_inform_signal(result)
+                            if probe is not None:
+                                probe.on_inform_signal(result)
                             cc_missed_ref = inst
                             cc_missed_mshr = result.mshr_id
                         else:
@@ -358,26 +347,11 @@ class InOrderCore:
             cycle += 1
 
         stats.record_cycles(acc_cycles, acc_busy, acc_cache, acc_other)
-        if san is not None:
-            san.on_run_end(hierarchy)
-        if obs is not None:
-            obs.finish()
+        if probe is not None:
+            probe.on_run_end(hierarchy)
         return stats
 
-    def _reset_stats(self) -> GraduationStats:
-        """End of warm-up: fresh counters, warm caches."""
-        from repro.memory.stats import MemStats
-        self.stats = GraduationStats(width=self.config.issue_width)
-        self.hierarchy.stats = MemStats()
-        self.hierarchy.i_accesses = 0
-        self.hierarchy.i_misses = 0
-        self.engine.invocations = 0
-        self.engine.injected_instructions = 0
-        if self.hierarchy._obs is not None:
-            # The trace covers exactly the measured region, so event
-            # counts reconcile with the post-warm-up aggregates.
-            self.hierarchy._obs.reset()
-        return self.stats
+    _reset_stats = reset_after_warmup
 
     def _release_mshr(self, entry: _InFlight, squashed: bool) -> None:
         if entry.mshr_id is not None and self.hierarchy.mshrs.extended_lifetime:

@@ -105,11 +105,9 @@ class Cache:
         # Cheap deterministic LCG for the random policy (no random import
         # on the hot path).
         self._rand_state = seed or 1
-        # Optional runtime invariant checker (repro.sanitize); None keeps
-        # the hook cost to one identity test per fill/invalidate.
-        self._san = None
-        # Optional observer (repro.obs), same pattern and same cost.
-        self._obs = None
+        # Attached instrument (repro.probe); None keeps the hook cost to
+        # one identity test per fill/invalidate.
+        self._probe = None
 
     # -- address helpers ---------------------------------------------------
     def line_addr(self, addr: int) -> int:
@@ -169,10 +167,8 @@ class Cache:
         cache_set[line] = dirty
         if stateful is not None:
             stateful.on_fill(line & self._set_mask, line)
-        if self._san is not None:
-            self._san.on_fill(self, line & self._set_mask)
-        if self._obs is not None:
-            self._obs.on_cache_fill(self, line & self._set_mask, line, victim)
+        if self._probe is not None:
+            self._probe.on_fill(self, line & self._set_mask, line, victim)
         return victim
 
     def _choose_victim(self, cache_set: Dict[int, bool]) -> int:
@@ -192,11 +188,8 @@ class Cache:
             del cache_set[line]
             if self._stateful is not None:
                 self._stateful.on_invalidate(line & self._set_mask, line)
-            if self._san is not None:
-                self._san.on_invalidate(self, line & self._set_mask)
-            if self._obs is not None:
-                self._obs.on_cache_invalidate(self, line & self._set_mask,
-                                              line)
+            if self._probe is not None:
+                self._probe.on_invalidate(self, line & self._set_mask, line)
             return True
         return False
 

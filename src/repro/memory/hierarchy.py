@@ -123,12 +123,9 @@ class MemoryHierarchy:
         self._last_cycle = 0
         self.i_accesses = 0
         self.i_misses = 0
-        # Optional runtime invariant checker (repro.sanitize); attached via
-        # Sanitizer.attach_hierarchy, None keeps hooks to one identity test.
-        self._san = None
-        # Optional observer (repro.obs); attached via
-        # Observer.attach_hierarchy, same pattern and same off cost.
-        self._obs = None
+        # Attached instrument (repro.probe); None keeps every hook to one
+        # identity test.
+        self._probe = None
         # Optional L1 fill filter (adaptive bypass, repro.apps.bypass):
         # called with the byte address of an arriving fill; returning True
         # skips the L1 install (the line still lands in the L2).  None
@@ -150,15 +147,12 @@ class MemoryHierarchy:
 
     def _apply_fills(self, cycle: int) -> None:
         """Install lines whose data has arrived by *cycle*."""
-        obs = self._obs
+        probe = self._probe
         while self._pending and self._pending[0][0] <= cycle:
             ready, _seq, mshr_id, line_addr, dirty, from_mem = heapq.heappop(
                 self._pending)
-            if obs is not None:
-                # Fill/evict events stamp at data arrival, not at the
-                # access that triggered the drain (heap pops ascending,
-                # so the stamps stay monotonic).
-                obs.cycle = ready
+            if probe is not None:
+                probe.on_fill_arrival(ready)
             byte_addr = self._line_to_byte(line_addr)
             if from_mem:
                 self._install_l2(byte_addr)
@@ -213,11 +207,9 @@ class MemoryHierarchy:
         self._last_cycle = cycle
         if self._pending:
             self._apply_fills(cycle)
-        if self._san is not None:
-            self._san.on_access(self, cycle)
-        obs = self._obs
-        if obs is not None:
-            obs.on_access(cycle)
+        probe = self._probe
+        if probe is not None:
+            probe.on_access(self, cycle)
         line_addr = addr >> self._line_shift
         stats = self.stats
 
@@ -245,8 +237,8 @@ class MemoryHierarchy:
                     stateful.on_hit(line_addr & l1._set_mask, line_addr)
             if not prefetch:
                 stats.l1_hits += 1
-                if obs is not None:
-                    obs.on_l1_hit(line_addr, is_write)
+                if probe is not None:
+                    probe.on_l1_hit(line_addr, is_write)
             bank_free = self._bank_free
             bank = line_addr % self._num_banks
             start = bank_free[bank]
@@ -276,8 +268,8 @@ class MemoryHierarchy:
                 else:
                     stats.l1_misses += 1
                     stats.note_line(line_addr)
-                if obs is not None:
-                    obs.on_stream_buffer(line_addr, arrived)
+                if probe is not None:
+                    probe.on_stream_buffer(line_addr, arrived)
                 self.l1.fill(addr, dirty=is_write)
                 self._top_up_stream_buffer(buffer, cycle)
                 return AccessResult(not arrived, 1, start, ready,
@@ -288,9 +280,9 @@ class MemoryHierarchy:
             entry = self.mshrs.merge(line_addr, is_write and not prefetch)
             if not prefetch:
                 stats.l1_secondary_misses += 1
-                if obs is not None:
-                    obs.on_l1_merge(line_addr, entry.mshr_id,
-                                    entry.data_ready)
+                if probe is not None:
+                    probe.on_l1_merge(line_addr, entry.mshr_id,
+                                      entry.data_ready)
             return AccessResult(True, 0, cycle, entry.data_ready,
                                 mshr_id=entry.mshr_id, merged=True,
                                 needs_inform=not entry.informed)
@@ -322,9 +314,9 @@ class MemoryHierarchy:
         entry = self.mshrs.allocate(line_addr, data_ready,
                                     is_write and not prefetch)
         assert entry is not None  # full-check above guarantees a slot
-        if obs is not None and not prefetch:
-            obs.on_l1_miss(line_addr, level, start, data_ready,
-                           entry.mshr_id)
+        if probe is not None and not prefetch:
+            probe.on_l1_miss(line_addr, level, start, data_ready,
+                             entry.mshr_id)
         self._fill_seq += 1
         heapq.heappush(self._pending, (data_ready, self._fill_seq,
                                        entry.mshr_id, line_addr,
@@ -374,14 +366,14 @@ class MemoryHierarchy:
 
     def release_mshr(self, mshr_id: int, squashed: bool) -> None:
         """Extended-lifetime release (graduate or squash) of a pinned MSHR."""
-        san = self._san
-        entry = self.mshrs.get(mshr_id) if san is not None else None
+        probe = self._probe
+        entry = self.mshrs.get(mshr_id) if probe is not None else None
         line_addr = self.mshrs.release(mshr_id, squashed)
         if line_addr is not None:
             if self.l1.invalidate(self._line_to_byte(line_addr)):
                 self.stats.squash_invalidations += 1
-        if san is not None and entry is not None:
-            san.on_mshr_release(self, entry, squashed)
+        if entry is not None:
+            probe.on_mshr_release(self, entry, squashed)
 
     def ifetch(self, pc: int, cycle: int) -> int:
         """Instruction fetch; returns the cycle the fetch block is available.

@@ -60,11 +60,9 @@ class MSHRFile:
         self._next_id = 0
         self.high_water = 0
         self.allocation_failures = 0
-        # Optional runtime invariant checker (repro.sanitize); None keeps
-        # the hook cost to one identity test per lifetime transition.
-        self._san = None
-        # Optional observer (repro.obs), same pattern and same cost.
-        self._obs = None
+        # Attached instrument (repro.probe); None keeps the hook cost to
+        # one identity test per lifetime transition.
+        self._probe = None
 
     # -- queries -----------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[MSHR]:
@@ -100,10 +98,8 @@ class MSHRFile:
         self._entries[entry.mshr_id] = entry
         self._by_line[line_addr] = entry
         self.high_water = max(self.high_water, len(self._entries))
-        if self._san is not None:
-            self._san.on_mshr_event(self)
-        if self._obs is not None:
-            self._obs.on_mshr_alloc(entry, len(self._entries))
+        if self._probe is not None:
+            self._probe.on_mshr_alloc(self, entry)
         return entry
 
     def merge(self, line_addr: int, is_write: bool) -> MSHR:
@@ -113,8 +109,8 @@ class MSHRFile:
             raise KeyError(f"no outstanding miss for line {line_addr:#x}")
         entry.merged += 1
         entry.is_write = entry.is_write or is_write
-        if self._obs is not None:
-            self._obs.on_mshr_merge(entry)
+        if self._probe is not None:
+            self._probe.on_mshr_merge(self, entry)
         return entry
 
     def mark_filled(self, mshr_id: int) -> None:
@@ -132,10 +128,8 @@ class MSHRFile:
             del self._by_line[entry.line_addr]
         if not entry.pinned:
             del self._entries[entry.mshr_id]
-        if self._san is not None:
-            self._san.on_mshr_event(self)
-        if self._obs is not None:
-            self._obs.on_mshr_fill(entry, len(self._entries))
+        if self._probe is not None:
+            self._probe.on_mshr_fill(self, entry)
 
     def release(self, mshr_id: int, squashed: bool) -> Optional[int]:
         """Extended-lifetime release at graduate (squashed=False) or squash.
@@ -156,10 +150,6 @@ class MSHRFile:
         del self._entries[entry.mshr_id]
         if self._by_line.get(entry.line_addr) is entry:
             del self._by_line[entry.line_addr]
-        if self._san is not None:
-            self._san.on_mshr_event(self)
-        if self._obs is not None:
-            self._obs.on_mshr_release(entry, squashed, len(self._entries))
         return invalidate
 
     def mark_informed(self, mshr_id: int) -> None:

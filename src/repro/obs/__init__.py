@@ -3,13 +3,13 @@
 The observability layer the paper's premise implies the simulator itself
 should have: informing operations give *software* memory-performance
 feedback; ``repro.obs`` gives the *experimenter* the same per-reference
-visibility.  An :class:`~repro.obs.observer.Observer` attaches to a
-core exactly like the :mod:`repro.sanitize` sanitizer — one
-``if self._obs is not None`` identity test per hook site, zero cost
-when off — and records cycle-stamped structured events (cache
-hits/misses/fills/evictions, MSHR lifetimes, informing trap
-entry/exit), counter and histogram metrics, per-set conflict heat, and
-the MSHR occupancy high-water timeline.  Exporters serialize traces as
+visibility.  An :class:`~repro.obs.observer.Observer` is a
+:class:`repro.probe.Probe`, attached to a core on either backend like the
+:mod:`repro.sanitize` sanitizer — one ``if probe is not None`` identity
+test per hook site when off — and records cycle-stamped structured
+events (cache hits/misses/fills/evictions, MSHR lifetimes, informing
+trap entry/exit), counter and histogram metrics, per-set conflict heat,
+and the MSHR occupancy high-water timeline.  Exporters serialize traces as
 JSONL or Chrome ``trace_event`` JSON; ``python -m repro.harness
 report`` renders the text report.
 
@@ -21,8 +21,8 @@ writes ``<benchmark>_<machine>_<label>.events.jsonl`` +
 ``*.metrics.json`` under ``DIR``.
 
 Observation is strictly read-only: traced runs are bit-exact with
-untraced ones (CI replays the golden ``figure2 --quick`` grid under
-tracing to enforce this).
+untraced ones, and a cell's metrics are equal on both backends (CI
+replays the golden ``figure2 --quick`` grid under tracing on each).
 
 The package re-exports the event, export and metrics helpers that every
 importer uses (the gateway's ``/metrics`` among them); the observer and

@@ -48,9 +48,11 @@ def read_jsonl(path: str, strict: bool = False) -> List[Dict[str, Any]]:
     """Load a JSONL trace back into the in-memory event-list form.
 
     A run killed mid-write leaves a truncated (or, over NFS, garbled)
-    final line; by default such lines are skipped so the surviving
-    prefix stays loadable.  ``strict=True`` raises ``ValueError`` on the
-    first corrupt line instead, for callers that would rather know.
+    final line; by default such lines, and any record that is not an
+    event (an object with an integer ``cycle`` and a string ``kind``),
+    are skipped so the surviving prefix stays loadable.  ``strict=True``
+    raises ``ValueError`` on the first of them instead, for callers that
+    would rather know.
     """
     events = []
     with open(path) as fh:
@@ -59,11 +61,16 @@ def read_jsonl(path: str, strict: bool = False) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
+                event = json.loads(line)
             except ValueError:
-                if strict:
-                    raise ValueError(
-                        f"{path}:{number}: corrupt JSONL line") from None
+                event = None
+            if (isinstance(event, dict) and type(event.get("cycle")) is int
+                    and isinstance(event.get("kind"), str)):
+                events.append(event)
+            elif strict:
+                raise ValueError(
+                    f"{path}:{number}: corrupt JSONL line (not an event "
+                    f"with an integer cycle and a string kind)")
     return events
 
 

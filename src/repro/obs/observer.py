@@ -1,13 +1,12 @@
 """The :class:`Observer`: cycle-stamped event capture + live metrics.
 
-Mirrors the :class:`repro.sanitize.invariants.Sanitizer` attachment
-pattern: the observer is wired into a core (or a bare hierarchy) by
-setting the ``_obs`` slot on each component, and every hook site in the
-simulator costs exactly one ``if self._obs is not None`` identity test
-when tracing is off.  All hooks are strictly read-only with respect to
-simulator state — they never touch recency order, MSHR bookkeeping or
-pipeline structures — so a traced run is bit-exact with an untraced one
-(the ``obs`` mode of ``tests/test_golden_parity.py`` replays the golden
+The observer is a :class:`repro.probe.Probe`, attached to a core (or a
+bare hierarchy) like the sanitizer, on either backend; every hook site
+costs one ``if probe is not None`` identity test when tracing is off.
+All hooks are strictly read-only with respect to simulator state — they
+never touch recency order, MSHR bookkeeping or pipeline structures — so
+a traced run is bit-exact with an untraced one (the ``obs`` and
+``vec-obs`` modes of ``tests/test_golden_parity.py`` replay the golden
 ``figure2 --quick`` cells with ``trace_events`` set to prove it).
 
 The observer keeps three things:
@@ -19,9 +18,9 @@ The observer keeps three things:
 * dedicated structures a flat registry does not fit: per-set conflict
   heat per cache, and the MSHR occupancy high-water timeline.
 
-``reset()`` is called at the cores' warm-up boundary (alongside the
-statistics reset), so a run's trace covers exactly the measured region
-and event counts reconcile with the reported aggregates.
+:meth:`on_warmup_reset` drops everything at the cores' warm-up boundary
+(alongside the statistics reset), so a run's trace covers exactly the
+measured region and event counts reconcile with the reported aggregates.
 """
 
 from __future__ import annotations
@@ -29,9 +28,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
+from repro.probe import Probe
 
 
-class Observer:
+class Observer(Probe):
     """One run's tracing + metrics state.
 
     Args:
@@ -53,22 +53,7 @@ class Observer:
         # Open informing-handler commit run: [start_cycle, committed].
         self._handler_run: Optional[List[int]] = None
 
-    # -- attachment ----------------------------------------------------------
-    def attach(self, core) -> Any:
-        """Wire this observer into *core*, its engine and its hierarchy."""
-        self.attach_hierarchy(core.hierarchy)
-        core.engine._obs = self
-        return core
-
-    def attach_hierarchy(self, hierarchy) -> Any:
-        """Wire this observer into a memory hierarchy's components."""
-        hierarchy._obs = self
-        hierarchy.l1._obs = self
-        hierarchy.l2._obs = self
-        hierarchy.mshrs._obs = self
-        return hierarchy
-
-    def reset(self) -> None:
+    def on_warmup_reset(self) -> None:
         """Warm-up boundary: drop everything observed so far."""
         self.events.clear()
         from repro.obs.metrics import Registry
@@ -78,12 +63,12 @@ class Observer:
         self._mshr_high = 0
         self._handler_run = None
 
-    def finish(self) -> None:
+    def on_run_end(self, hierarchy) -> None:
         """End of run: close any handler run still open at the last commit."""
         self._close_handler_run(self.cycle)
 
     # -- access outcomes (hierarchy) -----------------------------------------
-    def on_access(self, cycle: int) -> None:
+    def on_access(self, hierarchy, cycle: int) -> None:
         """Every demand/prefetch data access, before its outcome is known."""
         self.cycle = cycle
         self.metrics.counter("accesses").inc()
@@ -123,9 +108,14 @@ class Observer:
             self.events.append({"cycle": self.cycle, "kind": kind,
                                 "line": line_addr, "via": "stream"})
 
+    def on_fill_arrival(self, cycle: int) -> None:
+        """Fill/evict events stamp at data arrival, not at the access
+        that drained the fill (fills arrive in ascending order)."""
+        self.cycle = cycle
+
     # -- tag-store state changes (cache) -------------------------------------
-    def on_cache_fill(self, cache, set_index: int, line_addr: int,
-                      victim) -> None:
+    def on_fill(self, cache, set_index: int, line_addr: int,
+                victim) -> None:
         self.metrics.counter(ev.CACHE_FILL).inc()
         if self.trace:
             self.events.append({"cycle": self.cycle, "kind": ev.CACHE_FILL,
@@ -142,8 +132,7 @@ class Observer:
                                     "line": victim.line_addr,
                                     "dirty": victim.dirty})
 
-    def on_cache_invalidate(self, cache, set_index: int,
-                            line_addr: int) -> None:
+    def on_invalidate(self, cache, set_index: int, line_addr: int) -> None:
         self.metrics.counter(ev.CACHE_INVAL).inc()
         if self.trace:
             self.events.append({"cycle": self.cycle, "kind": ev.CACHE_INVAL,
@@ -157,7 +146,8 @@ class Observer:
             self._mshr_high = occupancy
             self.mshr_timeline.append((self.cycle, occupancy))
 
-    def on_mshr_alloc(self, entry, occupancy: int) -> None:
+    def on_mshr_alloc(self, mshrs, entry) -> None:
+        occupancy = mshrs.occupancy()
         self.metrics.counter(ev.MSHR_ALLOC).inc()
         self._note_occupancy(occupancy)
         if self.trace:
@@ -166,7 +156,7 @@ class Observer:
                                 "line": entry.line_addr,
                                 "occupancy": occupancy})
 
-    def on_mshr_merge(self, entry) -> None:
+    def on_mshr_merge(self, mshrs, entry) -> None:
         self.metrics.counter(ev.MSHR_MERGE).inc()
         if self.trace:
             self.events.append({"cycle": self.cycle, "kind": ev.MSHR_MERGE,
@@ -174,16 +164,15 @@ class Observer:
                                 "line": entry.line_addr,
                                 "merged": entry.merged})
 
-    def on_mshr_fill(self, entry, occupancy: int) -> None:
+    def on_mshr_fill(self, mshrs, entry) -> None:
         self.metrics.counter(ev.MSHR_FILL).inc()
         if self.trace:
             self.events.append({"cycle": self.cycle, "kind": ev.MSHR_FILL,
                                 "mshr": entry.mshr_id,
                                 "line": entry.line_addr,
-                                "occupancy": occupancy})
+                                "occupancy": mshrs.occupancy()})
 
-    def on_mshr_release(self, entry, squashed: bool,
-                        occupancy: int) -> None:
+    def on_mshr_release(self, hierarchy, entry, squashed: bool) -> None:
         self.metrics.counter(ev.MSHR_RELEASE).inc()
         if squashed:
             self.metrics.counter("mshr.squashed").inc()
@@ -192,29 +181,30 @@ class Observer:
                                 "mshr": entry.mshr_id,
                                 "line": entry.line_addr,
                                 "squashed": squashed,
-                                "occupancy": occupancy})
+                                "occupancy": hierarchy.mshrs.occupancy()})
 
     # -- informing mechanism --------------------------------------------------
-    def on_trap_fire(self, inst, handler_len: int) -> None:
+    def on_trap(self, engine, pc: int, addr: int, cycle: int,
+                handler_len: int) -> None:
+        self.cycle = cycle
         self.metrics.counter(ev.TRAP_FIRE).inc()
         self.metrics.histogram("handler_injected").record(handler_len)
         if self.trace:
-            self.events.append({"cycle": self.cycle, "kind": ev.TRAP_FIRE,
-                                "pc": inst.pc, "addr": inst.addr,
+            self.events.append({"cycle": cycle, "kind": ev.TRAP_FIRE,
+                                "pc": pc, "addr": addr,
                                 "handler_len": handler_len})
 
-    def on_handler_commit(self, cycle: int) -> None:
-        """One handler-body instruction committed/graduated."""
+    def on_commit(self, seq: int, complete_cycle: int, cycle: int,
+                  handler: bool, trap_seq) -> None:
+        """A handler instruction opens or extends a handler run; an
+        application instruction closes it."""
         self.cycle = cycle
-        if self._handler_run is None:
-            self._handler_run = [cycle, 1]
-        else:
-            self._handler_run[1] += 1
-
-    def on_app_commit(self, cycle: int) -> None:
-        """One application instruction committed — closes a handler run."""
-        self.cycle = cycle
-        if self._handler_run is not None:
+        if handler:
+            if self._handler_run is None:
+                self._handler_run = [cycle, 1]
+            else:
+                self._handler_run[1] += 1
+        elif self._handler_run is not None:
             self._close_handler_run(cycle)
 
     def _close_handler_run(self, cycle: int) -> None:

@@ -240,12 +240,13 @@ def report_main(argv=None) -> int:
 
     sources: List[Any] = []
     result = None
-    if args.ref:
-        # Bare-argument form: a trace file or a run id, resolved the
-        # same way `harness explain` resolves its input.
+    if args.ref or args.trace_file:
+        # A trace file, or a run id resolved the same way `harness
+        # explain` resolves its input; both load strictly.
         from repro.harness.explain import _load_trace, _resolve_traces
-        pairs, error = _resolve_traces(args.ref, args.manifest_dir,
-                                       args.cell)
+        pairs, error = (_resolve_traces(args.ref, args.manifest_dir,
+                                        args.cell) if args.ref
+                        else ([(args.trace_file, args.trace_file)], None))
         if error:
             print(f"report: {error}", file=sys.stderr)
             return 2
@@ -255,9 +256,6 @@ def report_main(argv=None) -> int:
                 print(f"report: {error}", file=sys.stderr)
                 return 2
             sources.append((title, events))
-    elif args.trace_file:
-        from repro.obs.export import read_jsonl
-        sources.append((args.trace_file, read_jsonl(args.trace_file)))
     elif args.benchmark and args.machine:
         observer, result = _live_events(args)
         sources.append(

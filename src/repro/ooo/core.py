@@ -38,13 +38,10 @@ from repro.isa.opclass import OpClass
 from repro.isa.registers import REG_ZERO
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import CoreConfig, FUPool, GraduationStats, StreamStack
+from repro.pipeline.gradstats import reset_after_warmup
 
 #: Cycles after issue at which a reference's hit/miss outcome is known.
 TAG_CHECK_DELAY = 2
-
-#: Instruction classes counted as informing/optimization overhead rather
-#: than application work (the graduation loops test these by identity).
-_OVERHEAD_OPS = (OpClass.MHAR_SET, OpClass.BLMISS, OpClass.PREFETCH)
 
 _WAITING = 0
 _ISSUED = 1
@@ -85,7 +82,6 @@ class OutOfOrderCore:
             ``extended_mshr_lifetime=True`` to enable the Section 3.3
             speculative-update guarantee.
         informing: informing-operation configuration.
-        observer: Python hook per handler invocation.
         wrong_path_factory: optional ``f(branch_inst) -> iterator of
             DynInst`` producing synthetic wrong-path instructions fetched
             after a mispredicted branch until it resolves.
@@ -96,13 +92,12 @@ class OutOfOrderCore:
         config: CoreConfig,
         hierarchy: MemoryHierarchy,
         informing: Optional[InformingConfig] = None,
-        observer=None,
         wrong_path_factory: Optional[
             Callable[[DynInst], Iterator[DynInst]]] = None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
-        self.engine = InformingEngine(informing or InformingConfig(), observer)
+        self.engine = InformingEngine(informing or InformingConfig())
         self.predictor = TwoBitCounterPredictor(config.predictor_entries)
         self.stats = GraduationStats(width=config.issue_width)
         self.wrong_path_factory = wrong_path_factory
@@ -174,11 +169,9 @@ class OutOfOrderCore:
         engine_wants = engine.wants
         extended_mshrs = hierarchy.mshrs.extended_lifetime
         issue_memory = self._issue_memory
-        # Runtime invariant checker (repro.sanitize); None in normal runs,
-        # so every hook below costs a single identity test.
-        san = hierarchy._san
-        # Observer (repro.obs), same pattern and same off cost.
-        obs = hierarchy._obs
+        # Attached instrument (repro.probe); None in normal runs, so every
+        # hook below costs a single identity test.
+        probe = hierarchy._probe
         shadow_branches = config.shadow_branches
         # Graduation slots accumulate in locals and flush in blocks
         # (see GraduationStats.record_cycles).
@@ -220,13 +213,12 @@ class OutOfOrderCore:
             # fetch already ran.
             if mshr_id is not None and hierarchy.mshrs.is_informed(mshr_id):
                 return
-            if obs is not None:
-                obs.cycle = fire_cycle  # stamp for the engine's trap.fire
             body = engine.on_miss(missed_ref)
             if body is None:
                 return
-            if san is not None:
-                san.on_trap(engine, missed_ref, fire_cycle)
+            if probe is not None:
+                probe.on_trap(engine, missed_ref.pc, missed_ref.addr,
+                              fire_cycle, len(body))
             if mshr_id is not None:
                 hierarchy.mark_informed(mshr_id)
             squash_after(boundary)
@@ -253,12 +245,15 @@ class OutOfOrderCore:
             # ---- graduation -------------------------------------------------
             graduated = 0
             trap_fired_at_head = False
+            if probe is not None:
+                # The oldest trap still due (they fire one per cycle).
+                due_seq = min((e.seq for f, e in armed_traps
+                               if f <= cycle and not e.squashed),
+                              default=None)
             while (rob and graduated < width
                    and rob[0].state == _ISSUED
                    and rob[0].complete_cycle <= cycle):
                 entry = rob.pop(0)
-                if san is not None:
-                    san.on_graduate(entry, cycle, armed_traps)
                 if extended_mshrs and entry.mshr_id is not None:
                     hierarchy.release_mshr(entry.mshr_id, squashed=False)
                 inst = entry.inst
@@ -266,15 +261,17 @@ class OutOfOrderCore:
                     del rename[inst.dest]
                 stack_committed(entry.point)
                 op = inst.op
-                if (inst.handler_code or op is op_mhar_set
-                        or op is op_blmiss or op is op_prefetch):
+                # Handler code, MHAR sets, BLMISS checks and prefetches
+                # are overhead, not application work.
+                handler = (inst.handler_code or op is op_mhar_set
+                           or op is op_blmiss or op is op_prefetch)
+                if probe is not None:
+                    probe.on_commit(entry.seq, entry.complete_cycle, cycle,
+                                    handler, due_seq)
+                if handler:
                     stats.handler_instructions += 1
-                    if obs is not None:
-                        obs.on_handler_commit(cycle)
                 else:
                     stats.app_instructions += 1
-                    if obs is not None:
-                        obs.on_app_commit(cycle)
                     app_committed += 1
                     if app_committed == warmup_insts:
                         # Pre-warm-up slots die with the old stats object.
@@ -290,8 +287,9 @@ class OutOfOrderCore:
                         # Nothing younger to squash; still invoke handler.
                         body = engine.on_miss(inst)
                         if body is not None:
-                            if san is not None:
-                                san.on_trap(engine, inst, cycle)
+                            if probe is not None:
+                                probe.on_trap(engine, inst.pc, inst.addr,
+                                              cycle, len(body))
                             if entry.mshr_id is not None:
                                 hierarchy.mark_informed(entry.mshr_id)
                             stack.rewind_after(entry.point)
@@ -310,12 +308,12 @@ class OutOfOrderCore:
             if (head is not None and head.was_miss
                     and head.state == _ISSUED and head.complete_cycle > cycle):
                 acc_cache += lost
-                if obs is not None:
-                    obs.on_slots(cycle, graduated, lost, True)
+                if probe is not None:
+                    probe.on_slots(cycle, graduated, lost, True)
             else:
                 acc_other += lost
-                if obs is not None:
-                    obs.on_slots(cycle, graduated, lost, False)
+                if probe is not None:
+                    probe.on_slots(cycle, graduated, lost, False)
 
             if max_app_insts is not None and app_committed >= max_app_insts:
                 break
@@ -518,26 +516,11 @@ class OutOfOrderCore:
             cycle += 1
 
         stats.record_cycles(acc_cycles, acc_busy, acc_cache, acc_other)
-        if san is not None:
-            san.on_run_end(hierarchy)
-        if obs is not None:
-            obs.finish()
+        if probe is not None:
+            probe.on_run_end(hierarchy)
         return stats
 
-    def _reset_stats(self) -> GraduationStats:
-        """End of warm-up: fresh counters, warm caches."""
-        from repro.memory.stats import MemStats
-        self.stats = GraduationStats(width=self.config.issue_width)
-        self.hierarchy.stats = MemStats()
-        self.hierarchy.i_accesses = 0
-        self.hierarchy.i_misses = 0
-        self.engine.invocations = 0
-        self.engine.injected_instructions = 0
-        if self.hierarchy._obs is not None:
-            # The trace covers exactly the measured region, so event
-            # counts reconcile with the post-warm-up aggregates.
-            self.hierarchy._obs.reset()
-        return self.stats
+    _reset_stats = reset_after_warmup
 
     # -- memory issue --------------------------------------------------------
     def _issue_memory(self, entry: _Entry, cycle: int) -> bool:
@@ -563,9 +546,9 @@ class OutOfOrderCore:
         entry.was_miss = result.l1_miss and not is_prefetch
         entry.needs_inform = result.needs_inform and not is_prefetch
         if entry.needs_inform and not inst.handler_code:
-            san = self.hierarchy._san
-            if san is not None:
-                san.on_inform_signal(result)
+            probe = self.hierarchy._probe
+            if probe is not None:
+                probe.on_inform_signal(result)
         entry.mshr_id = result.mshr_id
         entry.outcome_cycle = cycle + TAG_CHECK_DELAY
         if op is OpClass.LOAD:

@@ -104,6 +104,8 @@ def _load_side(ref: str, root: Optional[str]) -> Tuple[str, Dict[str, Any]]:
                 data = json.load(fh)
             except ValueError as exc:
                 raise ManifestError(f"{ref} is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise ManifestError(f"{ref} is not a JSON object")
         if data.get("kind") == MANIFEST_KIND:
             return "manifest", load_manifest(ref, root)
         for key, schema in _BENCH_SCHEMAS.items():

@@ -237,7 +237,8 @@ def load_manifest(ref: str, root: Optional[str] = None) -> Dict[str, Any]:
 
 def read_manifest(path: str) -> Dict[str, Any]:
     """Load and validate the manifest file at *path*: ManifestError for
-    one that cannot be read or is not a UTF-8 JSON object."""
+    one that cannot be read, is not a UTF-8 JSON object, or has
+    ``cells`` that are not a list of objects."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -253,6 +254,10 @@ def read_manifest(path: str) -> Dict[str, Any]:
             f"{path} has manifest schema {data.get('schema')!r}; this "
             f"build understands schema {MANIFEST_SCHEMA} — regenerate the "
             f"run or upgrade")
+    cells = data.get("cells", [])
+    if not isinstance(cells, list) or not all(
+            isinstance(cell, dict) for cell in cells):
+        raise ManifestError(f"{path}: 'cells' is not a list of objects")
     return data
 
 

@@ -14,9 +14,9 @@ panel every time — which is how the tests pin this code down.
 
 Records are read by the journal's own scanner: everything before the
 first bad frame is rendered, everything from it on is distrusted and
-counted.  A journal whose header declares an unknown schema is rejected
-with a clear error (exit 2); one whose header was lost is tolerated with
-a note.
+counted.  A journal whose header declares an unknown schema, or a
+replayed one with no intact record, is rejected with a clear error
+(exit 2); one whose header was lost is tolerated with a note.
 """
 
 from __future__ import annotations
@@ -320,6 +320,9 @@ def replay(path: str) -> JournalFollower:
     except OSError as exc:
         raise WatchError(f"cannot read {path}: {exc}")
     follower.close()
+    if not follower._scanner.records:
+        raise WatchError(f"{path} has no intact record (distrusted "
+                         f"{follower.distrusted_lines} line(s))")
     return follower
 
 

@@ -94,3 +94,18 @@ class GraduationStats:
         if baseline.cycles == 0:
             raise ValueError("baseline run has no cycles")
         return self.cycles / baseline.cycles
+
+
+def reset_after_warmup(core) -> GraduationStats:
+    """End of a core's warm-up: fresh counters, warm caches, and an
+    attached probe drops what it saw (both cores' ``_reset_stats``)."""
+    from repro.memory.stats import MemStats
+
+    core.stats = GraduationStats(width=core.config.issue_width)
+    hierarchy = core.hierarchy
+    hierarchy.stats = MemStats()
+    hierarchy.i_accesses = hierarchy.i_misses = 0
+    core.engine.invocations = core.engine.injected_instructions = 0
+    if hierarchy._probe is not None:
+        hierarchy._probe.on_warmup_reset()
+    return core.stats

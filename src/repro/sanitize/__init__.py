@@ -7,9 +7,10 @@ informing-mechanism semantics, plus a seeded fault injector
 (:class:`repro.sanitize.chaos.ChaosInjector`) that proves the checks
 catch real corruption.  Off by default; enable it with ``--sanitize``
 on the harness CLI (``ExecOptions(sanitize=True)``, or ``run_bar(...,
-sanitize=True)`` for one cell).  Disabled cost is one
-``if self._san is not None`` per hook point; enabled runs stay
-bit-exact with golden results because every check is read-only.
+sanitize=True)`` for one cell), on either backend.  The sanitizer is a
+:class:`repro.probe.Probe`, so the disabled cost is one
+``if probe is not None`` per hook site; enabled runs stay bit-exact with
+golden results because every check is read-only.
 
 The package re-exports only :class:`InvariantViolation`, which every
 importer needs (the engine catches it; the checks and the injectors

@@ -8,12 +8,11 @@ runtime checking layer for those invariants — off by default, enabled
 per run by attaching a :class:`Sanitizer` to a core or hierarchy
 (``--sanitize`` at the harness level).
 
-Hook points live in the components themselves (``memory/cache.py``,
-``memory/mshr.py``, ``memory/hierarchy.py``, ``inorder/core.py``,
-``ooo/core.py``) and cost a single ``if self._san is not None`` when
-disabled.  Checks are read-only — they never touch recency order or any
-other stateful path — so golden parity stays bit-exact with the
-sanitizer enabled.
+The sanitizer is a :class:`repro.probe.Probe`: its hooks sit in the
+components and in both backends' cycle loops, and cost one
+``if probe is not None`` when no instrument is attached.  Checks are
+read-only — they never touch recency order or any other stateful path —
+so golden parity stays bit-exact with the sanitizer enabled.
 
 Per-access work is throttled: full tag-store/MSHR sweeps run every
 ``every`` data accesses (default :data:`DEFAULT_EVERY`), so corruption
@@ -25,9 +24,10 @@ the paper's invariants actually live.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.mechanisms import return_pc
+from repro.probe import Probe
 from repro.sanitize.violation import InvariantViolation
 
 #: Data accesses between periodic full sweeps of the L1 tag store and
@@ -83,12 +83,12 @@ INVARIANTS: Dict[str, str] = {
 }
 
 
-class Sanitizer:
+class Sanitizer(Probe):
     """Runtime invariant checker attached to one core + hierarchy.
 
     Attach with :meth:`attach` (a core) or :meth:`attach_hierarchy`
-    (memory system only).  Hooks are called by the components; any
-    failed check raises :class:`InvariantViolation` immediately.
+    (memory system only, L1I included).  Any failed check raises
+    :class:`InvariantViolation` immediately.
 
     Attributes:
         every: accesses between periodic full sweeps.
@@ -98,6 +98,8 @@ class Sanitizer:
             the checks actually ran (the chaos suite asserts they are
             not vacuous).
     """
+
+    watches_icache = True
 
     def __init__(self, every: int = DEFAULT_EVERY) -> None:
         if every < 1:
@@ -110,23 +112,10 @@ class Sanitizer:
         self._tick = 0
         self._last_commit_seq = 0
 
-    # -- attachment ----------------------------------------------------------
     def attach(self, core) -> Any:
-        """Wire this sanitizer into *core* and its memory hierarchy."""
-        self.attach_hierarchy(core.hierarchy)
-        core.engine._san = self
+        """Wire this sanitizer into *core*'s memory hierarchy."""
         self._last_commit_seq = 0
-        return core
-
-    def attach_hierarchy(self, hierarchy) -> Any:
-        """Wire this sanitizer into a memory hierarchy's components."""
-        hierarchy._san = self
-        hierarchy.l1._san = self
-        hierarchy.l2._san = self
-        if hierarchy.icache is not None:
-            hierarchy.icache._san = self
-        hierarchy.mshrs._san = self
-        return hierarchy
+        return super().attach(core)
 
     # -- violation plumbing --------------------------------------------------
     def _violate(self, invariant: str, component: str, message: str,
@@ -257,18 +246,23 @@ class Sanitizer:
             self.check_cache(hierarchy.l1)
             self.check_mshr_file(hierarchy.mshrs)
 
-    def on_fill(self, cache, index: int) -> None:
-        self.check_cache_set(cache, index)
+    def on_fill(self, cache, set_index: int, line_addr: int,
+                victim) -> None:
+        self.check_cache_set(cache, set_index)
 
-    def on_invalidate(self, cache, index: int) -> None:
-        self.check_cache_set(cache, index)
+    def on_invalidate(self, cache, set_index: int, line_addr: int) -> None:
+        self.check_cache_set(cache, set_index)
 
-    def on_mshr_event(self, mshrs) -> None:
-        """After any MSHR allocate / fill / release."""
+    def on_mshr_alloc(self, mshrs, entry) -> None:
+        self.check_mshr_file(mshrs)
+
+    def on_mshr_fill(self, mshrs, entry) -> None:
         self.check_mshr_file(mshrs)
 
     def on_mshr_release(self, hierarchy, entry, squashed: bool) -> None:
-        """Post-condition of an extended-lifetime release (Section 3.3)."""
+        """The MSHR file after a release, and the Section 3.3
+        post-condition of a squash."""
+        self.check_mshr_file(hierarchy.mshrs)
         self.hook_calls += 1
         if squashed and entry.filled:
             byte_addr = entry.line_addr << hierarchy._line_shift
@@ -293,77 +287,51 @@ class Sanitizer:
                  "mshr_id": result.mshr_id})
         self.checks_passed += 1
 
-    def on_trap(self, engine, inst, cycle: int) -> None:
-        """A miss handler is being entered for *inst*."""
+    def on_trap(self, engine, pc: int, addr: int, cycle: int,
+                handler_len: int) -> None:
+        """A miss handler is being entered for the reference at *pc*."""
         self.hook_calls += 1
         self.cycle = cycle
         if engine.mhar == 0 or not engine.config.active:
             self._violate(
                 "informing.mhar_disabled_no_trap", "engine",
-                f"handler entered for pc {inst.pc:#x} with MHAR == "
+                f"handler entered for pc {pc:#x} with MHAR == "
                 f"{engine.mhar:#x} (active={engine.config.active})",
-                {"pc": hex(inst.pc), "mhar": engine.mhar})
-        expected = return_pc(inst.pc)
+                {"pc": hex(pc), "mhar": engine.mhar})
+        expected = return_pc(pc)
         if engine.mhrr != expected:
             self._violate(
                 "informing.mhrr_return_pc", "engine",
                 f"MHRR is {engine.mhrr:#x} at handler entry; the "
-                f"informing reference at {inst.pc:#x} requires "
+                f"informing reference at {pc:#x} requires "
                 f"{expected:#x}",
-                {"pc": hex(inst.pc), "mhrr": hex(engine.mhrr),
+                {"pc": hex(pc), "mhrr": hex(engine.mhrr),
                  "expected": hex(expected)})
         self.checks_passed += 1
 
-    def on_commit(self, seq: int, complete_cycle: int, cycle: int,
-                  trap_seq: Optional[int]) -> None:
-        """One instruction committing on the in-order core."""
+    def on_commit(self, seq: int, complete_cycle: Optional[int], cycle: int,
+                  handler: bool, trap_seq: Optional[int]) -> None:
+        """One instruction committing (in-order) or graduating (OoO)."""
         self.hook_calls += 1
         self.cycle = cycle
         if seq <= self._last_commit_seq:
             self._violate(
-                "pipeline.head_monotonic", "inorder",
+                "pipeline.head_monotonic", "pipeline",
                 f"commit seq {seq} after {self._last_commit_seq}",
                 {"seq": seq, "last": self._last_commit_seq})
         self._last_commit_seq = seq
-        if complete_cycle > cycle:
+        if complete_cycle is None or complete_cycle > cycle:
             self._violate(
-                "pipeline.issued_before_graduated", "inorder",
+                "pipeline.issued_before_graduated", "pipeline",
                 f"seq {seq} committing at cycle {cycle} before its "
                 f"completion cycle {complete_cycle}",
                 {"seq": seq, "complete_cycle": complete_cycle})
         if trap_seq is not None and seq > trap_seq:
             self._violate(
-                "pipeline.no_graduation_past_trap", "inorder",
+                "pipeline.no_graduation_past_trap", "pipeline",
                 f"seq {seq} committing past the unresolved informing "
                 f"trap armed on seq {trap_seq}",
                 {"seq": seq, "trap_seq": trap_seq})
-        self.checks_passed += 1
-
-    def on_graduate(self, entry, cycle: int,
-                    armed_traps: List) -> None:
-        """One reorder-buffer entry graduating on the out-of-order core."""
-        self.hook_calls += 1
-        self.cycle = cycle
-        seq = entry.seq
-        if seq <= self._last_commit_seq:
-            self._violate(
-                "pipeline.head_monotonic", "ooo",
-                f"graduation seq {seq} after {self._last_commit_seq}",
-                {"seq": seq, "last": self._last_commit_seq})
-        self._last_commit_seq = seq
-        if entry.complete_cycle is None or entry.complete_cycle > cycle:
-            self._violate(
-                "pipeline.issued_before_graduated", "ooo",
-                f"seq {seq} graduating at cycle {cycle} before its "
-                f"completion cycle {entry.complete_cycle}",
-                {"seq": seq, "complete_cycle": entry.complete_cycle})
-        for fire, armed in armed_traps:
-            if fire <= cycle and armed.seq < seq and not armed.squashed:
-                self._violate(
-                    "pipeline.no_graduation_past_trap", "ooo",
-                    f"seq {seq} graduating past the due informing trap "
-                    f"armed on seq {armed.seq} (fire cycle {fire})",
-                    {"seq": seq, "trap_seq": armed.seq, "fire": fire})
         self.checks_passed += 1
 
     def on_run_end(self, hierarchy) -> None:

@@ -15,8 +15,10 @@ interface:
   ``DynInst`` is built.  Event-driven flat replay kernels (:mod:`repro.vec.inorder`,
   :mod:`repro.vec.ooo`) advance it and reuse the interp backend's
   memory hierarchy objects — replacement policies included — so the
-  simulated statistics are **digit-exact** with ``interp``.  Like the
-  rest of the package, it is pure Python.
+  simulated statistics are **digit-exact** with ``interp``.  The
+  sanitizer and the observer attach to either backend through the same
+  probe (:mod:`repro.probe`).  Like the rest of the package, it is pure
+  Python.
 
 Because results are bit-identical, the backend is *not* part of a
 job's identity: :meth:`repro.exec.SimJob.cache_key` never includes it
@@ -80,7 +82,8 @@ def vec_supports(bar) -> bool:
     The flat replay kernels cover everything the figure grids use: no
     handler, or :class:`repro.core.handlers.GenericHandler` bodies
     (single or unique, any length), under either informing mechanism,
-    with any registered replacement policy.  Python-callback handlers
+    with any registered replacement policy and any instrument attached.
+    Python-callback handlers
     (:class:`CallbackHandler`) run arbitrary user code per miss and fall
     back to the interp backend.
     """
@@ -92,20 +95,10 @@ def vec_supports(bar) -> bool:
     return type(informing.handler) is GenericHandler
 
 
-def run_bar_vec(benchmark: str, machine_key: str, bar,
-                instructions: int, warmup: int, seed: int = 0,
-                policy: str = "lru"):
-    """Run one bar cell on the vec backend (see repro.vec.runner)."""
-    from repro.vec.runner import run_bar_vec as _impl
-    return _impl(benchmark, machine_key, bar, instructions, warmup,
-                 seed=seed, policy=policy)
-
-
 __all__ = [
     "BACKENDS",
     "BACKEND_ENV",
     "BackendError",
     "resolve_backend",
-    "run_bar_vec",
     "vec_supports",
 ]

@@ -13,15 +13,18 @@ row tuples in the :mod:`repro.isa.rows` layout:
 * handler injection replays immutable flat frames from
   :class:`repro.vec.decode.FlatHandlers`;
 * the L1-hit path of :meth:`MemoryHierarchy.access` and the
-  icache-hit path of :meth:`MemoryHierarchy.ifetch` are inlined
-  (legal because the vec path never attaches a sanitizer, observer or
-  stream buffers — the dispatcher falls back to interp for those);
+  icache-hit path of :meth:`MemoryHierarchy.ifetch` are inlined;
 * cycles in which provably nothing can happen are skipped in bulk:
   at the end of a no-op iteration the kernel computes the earliest
   cycle at which *any* event is possible (trap fire, oldest-entry
   commit, issue-head operands ready, fetch unblock) and jumps there,
   bulk-charging the skipped graduation slots to the same stall bucket
   every skipped cycle would have charged.
+
+With a probe attached (:mod:`repro.probe`) the kernel sends every data
+reference through :meth:`MemoryHierarchy.access`, steps one cycle at a
+time, and calls the trap, inform, commit, slot and run-end hooks where
+the interp core calls them.  Stream buffers stay interp-only.
 
 Every statistic any bar reports is bit-identical with the interp core;
 ``tests/test_vec_parity.py`` and the golden-parity suite enforce it.
@@ -51,18 +54,17 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
     """Replay *stream*'s rows through *core* (an InOrderCore); return its
     stats.
 
-    Preconditions (the dispatcher guarantees them): no sanitizer, no
-    observer, no stream buffers, and the informing handler — if any —
-    is a GenericHandler.
+    Preconditions (the dispatcher guarantees them): no stream buffers,
+    and the informing handler — if any — is a GenericHandler.
     """
     config = core.config
     engine = core.engine
     hierarchy = core.hierarchy
     predictor = core.predictor
-    if (hierarchy._san is not None or hierarchy._obs is not None
-            or hierarchy._stream_buffers):
-        raise ValueError("vec kernel cannot replay an instrumented core; "
+    if hierarchy._stream_buffers:
+        raise ValueError("vec kernel cannot replay stream buffers; "
                          "use the interp backend")
+    probe = hierarchy._probe
 
     width = config.issue_width
     stats = core.stats
@@ -138,11 +140,10 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
     max_fetch_queue = 2 * width
     fetch_blocked_until = 0
     last_fetch_line = -1
-    # Armed trap: (fire, entry, ref_pc, mshr_id).
+    # Armed trap: (fire, entry, ref_row, mshr_id).
     pending_trap = None
     cc_outcome_cycle = 0
-    cc_pc = None          # missing ref of the condition-code scheme
-    cc_inf = 0
+    cc_row = None         # missing ref of the condition-code scheme
     cc_mshr = None
     cycle = 0
     seq = 0
@@ -159,14 +160,17 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
         trap_fired = False
         if pending_trap is not None and cycle >= pending_trap[0]:
             trap_fired = True
-            _fire, trap_entry, ref_pc, trap_mshr = pending_trap
+            _fire, trap_entry, ref_row, trap_mshr = pending_trap
             pending_trap = None
             # engine.on_miss, flat: wants() held when the trap armed and
             # is constant over a vec run, so the body is always injected.
             engine.invocations += 1
-            engine.mhrr = return_pc(ref_pc)
-            body = handlers.body(ref_pc)
+            engine.mhrr = return_pc(ref_row[7])
+            body = handlers.body(ref_row[7])
             engine.injected_instructions += handler_len
+            if probe is not None:
+                probe.on_trap(engine, ref_row[7], ref_row[5], cycle,
+                              handler_len)
             if trap_mshr is not None:
                 hierarchy.mark_informed(trap_mshr)
             tseq = trap_entry[1]
@@ -194,7 +198,7 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
             stats.informing_mispredicts += 1
             stats.handler_invocations += 1
             last_fetch_line = -1
-            cc_pc = None
+            cc_row = None
             stream_done = False
 
         # ---- commit ----------------------------------------------------
@@ -204,6 +208,10 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
             entry = inflight.popleft()
             if extended_mshrs and entry[3] is not None:
                 release_mshr(entry[3], False)
+            if probe is not None:
+                probe.on_commit(entry[1], entry[0], cycle, entry[4],
+                                pending_trap[1][1] if pending_trap is not None
+                                else None)
             if entry[4]:
                 st_hand += 1
             else:
@@ -220,8 +228,12 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
         lost = width - committed
         if (inflight and inflight[0][2] and inflight[0][0] > cycle):
             acc_cache += lost
+            if probe is not None:
+                probe.on_slots(cycle, committed, lost, True)
         else:
             acc_other += lost
+            if probe is not None:
+                probe.on_slots(cycle, committed, lost, False)
 
         if app_committed >= max_app_insts:
             break
@@ -331,14 +343,15 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
                 is_store = op == OP_STORE
                 # Inlined L1-hit fast path of MemoryHierarchy.access —
                 # identical statements, no call frame.  Falls back to the
-                # full method on anything but a clean hit.
+                # full method on anything but a clean hit, and on every
+                # reference while a probe watches.
                 hierarchy._last_cycle = cycle
                 if pending and pending[0][0] <= cycle:
                     apply_fills(cycle)
                 line_addr = addr >> line_shift
                 cache_set = l1_sets[line_addr & set_mask]
                 dirty = cache_set.get(line_addr)
-                if dirty is not None:
+                if dirty is not None and probe is None:
                     mstats.l1_accesses += 1
                     if l1_is_lru:
                         del cache_set[line_addr]
@@ -368,7 +381,7 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
                         [complete, seq, False, None, row[11], tq[1], tq[2]])
                     if is_cc and not row[10]:
                         cc_outcome_cycle = cycle + 2
-                        cc_pc = None
+                        cc_row = None
                     continue
                 result = hier_access(addr, is_store, cycle, prefetch=False)
                 if result is None:
@@ -388,19 +401,20 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
                          row[11], tq[1], tq[2]]
                 inflight_append(entry)
                 if not row[10]:
+                    if probe is not None and result.needs_inform:
+                        probe.on_inform_signal(result)
                     if is_cc:
                         cc_outcome_cycle = cycle + 2
                         if result.needs_inform:
-                            cc_pc = row[7]
-                            cc_inf = row[9]
+                            cc_row = row
                             cc_mshr = result.mshr_id
                         else:
-                            cc_pc = None
+                            cc_row = None
                     elif (is_trap and result.needs_inform
                             and pending_trap is None
                             and engine_active and row[9]):
                         fire = cycle + 2
-                        pending_trap = (fire, entry, row[7], result.mshr_id)
+                        pending_trap = (fire, entry, row, result.mshr_id)
                         if fire > entry[0]:
                             entry[0] = fire
                 continue
@@ -433,15 +447,15 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
                     if cycle + 1 > fetch_blocked_until:
                         fetch_blocked_until = cycle + 1
             else:  # CLS_BLMISS
-                if (is_cc and cc_pc is not None and pending_trap is None
-                        and engine_active and cc_inf):
+                if (is_cc and cc_row is not None and pending_trap is None
+                        and engine_active and cc_row[9]):
                     fire = cc_outcome_cycle
                     if cycle + 1 > fire:
                         fire = cycle + 1
-                    pending_trap = (fire, entry, cc_pc, cc_mshr)
+                    pending_trap = (fire, entry, cc_row, cc_mshr)
                     if fire > entry[0]:
                         entry[0] = fire
-                cc_pc = None
+                cc_row = None
 
         # ---- bulk commit drain -----------------------------------------
         # When neither issue nor fetch made progress, nothing but
@@ -453,8 +467,10 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
         # Model every cycle up to that horizon in one pass over the
         # in-flight entries: idle stretches are charged in bulk to the
         # bucket the oldest entry dictates, and commit bursts replay
-        # the per-cycle width-capped pops exactly.
-        if issued == 0 and fetched == 0 and not trap_fired:
+        # the per-cycle width-capped pops exactly.  A probe sees every
+        # cycle, so it turns the drain off.
+        if (issued == 0 and fetched == 0 and not trap_fired
+                and probe is None):
             nxt = None
             if pending_trap is not None:
                 nxt = pending_trap[0]
@@ -553,4 +569,6 @@ def run_inorder_vec(core, stream: SharedStream, max_app_insts: int,
     stats.record_cycles(acc_cycles, acc_busy, acc_cache, acc_other)
     predictor.lookups += plookups
     predictor.mispredicts += pmisses
+    if probe is not None:
+        probe.on_run_end(hierarchy)
     return stats

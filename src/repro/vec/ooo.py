@@ -3,9 +3,10 @@
 Same contract as :mod:`repro.vec.inorder`, for
 :class:`repro.ooo.OutOfOrderCore`: identical memory-hierarchy objects
 and statistics, row tuples instead of DynInst objects, the inlined
-L1/icache hit fast paths, and bulk skipping of provably-idle cycles.
-Wrong-path fetch (``wrong_path_factory``) is not replayed here — the
-dispatcher falls back to the interp backend for cores that use it.
+L1/icache hit fast paths, bulk skipping of provably-idle cycles, and
+the same probe hooks (which turn the inline hits and the skip off).
+Stream buffers and wrong-path fetch (``wrong_path_factory``) are not
+replayed here; they stay on the interp backend.
 
 The replay entry mirrors ``repro.ooo.core._Entry`` field-for-field
 but is a plain list (a class instance costs ~3x as much to allocate,
@@ -55,17 +56,17 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
     """Replay *stream*'s rows through *core* (an OutOfOrderCore); return its
     stats.
 
-    Preconditions (dispatcher-guaranteed): no sanitizer/observer/stream
-    buffers, no wrong-path factory, GenericHandler-or-no handler.
+    Preconditions (dispatcher-guaranteed): no stream buffers, no
+    wrong-path factory, GenericHandler-or-no handler.
     """
     config = core.config
     engine = core.engine
     hierarchy = core.hierarchy
     predictor = core.predictor
-    if (hierarchy._san is not None or hierarchy._obs is not None
-            or hierarchy._stream_buffers or core.wrong_path_factory is not None):
-        raise ValueError("vec kernel cannot replay an instrumented core; "
-                         "use the interp backend")
+    if hierarchy._stream_buffers or core.wrong_path_factory is not None:
+        raise ValueError("vec kernel cannot replay stream buffers or "
+                         "wrong-path fetch; use the interp backend")
+    probe = hierarchy._probe
 
     width = config.issue_width
     rob_size = config.rob_size
@@ -192,7 +193,7 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
         last_fetch_line = -1
         stream_done = False
 
-    def take_trap(boundary, ref_pc, fire_cycle, mshr_id):
+    def take_trap(boundary, ref_row, fire_cycle, mshr_id):
         """Invoke the informing handler, squashing after *boundary*."""
         nonlocal fetch_blocked_until, next_serial
         # Fire once per line fetch: skip if another trap for the same
@@ -200,9 +201,12 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
         if mshr_id is not None and mshr_is_informed(mshr_id):
             return
         engine.invocations += 1
-        engine.mhrr = return_pc(ref_pc)
-        body = handlers.body(ref_pc)
+        engine.mhrr = return_pc(ref_row[7])
+        body = handlers.body(ref_row[7])
         engine.injected_instructions += handler_len
+        if probe is not None:
+            probe.on_trap(engine, ref_row[7], ref_row[5], fire_cycle,
+                          handler_len)
         if mshr_id is not None:
             hierarchy.mark_informed(mshr_id)
         squash_after(boundary)
@@ -228,11 +232,15 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                 trap_fired = True
                 entry = due[1]
                 armed_traps.remove(due)
-                take_trap(entry, entry[0][7], cycle, entry[10])
+                take_trap(entry, entry[0], cycle, entry[10])
 
         # ---- graduation -------------------------------------------------
         graduated = 0
         trap_fired_at_head = False
+        if probe is not None:
+            # The oldest trap still due (they fire one per cycle).
+            due_seq = min((e[3] for f, e in armed_traps
+                           if f <= cycle and not e[14]), default=None)
         while rob and graduated < width:
             entry = rob[0]
             if entry[4] != 1 or entry[7] > cycle:
@@ -245,6 +253,8 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
             dest = row[2]
             if dest > 0 and rename_get(dest) is entry:
                 del rename[dest]
+            if probe is not None:
+                probe.on_commit(entry[3], entry[7], cycle, row[11], due_seq)
             if row[11]:
                 st_hand += 1
             else:
@@ -260,7 +270,7 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                 # Exception-style informing trap: flush as though the
                 # next instruction excepted.
                 if rob:
-                    take_trap(entry, row[7], cycle, mshr)
+                    take_trap(entry, row, cycle, mshr)
                 else:
                     # Nothing younger to squash; still invoke handler.
                     # (Mirrors the interp core: no informed-check here.)
@@ -268,6 +278,9 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                     engine.mhrr = return_pc(row[7])
                     body = handlers.body(row[7])
                     engine.injected_instructions += handler_len
+                    if probe is not None:
+                        probe.on_trap(engine, row[7], row[5], cycle,
+                                      handler_len)
                     if mshr is not None:
                         hierarchy.mark_informed(mshr)
                     rewind_after(entry[1], entry[2])
@@ -287,8 +300,12 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
         if (head is not None and head[8] and head[4] == 1
                 and head[7] > cycle):
             acc_cache += lost
+            if probe is not None:
+                probe.on_slots(cycle, graduated, lost, True)
         else:
             acc_other += lost
+            if probe is not None:
+                probe.on_slots(cycle, graduated, lost, False)
 
         if app_committed >= max_app_insts:
             break
@@ -494,7 +511,7 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                 line_addr = addr >> line_shift
                 cache_set = l1_sets[line_addr & set_mask]
                 dirty = cache_set.get(line_addr)
-                if dirty is not None:
+                if dirty is not None and probe is None:
                     mstats.l1_accesses += 1
                     if l1_is_lru:
                         del cache_set[line_addr]
@@ -530,6 +547,8 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                     entry[4] = 1
                     entry[8] = result.l1_miss
                     entry[9] = result.needs_inform
+                    if probe is not None and entry[9] and not row[10]:
+                        probe.on_inform_signal(result)
                     entry[10] = result.mshr_id
                     entry[15] = cycle + 2
                     if op == OP_LOAD:
@@ -577,7 +596,7 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
                 if (is_cc and ref is not None and ref[9]
                         and engine_active and ref[0][9]
                         and not ref[0][10]):
-                    take_trap(entry, ref[0][7], cycle, ref[10])
+                    take_trap(entry, ref[0], cycle, ref[10])
                     break  # the machine state just changed wholesale
             if issued >= width:
                 break
@@ -585,9 +604,9 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
         if write != read:
             waiting[write:] = waiting[read:]
 
-        # ---- event skip ------------------------------------------------
+        # ---- event skip (off while a probe watches every cycle) --------
         if (graduated == 0 and issued == 0 and fetched == 0
-                and not trap_fired):
+                and not trap_fired and probe is None):
             nxt = None
             for f, e2 in armed_traps:
                 if not e2[14] and (nxt is None or f < nxt):
@@ -652,4 +671,6 @@ def run_ooo_vec(core, stream: SharedStream, max_app_insts: int,
     stats.record_cycles(acc_cycles, acc_busy, acc_cache, acc_other)
     predictor.lookups += plookups
     predictor.mispredicts += pmisses
+    if probe is not None:
+        probe.on_run_end(hierarchy)
     return stats

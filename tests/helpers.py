@@ -57,17 +57,17 @@ def ooo_config(**overrides):
     return CoreConfig(**params)
 
 
-def make_inorder(informing=None, hierarchy=None, observer=None, **cfg):
+def make_inorder(informing=None, hierarchy=None, **cfg):
     return InOrderCore(inorder_config(**cfg),
                        hierarchy or small_hierarchy(),
-                       informing=informing, observer=observer)
+                       informing=informing)
 
 
-def make_ooo(informing=None, hierarchy=None, observer=None,
-             wrong_path_factory=None, **cfg):
+def make_ooo(informing=None, hierarchy=None, wrong_path_factory=None,
+             **cfg):
     return OutOfOrderCore(ooo_config(**cfg),
                           hierarchy or small_hierarchy(),
-                          informing=informing, observer=observer,
+                          informing=informing,
                           wrong_path_factory=wrong_path_factory)
 
 

@@ -13,8 +13,11 @@ from repro.core import (
     add_cc_checks,
     add_mhar_sets,
 )
+from repro.core.mechanisms import return_pc
 from repro.isa import OpClass, alu, branch, load, prefetch, store
 from repro.isa.registers import HANDLER_REG_BASE
+from repro.probe import Probe
+from tests.helpers import make_ooo
 
 
 class TestInformingConfig:
@@ -146,12 +149,20 @@ class TestInformingEngine:
         assert engine.on_miss(load(0x100, dest=1, pc=0)) is not None
 
     def test_observer_hook(self):
+        """Each handler entry reaches an attached probe after the engine
+        latched the MHRR."""
         seen = []
+
+        class Traps(Probe):
+            def on_trap(self, engine, pc, addr, cycle, handler_len):
+                seen.append((pc, addr, engine.mhrr, handler_len))
+
         config = InformingConfig(mechanism=Mechanism.TRAP,
                                  handler=GenericHandler(1))
-        engine = InformingEngine(config, observer=lambda ref: seen.append(ref.pc))
-        engine.on_miss(load(0x100, dest=1, pc=0x44))
-        assert seen == [0x44]
+        core = Traps().attach(make_ooo(informing=config))
+        core.run([load(0x100, dest=1, pc=0x44)])
+        assert seen == [(0x44, 0x100, return_pc(0x44),
+                         core.engine.injected_instructions)]
 
     def test_inactive_config(self):
         engine = InformingEngine(InformingConfig())

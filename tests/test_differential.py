@@ -77,7 +77,6 @@ def _run_case(make_core, seed):
     obs = Observer(trace=True)
     obs.attach(core)
     stats = core.run(iter(trace), max_app_insts=count, warmup_insts=0)
-    obs.finish()
 
     outcomes = []
     for event in obs.events:

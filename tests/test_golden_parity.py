@@ -9,16 +9,19 @@ machine behaviour, which is a correctness bug here no matter how much
 faster it is.
 
 The second backend and every instrument must leave each cell bit-identical
-too, so this file is the one golden check, run in five modes.  A mode runs
+too, so this file is the one golden check, run in seven modes.  A mode runs
 its cells through a serial, cache-less :class:`repro.exec.JobRunner`, the
-way ``figure2`` does, with one setting on top of the default options:
+way ``figure2`` does, with its settings on top of the default options:
 
 * ``default`` — none: the interp backend with nothing attached;
 * ``vec`` — ``backend="vec"``: the flat replay kernels;
 * ``sanitize`` — ``sanitize=True``: the invariant sanitizer on every cell;
 * ``obs`` — ``trace_events=DIR``: the event observer, writing each cell's
   trace and metrics under DIR;
-* ``trace`` — ``trace_sample=1.0``: span tracing on every cell.
+* ``trace`` — ``trace_sample=1.0``: span tracing on every cell;
+* ``vec-sanitize`` and ``vec-obs`` — the two instruments on the vec
+  backend.  ``test_obs_metrics_match_across_backends`` also requires each
+  cell's ``.metrics.json`` to be equal in the ``obs`` and ``vec-obs`` runs.
 
 ``test_golden_parity`` diffs every exported field but ``normalized`` for
 each (mode, cell); default-mode cases keep the bare cell id.
@@ -81,16 +84,19 @@ DEFAULT_CELLS = [
     ("alvinn", "inorder", "S1"),
 ]
 
-MODES = ("default", "vec", "sanitize", "obs", "trace")
+MODES = ("default", "vec", "sanitize", "obs", "trace", "vec-sanitize",
+         "vec-obs")
 
 
 def _settings(mode, trace_dir):
-    """The one :class:`ExecOptions` setting *mode* adds to the default."""
+    """The :class:`ExecOptions` settings *mode* adds to the default."""
     return {"default": {},
             "vec": {"backend": "vec"},
             "sanitize": {"sanitize": True},
             "obs": {"trace_events": trace_dir},
-            "trace": {"trace_sample": 1.0}}[mode]
+            "trace": {"trace_sample": 1.0},
+            "vec-sanitize": {"backend": "vec", "sanitize": True},
+            "vec-obs": {"backend": "vec", "trace_events": trace_dir}}[mode]
 
 
 def _load_golden():
@@ -195,22 +201,33 @@ def test_mode_took_effect(mode, mode_run, tmp_path):
         "traced cells": sum(r.get("span") in span_ids for r in finishes),
     }
     want = {
-        "backends": {"vec" if mode == "vec" else "interp"},
-        "sanitized cells": len(stems) if mode == "sanitize" else 0,
+        "backends": {"vec" if mode.startswith("vec") else "interp"},
+        "sanitized cells": len(stems) if mode.endswith("sanitize") else 0,
         "trace files": (sorted(stem + suffix for stem in stems
                                for suffix in (".events.jsonl",
                                               ".metrics.json"))
-                        if mode == "obs" else []),
+                        if mode.endswith("obs") else []),
         "traced cells": len(stems) if mode == "trace" else 0,
     }
     assert got == want
-    if mode == "obs":
+    if mode.endswith("obs"):
         # A written trace renders through the report CLI.
         trace = os.path.join(run.trace_dir, stems[0] + ".events.jsonl")
         chrome = tmp_path / "cell.chrome.json"
         assert dispatch(["report", "--trace-file", trace,
                          "--chrome", str(chrome)]) == 0
         assert json.loads(chrome.read_text())["traceEvents"]
+
+
+def test_obs_metrics_match_across_backends(mode_run):
+    """The observer records the same metrics on vec as on interp."""
+    interp, vec = mode_run("obs"), mode_run("vec-obs")
+    for cell in interp.results:
+        name = "_".join(cell) + ".metrics.json"
+        with open(os.path.join(interp.trace_dir, name)) as fh:
+            want = json.load(fh)
+        with open(os.path.join(vec.trace_dir, name)) as fh:
+            assert json.load(fh) == want, name
 
 
 def test_golden_capture_shape():

@@ -239,6 +239,17 @@ class TestEndToEnd:
             assert section in text
 
 
+def damaged_manifest(tmp_path):
+    """A run manifest whose ``cells`` is a string; returns its path."""
+    from tests.test_perf_compare import make_manifest
+
+    manifest = make_manifest([0.5])
+    manifest["cells"] = "damaged"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
 class TestCli:
     def _write_trace(self, tmp_path, events):
         from repro.obs.export import write_jsonl
@@ -271,6 +282,18 @@ class TestCli:
         path.write_text('{"cycle": 1, "kind": "l1.hit"\n')
         assert explain_main([str(path)]) == 2
         assert "corrupt" in capsys.readouterr().err
+
+    def test_record_without_cycle_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nocycle.events.jsonl"
+        path.write_text('{"kind": "l1.hit", "line": 1}\n')
+        assert explain_main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: corrupt JSONL line" in err
+
+    def test_manifest_with_string_cells_exits_2(self, tmp_path, capsys):
+        path = damaged_manifest(tmp_path)
+        assert explain_main([path]) == 2
+        assert "'cells' is not a list of objects" in capsys.readouterr().err
 
     def test_unresolvable_ref_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))

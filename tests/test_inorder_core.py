@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import add_cc_checks, add_mhar_sets
 from repro.isa import alu, branch, load, store
+from repro.probe import Probe
 from tests.helpers import cc_config, make_inorder, small_hierarchy, trap_config
 
 
@@ -140,8 +141,12 @@ class TestInformingTrap:
 
     def test_observer_sees_missing_references(self):
         seen = []
-        core = make_inorder(informing=trap_config(n=1),
-                            observer=lambda ref: seen.append(ref.addr))
+
+        class Traps(Probe):
+            def on_trap(self, engine, pc, addr, cycle, handler_len):
+                seen.append(addr)
+
+        core = Traps().attach(make_inorder(informing=trap_config(n=1)))
         core.run(self.miss_heavy_trace(10))
         assert len(seen) == 10
         assert seen[0] == 0x40000

@@ -33,6 +33,21 @@ class _FakeEntry:
         self.merged = merged
 
 
+class _FakeMSHRs:
+    """The MSHR file a hook reads its occupancy from."""
+
+    def __init__(self, occupancy=0):
+        self.count = occupancy
+
+    def occupancy(self):
+        return self.count
+
+
+class _FakeHierarchy:
+    def __init__(self, occupancy=0):
+        self.mshrs = _FakeMSHRs(occupancy)
+
+
 class _FakeCache:
     def __init__(self, name="L1"):
         self.name = name
@@ -42,12 +57,6 @@ class _FakeVictim:
     def __init__(self, line_addr, dirty):
         self.line_addr = line_addr
         self.dirty = dirty
-
-
-class _FakeInst:
-    def __init__(self, pc=0x100, addr=0x2000):
-        self.pc = pc
-        self.addr = addr
 
 
 class TestEventTaxonomy:
@@ -115,7 +124,7 @@ class TestMetrics:
 class TestObserverHooks:
     def test_metrics_only_mode_records_no_events(self):
         obs = Observer(trace=False)
-        obs.on_access(5)
+        obs.on_access(None, 5)
         obs.on_l1_hit(3, False)
         obs.on_l1_miss(4, 2, 5, 17, 0)
         assert obs.events == []
@@ -124,9 +133,9 @@ class TestObserverHooks:
 
     def test_miss_levels_and_latency(self):
         obs = Observer()
-        obs.on_access(10)
+        obs.on_access(None, 10)
         obs.on_l1_miss(1, 2, 10, 22, 0)
-        obs.on_access(11)
+        obs.on_access(None, 11)
         obs.on_l1_miss(2, 3, 11, 86, 1)
         counts = obs.counts()
         assert counts["l2.hit"] == 1 and counts["l2.miss"] == 1
@@ -145,9 +154,9 @@ class TestObserverHooks:
         obs = Observer()
         cache = _FakeCache("L1")
         obs.cycle = 30
-        obs.on_cache_fill(cache, 2, 0x40, None)
-        obs.on_cache_fill(cache, 2, 0x42, _FakeVictim(0x40, dirty=True))
-        obs.on_cache_invalidate(cache, 2, 0x42)
+        obs.on_fill(cache, 2, 0x40, None)
+        obs.on_fill(cache, 2, 0x42, _FakeVictim(0x40, dirty=True))
+        obs.on_invalidate(cache, 2, 0x42)
         assert obs.conflict_heat == {"L1": {2: 1}}
         kinds = [e["kind"] for e in obs.events]
         assert kinds == [ev.CACHE_FILL, ev.CACHE_FILL, ev.CACHE_EVICT,
@@ -158,21 +167,21 @@ class TestObserverHooks:
     def test_mshr_high_water_timeline(self):
         obs = Observer()
         obs.cycle = 1
-        obs.on_mshr_alloc(_FakeEntry(0), 1)
+        obs.on_mshr_alloc(_FakeMSHRs(1), _FakeEntry(0))
         obs.cycle = 2
-        obs.on_mshr_alloc(_FakeEntry(1), 2)
+        obs.on_mshr_alloc(_FakeMSHRs(2), _FakeEntry(1))
         obs.cycle = 3
-        obs.on_mshr_fill(_FakeEntry(0), 2)
-        obs.on_mshr_alloc(_FakeEntry(2), 2)   # not a new high water
+        obs.on_mshr_fill(_FakeMSHRs(2), _FakeEntry(0))
+        obs.on_mshr_alloc(_FakeMSHRs(2), _FakeEntry(2))  # not a new high
         obs.cycle = 9
-        obs.on_mshr_alloc(_FakeEntry(3), 3)
+        obs.on_mshr_alloc(_FakeMSHRs(3), _FakeEntry(3))
         assert obs.mshr_timeline == [(1, 1), (2, 2), (9, 3)]
 
     def test_mshr_merge_and_squashed_release(self):
         obs = Observer()
-        obs.on_mshr_merge(_FakeEntry(0, merged=2))
-        obs.on_mshr_release(_FakeEntry(0), squashed=True, occupancy=0)
-        obs.on_mshr_release(_FakeEntry(1), squashed=False, occupancy=0)
+        obs.on_mshr_merge(_FakeMSHRs(), _FakeEntry(0, merged=2))
+        obs.on_mshr_release(_FakeHierarchy(), _FakeEntry(0), squashed=True)
+        obs.on_mshr_release(_FakeHierarchy(), _FakeEntry(1), squashed=False)
         counts = obs.counts()
         assert counts["mshr.merge"] == 1
         assert counts["mshr.release"] == 2
@@ -180,11 +189,11 @@ class TestObserverHooks:
 
     def test_handler_run_open_close(self):
         obs = Observer()
-        obs.on_trap_fire(_FakeInst(), 10)
-        obs.on_handler_commit(100)
-        obs.on_handler_commit(101)
-        obs.on_handler_commit(102)
-        obs.on_app_commit(103)
+        obs.on_trap(None, 0x100, 0x2000, 99, 10)
+        obs.on_commit(1, 100, 100, True, None)
+        obs.on_commit(2, 101, 101, True, None)
+        obs.on_commit(3, 102, 102, True, None)
+        obs.on_commit(4, 103, 103, False, None)
         assert obs.counts()[ev.TRAP_FIRE] == 1
         assert obs.counts()[ev.TRAP_RETURN] == 1
         ret = [e for e in obs.events if e["kind"] == ev.TRAP_RETURN][0]
@@ -193,15 +202,15 @@ class TestObserverHooks:
 
     def test_finish_closes_open_handler_run(self):
         obs = Observer()
-        obs.on_handler_commit(50)
-        obs.finish()
+        obs.on_commit(1, 50, 50, True, None)
+        obs.on_run_end(None)
         assert obs.counts()[ev.TRAP_RETURN] == 1
         assert obs.metrics.histogram("handler_committed").count == 1
 
     def test_app_commit_without_handler_is_quiet(self):
         obs = Observer()
-        obs.on_app_commit(5)
-        obs.finish()
+        obs.on_commit(1, 5, 5, False, None)
+        obs.on_run_end(None)
         assert ev.TRAP_RETURN not in obs.counts()
 
     def test_slots_are_metrics_only(self):
@@ -217,17 +226,17 @@ class TestObserverHooks:
 
     def test_reset_drops_everything(self):
         obs = Observer()
-        obs.on_access(4)
+        obs.on_access(None, 4)
         obs.on_l1_hit(1, False)
-        obs.on_cache_fill(_FakeCache(), 0, 1, _FakeVictim(0, False))
-        obs.on_mshr_alloc(_FakeEntry(), 1)
-        obs.on_handler_commit(4)
-        obs.reset()
+        obs.on_fill(_FakeCache(), 0, 1, _FakeVictim(0, False))
+        obs.on_mshr_alloc(_FakeMSHRs(1), _FakeEntry())
+        obs.on_commit(1, 4, 4, True, None)
+        obs.on_warmup_reset()
         assert obs.events == []
         assert obs.counts() == {}
         assert obs.conflict_heat == {}
         assert obs.mshr_timeline == []
-        obs.finish()                    # open handler run was dropped too
+        obs.on_run_end(None)            # open handler run was dropped too
         assert obs.counts() == {}
 
 
@@ -289,11 +298,11 @@ class TestExporters:
 
     def test_write_run_artifacts(self, tmp_path):
         obs = Observer(trace=True)
-        obs.on_access(3)
+        obs.on_access(None, 3)
         obs.on_l1_hit(1, False)
-        obs.on_cache_fill(_FakeCache("L2"), 1, 5, _FakeVictim(9, False))
+        obs.on_fill(_FakeCache("L2"), 1, 5, _FakeVictim(9, False))
         obs.cycle = 4
-        obs.on_mshr_alloc(_FakeEntry(), 1)
+        obs.on_mshr_alloc(_FakeMSHRs(1), _FakeEntry())
         directory = str(tmp_path / "runs")
         paths = write_run_artifacts(obs, directory, "bench_ooo_N")
         assert os.path.exists(paths["events"])

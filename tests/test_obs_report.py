@@ -29,7 +29,6 @@ def _run_traced(make_core, informing=None, instructions=4000, warmup=2000):
         8 * (instructions + warmup) + 50_000)
     stats = core.run(stream, max_app_insts=instructions + warmup,
                      warmup_insts=warmup)
-    obs.finish()
     return core, obs, stats
 
 
@@ -190,6 +189,28 @@ class TestReportCLI:
         assert f"obs report — {path}" in out
         assert "miss breakdown" in out
         assert "simulator cross-check" not in out
+
+    def test_trace_file_with_a_non_json_line_exits_2(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "bad.events.jsonl"
+        path.write_text("not json\n")
+        assert report_main(["--trace-file", str(path)]) == 2
+        assert f"{path}:1: corrupt JSONL line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["--trace-file", "ref"])
+    def test_record_without_cycle_exits_2(self, tmp_path, capsys, form):
+        path = tmp_path / "nocycle.events.jsonl"
+        path.write_text('{"kind": "l1.hit", "line": 1}\n')
+        argv = [str(path)] if form == "ref" else [form, str(path)]
+        assert report_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: corrupt JSONL line" in err
+
+    def test_manifest_with_string_cells_exits_2(self, tmp_path, capsys):
+        from tests.test_harness_explain import damaged_manifest
+
+        assert report_main([damaged_manifest(tmp_path)]) == 2
+        assert "'cells' is not a list of objects" in capsys.readouterr().err
 
     def test_trace_file_mode_with_chrome_export(self, tmp_path, capsys):
         path = self._trace_file(tmp_path)

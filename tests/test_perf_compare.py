@@ -216,6 +216,28 @@ class TestCLI:
         assert out.startswith("compare: error: ")
         assert "manifest.json is not a JSON manifest" in out
 
+    def test_manifest_with_string_cells_is_exit_2(self, tmp_path, capsys):
+        for run_id in ("a", "b"):
+            (tmp_path / run_id).mkdir()
+            manifest = make_manifest([0.5], run_id=run_id)
+            if run_id == "b":
+                manifest["cells"] = "damaged"
+            (tmp_path / run_id / "manifest.json").write_text(
+                json.dumps(manifest))
+        assert compare_main(["a", "b", "--runs-root", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("compare: error: ")
+        assert "'cells' is not a list of objects" in out
+
+    def test_bench_against_a_json_list_is_exit_2(self, tmp_path, capsys):
+        bench = self._write(tmp_path, "bench.json", {
+            "schema": 1, "microbenchmarks": {"timings": {"x": 0.1}}})
+        listed = self._write(tmp_path, "list.json", [1, 2])
+        assert compare_main([bench, listed]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("compare: error: ")
+        assert "list.json is not a JSON object" in out
+
     def test_trace_dir_mode_via_cli(self, tmp_path, capsys):
         for side in ("a", "b"):
             (tmp_path / side).mkdir()

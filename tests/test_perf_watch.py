@@ -200,6 +200,22 @@ class TestSchemaGate:
         assert "headerless" in follower.render()
         assert follower.snapshot()["total"] == 2
 
+    def test_cli_exits_2_on_a_journal_with_no_intact_record(self, tmp_path,
+                                                            capsys):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text("garbage\n")
+        assert watch_main([str(journal)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("watch: error: ")
+        assert "no intact record (distrusted 1 line(s))" in out
+
+    def test_headerless_journal_with_records_exits_0(self, tmp_path,
+                                                      capsys):
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(synthetic_stream(EVENTS, header=False))
+        assert watch_main([str(journal)]) == 0
+        assert "headerless" in capsys.readouterr().out
+
     def test_cli_exits_2_on_unknown_schema(self, tmp_path, capsys):
         journal = tmp_path / "journal.jsonl"
         journal.write_text(synthetic_stream([], schema=99))

@@ -71,7 +71,7 @@ def test_concurrent_runners_keep_separate_settings(tmp_path):
     options = {
         "vec": ExecOptions(cache=False, backend="vec", trace_sample=1.0),
         "interp": ExecOptions(cache=False, backend="interp"),
-        # vec requested, but a sanitizer or observer runs on interp.
+        # Both instruments on the vec backend.
         "checked": ExecOptions(cache=False, backend="vec", sanitize=True,
                                trace_events=str(traces)),
     }
@@ -103,7 +103,7 @@ def test_concurrent_runners_keep_separate_settings(tmp_path):
     assert not errors
     assert [e.backend for e in finished(sinks["vec"])] == ["vec"] * 3
     assert [e.backend for e in finished(sinks["interp"])] == ["interp"] * 3
-    assert [e.backend for e in finished(sinks["checked"])] == ["interp"] * 3
+    assert [e.backend for e in finished(sinks["checked"])] == ["vec"] * 3
     spans = [r for r in runners["vec"].records if r["rec"] == "span"]
     assert len({span["trace_id"] for span in spans}) == 1
     replays = [span for span in spans if span["name"] == "replay"]

@@ -72,15 +72,15 @@ class TestCatalog:
 class TestEnabling:
     def test_default_is_off(self):
         hierarchy = small_hierarchy()
-        assert hierarchy._san is None
-        assert hierarchy.l1._san is None
-        assert hierarchy.mshrs._san is None
+        assert hierarchy._probe is None
+        assert hierarchy.l1._probe is None
+        assert hierarchy.mshrs._probe is None
 
     def test_attach_wires_every_component(self):
         san, hierarchy = attached()
         for component in (hierarchy, hierarchy.l1, hierarchy.l2,
                           hierarchy.mshrs):
-            assert component._san is san
+            assert component._probe is san
 
     def test_every_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -192,22 +192,23 @@ class TestMSHRChecks:
 class TestPipelineChecks:
     def test_commit_seq_must_increase(self):
         san, _ = attached()
-        san.on_commit(1, 0, 10, None)
-        san.on_commit(2, 5, 11, None)
+        san.on_commit(1, 0, 10, False, None)
+        san.on_commit(2, 5, 11, False, None)
         with pytest.raises(InvariantViolation) as info:
-            san.on_commit(2, 6, 12, None)
+            san.on_commit(2, 6, 12, False, None)
         assert info.value.invariant == "pipeline.head_monotonic"
 
     def test_commit_before_complete_caught(self):
         san, _ = attached()
         with pytest.raises(InvariantViolation) as info:
-            san.on_commit(1, complete_cycle=20, cycle=10, trap_seq=None)
+            san.on_commit(1, complete_cycle=20, cycle=10, handler=False,
+                          trap_seq=None)
         assert info.value.invariant == "pipeline.issued_before_graduated"
 
     def test_commit_past_unresolved_trap_caught(self):
         san, _ = attached()
         with pytest.raises(InvariantViolation) as info:
-            san.on_commit(5, 0, 10, trap_seq=3)
+            san.on_commit(5, 0, 10, handler=False, trap_seq=3)
         assert info.value.invariant == "pipeline.no_graduation_past_trap"
 
     def test_inform_on_hit_caught(self):
@@ -228,7 +229,7 @@ class TestPipelineChecks:
         engine.disable()  # MHAR <- 0
         inst = load(0x100, dest=2, srcs=(1,), pc=0x1000, informing=True)
         with pytest.raises(InvariantViolation) as info:
-            san.on_trap(engine, inst, 100)
+            san.on_trap(engine, inst.pc, inst.addr, 100, 1)
         assert info.value.invariant == "informing.mhar_disabled_no_trap"
 
     def test_wrong_mhrr_caught(self):
@@ -239,10 +240,10 @@ class TestPipelineChecks:
         engine = InformingEngine(trap_config())
         inst = load(0x100, dest=2, srcs=(1,), pc=0x1000, informing=True)
         engine.on_miss(inst)          # latches MHRR = pc + 4
-        san.on_trap(engine, inst, 100)  # correct: passes
+        san.on_trap(engine, inst.pc, inst.addr, 100, 1)  # correct: passes
         engine.mhrr ^= 0x10
         with pytest.raises(InvariantViolation) as info:
-            san.on_trap(engine, inst, 101)
+            san.on_trap(engine, inst.pc, inst.addr, 101, 1)
         assert info.value.invariant == "informing.mhrr_return_pc"
 
     def test_squashed_filled_release_with_resident_line_caught(self):

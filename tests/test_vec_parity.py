@@ -35,13 +35,7 @@ from hypothesis import strategies as st
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.harness.runner import BarResult, bar_config, run_bar
 from repro.memory import available_policies
-from repro.vec import (
-    BACKEND_ENV,
-    BackendError,
-    resolve_backend,
-    run_bar_vec,
-    vec_supports,
-)
+from repro.vec import BACKEND_ENV, BackendError, resolve_backend, vec_supports
 
 _BAR_FIELDS = [f.name for f in fields(BarResult) if f.name != "normalized"]
 
@@ -56,8 +50,8 @@ def _assert_cell_parity(benchmark, machine, label, instructions, warmup,
                         seed=0, policy="lru"):
     a = run_bar(benchmark, machine, bar_config(label), instructions,
                 warmup, seed=seed, backend="interp", policy=policy)
-    b = run_bar_vec(benchmark, machine, bar_config(label), instructions,
-                    warmup, seed=seed, policy=policy)
+    b = run_bar(benchmark, machine, bar_config(label), instructions,
+                warmup, seed=seed, backend="vec", policy=policy)
     for name in _BAR_FIELDS:
         assert getattr(a, name) == getattr(b, name), (
             f"{benchmark}/{machine}/{label}/{policy} i={instructions} "
@@ -114,10 +108,10 @@ def test_vec_runs_without_numpy():
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from repro.harness.runner import bar_config, run_bar\n"
-        "from repro.vec import run_bar_vec\n"
         "for machine in ('ooo', 'inorder'):\n"
         "    bar = bar_config('U10')\n"
-        "    vec = run_bar_vec('compress', machine, bar, 2000, 500)\n"
+        "    vec = run_bar('compress', machine, bar, 2000, 500,\n"
+        "                  backend='vec')\n"
         "    interp = run_bar('compress', machine, bar, 2000, 500,\n"
         "                     backend='interp')\n"
         "    assert vec == interp, (machine, vec, interp)\n"
