@@ -15,8 +15,8 @@ before the bad record is intact (appends never rewrite earlier bytes),
 everything after is unknown and treated as never-happened, which for a
 write-ahead log is always the safe direction (work is re-done, never
 skipped).  It is the only parser of run records: ``resume``, ``watch``,
-``spans`` and the gateway's recovery all read through it (the manifest
-is folded from the same records while they are still in memory).
+``spans`` and the gateway's recovery all read through it, the first four
+by way of the one fold of a run's records, :class:`repro.perf.RunRecord`.
 
 Durability is set per journal (:data:`FSYNC_POLICIES`):
 
@@ -30,11 +30,12 @@ raise out of :meth:`RunJournal.append`: the journal counts the error,
 disables itself, warns once, and every later append reports ``False`` —
 the run it is journaling must not die for the sake of its log.  Callers
 surface ``journal.errors`` as a named, counted outcome in their own
-telemetry.
+telemetry, and may :meth:`RunJournal.rewrite` the whole file from the
+records they kept in memory once the run is over, as the engine does.
 
-Whole-file JSON records (run manifests, BENCH snapshots) are written by
-:func:`atomic_write_json`, which lives here so that their readers load
-nothing from the engine.
+Whole files (a rewritten journal, BENCH snapshots) are replaced
+atomically; :func:`atomic_write_json` lives here so that the snapshots'
+readers load nothing from the engine.
 """
 
 from __future__ import annotations
@@ -151,6 +152,20 @@ class RunJournal:
     def record(self, rec: str, **fields: Any) -> bool:
         """Append ``{"rec": rec, **fields}``."""
         return self.append(dict(fields, rec=rec))
+
+    def rewrite(self, records: Sequence[Dict[str, Any]]) -> bool:
+        """Replace the file with exactly *records*, written whole and
+        renamed over it, so a reader sees the old lines or all the new
+        ones; False if that write fails too."""
+        try:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            _atomic_write(self.path,
+                          "".join(frame(record) for record in records),
+                          fsync=self.policy == "always")
+        except OSError:
+            return False
+        self.records_written = len(records)
+        return True
 
     def _fail(self, exc: BaseException) -> None:
         self.errors += 1
@@ -278,14 +293,22 @@ def atomic_write_json(path, data: Any) -> None:
     ``os.replace`` is atomic on POSIX, so readers (and git) only ever see
     the old file or the complete new one — never a truncated write.
     """
-    path = os.fspath(path)
-    payload = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    _atomic_write(os.fspath(path),
+                  json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _atomic_write(path: str, text: str, fsync: bool = False) -> None:
+    """Write *text* to a same-directory tmp file (fsynced when *fsync*)
+    and rename it over *path*."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path) + ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -6,7 +6,7 @@ grid through a :class:`JobRunner` (process pool, retries, per-job
 timeout, serial fallback), memoizes results in an on-disk
 :class:`ResultCache` keyed by the job's content hash, reports structured
 :mod:`~repro.exec.telemetry` events for every scheduling step, and keeps
-each run's record (journal and manifest, see :mod:`repro.exec.engine`).
+each run's one record, its journal (see :mod:`repro.exec.engine`).
 
 ``python -m repro.exec cache stats|purge`` manages the on-disk store.
 """

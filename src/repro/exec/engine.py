@@ -35,7 +35,7 @@ when ``options.install_signal_handlers`` is set) stops the run admitting
 new work — in-flight jobs finish and are stored/recorded normally,
 not-yet-started jobs are given up with a ``drained`` telemetry event,
 and the run returns partial results (``None`` for drained slots) after
-closing the run record and writing the run manifest.  Pool workers do
+closing the run record.  Pool workers do
 not take the drain handler with them: they ignore SIGINT, die on
 SIGTERM, and end on their own once the parent that forked them is gone.
 
@@ -43,17 +43,21 @@ The run record: every run keeps one ordered list of records in
 :attr:`JobRunner.records` — a ``journal_header``, the ``run_start`` grid,
 one record per job boundary (``job_start`` / ``job_finish`` /
 ``job_fail`` / ``job_retry`` / ``job_drained`` / ``pool_broken``),
-``run_end`` with the run's counts, then the ``span`` records of a
-sampled run.  A run with a directory (``options.manifest_dir``) appends
+``run_end`` with the run's counts; a sampled run keeps the ``span``
+records of each job as the job ends and the rest after ``run_end``.  A
+run with a directory (``options.manifest_dir``) appends
 each record through a :class:`repro.durable.RunJournal` to
-``<root>/<run_id>/journal.jsonl`` as it happens and, at ``run_end``,
-folds the in-memory records into ``manifest.json``.  That journal is
-the one file ``watch``, ``resume`` and ``spans`` read.
+``<root>/<run_id>/journal.jsonl`` as it happens; should an append fail
+(ENOSPC), the journal stops and the run goes on, and at its end the
+file is rewritten whole from the in-memory records.  That journal is
+the one file the run writes, and every reader folds it with
+:class:`repro.perf.RunRecord`.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import signal
 import sys
@@ -106,7 +110,7 @@ class ExecOptions:
     explicitly: the engine hands ``backend``, ``sanitize`` and
     ``trace_events`` to each call (pool submissions pickle them), and
     records them, with ``trace_sample``, as the journal header's
-    ``settings`` — so a run's manifest says how it ran and ``harness
+    ``settings`` — so a run's record says how it ran and ``harness
     resume`` can run the rest the same way.
     """
 
@@ -119,12 +123,11 @@ class ExecOptions:
     progress: bool = False              # live stderr progress meter
     #: Root directory for run records: each run() appends its records to
     #: ``<manifest_dir>/<run_id>/journal.jsonl`` as it goes (so a killed
-    #: grid can be continued with ``harness resume <run_id>``) and folds
-    #: them into ``manifest.json`` at the end.  None keeps the records in
-    #: memory only.
+    #: grid can be read, and continued with ``harness resume <run_id>``).
+    #: None keeps the records in memory only.
     manifest_dir: Optional[str] = None
-    #: Run provenance carried in the journal header and the manifest
-    #: (experiment name, CLI argv, seed, resumed_from, ...).
+    #: Run provenance carried in the journal header (experiment name,
+    #: CLI argv, seed, resumed_from, ...).
     run_meta: Optional[Dict[str, Any]] = None
     #: Install SIGTERM/SIGINT handlers for the duration of each run()
     #: (main thread only): the first signal requests a graceful drain,
@@ -179,6 +182,18 @@ def _sim_view(result: Dict[str, Any]) -> Dict[str, Any]:
     # Non-bar kinds (access_control, apps, test payloads): every field
     # the executor returned is simulated output.
     return dict(result)
+
+
+def _metrics_digest(directory: str, label: str) -> Optional[str]:
+    """SHA-256 of the ``*.metrics.json`` a traced cell wrote under its
+    run's ``--trace-events`` *directory*; None when there is none."""
+    path = os.path.join(directory,
+                        label.replace("/", "_") + ".metrics.json")
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
 
 
 def _pool_worker_init(parent: int) -> None:
@@ -263,9 +278,6 @@ class JobRunner:
         self.stats = RunTelemetry()
         #: The most recent run's records, in order (see the module doc).
         self.records: List[Dict[str, Any]] = []
-        #: Path of the most recent run's manifest.json (repro.perf), when
-        #: ``options.manifest_dir`` is set and the write succeeded.
-        self.last_manifest: Optional[str] = None
         #: Run id and journal path of the most recent run() — the journal
         #: path is set as the run opens and cleared at its end if nothing
         #: reached the disk (``harness resume <last_run_id>`` continues
@@ -366,14 +378,17 @@ class JobRunner:
 
     def _trace_extra(self, job: SimJob) -> Dict[str, str]:
         """FINISHED-event extras for executed jobs: the per-job repro.obs
-        trace path (when the run writes traces) and the effective
-        simulation backend."""
+        trace path and metrics digest (when the run writes traces) and
+        the effective simulation backend."""
         from repro.obs import job_trace_path
 
         extra: Dict[str, str] = {}
         directory = self._cell["trace_dir"]
         if directory:
             extra["trace"] = job_trace_path(directory, job.label)
+            digest = _metrics_digest(directory, job.label)
+            if digest is not None:
+                extra["metrics_digest"] = digest
         backend = self._effective_backend(job)
         if backend is not None:
             extra["backend"] = backend
@@ -397,14 +412,14 @@ class JobRunner:
 
         The backend is resolved here, once per run; with the other cell
         settings it goes to every call and, with the sampling rate, into
-        the header's ``settings``.  With a root directory the records are
-        journaled to ``<root>/<run_id>/journal.jsonl`` from the header
-        on, so a kill before the manifest still leaves a resumable run on
-        disk, and the manifest lands in the same directory.
+        the header's ``settings``, next to the machine fingerprint.  With
+        a root directory the records are journaled to
+        ``<root>/<run_id>/journal.jsonl`` from the header on, so a killed
+        run still leaves a readable, resumable record on disk.
         """
         from repro.durable.journal import (EXEC_KIND, JOURNAL_NAME,
                                            RunJournal, header_record)
-        from repro.perf.manifest import new_run_id
+        from repro.perf.manifest import machine_fingerprint, new_run_id
         from repro.vec import resolve_backend
 
         options = self.options
@@ -427,7 +442,8 @@ class JobRunner:
             EXEC_KIND, run_id=run_id, experiment=meta.get("experiment"),
             argv=meta.get("argv"), seed=meta.get("seed"),
             resumed_from=meta.get("resumed_from"), git_sha=git_sha(),
-            workers=options.jobs, jobs=len(jobs),
+            machine=machine_fingerprint(), workers=options.jobs,
+            jobs=len(jobs),
             cache=self.cache is not None,
             settings={"backend": self._cell["backend"],
                       "sanitize": options.sanitize,
@@ -450,15 +466,15 @@ class JobRunner:
         ``self.stats`` accumulates across calls (an experiment like
         ``sensitivity`` submits several grids through one runner); build a
         fresh JobRunner for independent accounting.  Each call is its own
-        run: its own id, records and (with a root) journal and manifest.
+        run: its own id, records and (with a root) journal.
 
-        *resume* is a :class:`repro.durable.resume.RunState` (or anything with
-        ``completed``/``attempts`` keyed by cache key): journal-completed
-        cells are replayed from the cache without re-executing (a
-        ``replayed`` event plus FINISHED with ``cache="replay"``), and
-        re-run cells inherit their journaled attempt counts so the retry
-        budget spans the interrupted run and the resume.  A completed
-        cell whose cache entry was lost or quarantined silently re-runs.
+        *resume* is the :class:`repro.perf.RunRecord` of the run being
+        continued: its cells that finished ``ok`` are replayed from the
+        cache without re-executing (a ``replayed`` event plus FINISHED
+        with ``cache="replay"``), and re-run cells inherit their
+        journaled attempt counts so the retry budget spans the
+        interrupted run and the resume.  A finished cell whose cache
+        entry was lost or quarantined silently re-runs.
         """
         run_id = self._open_run(jobs)
         meta = self.options.run_meta or {}
@@ -475,8 +491,7 @@ class JobRunner:
         run_start = time.perf_counter()
         results: List[Optional[Dict[str, Any]]] = [None] * len(jobs)
         error: Optional[BaseException] = None
-        completed = getattr(resume, "completed", None) or {}
-        carried = dict(getattr(resume, "attempts", None) or {})
+        plan = resume.cells if resume is not None else {}
         try:
             with self._graceful_signals():
                 keys = [job.cache_key() for job in jobs]
@@ -497,7 +512,8 @@ class JobRunner:
                 for index, (job, key) in enumerate(zip(jobs, keys)):
                     self._emit(sink, QUEUED, job, key)
                     cached = self.cache.get(job) if self.cache else None
-                    if cached is not None and key in completed:
+                    done = plan.get(key) or {}
+                    if cached is not None and done.get("status") == "ok":
                         results[index] = cached
                         self._emit(sink, REPLAYED, job, key)
                         self._emit(sink, FINISHED, job, key, cached,
@@ -509,8 +525,8 @@ class JobRunner:
                                    cache="hit", wall=0.0)
                     else:
                         pending.append(index)
-                        if carried.get(key):
-                            attempts0[index] = int(carried[key])
+                        if done.get("attempts"):
+                            attempts0[index] = done["attempts"]
                 if probe_span is not None:
                     probe_span.set_attr("hits", len(jobs) - len(pending))
                     probe_span.set_attr("pending", len(pending))
@@ -534,9 +550,12 @@ class JobRunner:
 
     def _close_run(self, run_stats: RunTelemetry, wall: float,
                    error: Optional[BaseException]) -> None:
-        """End the run record: ``run_end`` with the run's counts, the
-        manifest folded from the in-memory records, then the span records
-        of a sampled run — and only then close the journal."""
+        """End the run record: ``run_end`` with the run's counts, then the
+        span records a sampled run still holds — and only then close the
+        journal.
+        A journal that a failed append disabled is rewritten whole from
+        the in-memory records, so the run still leaves a complete record
+        once there is room for it."""
         journal = self._journal
         run_stats.wall = wall
         if journal is not None:
@@ -548,52 +567,38 @@ class JobRunner:
                     "error": (f"{type(error).__name__}: {error}"
                               if error is not None else None),
                     "stats": run_stats.as_dict()})
-        if self.options.manifest_dir:
-            mspan = (self._tr.start_span("manifest.write",
-                                         parent=self._run_span)
-                     if self._tr is not None else None)
-            self._write_manifest()
-            if mspan is not None:
-                mspan.finish()
         if self._tr is not None:
             self._run_span.finish("error" if error is not None else None)
-            self._keep_spans()
+            self._keep_spans(final=True)
             self._tr = self._run_span = None
         if journal is not None:
             journal.close()
+            if journal.disabled:
+                journal.rewrite(self.records)
             run_stats.journal_errors = journal.errors
             if not journal.records_written:
                 self.last_journal = None
         self.stats.absorb(run_stats)
         self._journal = None
 
-    def _keep_spans(self) -> None:
-        """Keep a sampled run's spans, plus those its pool workers sent
-        back, as ``span`` records in one journal write."""
-        records = self._tr.records(time.time()) + self._pool_spans
+    def _keep_spans(self, final: bool = False) -> None:
+        """Keep the spans finished so far, plus those pool workers sent
+        back, as ``span`` records in one journal write.  Each job's spans
+        are kept as the job ends, so a killed traced run still has them;
+        the *final* call, at run end, keeps the rest (spans left open
+        as ``unfinished``)."""
+        now = time.time()
+        records = ((self._tr.records(now) if final
+                    else self._tr.take_finished(now)) + self._pool_spans)
         self._pool_spans = []
+        if not records:
+            return
         self.records.extend(records)
         if self._journal is not None:
             self._journal.extend(records)
         for sink in self._record_sinks:
             for record in records:
                 sink.record(record)
-
-    def _write_manifest(self) -> None:
-        """Cross-run observatory hook: fold the run's records into its
-        manifest.
-
-        Imported lazily so repro.exec keeps no hard dependency on
-        repro.perf; a manifest-write failure never masks the run itself.
-        """
-        from repro.perf.manifest import write_run_manifest
-
-        try:
-            self.last_manifest = write_run_manifest(
-                self.options.manifest_dir, self.records,
-                journal=self._journal)
-        except OSError:
-            self.last_manifest = None
 
     # -- serial path ---------------------------------------------------------
     def _run_serial(self, jobs, keys, pending, results, sink,
@@ -665,6 +670,7 @@ class JobRunner:
                     if jspan.end is None:
                         jspan.finish(
                             "error" if sys.exc_info()[0] else None)
+                    self._keep_spans()
 
     # -- parallel path -------------------------------------------------------
     @staticmethod
@@ -791,6 +797,8 @@ class JobRunner:
                                cache=cache_state,
                                **self._trace_extra(job),
                                **({"span": jspan.span_id} if jspan else {}))
+                    if jspan is not None:
+                        self._keep_spans()
             except BrokenProcessPool as exc:
                 # A worker died hard (OOM kill, crashed interpreter): the
                 # pool and every in-flight future are poisoned.  Tear the

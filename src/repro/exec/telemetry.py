@@ -79,6 +79,9 @@ class JobEvent:
     #: Path of the repro.obs event trace this job wrote (finished jobs
     #: executed under --trace-events only).
     trace: Optional[str] = None
+    #: SHA-256 of the ``*.metrics.json`` written beside that trace, which
+    #: ``harness compare`` checks digit-exact between runs.
+    metrics_digest: Optional[str] = None
     #: Simulation backend an executed bar job ran on ("interp" | "vec").
     #: None on cache hits and non-bar jobs.
     backend: Optional[str] = None

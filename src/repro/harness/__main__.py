@@ -15,13 +15,13 @@ Usage::
     python -m repro.harness profile [--top N] [--sort KEY] <command...>
     python -m repro.harness report (--trace-file PATH | --benchmark B
                                     --machine M [--label L])
-    python -m repro.harness compare RUN_A RUN_B [--json] [--trace-dir]
+    python -m repro.harness compare RUN_A RUN_B [--json]
     python -m repro.harness watch (RUN_ID | JOURNAL) [--follow]
     python -m repro.harness serve [--port P] [--shards N] ...
     python -m repro.harness resume RUN_ID [--jobs N] [--backend B]
     python -m repro.harness apps {miss_profile,prefetch_schedule,bypass,all}
-    python -m repro.harness explain (TRACE.events.jsonl | RUN_ID) [--json]
-    python -m repro.harness spans (JOURNAL | RUN_ID) [--check] [--json]
+    python -m repro.harness explain (TRACE.events.jsonl | RUN) [--json]
+    python -m repro.harness spans RUN [--check] [--json]
     python -m repro.harness bench replacement [--explain DIR]
 
 ``profile`` wraps any other invocation in cProfile and prints the top-N
@@ -57,7 +57,7 @@ Run settings travel one way: ``--backend``, ``--sanitize``,
 ``--trace-events`` and ``--trace-sample`` become fields of the engine's
 :class:`repro.exec.ExecOptions`, which hands them to every cell (pool
 workers included) as call arguments and records them as the run's
-``settings`` in its journal header and manifest.
+``settings`` in its journal header.
 
 ``--sanitize`` turns on the runtime invariant sanitizer
 (:mod:`repro.sanitize`): every simulated cell runs with live checks of
@@ -65,23 +65,22 @@ the cache tag stores, MSHR lifetimes and informing-trap semantics, and a
 violation fails that cell with a structured record instead of silently
 wrong bars.  Results are bit-exact with and without it.
 
-Cross-run observatory (see :mod:`repro.perf`): every engine-backed run
-writes ``results/runs/<run_id>/manifest.json`` (git sha, config digest,
-machine fingerprint, per-cell wall + simulated stats) unless
-``--no-manifest``; ``--manifest-dir DIR`` / ``REPRO_RUNS_DIR`` redirect
-the store.  ``compare`` diffs two manifests — simulated statistics are
-digit-exact (drift is a correctness alarm), wall times get bootstrap
-confidence intervals — or two ``BENCH_*.json`` snapshots, or two
-``--trace-dir`` obs artifact directories.
-
-The run record (see :mod:`repro.durable`): every engine-backed run
-appends a crc32-framed write-ahead journal
-(``results/runs/<run_id>/journal.jsonl``) recording each cell's
-start/finish/fail with its wall, backend and simulated stats, and prints
-``run journal: <path>`` as it starts; the manifest is folded from the
-same records.  ``watch <run_id>`` follows the journal live (per-job
-state, utilization, cache hits, throughput, ETA).  If a run is
-SIGKILLed mid-grid, ``resume <run_id>``
+The run record (see :mod:`repro.durable` and :mod:`repro.perf`): every
+engine-backed run appends a crc32-framed write-ahead journal,
+``results/runs/<run_id>/journal.jsonl``, unless ``--no-manifest``
+(``--manifest-dir DIR`` / ``REPRO_RUNS_DIR`` redirect the root).  It
+holds the run's provenance (git sha, machine fingerprint, settings) and
+each cell's start/finish/fail with its wall, backend and simulated
+stats; the run prints ``run journal: <path>`` as it starts, and writes
+no other file.  ``compare``, ``explain``, ``report``, ``spans``,
+``watch`` and ``resume`` take a run id, a run directory or a journal
+path (RUN above) and fold the journal on demand, so a killed run reads
+like a finished one.  ``compare`` diffs two runs — simulated statistics
+are digit-exact (drift is a correctness alarm), wall times get
+bootstrap confidence intervals — or two ``BENCH_*.json`` snapshots.
+``watch <run_id>`` follows the journal live (per-job state,
+utilization, cache hits, throughput, ETA).  If a run is SIGKILLed
+mid-grid, ``resume <run_id>``
 continues it exactly where it died — journal-completed cells replay from
 the result cache (never re-simulated), incomplete cells re-run with
 their attempt counts carried over and the run's own settings, and the
@@ -94,7 +93,7 @@ export — kept as ``span`` records in the run journal; results stay
 digit-exact.
 Analyze it afterwards with ``python -m repro.harness spans <run_id>``:
 span tree, critical path, per-name self time, p99 anomalies and a
-manifest wall cross-check (``--check`` makes it a CI assertion).
+cross-check of the cells' walls (``--check`` makes it a CI assertion).
 
 ``--trace-events DIR`` turns on the observability layer
 (:mod:`repro.obs`): every simulated cell (pool workers included)
@@ -281,10 +280,10 @@ def main(argv=None) -> int:
                                    "simulated cell and write per-cell "
                                    "event traces + metrics under DIR")
     engine_group.add_argument("--manifest-dir", default=None, metavar="DIR",
-                              help="root for cross-run manifests (default "
+                              help="root for run journals (default "
                                    "results/runs or REPRO_RUNS_DIR)")
     engine_group.add_argument("--no-manifest", action="store_true",
-                              help="do not write a run manifest")
+                              help="do not write a run journal")
     args = parser.parse_args(argv)
     sizes = _sizes(args.quick)
     if args.jobs < 1:
@@ -402,8 +401,6 @@ def main(argv=None) -> int:
 
     if engine is not None:
         print(engine.stats.summary())
-        if engine.last_manifest:
-            print(f"run manifest: {engine.last_manifest}")
     return 0
 
 
@@ -412,8 +409,8 @@ def profile_main(argv) -> int:
 
     Everything not recognised here is forwarded to :func:`main`, so any
     experiment and engine flag combination can be profiled.  Profiled runs
-    are forced to ``--no-manifest`` — their walls include profiler
-    overhead.  Use ``--jobs 1`` (the default) when profiling: worker
+    are forced to ``--no-manifest`` (no run journal) — their walls
+    include profiler overhead.  Use ``--jobs 1`` (the default) when profiling: worker
     subprocesses escape the profiler.
     """
     import cProfile

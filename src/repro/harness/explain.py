@@ -15,8 +15,10 @@ Two input forms::
     python -m repro.harness explain traces/compress_lab_N.events.jsonl
     python -m repro.harness explain <run_id> [--cell SUBSTR]
 
-The run-id form resolves a :mod:`repro.perf` manifest and analyzes every
-cell that recorded a trace path (runs made with ``--trace-events DIR``).
+The run form — a run id, run directory or ``journal.jsonl`` path —
+folds the run's journal (:class:`repro.perf.RunRecord`, so a killed run
+explains too) and analyzes every cell that recorded a trace path (runs
+made with ``--trace-events DIR``); any other file is read as a trace.
 ``--json`` emits the analysis dict instead of text.  Corrupt, empty or
 trace-less inputs exit 2 with a message on stderr — an explain that has
 nothing to explain must say so loudly.
@@ -252,37 +254,36 @@ def _load_trace(path: str) -> Tuple[Optional[List[Dict[str, Any]]],
     return events, None
 
 
-def _resolve_traces(ref: str, manifest_root: Optional[str],
+def _resolve_traces(ref: str, runs_root: Optional[str],
                     cell_filter: Optional[str]
                     ) -> Tuple[List[Tuple[str, str]], Optional[str]]:
     """Resolve *ref* to [(source_label, trace_path)]; or an error."""
-    from repro.perf.manifest import ManifestError, load_manifest
+    from repro.durable.journal import JOURNAL_NAME
+    from repro.perf.manifest import JournalError, RunRecord, journal_path_for
 
-    if os.path.isfile(ref) and not ref.endswith("manifest.json"):
+    if os.path.isfile(ref) and os.path.basename(ref) != JOURNAL_NAME:
         return [(ref, ref)], None
     try:
-        manifest = load_manifest(ref, root=manifest_root)
-    except ManifestError as exc:
-        if os.path.exists(ref):
-            return [], str(exc)
+        record = RunRecord.load(journal_path_for(ref, runs_root))
+    except JournalError as exc:
         return [], (f"{ref!r} is neither an events.jsonl file nor a "
-                    f"resolvable run id ({exc})")
-    except ValueError as exc:
-        return [], f"cannot parse {ref!r}: {exc}"
-    pairs = []
-    for cell in manifest.get("cells", []):
-        trace = cell.get("trace")
-        label = cell.get("label", "?")
-        if not trace:
-            continue
-        if cell_filter and cell_filter not in label:
-            continue
-        pairs.append((f"{manifest['run_id']} cell {label}", trace))
+                    f"readable run ({exc})")
+    run_id = record.run_id or ref
+    pairs = [(f"{run_id} cell {cell['label']}", cell["trace"])
+             for cell in record.cells.values()
+             if cell["trace"] and (not cell_filter
+                                   or cell_filter in cell["label"])]
     if not pairs:
         hint = (f" matching --cell {cell_filter!r}" if cell_filter else
                 " (was the run made with --trace-events DIR?)")
-        return [], (f"run {manifest['run_id']} has no cells with "
-                    f"recorded traces{hint}")
+        if record.distrusted:
+            hint += (f"; distrusted {record.distrusted} journal line(s)"
+                     + (f": {record.problem}" if record.problem else ""))
+        return [], f"run {run_id} has no cells with recorded traces{hint}"
+    if record.distrusted:
+        print(f"note: run {run_id}: distrusted {record.distrusted} journal "
+              f"line(s)" + (f": {record.problem}" if record.problem else ""),
+              file=sys.stderr)
     return pairs, None
 
 
@@ -293,13 +294,14 @@ def explain_main(argv=None) -> int:
                     "trace: reuse distances, dead blocks, set pressure, "
                     "trap accounting and a mechanism diagnosis.")
     parser.add_argument("ref",
-                        help="an *.events.jsonl trace file, or a run id "
-                             "/ manifest path from a --trace-events run")
+                        help="an *.events.jsonl trace file, or the run "
+                             "id, run directory or journal.jsonl of a "
+                             "--trace-events run")
     parser.add_argument("--cell", default=None, metavar="SUBSTR",
                         help="run-id mode: only cells whose label "
                              "contains SUBSTR")
     parser.add_argument("--manifest-dir", default=None, metavar="DIR",
-                        help="manifest root (default results/runs or "
+                        help="runs root (default results/runs or "
                              "REPRO_RUNS_DIR)")
     parser.add_argument("--json", action="store_true",
                         help="emit the analysis as JSON instead of text")

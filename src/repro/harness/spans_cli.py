@@ -2,24 +2,26 @@
 
 Reconstructs the span tree a traced run kept (:mod:`repro.trace`) — the
 ``span`` records of its journal — and
-answers the latency questions the manifest's aggregate walls cannot:
+answers the latency questions the run's aggregate walls cannot:
 what the *critical path* through the request was (the chain of spans
 that determined end-to-end latency, with each hop's exclusive
 contribution), where each span name's *self time* went once its
 children are subtracted, and which individual spans were anomalous
-against their peers (> p99 of same-named spans).  When the input is a
-run id, per-cell walls from the run manifest are cross-checked against
+against their peers (> p99 of same-named spans).  The per-cell walls
+the journal's ``job_finish`` records carry are cross-checked against
 the matching ``job`` spans — a disagreement means the tree is lying or
 the clock is.
 
-Two input forms, mirroring ``harness explain``::
+The input is a run id, run directory or journal path, as for
+``harness explain``::
 
     python -m repro.harness spans results/runs/<run_id>/journal.jsonl
     python -m repro.harness spans <run_id> [--manifest-dir DIR]
 
-Records are read through the journal's trusted-prefix reader: spans
-after a torn or flipped line are distrusted, and a journal with no
-intact span record exits 2.  A journal may hold several traces (a serve
+Records are read through the one fold of a run's journal
+(:class:`repro.perf.RunRecord`): spans after a torn or flipped line, or
+after a record of the wrong shape, are distrusted, and a journal with
+no intact span record exits 2.  A journal may hold several traces (a serve
 gateway appends every sampled cache hit to its
 ``serve_spans-<pid>-<start ms>.jsonl``);
 the largest trace is analyzed unless ``--trace-id`` picks one.  ``--check`` turns the analysis into a
@@ -36,11 +38,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.durable.journal import read_records
+from repro.perf.manifest import JournalError, RunRecord, journal_path_for
 from repro.trace.exporters import spans_to_chrome
 
 #: Minimum same-named spans before the p99 anomaly gate is applied.
@@ -51,36 +52,6 @@ def _duration(record: Dict[str, Any]) -> float:
     start = float(record.get("start", 0.0))
     end = float(record.get("end", start))
     return max(0.0, end - start)
-
-
-def resolve_spans(ref: str, manifest_root: Optional[str]
-                  ) -> Tuple[Optional[str], Optional[Dict[str, Any]],
-                             Optional[str]]:
-    """Resolve *ref* to (journal path, manifest-or-None) or an error.
-
-    A path to an existing file other than a ``manifest.json`` is read as
-    it is (a run journal, or a gateway's ``serve_spans-*.jsonl``);
-    otherwise *ref* is a run id, run directory or manifest path whose
-    run journal holds the spans and whose manifest, when one was
-    written, supplies the per-cell walls for the cross-check.
-    """
-    from repro.durable.resume import JournalError, journal_path_for
-    from repro.perf.manifest import ManifestError, load_manifest
-
-    is_manifest = os.path.basename(ref) == "manifest.json"
-    if os.path.isfile(ref) and not is_manifest:
-        return ref, None, None
-    try:
-        path = journal_path_for(
-            (os.path.dirname(ref) or os.curdir) if is_manifest else ref,
-            manifest_root)
-    except JournalError as exc:
-        return None, None, str(exc)
-    try:
-        manifest = load_manifest(ref, root=manifest_root)
-    except (ManifestError, ValueError):
-        manifest = None
-    return path, manifest, None
 
 
 def group_by_trace(records: List[Dict[str, Any]]
@@ -249,13 +220,13 @@ def find_anomalies(records: List[Dict[str, Any]],
     return anomalies
 
 
-def cross_check_manifest(manifest: Dict[str, Any], tree: Dict[str, Any]
-                         ) -> List[Dict[str, Any]]:
-    """Match manifest cell walls against their ``job`` spans.
+def cross_check_walls(run: RunRecord, tree: Dict[str, Any]
+                      ) -> List[Dict[str, Any]]:
+    """Match the run's cell walls against their ``job`` spans.
 
     A job span brackets the cell's execution (plus dispatch overhead),
-    so its duration must cover the manifest wall; a job span that is
-    missing or *shorter* than the cell's recorded wall is flagged.
+    so its duration must cover the cell's recorded wall; a job span
+    that is missing or *shorter* than that wall is flagged.
     """
     jobs_by_label: Dict[str, Dict[str, Any]] = {}
     for record in tree["by_id"].values():
@@ -264,11 +235,11 @@ def cross_check_manifest(manifest: Dict[str, Any], tree: Dict[str, Any]
             if label is not None and label not in jobs_by_label:
                 jobs_by_label[label] = record
     rows = []
-    for cell in manifest.get("cells", []):
-        wall = cell.get("wall")
-        if not isinstance(wall, (int, float)):
+    for cell in run.cells.values():
+        wall = cell["wall"]
+        if wall is None:
             continue
-        label = cell.get("label", "?")
+        label = cell["label"]
         span = jobs_by_label.get(label)
         span_wall = _duration(span) if span is not None else None
         # 50 ms of slack: the two walls come from clock reads on
@@ -283,7 +254,7 @@ def cross_check_manifest(manifest: Dict[str, Any], tree: Dict[str, Any]
 
 
 def analyze(records: List[Dict[str, Any]],
-            manifest: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+            run: Optional[RunRecord] = None) -> Dict[str, Any]:
     """Full analysis of one trace's span records."""
     tree = build_tree(records)
     pids = sorted({r.get("pid") for r in records if r.get("pid") is not None})
@@ -318,8 +289,8 @@ def analyze(records: List[Dict[str, Any]],
         },
         "anomalies": find_anomalies(records),
     }
-    if manifest is not None:
-        analysis["manifest_check"] = cross_check_manifest(manifest, tree)
+    if run is not None and run.cells:
+        analysis["manifest_check"] = cross_check_walls(run, tree)
     analysis["_tree"] = tree  # internal: render/check use it, JSON drops it
     return analysis
 
@@ -354,7 +325,8 @@ def _render_node(tree: Dict[str, Any], record: Dict[str, Any],
 
 
 def render_analysis(source: str, trace_id: str, analysis: Dict[str, Any],
-                    other_traces: int, bad_lines: int) -> str:
+                    other_traces: int, bad_lines: int,
+                    problem: Optional[str] = None) -> str:
     tree = analysis["_tree"]
     lines = [f"spans — {source}"]
     note = (f"  trace {trace_id}: {analysis['spans']} spans, "
@@ -365,6 +337,8 @@ def render_analysis(source: str, trace_id: str, analysis: Dict[str, Any],
     if bad_lines:
         lines.append(f"  note: distrusted {bad_lines} line(s) from the "
                      f"first bad frame on")
+    if problem:
+        lines.append(f"  note: {problem}")
     if analysis["unfinished"] or analysis["errors"]:
         lines.append(f"  note: {analysis['unfinished']} unfinished, "
                      f"{analysis['errors']} error span(s)")
@@ -456,10 +430,10 @@ def spans_main(argv=None) -> int:
                     "anomalies.")
     parser.add_argument("ref",
                         help="a run journal (or a serve_spans-*.jsonl), "
-                             "or the run id / run directory / manifest of "
-                             "a traced run")
+                             "or the run id / run directory of a traced "
+                             "run")
     parser.add_argument("--manifest-dir", default=None, metavar="DIR",
-                        help="manifest root (default results/runs or "
+                        help="runs root (default results/runs or "
                              "REPRO_RUNS_DIR)")
     parser.add_argument("--trace-id", default=None, metavar="HEX",
                         help="analyze this trace when the file holds "
@@ -487,16 +461,13 @@ def spans_main(argv=None) -> int:
                              "disagreement (default 0.5)")
     args = parser.parse_args(argv)
 
-    path, manifest, error = resolve_spans(args.ref, args.manifest_dir)
-    if error:
-        print(f"spans: {error}", file=sys.stderr)
-        return 2
     try:
-        records, bad, _ = read_records(path)
-    except OSError as exc:
-        print(f"spans: cannot read {path}: {exc}", file=sys.stderr)
+        path = journal_path_for(args.ref, args.manifest_dir)
+        run = RunRecord.load(path)
+    except JournalError as exc:
+        print(f"spans: {exc}", file=sys.stderr)
         return 2
-    records = [r for r in records if r.get("rec") == "span"]
+    records, bad = run.spans, run.distrusted
     if not records:
         print(f"spans: {path} holds no intact span records"
               + (f" ({bad} distrusted line(s))" if bad else "")
@@ -515,9 +486,9 @@ def spans_main(argv=None) -> int:
         trace_id = max(groups, key=lambda t: (len(groups[t]), t))
         selected = groups[trace_id]
 
-    analysis = analyze(selected, manifest=manifest)
+    analysis = analyze(selected, run=run)
     tree = analysis.pop("_tree")
-    source = path if manifest is None else f"{path} (run {manifest['run_id']})"
+    source = path if run.run_id is None else f"{path} (run {run.run_id})"
 
     if args.chrome:
         with open(args.chrome, "w") as fh:
@@ -530,7 +501,8 @@ def spans_main(argv=None) -> int:
     else:
         analysis["_tree"] = tree
         print(render_analysis(source, trace_id, analysis,
-                              other_traces=len(groups) - 1, bad_lines=bad))
+                              other_traces=len(groups) - 1, bad_lines=bad,
+                              problem=run.problem))
         analysis.pop("_tree")
         if args.chrome:
             print(f"chrome trace written to {args.chrome}")

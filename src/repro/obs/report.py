@@ -15,10 +15,10 @@ Usage::
     python -m repro.harness report --benchmark compress --machine ooo \
         --label S10 --quick
 
-The bare-argument form mirrors ``harness explain``: a run id (or
-manifest path) from a ``--trace-events DIR`` run resolves through its
-manifest and reports every cell that recorded a trace, ``--cell``
-narrowing by label substring.
+The bare-argument form mirrors ``harness explain``: a run id (or run
+directory, or ``journal.jsonl`` path) from a ``--trace-events DIR`` run
+resolves through the run's journal and reports every cell that
+recorded a trace, ``--cell`` narrowing by label substring.
 """
 
 from __future__ import annotations
@@ -209,16 +209,17 @@ def report_main(argv=None) -> int:
                     "trace file or a live single-cell run.")
     parser.add_argument("ref", nargs="?", default=None,
                         metavar="TRACE_OR_RUN_ID",
-                        help="an *.events.jsonl trace file, or a run id / "
-                             "manifest path from a --trace-events run "
-                             "(same resolution as 'harness explain')")
+                        help="an *.events.jsonl trace file, or the run "
+                             "id, run directory or journal.jsonl of a "
+                             "--trace-events run (same resolution as "
+                             "'harness explain')")
     parser.add_argument("--trace-file", default=None, metavar="PATH",
                         help="render from an existing *.events.jsonl trace")
     parser.add_argument("--cell", default=None, metavar="SUBSTR",
                         help="run-id mode: only cells whose label "
                              "contains SUBSTR")
     parser.add_argument("--manifest-dir", default=None, metavar="DIR",
-                        help="run-id mode: manifest root (default "
+                        help="run-id mode: runs root (default "
                              "results/runs or REPRO_RUNS_DIR)")
     parser.add_argument("--benchmark", default=None,
                         help="live mode: SPEC92 benchmark name")

@@ -1,15 +1,19 @@
 """``python -m repro.harness compare A B`` — diff two recorded runs.
 
-Three comparison modes, picked from what A and B actually are:
+Two comparison modes, picked from what A and B actually are:
 
-* **manifest mode** — A/B are run ids under ``results/runs`` (or run
-  directories, or ``manifest.json`` paths).  Simulated statistics are
-  compared **digit-exact**: the simulators are deterministic, so any
-  drift between equal-config runs is a correctness alarm, never noise.
-  Wall times get the opposite treatment — per-cell wall ratios are
-  resampled (bootstrap over the repeated cells) into a confidence
-  interval, and a delta whose CI straddles 1.0 is classified
-  ``no change`` rather than eyeballed.
+* **run mode** — A/B are run ids under ``results/runs`` (or run
+  directories, or ``journal.jsonl`` paths), each folded from its journal
+  by :class:`repro.perf.RunRecord`, so a killed run compares as well as
+  a finished one.  Over the cells that finished on both sides,
+  simulated statistics and (for ``--trace-events`` runs) the metrics
+  digests are compared **digit-exact**: the simulators are
+  deterministic, so any drift between equal-config runs is a
+  correctness alarm, never noise.  Cells unfinished, drained or failed
+  on either side are reported as notes.  Wall times get the opposite
+  treatment — per-cell wall ratios are resampled (bootstrap over the
+  repeated cells) into a confidence interval, and a delta whose CI
+  straddles 1.0 is classified ``no change`` rather than eyeballed.
 * **bench mode** — A/B are BENCH snapshot files (``BENCH_vec.json``,
   ``BENCH_serve.json``, or the hotpath records
   ``benchmarks/test_hotpath_micro.py`` writes); their
@@ -18,9 +22,6 @@ Three comparison modes, picked from what A and B actually are:
   something only when both sides were timed in one sitting: the
   perf-gate CI job records the merge base and the change alternately
   and compares their median timings this way.
-* **trace mode** (``--trace-dir``) — A/B are ``repro.obs`` artifact
-  directories; per-cell ``*.metrics.json`` payloads are compared
-  digit-exact.
 
 Exit status: 0 when nothing regressed (warnings included), 1 on any
 simulated-stat drift or a wall regression at/above ``--fail-above``,
@@ -34,14 +35,10 @@ import argparse
 import json
 import os
 import random
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.perf.manifest import (
-    MANIFEST_KIND,
-    ManifestError,
-    load_manifest,
-    resolve_manifest_path,
-)
+from repro.perf.manifest import JournalError, RunRecord, journal_path_for
 
 #: Default noise thresholds on wall-time ratios (B over A).
 DEFAULT_FAIL_ABOVE = 1.25
@@ -95,47 +92,50 @@ def classify_ratio(mean: float, lo: float, hi: float,
 
 # -- input resolution ---------------------------------------------------------
 
-def _load_side(ref: str, root: Optional[str]) -> Tuple[str, Dict[str, Any]]:
-    """Classify one positional as ('manifest'|'bench', payload)."""
-    if os.path.isfile(ref) and not ref.endswith(os.sep + "manifest.json") \
-            and os.path.basename(ref) != "manifest.json":
-        with open(ref) as fh:
+def _load_side(ref: str, root: Optional[str]) -> Tuple[str, Any]:
+    """Classify one positional as ('run', RunRecord) or ('bench', dict):
+    a file that parses as JSON is a BENCH snapshot, anything else a
+    run's journal."""
+    if os.path.isfile(ref):
+        with open(ref, "rb") as fh:
             try:
-                data = json.load(fh)
-            except ValueError as exc:
-                raise ManifestError(f"{ref} is not valid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ManifestError(f"{ref} is not a JSON object")
-        if data.get("kind") == MANIFEST_KIND:
-            return "manifest", load_manifest(ref, root)
-        for key, schema in _BENCH_SCHEMAS.items():
-            if key in data:
-                if data.get("schema") != schema:
-                    raise ManifestError(
-                        f"{ref} has bench schema {data.get('schema')!r}; "
-                        f"expected {schema} for a file with {key!r}")
-                return "bench", data
-        raise ManifestError(
-            f"{ref} is neither a run manifest nor a recognised BENCH file")
-    return "manifest", load_manifest(ref, root)
+                data = json.loads(fh.read())
+            except (ValueError, RecursionError):
+                data = None
+        if data is not None:
+            if not isinstance(data, dict):
+                raise JournalError(f"{ref} is not a JSON object")
+            for key, schema in _BENCH_SCHEMAS.items():
+                if key in data:
+                    if data.get("schema") != schema:
+                        raise JournalError(
+                            f"{ref} has bench schema "
+                            f"{data.get('schema')!r}; expected {schema} "
+                            f"for a file with {key!r}")
+                    return "bench", data
+            raise JournalError(
+                f"{ref} is neither a run journal nor a recognised BENCH "
+                f"file")
+    path = journal_path_for(ref, root)
+    return "run", RunRecord.load(path).require_grid()
 
 
-# -- manifest mode ------------------------------------------------------------
+# -- run mode -----------------------------------------------------------------
 
-def _cells_by_label(manifest: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    return {cell["label"]: cell for cell in manifest.get("cells", [])}
-
-
-def compare_manifests(a: Dict[str, Any], b: Dict[str, Any],
-                      fail_above: float = DEFAULT_FAIL_ABOVE,
-                      warn_above: float = DEFAULT_WARN_ABOVE,
-                      resamples: int = 2000, seed: int = 1234
-                      ) -> Dict[str, Any]:
-    """The manifest-mode report dict (see the module docstring)."""
-    cells_a, cells_b = _cells_by_label(a), _cells_by_label(b)
-    common = [label for label in cells_a if label in cells_b]
+def compare_runs(a: RunRecord, b: RunRecord,
+                 fail_above: float = DEFAULT_FAIL_ABOVE,
+                 warn_above: float = DEFAULT_WARN_ABOVE,
+                 resamples: int = 2000, seed: int = 1234) -> Dict[str, Any]:
+    """The run-mode report dict (see the module docstring)."""
+    cells_a = {cell["label"]: cell for cell in a.cells.values()}
+    cells_b = {cell["label"]: cell for cell in b.cells.values()}
     notes: List[str] = []
-    if a.get("config_digest") != b.get("config_digest"):
+    for side, run in (("A", a), ("B", b)):
+        if run.distrusted:
+            notes.append(f"{side}: distrusted {run.distrusted} journal "
+                         f"line(s)"
+                         + (f" ({run.problem})" if run.problem else ""))
+    if a.config_digest != b.config_digest:
         notes.append("config digests differ: the runs did not simulate "
                      "the same grid; stats compared for matching labels "
                      "only")
@@ -147,38 +147,59 @@ def compare_manifests(a: Dict[str, Any], b: Dict[str, Any],
     if only_b:
         notes.append(f"{len(only_b)} cell(s) only in B "
                      f"(e.g. {only_b[0]})")
+    shared = [label for label in cells_a if label in cells_b]
+    for side, cells in (("A", cells_a), ("B", cells_b)):
+        open_cells = [label for label in shared
+                      if cells[label]["status"] != "ok"]
+        if open_cells:
+            counts = Counter(cells[label]["status"] for label in open_cells)
+            notes.append(
+                f"{len(open_cells)} cell(s) not finished in {side} ("
+                + ", ".join(f"{n} {status}"
+                            for status, n in sorted(counts.items()))
+                + f"; e.g. {open_cells[0]}): not compared")
+    common = [label for label in shared
+              if cells_a[label]["status"] == cells_b[label]["status"]
+              == "ok"]
 
-    # Digit-exact simulated statistics: any difference is drift.
+    # Digit-exact simulated statistics and metrics digests, where both
+    # sides recorded them: any difference is drift.
     drift: List[Dict[str, Any]] = []
+    unrecorded = [label for label in common
+                  if (cells_a[label]["sim"] is None)
+                  != (cells_b[label]["sim"] is None)]
+    if unrecorded:
+        notes.append(f"{len(unrecorded)} cell(s) carry simulated stats "
+                     f"on one side only (e.g. {unrecorded[0]}): not "
+                     f"compared")
     for label in common:
-        sim_a = cells_a[label].get("sim")
-        sim_b = cells_b[label].get("sim")
-        if sim_a == sim_b:
-            continue
-        if sim_a is None or sim_b is None:
-            drift.append({"label": label, "field": "sim",
-                          "a": sim_a, "b": sim_b})
-            continue
-        for field in sorted(set(sim_a) | set(sim_b)):
-            if sim_a.get(field) != sim_b.get(field):
-                drift.append({"label": label, "field": field,
-                              "a": sim_a.get(field),
-                              "b": sim_b.get(field)})
+        cell_a, cell_b = cells_a[label], cells_b[label]
+        sim_a, sim_b = cell_a["sim"], cell_b["sim"]
+        if sim_a is not None and sim_b is not None:
+            for field in sorted(set(sim_a) | set(sim_b)):
+                if sim_a.get(field) != sim_b.get(field):
+                    drift.append({"label": label, "field": field,
+                                  "a": sim_a.get(field),
+                                  "b": sim_b.get(field)})
+        digests = (cell_a["metrics_digest"], cell_b["metrics_digest"])
+        if None not in digests and digests[0] != digests[1]:
+            drift.append({"label": label, "field": "metrics_digest",
+                          "a": digests[0], "b": digests[1]})
 
     # Noise-aware wall-time deltas over the executed (non-cache-hit)
-    # cells present in both runs.
+    # cells finished in both runs.
     ratios: List[float] = []
     by_benchmark: Dict[str, List[float]] = {}
     for label in common:
         cell_a, cell_b = cells_a[label], cells_b[label]
-        wall_a, wall_b = cell_a.get("wall"), cell_b.get("wall")
+        wall_a, wall_b = cell_a["wall"], cell_b["wall"]
         if not wall_a or not wall_b:
             continue
-        if cell_a.get("cache") == "hit" or cell_b.get("cache") == "hit":
+        if cell_a["cache"] == "hit" or cell_b["cache"] == "hit":
             continue
         ratio = wall_b / wall_a
         ratios.append(ratio)
-        by_benchmark.setdefault(cell_a.get("benchmark", "?"),
+        by_benchmark.setdefault(cell_a["benchmark"] or "?",
                                 []).append(ratio)
 
     def _summary(samples: List[float]) -> Optional[Dict[str, Any]]:
@@ -206,11 +227,11 @@ def compare_manifests(a: Dict[str, Any], b: Dict[str, Any],
     else:
         overall = "ok"
     return {
-        "mode": "manifest",
-        "a": {"run_id": a.get("run_id"), "git_sha": a.get("git_sha"),
-              "experiment": a.get("experiment")},
-        "b": {"run_id": b.get("run_id"), "git_sha": b.get("git_sha"),
-              "experiment": b.get("experiment")},
+        "mode": "run",
+        "a": {"run_id": a.run_id, "git_sha": a.head.get("git_sha"),
+              "experiment": a.head.get("experiment")},
+        "b": {"run_id": b.run_id, "git_sha": b.head.get("git_sha"),
+              "experiment": b.head.get("experiment")},
         "compared_cells": len(common),
         "sim_drift": drift,
         "wall": wall,
@@ -263,40 +284,6 @@ def compare_bench(a: Dict[str, Any], b: Dict[str, Any],
             "verdict": overall}
 
 
-# -- trace mode ---------------------------------------------------------------
-
-def compare_trace_dirs(dir_a: str, dir_b: str) -> Dict[str, Any]:
-    """Digit-exact diff of two repro.obs artifact directories."""
-    def _metrics(directory: str) -> Dict[str, Dict[str, Any]]:
-        out: Dict[str, Dict[str, Any]] = {}
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError as exc:
-            raise ManifestError(f"cannot list {directory}: {exc}")
-        for name in names:
-            if not name.endswith(".metrics.json"):
-                continue
-            with open(os.path.join(directory, name)) as fh:
-                out[name[:-len(".metrics.json")]] = json.load(fh)
-        return out
-
-    cells_a, cells_b = _metrics(dir_a), _metrics(dir_b)
-    notes = [f"{stem} present in only one directory; skipped"
-             for stem in sorted(set(cells_a) ^ set(cells_b))]
-    drift: List[Dict[str, Any]] = []
-    common = sorted(set(cells_a) & set(cells_b))
-    for stem in common:
-        for section in ("metrics", "conflict_heat", "mshr_timeline",
-                        "events"):
-            if cells_a[stem].get(section) != cells_b[stem].get(section):
-                drift.append({"label": stem, "field": section,
-                              "a": cells_a[stem].get(section),
-                              "b": cells_b[stem].get(section)})
-    return {"mode": "trace", "compared_cells": len(common),
-            "sim_drift": drift, "notes": notes,
-            "verdict": "sim drift" if drift else "ok"}
-
-
 # -- rendering ----------------------------------------------------------------
 
 def render_compare(report: Dict[str, Any], ref_a: str, ref_b: str) -> str:
@@ -346,15 +333,11 @@ def compare_main(argv=None) -> int:
                     "statistics, bootstrap-CI noise analysis on wall "
                     "times.")
     parser.add_argument("a", metavar="RUN_A",
-                        help="run id, run directory, manifest.json, or "
+                        help="run id, run directory, journal.jsonl, or "
                              "BENCH_*.json snapshot")
     parser.add_argument("b", metavar="RUN_B", help="same, the candidate")
-    parser.add_argument("--trace-dir", action="store_true",
-                        help="treat RUN_A/RUN_B as repro.obs artifact "
-                             "directories and diff their *.metrics.json "
-                             "digit-exact")
     parser.add_argument("--runs-root", default=None, metavar="DIR",
-                        help="manifest root for bare run ids (default "
+                        help="runs root for bare run ids (default "
                              "results/runs or REPRO_RUNS_DIR)")
     parser.add_argument("--fail-above", type=float,
                         default=DEFAULT_FAIL_ABOVE, metavar="R",
@@ -373,25 +356,22 @@ def compare_main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        if args.trace_dir:
-            report = compare_trace_dirs(args.a, args.b)
+        mode_a, data_a = _load_side(args.a, args.runs_root)
+        mode_b, data_b = _load_side(args.b, args.runs_root)
+        if mode_a != mode_b:
+            raise JournalError(
+                f"cannot compare a {mode_a} against a {mode_b}; pass "
+                f"two runs or two BENCH snapshots")
+        if mode_a == "bench":
+            report = compare_bench(data_a, data_b,
+                                   fail_above=args.fail_above,
+                                   warn_above=args.warn_above)
         else:
-            mode_a, data_a = _load_side(args.a, args.runs_root)
-            mode_b, data_b = _load_side(args.b, args.runs_root)
-            if mode_a != mode_b:
-                raise ManifestError(
-                    f"cannot compare a {mode_a} against a {mode_b}; pass "
-                    f"two manifests or two BENCH snapshots")
-            if mode_a == "bench":
-                report = compare_bench(data_a, data_b,
-                                       fail_above=args.fail_above,
-                                       warn_above=args.warn_above)
-            else:
-                report = compare_manifests(
-                    data_a, data_b, fail_above=args.fail_above,
-                    warn_above=args.warn_above, resamples=args.resamples,
-                    seed=args.bootstrap_seed)
-    except ManifestError as exc:
+            report = compare_runs(
+                data_a, data_b, fail_above=args.fail_above,
+                warn_above=args.warn_above, resamples=args.resamples,
+                seed=args.bootstrap_seed)
+    except JournalError as exc:
         print(f"compare: error: {exc}")
         return 2
 

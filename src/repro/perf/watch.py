@@ -12,9 +12,10 @@ never from the watcher's own clock, so replaying a recorded journal
 (the default when ``--follow`` is not given) produces the exact same
 panel every time — which is how the tests pin this code down.
 
-Records are read by the journal's own scanner: everything before the
-first bad frame is rendered, everything from it on is distrusted and
-counted.  A journal whose header declares an unknown schema, or a
+The panel is a view of the one fold of a run's records,
+:class:`repro.perf.RunRecord`: everything before the first bad frame or
+wrong-shaped record is rendered, everything from it on is distrusted
+and counted.  A journal whose header declares an unknown schema, or a
 replayed one with no intact record, is rejected with a clear error
 (exit 2); one whose header was lost is tolerated with a note.
 """
@@ -24,14 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.durable.journal import (
-    EXEC_KIND,
-    HEADER_RECORD,
-    JOURNAL_SCHEMA,
-    RecordScanner,
-)
+from repro.perf.manifest import JournalError, RunRecord, journal_path_for
 
 #: Job states, in lifecycle order.
 ST_QUEUED = "queued"
@@ -42,145 +38,44 @@ ST_CACHED = "cached"
 ST_REPLAYED = "replayed"
 ST_DRAINED = "drained"
 
-
-class WatchError(ValueError):
-    """The journal cannot be followed (unknown schema, unreadable file)."""
+_TERMINAL = (ST_DONE, ST_FAILED, ST_CACHED, ST_REPLAYED, ST_DRAINED)
 
 
-def _label(entry: Dict[str, Any]) -> Optional[str]:
-    """A ``run_start`` grid entry's job label (None if it won't parse)."""
-    from repro.exec.job import SimJob
+def _state(cell: Dict[str, Any]) -> str:
+    """A cell's panel state: the fold's status, with a finished cell
+    told apart by where its result came from."""
+    if cell["status"] != "ok":
+        return cell["status"]
+    return {"hit": ST_CACHED, "replay": ST_REPLAYED}.get(cell["cache"],
+                                                         ST_DONE)
 
-    try:
-        return SimJob.from_dict(entry["job"]).label
-    except (KeyError, TypeError, ValueError):
-        return None
 
-
-class JournalFollower:
-    """Incremental reducer of a run journal.
+class JournalFollower(RunRecord):
+    """The watch panel over an incrementally folded run record.
 
     Feed it text (complete lines or not — a partial trailing line is
     held until its newline arrives) and ask for :meth:`snapshot` /
     :meth:`render` at any point.
     """
 
-    def __init__(self) -> None:
-        self.header: Optional[Dict[str, Any]] = None
-        #: Sum of the header ``jobs`` counts, should several runs'
-        #: journals be fed to one follower.
-        self.header_jobs = 0
-        self.jobs: Dict[str, Dict[str, Any]] = {}
-        self.order: List[str] = []
-        self.retries = 0
-        self.pool_breaks = 0
-        #: True once a ``run_end`` record arrived: the run is over, even
-        #: if a failure left some of its jobs unfinished.
-        self.ended = False
-        self.first_ts: Optional[float] = None
-        self.last_ts: Optional[float] = None
-        self.last_label: Optional[str] = None
-        self._scanner = RecordScanner()
-
-    @property
-    def distrusted_lines(self) -> int:
-        return self._scanner.bad_lines
-
-    # -- ingestion -----------------------------------------------------------
-    def feed_text(self, text: str) -> None:
-        """Consume a chunk of the journal (any split is fine)."""
-        for record in self._scanner.feed(text):
-            self._apply(record)
-
-    def close(self) -> None:
-        """End of input: a trailing line without its newline is torn."""
-        for record in self._scanner.close():
-            self._apply(record)
-
-    def _job(self, key: str, label: Optional[str]) -> Dict[str, Any]:
-        job = self.jobs.get(key)
-        if job is None:
-            job = self.jobs[key] = {"label": label or key[:16],
-                                    "state": ST_QUEUED, "wall": None,
-                                    "attempts": 0, "error": None}
-            self.order.append(key)
-        return job
-
-    def _apply(self, record: Dict[str, Any]) -> None:
-        rec = record.get("rec")
-        if rec == HEADER_RECORD:
-            if record.get("kind") != EXEC_KIND:
-                raise WatchError(
-                    f"journal kind {record.get('kind')!r} is not an "
-                    f"engine run ({EXEC_KIND!r})")
-            schema = record.get("schema")
-            if schema != JOURNAL_SCHEMA:
-                raise WatchError(
-                    f"journal declares schema {schema!r}; this build "
-                    f"understands schema {JOURNAL_SCHEMA} — regenerate "
-                    f"the run or upgrade")
-            if self.header is None:
-                self.header = record
-            self.header_jobs += record.get("jobs") or 0
-            return
-        if rec == "span":
-            return  # spans land at run end, after the grid's timeline
-        ts = record.get("ts")
-        if isinstance(ts, (int, float)):
-            if self.first_ts is None:
-                self.first_ts = ts
-            self.last_ts = ts
-        if rec == "run_start":
-            for entry in record.get("jobs") or ():
-                if isinstance(entry, dict) and "key" in entry:
-                    self._job(entry["key"], _label(entry))
-            return
-        if rec == "run_end":
-            self.ended = True
-            return
-        key = record.get("key")
-        if key is None:
-            return
-        job = self._job(key, record.get("label"))
-        if rec == "job_start":
-            job["state"] = ST_RUNNING
-            job["attempts"] = max(job["attempts"], record.get("attempt", 0))
-        elif rec == "job_finish":
-            cache = record.get("cache")
-            job["state"] = (ST_CACHED if cache == "hit" else
-                            ST_REPLAYED if cache == "replay" else ST_DONE)
-            job["wall"] = record.get("wall")
-            self.last_label = job["label"]
-        elif rec == "job_fail":
-            job["state"] = ST_FAILED
-            job["error"] = record.get("error")
-            self.last_label = job["label"]
-        elif rec == "job_retry":
-            self.retries += 1
-        elif rec == "pool_broken":
-            self.pool_breaks += 1
-        elif rec == "job_drained":
-            job["state"] = ST_DRAINED
-            self.last_label = job["label"]
-
     # -- derived state -------------------------------------------------------
     def _count(self, state: str) -> int:
-        return sum(1 for job in self.jobs.values() if job["state"] == state)
+        return sum(1 for cell in self.cells.values()
+                   if _state(cell) == state)
 
     @property
     def total(self) -> int:
         if self.header_jobs:
-            return max(self.header_jobs, len(self.jobs))
-        return len(self.jobs)
+            return max(self.header_jobs, len(self.cells))
+        return len(self.cells)
 
     @property
     def complete(self) -> bool:
         """Every known job reached a terminal state (and any job exists)."""
-        if not self.jobs or len(self.jobs) < self.total:
+        if not self.cells or len(self.cells) < self.total:
             return False
-        return all(job["state"] in (ST_DONE, ST_FAILED, ST_CACHED,
-                                    ST_REPLAYED, ST_DRAINED)
-                   for job in self.jobs.values())
+        return all(_state(cell) in _TERMINAL
+                   for cell in self.cells.values())
 
     def snapshot(self) -> Dict[str, Any]:
         """The panel's numbers, derived purely from stream timestamps."""
@@ -195,13 +90,13 @@ class JournalFollower:
         # them in would claim a resumed grid simulates faster than it
         # does.
         finished = done + cached + replayed
-        lookups = len(self.jobs)
-        walls = [job["wall"] for job in self.jobs.values()
-                 if job["state"] == ST_DONE and job["wall"]]
+        lookups = len(self.cells)
+        walls = [cell["wall"] for cell in self.cells.values()
+                 if _state(cell) == ST_DONE and cell["wall"]]
         elapsed = ((self.last_ts - self.first_ts)
                    if self.first_ts is not None and self.last_ts is not None
                    else 0.0)
-        workers = (self.header or {}).get("workers") or 1
+        workers = self.head.get("workers") or 1
         mean_wall = sum(walls) / len(walls) if walls else 0.0
         remaining = max(self.total - finished - failed, 0)
         eta = (remaining * mean_wall / workers) if mean_wall else None
@@ -209,9 +104,9 @@ class JournalFollower:
         utilization = (min(sum(walls) / (elapsed * workers), 1.0)
                        if elapsed > 0 and walls else None)
         return {
-            "schema": (self.header or {}).get("schema"),
-            "git_sha": (self.header or {}).get("git_sha"),
-            "experiment": (self.header or {}).get("experiment"),
+            "schema": self.head.get("schema"),
+            "git_sha": self.head.get("git_sha"),
+            "experiment": self.head.get("experiment"),
             "workers": workers,
             "total": self.total,
             "queued": self._count(ST_QUEUED),
@@ -223,7 +118,7 @@ class JournalFollower:
             "drained": self._count(ST_DRAINED),
             "retries": self.retries,
             "pool_breaks": self.pool_breaks,
-            "distrusted_lines": self.distrusted_lines,
+            "distrusted_lines": self.distrusted,
             "cache_hit_ratio": (cached / lookups) if lookups else 0.0,
             "elapsed": round(elapsed, 4),
             "mean_wall": round(mean_wall, 4),
@@ -271,6 +166,8 @@ class JournalFollower:
         if snap["distrusted_lines"]:
             head.append(f"  note: distrusted {snap['distrusted_lines']} "
                         f"line(s) from the first bad frame on")
+        if self.problem:
+            head.append(f"  note: {self.problem}")
         finished = snap["done"] + snap["cached"] + snap["replayed"]
         head.append(
             f"  state       {finished} finished "
@@ -299,44 +196,38 @@ class JournalFollower:
         head.append("  status      " + ", ".join(extras))
         if jobs_detail:
             head.append("  jobs:")
-            for key in self.order[:jobs_detail]:
-                job = self.jobs[key]
-                wall = (f" {job['wall']:.3f}s" if job["wall"] else "")
-                err = f" ({job['error']})" if job["error"] else ""
-                head.append(f"    {job['state']:<8} {job['label']}"
+            for cell in list(self.cells.values())[:jobs_detail]:
+                wall = (f" {cell['wall']:.3f}s" if cell["wall"] else "")
+                err = f" ({cell['error']})" if cell["error"] else ""
+                head.append(f"    {_state(cell):<8} {cell['label']}"
                             f"{wall}{err}")
-            hidden = len(self.order) - jobs_detail
+            hidden = len(self.cells) - jobs_detail
             if hidden > 0:
                 head.append(f"    ... and {hidden} more")
         return "\n".join(head)
 
 
 def replay(path: str) -> JournalFollower:
-    """Reduce an entire recorded journal; deterministic for a given file."""
-    follower = JournalFollower()
-    try:
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            follower.feed_text(fh.read())
-    except OSError as exc:
-        raise WatchError(f"cannot read {path}: {exc}")
-    follower.close()
-    if not follower._scanner.records:
-        raise WatchError(f"{path} has no intact record (distrusted "
-                         f"{follower.distrusted_lines} line(s))")
+    """Fold an entire recorded journal; deterministic for a given file."""
+    follower = JournalFollower.load(path)
+    if not follower.intact:
+        raise JournalError(f"{path} has no intact record (distrusted "
+                           f"{follower.distrusted} line(s))")
     return follower
 
 
 def follow(path: str, interval: float = 0.5,
            timeout: Optional[float] = None, stream=None,
            _sleep=time.sleep) -> JournalFollower:
-    """Tail *path* until the run ends (or *timeout* seconds pass)."""
+    """Tail *path* until the run ends, its trusted prefix ends, or
+    *timeout* seconds pass."""
     out = stream if stream is not None else sys.stderr
-    follower = JournalFollower()
+    follower = JournalFollower(path)
     deadline = (time.monotonic() + timeout) if timeout else None
     try:
         fh = open(path, encoding="utf-8", errors="replace")
     except OSError as exc:
-        raise WatchError(f"cannot read {path}: {exc}")
+        raise JournalError(f"cannot read {path}: {exc}")
     with fh:
         while True:
             chunk = fh.read()
@@ -344,7 +235,10 @@ def follow(path: str, interval: float = 0.5,
                 follower.feed_text(chunk)
             out.write(f"\r{follower.status_line():<78}")
             out.flush()
-            if follower.complete or follower.ended:
+            # Once a line is distrusted the trusted prefix has ended: no
+            # later record can move the panel, so there is nothing left
+            # to wait for.
+            if follower.complete or follower.ended or follower.distrusted:
                 break
             if deadline is not None and time.monotonic() >= deadline:
                 break
@@ -354,8 +248,6 @@ def follow(path: str, interval: float = 0.5,
 
 
 def watch_main(argv=None) -> int:
-    from repro.durable.resume import JournalError, journal_path_for
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness watch",
         description="Follow an engine run's journal: per-job state, "
@@ -381,7 +273,7 @@ def watch_main(argv=None) -> int:
                               timeout=args.timeout)
         else:
             follower = replay(path)
-    except (JournalError, WatchError) as exc:
+    except JournalError as exc:
         print(f"watch: error: {exc}")
         return 2
     print(follower.render(jobs_detail=args.jobs_detail))

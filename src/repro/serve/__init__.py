@@ -11,7 +11,8 @@ and graceful drain on SIGTERM (:mod:`~repro.serve.gateway`,
 A served result is byte-identical to the same cell run through
 ``python -m repro.harness`` — specs build jobs through the exact CLI
 constructors, so HTTP and CLI invocations share one cache key, and the
-run-manifest config digest proves the equivalence.
+config digest of each run's record (``GET /runs/<id>``) proves the
+equivalence.
 
 ``python -m repro.serve`` runs the server;
 :class:`repro.serve.client.ServeClient` is the blocking client used by

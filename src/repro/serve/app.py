@@ -5,7 +5,7 @@ Routes::
     POST /v1/jobs          submit a job spec; JSON response
     GET  /healthz          liveness/readiness (503 while draining)
     GET  /metrics          OpenMetrics exposition of the serve registry
-    GET  /runs/<id>        one served run's manifest.json
+    GET  /runs/<id>        one served run's record, folded from its journal
 
 Each client connection is one :class:`Connection` (an
 ``asyncio.Protocol``) that parses requests out of its own buffer with
@@ -307,10 +307,12 @@ class App:
         return request.keep_alive
 
     def handle_run(self, request: Request, writer, run_id: str) -> bool:
-        """``<manifest_dir>/<run_id>/manifest.json``, for a *run_id* that
-        is one path component other than ``.`` and ``..``; no other file
-        is read."""
-        from repro.perf.manifest import ManifestError, read_manifest
+        """The record of the run *run_id* under ``manifest_dir``, folded
+        from its journal: *run_id* must be one path component other than
+        ``.`` and ``..`` and name the run the journal's header names, so
+        no file outside the root answers."""
+        from repro.perf.manifest import (JournalError, RunRecord,
+                                         journal_path_for)
 
         root = self.gateway.options.manifest_dir
         if root is None:
@@ -319,14 +321,17 @@ class App:
             return request.keep_alive
         try:
             if run_id in ("", ".", "..") or os.path.basename(run_id) != run_id:
-                raise ManifestError(f"{run_id!r} is not a run id")
-            manifest = read_manifest(os.path.join(root, run_id,
-                                                  "manifest.json"))
-        except ManifestError as exc:
+                raise JournalError(f"{run_id!r} is not a run id")
+            run = RunRecord.load(journal_path_for(
+                os.path.join(root, run_id), root))
+            if run.run_id != run_id:
+                raise JournalError(f"no run {run_id!r} under the runs root")
+        except JournalError as exc:
             json_response(writer, 404, {"error": "run_not_found",
                                         "run": run_id,
                                         "message": str(exc)},
                           keep_alive=request.keep_alive)
             return request.keep_alive
-        json_response(writer, 200, manifest, keep_alive=request.keep_alive)
+        json_response(writer, 200, run.as_dict(),
+                      keep_alive=request.keep_alive)
         return request.keep_alive

@@ -12,7 +12,7 @@
           "label": "S10"}'
 
 The process runs until SIGTERM/SIGINT, then drains gracefully: the
-listener closes, in-flight jobs finish and flush their manifests, new
+listener closes, in-flight jobs finish and close their run journals, new
 submissions get a structured 503, and the process exits 0.  A second
 signal aborts the drain.  ``--port 0`` binds an ephemeral port (printed
 on stdout and to ``--ready-file``), which is how the tests and the CI
@@ -53,9 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cache size cap (K/M/G suffix ok); evicts "
                              "oldest entries under service traffic")
     parser.add_argument("--manifest-dir", default=None,
-                        help="write a repro.perf run manifest per served "
-                             "execution under this root (enables "
-                             "/runs/<id>)")
+                        help="keep each served execution's run journal "
+                             "under this root (enables /runs/<id>)")
     parser.add_argument("--job-timeout", type=float, default=None,
                         help="per-job wall-clock limit in seconds")
     parser.add_argument("--journal", default=None, metavar="PATH",

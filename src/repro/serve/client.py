@@ -99,7 +99,7 @@ class ServeClient:
     def healthz(self) -> Tuple[int, Dict[str, Any]]:
         return self.json("GET", "/healthz")
 
-    def run_manifest(self, run_id: str) -> Tuple[int, Dict[str, Any]]:
+    def run_record(self, run_id: str) -> Tuple[int, Dict[str, Any]]:
         return self.json("GET", f"/runs/{run_id}")
 
     def metrics_text(self) -> Tuple[int, str]:

@@ -13,15 +13,16 @@ awaited tail, which only a miss reaches::
                -> content-addressed cache probe       (hit: remember, answer)
   tail:        -> in-flight coalescing on the key     (dup: join the run)
                -> bounded admission queue             (full: 503)
-               -> worker shard -> JobRunner -> result + run manifest
+               -> worker shard -> JobRunner -> result + run journal
                                                       (remember on finish)
 
 Worker shards are asyncio tasks that hand admitted tickets to a
 ``ThreadPoolExecutor`` (one thread per shard) where a per-request
 :class:`~repro.exec.JobRunner` executes the cell inline — the same
-engine, cache and manifest machinery a CLI run uses, so a served result
-is byte-identical to ``python -m repro.harness`` running the same cell
-(the manifest config digest is the proof).  Every run uses the backend
+engine, cache and run journal a CLI run uses, so a served result is
+byte-identical to ``python -m repro.harness`` running the same cell
+(the config digest of the run's record, ``GET /runs/<id>``, is the
+proof).  Every run uses the backend
 resolved once at boot: ``vec``, the flat kernels, unless
 ``REPRO_BACKEND`` names another (the backends are digit-exact).
 
@@ -134,7 +135,7 @@ class ServeOptions:
     queue_limit: int = 64           # bounded admission queue depth
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
-    manifest_dir: Optional[str] = None  # per-served-run manifests; None off
+    manifest_dir: Optional[str] = None  # per-served-run journals; None off
     job_timeout: Optional[float] = None
     drain_grace: float = 30.0       # seconds to wait for in-flight on drain
     #: Service write-ahead journal (repro.durable): every accepted job is
@@ -182,13 +183,6 @@ class Pending(NamedTuple):
     tracer: Any
     root: Any
     t0: float
-
-
-def run_id_of(manifest_path: Optional[str]) -> Optional[str]:
-    """``.../<run_id>/manifest.json`` -> ``<run_id>``."""
-    if not manifest_path:
-        return None
-    return os.path.basename(os.path.dirname(manifest_path))
 
 
 def _swallow_outcome(future: "asyncio.Future") -> None:
@@ -440,7 +434,7 @@ class Gateway:
         counted or admitted.
 
         The outcome dict is ``{"result": <engine result>, "meta": {...}}``
-        with meta carrying cache state, run id/manifest/journal and wall
+        with meta carrying cache state, run id/journal and wall
         time.  An untraced hit on a body returns that dict's JSON
         encoding instead (:func:`~repro.serve.http.json_body` bytes),
         kept with the settled result so it is encoded once.
@@ -642,7 +636,7 @@ class Gateway:
         """Shard-thread body: one JobRunner run for one ticket.
 
         A fresh runner per request keeps per-run accounting (and the run
-        manifest) isolated while sharing the gateway's result cache, so
+        journal) isolated while sharing the gateway's result cache, so
         concurrent shards never fight over scheduler state.
         """
         tracer = ticket.tracer
@@ -683,8 +677,8 @@ class Gateway:
                 "meta": {"key": ticket.key[:16], "label": ticket.job.label,
                          "cache": "miss", "coalesced": False,
                          "shard": shard,
-                         "run_id": run_id_of(runner.last_manifest),
-                         "manifest": runner.last_manifest,
+                         "run_id": (runner.last_run_id
+                                    if runner.last_journal else None),
                          "journal": runner.last_journal,
                          "spans": None,
                          "wall": round(wall, 6)}}
@@ -716,7 +710,6 @@ class Gateway:
         observability/durability subsystems)."""
         from repro.durable.journal import JOURNAL_SCHEMA
         from repro.exec.job import SCHEMA_VERSION
-        from repro.perf.manifest import MANIFEST_SCHEMA
 
         return {
             "status": "draining" if self.draining else "ok",
@@ -729,7 +722,6 @@ class Gateway:
             "backend": self.backend,
             "schemas": {
                 "job": SCHEMA_VERSION,
-                "manifest": MANIFEST_SCHEMA,
                 "journal": JOURNAL_SCHEMA,
             },
             "subsystems": {

@@ -161,6 +161,15 @@ class Tracer:
         with self._lock:
             return list(self._spans)
 
+    def take_finished(self, ts: float) -> List[Dict[str, Any]]:
+        """The spans finished so far as ``span`` run records stamped
+        *ts*.  They leave this tracer, so a later take or
+        :meth:`records` returns each span once."""
+        with self._lock:
+            done = [span for span in self._spans if span.end is not None]
+            self._spans = [span for span in self._spans if span.end is None]
+        return [dict(span.to_record(), ts=ts) for span in done]
+
     def records(self, ts: float) -> List[Dict[str, Any]]:
         """Every span as a ``span`` run record stamped *ts*.  Spans a
         crash or rejection path left open close first, as

@@ -1,7 +1,6 @@
 """Graceful shutdown: request_drain, DRAINED telemetry, signals,
 manifest status."""
 
-import json
 import os
 import signal
 import subprocess
@@ -18,6 +17,7 @@ from repro.exec import (
     JobRunner,
     SimJob,
 )
+from repro.perf import RunRecord
 
 
 def echo_execute(job):
@@ -77,11 +77,9 @@ class TestSerialDrain:
 
         runner.execute = draining_execute
         runner.run([make_job("a"), make_job("b")])
-        assert runner.last_manifest is not None
-        with open(runner.last_manifest) as fh:
-            manifest = json.load(fh)
-        assert manifest["status"] == "drained"
-        states = {c["label"]: c["status"] for c in manifest["cells"]}
+        run = RunRecord.load(runner.last_journal)
+        assert run.status == "drained"
+        states = {c["label"]: c["status"] for c in run.cells.values()}
         assert sorted(states.values()) == ["drained", "ok"]
 
 

@@ -297,7 +297,7 @@ class TestAtomicWrite:
         """No tmp droppings, and the target parses, after a write."""
         from repro.exec import atomic_write_json
 
-        path = tmp_path / "manifest.json"
+        path = tmp_path / "snapshot.json"
         atomic_write_json(path, {"schema": 1})
         atomic_write_json(path, {"schema": 2})
         leftovers = [p.name for p in tmp_path.iterdir()

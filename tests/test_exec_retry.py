@@ -107,8 +107,8 @@ class TestBudgetCapsTotalAttempts:
         attempts already spent in a prior (journaled) run count against
         the budget, so a resume grants one more try here, not three."""
         job = scratch_job(tmp_path / "j")
-        prior = SimpleNamespace(completed={},
-                                attempts={job.cache_key(): 2})
+        prior = SimpleNamespace(cells={job.cache_key(): {
+            "status": "running", "attempts": 2}})
         runner = JobRunner(options(jobs=jobs_opt, retries=2),
                            execute=counting_transient)
         with pytest.raises(JobFailedError, match="after 3 attempt"):

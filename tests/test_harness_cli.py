@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.harness.__main__ import main
+from repro.perf import RunRecord
 
 
 class TestCLITables:
@@ -136,13 +137,13 @@ class TestCLIEngineFlags:
         monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
         assert main(self.F2 + ["--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "run manifest:" in out
-        manifests = list(runs.glob("*/manifest.json"))
-        assert len(manifests) == 1
-        manifest = json.loads(manifests[0].read_text())
-        assert manifest["experiment"] == "figure2"
-        assert manifest["argv"][0] == "figure2"
-        assert len(manifest["cells"]) == 10
+        assert "run journal:" in out
+        [run_dir] = runs.iterdir()
+        assert [p.name for p in run_dir.iterdir()] == ["journal.jsonl"]
+        run = RunRecord.load(str(run_dir / "journal.jsonl"))
+        assert run.head["experiment"] == "figure2"
+        assert run.head["argv"][0] == "figure2"
+        assert len(run.cells) == 10
 
     def test_no_manifest_flag_suppresses_write(self, capsys, tmp_path,
                                                monkeypatch):
@@ -150,7 +151,7 @@ class TestCLIEngineFlags:
         monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
         assert main(self.F2 + ["--no-cache", "--no-manifest"]) == 0
         out = capsys.readouterr().out
-        assert "run manifest:" not in out
+        assert "run journal:" not in out
         assert not runs.exists()
 
     def test_bench_flags_are_gone(self, capsys, tmp_path, monkeypatch):

@@ -240,14 +240,13 @@ class TestEndToEnd:
 
 
 def damaged_manifest(tmp_path):
-    """A run manifest whose ``cells`` is a string; returns its path."""
-    from tests.test_perf_compare import make_manifest
+    """A run journal whose ``run_start`` grid is a string, framed with a
+    valid crc; returns its path."""
+    from tests.test_perf_compare import run_records, write_run
 
-    manifest = make_manifest([0.5])
-    manifest["cells"] = "damaged"
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    return str(path)
+    records = run_records([0.5])
+    records[1]["jobs"] = "damaged"
+    return write_run(tmp_path, "damaged", records)
 
 
 class TestCli:
@@ -293,7 +292,10 @@ class TestCli:
     def test_manifest_with_string_cells_exits_2(self, tmp_path, capsys):
         path = damaged_manifest(tmp_path)
         assert explain_main([path]) == 2
-        assert "'cells' is not a list of objects" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "has no cells with recorded traces" in err
+        assert "distrusted 3 journal line(s)" in err
+        assert f"{path}:2: run_start.jobs is not a list" in err
 
     def test_unresolvable_ref_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
@@ -307,7 +309,7 @@ class TestCli:
                                        manifest_dir=str(tmp_path)))
         runner.run([SimJob.bar(benchmark="compress", machine="inorder",
                                label="N", instructions=300, warmup=100)])
-        run_id = runner.last_manifest.split("/")[-2]
-        code = explain_main([run_id, "--manifest-dir", str(tmp_path)])
+        code = explain_main([runner.last_run_id,
+                             "--manifest-dir", str(tmp_path)])
         assert code == 2
         assert "--trace-events" in capsys.readouterr().err

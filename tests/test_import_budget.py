@@ -65,9 +65,24 @@ def test_harness_cli_loads_coherence_only_to_run_it():
     assert sorted(loaded & unwanted) == []
 
 
-def test_compare_loads_no_engine():
-    """A reader of run manifests loads no engine, tracer or simulator."""
-    loaded = loaded_after("import repro.perf.compare")
+def test_compare_loads_no_engine(tmp_path):
+    """Folding two real run journals through ``compare`` loads no
+    engine, tracer or simulator."""
+    from repro.exec import ExecOptions, JobRunner, SimJob
+
+    journals = []
+    for _ in range(2):
+        runner = JobRunner(ExecOptions(cache=False, journal_fsync="off",
+                                       manifest_dir=str(tmp_path)))
+        runner.run([SimJob.bar("compress", "inorder", "N", 300, 100)])
+        journals.append(runner.last_journal)
+    loaded = loaded_after(
+        "from repro.perf.compare import compare_main\n"
+        f"assert compare_main({journals!r}) == 0\n")
     assert "repro.perf.manifest" in loaded
-    unwanted = {"repro.exec.engine", "repro.exec.telemetry", "repro.trace"}
+    unwanted = {"repro.exec", "repro.exec.engine", "repro.exec.telemetry",
+                "repro.trace", "repro.harness", "repro.core",
+                "repro.memory", "repro.pipeline", "repro.isa",
+                "repro.workloads", "repro.ooo", "repro.inorder",
+                "repro.vec", "repro.sim"}
     assert sorted(loaded & unwanted) == []

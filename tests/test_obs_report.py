@@ -209,8 +209,10 @@ class TestReportCLI:
     def test_manifest_with_string_cells_exits_2(self, tmp_path, capsys):
         from tests.test_harness_explain import damaged_manifest
 
-        assert report_main([damaged_manifest(tmp_path)]) == 2
-        assert "'cells' is not a list of objects" in capsys.readouterr().err
+        path = damaged_manifest(tmp_path)
+        assert report_main([path]) == 2
+        assert (f"{path}:2: run_start.jobs is not a list"
+                in capsys.readouterr().err)
 
     def test_trace_file_mode_with_chrome_export(self, tmp_path, capsys):
         path = self._trace_file(tmp_path)

@@ -2,45 +2,65 @@
 
 import json
 
+import pytest
+
+from repro.durable import frame, header_record
+from repro.exec import SimJob
+from repro.perf import RunRecord
 from repro.perf.compare import (
     bootstrap_ci,
     classify_ratio,
     compare_bench,
     compare_main,
-    compare_manifests,
-    compare_trace_dirs,
+    compare_runs,
 )
-from repro.perf.manifest import MANIFEST_KIND, MANIFEST_SCHEMA
 
 
-def make_manifest(walls, sims=None, run_id="run", benchmark="compress",
-                  config_digest="cfg"):
-    """A minimal but schema-valid manifest with controlled cells."""
-    cells = []
-    for index, wall in enumerate(walls):
-        sim = (sims[index] if sims is not None
-               else {"cycles": 100 + index})
-        cells.append({
-            "label": f"{benchmark}/ooo/S{index}",
-            "key": f"k{index:015d}",
-            "kind": "bar",
-            "benchmark": benchmark,
-            "machine": "ooo",
-            "status": "ok",
-            "cache": "miss",
-            "wall": wall,
-            "attempts": 0,
-            "sim": sim,
-            "metrics_digest": None,
-        })
-    return {
-        "kind": MANIFEST_KIND, "schema": MANIFEST_SCHEMA,
-        "run_id": run_id, "experiment": "figure2", "argv": None,
-        "seed": 0, "git_sha": None, "written": 0.0, "machine": {},
-        "config_digest": config_digest, "workers": 1,
-        "cache_enabled": False, "telemetry_path": None, "status": "ok",
-        "error": None, "stats": {}, "cells": cells,
-    }
+def run_records(walls, sims=None, run_id="run", benchmark="compress",
+                key="k", digests=None):
+    """The journal records of a finished run with controlled cells."""
+    keys = [f"{key}{index:015d}" for index in range(len(walls))]
+    jobs = [SimJob.bar(benchmark=benchmark, machine="ooo",
+                       label=f"S{index}", instructions=1, warmup=0)
+            for index in range(len(walls))]
+    records = [header_record("exec_run", run_id=run_id,
+                             experiment="figure2", seed=0, workers=1,
+                             jobs=len(walls), ts=0.0),
+               {"rec": "run_start", "ts": 0.0,
+                "jobs": [{"key": k, "job": job.to_dict()}
+                         for k, job in zip(keys, jobs)]}]
+    for index, (k, job, wall) in enumerate(zip(keys, jobs, walls)):
+        finish = {"rec": "job_finish", "key": k, "label": job.label,
+                  "ts": 1.0, "attempt": 0, "wall": wall, "cache": "miss",
+                  "sim": (sims[index] if sims is not None
+                          else {"cycles": 100 + index})}
+        if digests is not None:
+            finish["metrics_digest"] = digests[index]
+        records.append(finish)
+    records.append({"rec": "run_end", "ts": 2.0, "status": "ok",
+                    "stats": {}})
+    return records
+
+
+def fold(records):
+    run = RunRecord()
+    run.feed_text("".join(frame(record) for record in records))
+    run.close()
+    return run
+
+
+def make_run(walls, **fields):
+    """A folded, finished run with controlled cells."""
+    return fold(run_records(walls, **fields))
+
+
+def write_run(root, run_id, records):
+    """Write *records* as ``<root>/<run_id>/journal.jsonl``."""
+    directory = root / run_id
+    directory.mkdir(parents=True)
+    path = directory / "journal.jsonl"
+    path.write_text("".join(frame(record) for record in records))
+    return str(path)
 
 
 class TestBootstrap:
@@ -65,51 +85,57 @@ class TestBootstrap:
 
 class TestManifestMode:
     def test_identical_runs_are_digit_exact_no_change(self):
-        a = make_manifest([0.5, 0.5, 0.5, 0.5], run_id="a")
-        b = make_manifest([0.51, 0.49, 0.5, 0.505], run_id="b")
-        report = compare_manifests(a, b)
+        a = make_run([0.5, 0.5, 0.5, 0.5], run_id="a")
+        b = make_run([0.51, 0.49, 0.5, 0.505], run_id="b")
+        report = compare_runs(a, b)
         assert report["sim_drift"] == []
         assert report["compared_cells"] == 4
         assert report["wall"]["overall"]["verdict"] == "no change"
         assert report["verdict"] == "ok"
 
     def test_sim_drift_is_a_correctness_alarm(self):
-        a = make_manifest([0.5, 0.5])
-        b = make_manifest([0.5, 0.5],
-                          sims=[{"cycles": 100}, {"cycles": 999}])
-        report = compare_manifests(a, b)
+        a = make_run([0.5, 0.5])
+        b = make_run([0.5, 0.5], sims=[{"cycles": 100}, {"cycles": 999}])
+        report = compare_runs(a, b)
         assert report["verdict"] == "sim drift"
         assert report["sim_drift"] == [
             {"label": "compress/ooo/S1", "field": "cycles",
              "a": 101, "b": 999}]
 
     def test_uniform_slowdown_is_a_regression(self):
-        a = make_manifest([0.5] * 6)
-        b = make_manifest([0.7] * 6)  # 1.4x across every cell
-        report = compare_manifests(a, b)
+        a = make_run([0.5] * 6)
+        b = make_run([0.7] * 6)  # 1.4x across every cell
+        report = compare_runs(a, b)
         assert report["wall"]["overall"]["verdict"] == "regression"
         assert report["verdict"] == "regression"
 
     def test_cache_hits_are_excluded_from_wall_stats(self):
-        a = make_manifest([0.5, 0.5])
-        b = make_manifest([0.5, 0.5])
-        a["cells"][0]["cache"] = b["cells"][0]["cache"] = "hit"
-        a["cells"][0]["wall"] = b["cells"][0]["wall"] = 0.0
-        report = compare_manifests(a, b)
+        a, b = run_records([0.5, 0.5]), run_records([0.5, 0.5])
+        for records in (a, b):
+            records[2].update(cache="hit", wall=0.0)
+        report = compare_runs(fold(a), fold(b))
         assert report["wall"]["overall"]["cells"] == 1
 
     def test_differing_config_digests_are_noted(self):
-        a = make_manifest([0.5], config_digest="one")
-        b = make_manifest([0.5], config_digest="two")
-        report = compare_manifests(a, b)
+        a = make_run([0.5], key="one")
+        b = make_run([0.5], key="two")
+        report = compare_runs(a, b)
         assert any("config digests differ" in note
                    for note in report["notes"])
 
     def test_per_benchmark_grouping(self):
-        a = make_manifest([0.5, 0.5])
-        b = make_manifest([0.5, 0.5])
-        report = compare_manifests(a, b)
+        a = make_run([0.5, 0.5])
+        b = make_run([0.5, 0.5])
+        report = compare_runs(a, b)
         assert set(report["wall"]["benchmarks"]) == {"compress"}
+
+    def test_unfinished_cells_of_a_killed_run_are_noted(self):
+        killed = run_records([0.5, 0.5, 0.5])[:3]  # one finish, no end
+        report = compare_runs(make_run([0.5, 0.5, 0.5]), fold(killed))
+        assert report["verdict"] == "ok"
+        assert report["compared_cells"] == 1
+        assert any("2 cell(s) not finished in B (2 queued"
+                   in note for note in report["notes"])
 
 
 class TestBenchMode:
@@ -135,26 +161,27 @@ class TestBenchMode:
 
 
 class TestTraceDirMode:
-    def _write_metrics(self, directory, stem, payload):
-        directory.mkdir(exist_ok=True)
-        (directory / f"{stem}.metrics.json").write_text(json.dumps(payload))
+    """A ``--trace-events`` run's cells carry the digest of their
+    metrics.json; run mode compares it digit-exact, like ``sim``."""
 
-    def test_identical_dirs_are_exact(self, tmp_path):
-        payload = {"metrics": {"counters": {"l1.hit": 5}}, "events": 9}
-        self._write_metrics(tmp_path / "a", "cell", payload)
-        self._write_metrics(tmp_path / "b", "cell", payload)
-        report = compare_trace_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
+    def test_identical_dirs_are_exact(self):
+        a = make_run([0.5], digests=["d" * 64])
+        b = make_run([0.5], digests=["d" * 64])
+        report = compare_runs(a, b)
         assert report["verdict"] == "ok"
         assert report["compared_cells"] == 1
 
-    def test_metric_drift_detected(self, tmp_path):
-        self._write_metrics(tmp_path / "a", "cell",
-                            {"metrics": {"counters": {"l1.hit": 5}}})
-        self._write_metrics(tmp_path / "b", "cell",
-                            {"metrics": {"counters": {"l1.hit": 6}}})
-        report = compare_trace_dirs(str(tmp_path / "a"), str(tmp_path / "b"))
+    def test_metric_drift_detected(self):
+        a = make_run([0.5, 0.5], digests=["d" * 64, "e" * 64])
+        b = make_run([0.5, 0.5], digests=["d" * 64, "f" * 64])
+        report = compare_runs(a, b)
         assert report["verdict"] == "sim drift"
-        assert report["sim_drift"][0]["field"] == "metrics"
+        assert report["sim_drift"] == [
+            {"label": "compress/ooo/S1", "field": "metrics_digest",
+             "a": "e" * 64, "b": "f" * 64}]
+        # One side untraced: nothing to compare, no drift.
+        report = compare_runs(a, make_run([0.5, 0.5]))
+        assert report["verdict"] == "ok"
 
 
 class TestCLI:
@@ -164,19 +191,41 @@ class TestCLI:
         return str(path)
 
     def test_manifest_compare_exit_codes_and_json(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", make_manifest([0.5, 0.5]))
-        b = self._write(tmp_path, "b.json", make_manifest([0.5, 0.5]))
+        a = write_run(tmp_path, "a", run_records([0.5, 0.5], run_id="a"))
+        b = write_run(tmp_path, "b", run_records([0.5, 0.5], run_id="b"))
         assert compare_main([a, b, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "ok"
         assert report["sim_drift"] == []
+        # Run ids under --runs-root and run directories resolve alike.
+        assert compare_main(["a", str(tmp_path / "b"), "--json",
+                             "--runs-root", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out) == report
 
     def test_sim_drift_fails_the_cli(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", make_manifest([0.5]))
-        drifted = make_manifest([0.5], sims=[{"cycles": 42}])
-        b = self._write(tmp_path, "b.json", drifted)
+        a = write_run(tmp_path, "a", run_records([0.5]))
+        drifted = run_records([0.5], sims=[{"cycles": 42}])
+        b = write_run(tmp_path, "b", drifted)
         assert compare_main([a, b]) == 1
         assert "DRIFTING" in capsys.readouterr().out
+
+    def test_a_failed_cell_is_a_note_not_drift(self, tmp_path, capsys):
+        """A cell that failed without a sanitizer violation (an
+        exception, a serial timeout) is ``failed`` in the one fold, so
+        compare notes it instead of calling its missing stats drift."""
+        a = write_run(tmp_path, "a", run_records([0.5, 0.5], run_id="a"))
+        records = run_records([0.5, 0.5], run_id="b")
+        records[3] = {"rec": "job_fail", "key": records[3]["key"],
+                      "label": records[3]["label"], "ts": 1.0,
+                      "attempt": 0, "error": "timeout"}
+        records[-1].update(status="failed", error="JobTimeoutError: slow")
+        b = write_run(tmp_path, "b", records)
+        assert compare_main([a, b, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["sim_drift"]) == ("ok", [])
+        assert report["compared_cells"] == 1
+        assert any("1 cell(s) not finished in B (1 failed"
+                   in note for note in report["notes"])
 
     def test_bench_compare_via_cli(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.json", {
@@ -190,44 +239,43 @@ class TestCLI:
         capsys.readouterr()
 
     def test_mixed_modes_rejected(self, tmp_path, capsys):
-        a = self._write(tmp_path, "a.json", make_manifest([0.5]))
+        a = write_run(tmp_path, "a", run_records([0.5]))
         b = self._write(tmp_path, "b.json", {
             "schema": 1, "microbenchmarks": {"timings": {"x": 0.1}}})
         assert compare_main([a, b]) == 2
         assert "cannot compare" in capsys.readouterr().out
 
     def test_unknown_manifest_schema_is_exit_2(self, tmp_path, capsys):
-        bad = self._write(tmp_path, "bad.json",
-                          {"kind": MANIFEST_KIND, "schema": 999})
-        good = self._write(tmp_path, "good.json", make_manifest([0.5]))
+        records = run_records([0.5])
+        records[0]["schema"] = 999
+        bad = write_run(tmp_path, "bad", records)
+        good = write_run(tmp_path, "good", run_records([0.5]))
         assert compare_main([bad, good]) == 2
         assert "schema 999" in capsys.readouterr().out
 
     def test_damaged_manifest_is_exit_2(self, tmp_path, capsys):
-        """Exit 1 means a regression; a cut manifest is a named error."""
+        """Exit 1 means a regression; a journal cut inside its header is
+        a named error."""
         for run_id in ("a", "b"):
-            (tmp_path / run_id).mkdir()
-            (tmp_path / run_id / "manifest.json").write_text(
-                json.dumps(make_manifest([0.5, 0.5], run_id=run_id)))
-        cut = tmp_path / "b" / "manifest.json"
-        cut.write_bytes(cut.read_bytes()[:300])
+            write_run(tmp_path, run_id, run_records([0.5, 0.5],
+                                                    run_id=run_id))
+        cut = tmp_path / "b" / "journal.jsonl"
+        cut.write_bytes(cut.read_bytes()[:40])
         assert compare_main(["a", "b", "--runs-root", str(tmp_path)]) == 2
         out = capsys.readouterr().out
         assert out.startswith("compare: error: ")
-        assert "manifest.json is not a JSON manifest" in out
+        assert f"{cut} does not lead with an intact" in out
 
     def test_manifest_with_string_cells_is_exit_2(self, tmp_path, capsys):
         for run_id in ("a", "b"):
-            (tmp_path / run_id).mkdir()
-            manifest = make_manifest([0.5], run_id=run_id)
+            records = run_records([0.5], run_id=run_id)
             if run_id == "b":
-                manifest["cells"] = "damaged"
-            (tmp_path / run_id / "manifest.json").write_text(
-                json.dumps(manifest))
+                records[1]["jobs"] = "damaged"
+            write_run(tmp_path, run_id, records)
         assert compare_main(["a", "b", "--runs-root", str(tmp_path)]) == 2
         out = capsys.readouterr().out
         assert out.startswith("compare: error: ")
-        assert "'cells' is not a list of objects" in out
+        assert "journal.jsonl:2: run_start.jobs is not a list" in out
 
     def test_bench_against_a_json_list_is_exit_2(self, tmp_path, capsys):
         bench = self._write(tmp_path, "bench.json", {
@@ -239,10 +287,13 @@ class TestCLI:
         assert "list.json is not a JSON object" in out
 
     def test_trace_dir_mode_via_cli(self, tmp_path, capsys):
-        for side in ("a", "b"):
-            (tmp_path / side).mkdir()
-            (tmp_path / side / "cell.metrics.json").write_text(
-                json.dumps({"metrics": {"counters": {}}}))
-        assert compare_main([str(tmp_path / "a"), str(tmp_path / "b"),
-                             "--trace-dir"]) == 0
+        """Traced runs compare their metrics digests through the run
+        mode; ``--trace-dir`` is gone."""
+        digests = ["d" * 64]
+        a = write_run(tmp_path, "a", run_records([0.5], digests=digests))
+        b = write_run(tmp_path, "b", run_records([0.5], digests=digests))
+        assert compare_main([a, b]) == 0
         assert "digit-exact" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            compare_main([a, b, "--trace-dir"])
+        assert exc.value.code == 2

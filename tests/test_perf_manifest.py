@@ -1,17 +1,18 @@
-"""Run-manifest store: engine hook, layout, provenance, resolution."""
+"""The run record: the engine writes one journal, one resolver finds it
+and one fold reads it."""
 
 import json
 import os
 
 import pytest
 
+from repro.durable import frame
 from repro.exec import ExecOptions, JobRunner, SimJob
 from repro.perf import (
-    MANIFEST_SCHEMA,
-    ManifestError,
+    JournalError,
+    RunRecord,
     config_digest,
-    list_runs,
-    load_manifest,
+    journal_path_for,
     machine_fingerprint,
     new_run_id,
     runs_root,
@@ -39,44 +40,51 @@ def run_with_manifest(tmp_path, jobs=None, **options):
     return runner, results
 
 
+def folded(runner):
+    return RunRecord.load(runner.last_journal)
+
+
 class TestEngineHook:
-    def test_run_writes_manifest_json(self, tmp_path):
+    def test_run_writes_only_its_journal(self, tmp_path):
         runner, _ = run_with_manifest(tmp_path)
-        assert runner.last_manifest is not None
-        assert runner.last_manifest.endswith(os.path.join("", "manifest.json"))
-        manifest = json.loads(open(runner.last_manifest).read())
-        assert manifest["kind"] == "run_manifest"
-        assert manifest["schema"] == MANIFEST_SCHEMA
-        assert manifest["experiment"] == "exp-test"
-        assert manifest["argv"] == ["exp-test"]
-        assert manifest["seed"] == 3
-        assert manifest["status"] == "ok"
-        assert manifest["workers"] == 1
-        assert manifest["stats"]["finished"] == 2
+        run_dir = os.path.dirname(runner.last_journal)
+        assert os.listdir(run_dir) == ["journal.jsonl"]
+        assert os.listdir(tmp_path) == [runner.last_run_id]
+        run = folded(runner)
+        assert run.run_id == runner.last_run_id
+        assert run.head["experiment"] == "exp-test"
+        assert run.head["argv"] == ["exp-test"]
+        assert run.head["seed"] == 3
+        assert run.status == "ok"
+        assert run.head["workers"] == 1
+        assert run.stats["finished"] == 2
+        assert run.distrusted == 0 and run.problem is None
 
     def test_manifest_cells_carry_walls_and_sim_stats(self, tmp_path):
         runner, results = run_with_manifest(tmp_path)
-        manifest = json.loads(open(runner.last_manifest).read())
-        cells = manifest["cells"]
+        cells = list(folded(runner).cells.values())
         assert [c["label"] for c in cells] == ["a/m/L", "b/m/L"]
-        for cell, result in zip(cells, results):
+        for cell, result, job in zip(cells, results,
+                                     [make_job("a"), make_job("b")]):
             assert cell["status"] == "ok"
             assert cell["cache"] == "off"
             assert cell["wall"] is not None and cell["wall"] >= 0
             assert cell["sim"] == result
-            assert len(cell["key"]) == 16
+            assert cell["key"] == job.cache_key()
 
     def test_manifest_records_machine_and_config_digest(self, tmp_path):
         runner, _ = run_with_manifest(tmp_path)
-        manifest = json.loads(open(runner.last_manifest).read())
-        fingerprint = manifest["machine"]
+        run = folded(runner)
+        fingerprint = run.head["machine"]
         assert set(fingerprint) >= {"platform", "python", "cpus"}
         keys = [make_job("a").cache_key(), make_job("b").cache_key()]
-        assert manifest["config_digest"] == config_digest(keys)
+        assert run.config_digest == config_digest(keys)
         # Order-independent: the digest sorts the content addresses.
         assert config_digest(list(reversed(keys))) == config_digest(keys)
 
     def test_failed_run_still_writes_manifest(self, tmp_path):
+        """A cell that failed without a sanitizer violation is
+        ``failed`` and carries its error: one status, whoever reads."""
         def boom(job):
             raise ValueError("broken payload")
 
@@ -86,47 +94,46 @@ class TestEngineHook:
             execute=boom)
         with pytest.raises(Exception):
             runner.run([make_job("a")])
-        manifest = json.loads(open(runner.last_manifest).read())
-        assert manifest["status"] == "failed"
-        assert "JobFailedError" in manifest["error"]
-        assert manifest["cells"][0]["status"] == "unfinished"
+        run = folded(runner)
+        assert run.status == "failed"
+        assert "JobFailedError" in run.error
+        [cell] = run.cells.values()
+        assert cell["status"] == "failed"
+        assert cell["error"] == "ValueError: broken payload"
+        assert run.as_dict()["cells"][0]["status"] == "failed"
 
     def test_no_manifest_dir_means_no_write(self, tmp_path):
         runner = JobRunner(ExecOptions(jobs=1, cache=False),
                            execute=echo_execute)
         runner.run([make_job("a")])
-        assert runner.last_manifest is None
+        assert runner.last_journal is None
         assert list(tmp_path.iterdir()) == []
 
     def test_each_run_gets_its_own_manifest(self, tmp_path):
         runner, _ = run_with_manifest(tmp_path)
-        first = runner.last_manifest
+        first = runner.last_journal
         runner.run([make_job("c")])
-        assert runner.last_manifest != first
-        assert len(list_runs(str(tmp_path))) == 2
+        assert runner.last_journal != first
+        assert len(os.listdir(tmp_path)) == 2
 
 
 class TestFold:
-    """The manifest is a fold over the run's records."""
+    """Every reader folds the run's journal through one RunRecord."""
 
-    def test_fold_of_the_journal_matches_the_written_manifest(self,
+    def test_fold_of_the_journal_matches_the_runs_own_records(self,
                                                               tmp_path):
         from repro.durable import read_records
-        from repro.perf import fold_manifest
 
         runner, _ = run_with_manifest(tmp_path)
-        with open(runner.last_manifest) as fh:
-            written = json.load(fh)
         records, bad, _ = read_records(runner.last_journal)
         assert bad == 0 and records == runner.records
-        folded = fold_manifest(records)
-        for field in ("run_id", "experiment", "argv", "seed", "git_sha",
-                      "config_digest", "status", "cells"):
-            assert folded[field] == written[field], field
+        in_memory = RunRecord()
+        in_memory.feed_text("".join(frame(r) for r in runner.records))
+        assert in_memory.as_dict() == folded(runner).as_dict()
 
     def test_enospc_journal_still_gets_a_complete_manifest(self, tmp_path):
-        """A journal that fills the disk mid-run loses its tail, but the
-        manifest is folded from memory and stays complete."""
+        """A journal that fills the disk mid-run stops appending, and is
+        rewritten whole from the run's records at its end."""
         from repro.durable import RunJournal, read_records
         from repro.sanitize.chaos import arm_journal_enospc
 
@@ -142,61 +149,66 @@ class TestFold:
                 runner, results = run_with_manifest(tmp_path)
         finally:
             RunJournal.__init__ = real_init
-        with open(runner.last_manifest) as fh:
-            manifest = json.load(fh)
-        assert manifest["status"] == "ok"
-        assert [cell["sim"] for cell in manifest["cells"]] == results
-        assert manifest["stats"]["finished"] == 2
-        assert manifest["stats"]["journal_errors"] == 1
+        run = folded(runner)
+        assert run.status == "ok"
+        assert [cell["sim"] for cell in run.cells.values()] == results
+        assert run.stats["finished"] == 2
+        assert run.stats["journal_errors"] == 1
         assert runner.stats.journal_errors == 1
-        records, _, _ = read_records(manifest["journal_path"])
-        assert [r["rec"] for r in records] == ["journal_header",
-                                               "run_start"]
+        records, bad, _ = read_records(runner.last_journal)
+        assert bad == 0 and records == runner.records
+        run_dir = os.path.dirname(runner.last_journal)
+        assert os.listdir(run_dir) == ["journal.jsonl"]
 
 
 class TestResolution:
     def test_load_by_run_id_dir_and_path(self, tmp_path):
         runner, _ = run_with_manifest(tmp_path)
-        path = runner.last_manifest
+        path = runner.last_journal
         run_dir = os.path.dirname(path)
         run_id = os.path.basename(run_dir)
-        by_path = load_manifest(path)
-        assert load_manifest(run_dir) == by_path
-        assert load_manifest(run_id, root=str(tmp_path)) == by_path
-        assert by_path["run_id"] == run_id
+        assert journal_path_for(path) == path
+        assert journal_path_for(run_dir) == path
+        assert journal_path_for(run_id, str(tmp_path)) == path
+        assert RunRecord.load(path).run_id == run_id
 
     def test_missing_manifest_is_a_clear_error(self, tmp_path):
-        with pytest.raises(ManifestError) as err:
-            load_manifest("no-such-run", root=str(tmp_path))
-        assert "no manifest found" in str(err.value)
+        with pytest.raises(JournalError) as err:
+            journal_path_for("no-such-run", str(tmp_path))
+        assert "no run journal found" in str(err.value)
 
     def test_unknown_schema_rejected(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(
-            {"kind": "run_manifest", "schema": 999}))
-        with pytest.raises(ManifestError) as err:
-            load_manifest(str(path))
+        path = tmp_path / "journal.jsonl"
+        path.write_text(frame({"rec": "journal_header", "kind": "exec_run",
+                               "schema": 999}))
+        with pytest.raises(JournalError) as err:
+            RunRecord.load(str(path))
         assert "schema 999" in str(err.value)
+        assert f"{path}:1:" in str(err.value)
 
     @pytest.mark.parametrize("damage", ["cut", "list", "latin-1"])
     def test_damaged_manifest_is_a_named_error(self, tmp_path, damage):
-        """A file that is not a UTF-8 JSON object is a ManifestError."""
+        """A journal without an intact header is a JournalError for the
+        readers that need one (compare, resume)."""
         runner, _ = run_with_manifest(tmp_path)
-        path = runner.last_manifest
+        path = runner.last_journal
         with open(path, "rb") as fh:
             data = fh.read()
         with open(path, "wb") as fh:
-            fh.write({"cut": data[:300], "list": b"[1, 2]",
+            fh.write({"cut": data[:100], "list": b"[1, 2]",
                       "latin-1": data.replace(b"exp-test", b"\xe9")}[damage])
-        with pytest.raises(ManifestError) as err:
-            load_manifest(path)
+        run = RunRecord.load(path)
+        assert run.header is None and run.distrusted >= 1
+        with pytest.raises(JournalError) as err:
+            run.require_grid()
         assert path in str(err.value)
 
     def test_non_manifest_json_rejected(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps({"something": "else"}))
-        with pytest.raises(ManifestError):
-            load_manifest(str(path))
+        path = tmp_path / "journal.jsonl"
+        path.write_text(frame({"rec": "journal_header", "kind": "serve",
+                               "schema": 1}))
+        with pytest.raises(JournalError, match="not an engine run"):
+            RunRecord.load(str(path))
 
     def test_runs_root_prefers_explicit_then_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_RUNS_DIR", raising=False)
@@ -214,3 +226,13 @@ class TestIds:
 
     def test_fingerprint_is_jsonable(self):
         json.dumps(machine_fingerprint())
+
+    @pytest.mark.parametrize("job", [
+        SimJob.bar("compress", "ooo", "S10", 1, 0, policy="rrip"),
+        SimJob.app("prefetch_schedule", "ora", "ooo", 1, 0),
+        SimJob.access_control("ocean", "ECC", {"processors": 4})])
+    def test_fold_labels_cells_as_the_engine_does(self, job):
+        run = RunRecord()
+        run.feed_text(frame({"rec": "run_start", "ts": 0.0, "jobs": [
+            {"key": job.cache_key(), "job": job.to_dict()}]}))
+        assert [c["label"] for c in run.cells.values()] == [job.label]

@@ -6,8 +6,8 @@ import pytest
 
 from repro.durable import JOURNAL_SCHEMA, frame, header_record
 from repro.exec import ExecOptions, JobRunner, SimJob
-from repro.perf.watch import (JournalFollower, WatchError, follow, replay,
-                              watch_main)
+from repro.perf import JournalError
+from repro.perf.watch import JournalFollower, follow, replay, watch_main
 from repro.sanitize.chaos import flip_byte, truncate_tail
 
 
@@ -186,7 +186,7 @@ class TestJournalReplays:
 class TestSchemaGate:
     def test_unknown_schema_is_rejected_with_guidance(self):
         follower = JournalFollower()
-        with pytest.raises(WatchError) as err:
+        with pytest.raises(JournalError) as err:
             follower.feed_text(synthetic_stream([], schema=99))
         message = str(err.value)
         assert "schema 99" in message
@@ -215,6 +215,19 @@ class TestSchemaGate:
         journal.write_text(synthetic_stream(EVENTS, header=False))
         assert watch_main([str(journal)]) == 0
         assert "headerless" in capsys.readouterr().out
+
+    def test_a_field_of_the_wrong_type_is_distrusted(self, tmp_path,
+                                                     capsys):
+        """A crc-valid record whose field has the wrong type ends the
+        trusted prefix as a bad frame does, and the panel names it."""
+        events = [dict(event, attempt="1") if event["rec"] == "job_start"
+                  else event for event in EVENTS]
+        journal = tmp_path / "journal.jsonl"
+        journal.write_text(synthetic_stream(events))
+        assert watch_main([str(journal), "--jobs-detail", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "distrusted 3 line(s)" in out
+        assert f"{journal}:3: job_start.attempt is not an integer" in out
 
     def test_cli_exits_2_on_unknown_schema(self, tmp_path, capsys):
         journal = tmp_path / "journal.jsonl"
@@ -253,13 +266,13 @@ class TestStreamRecovery:
         split = len(text) - 25  # mid-way through the last record
         follower.feed_text(text[:split])
         assert follower.snapshot()["complete"] is False
-        assert follower.distrusted_lines == 0
+        assert follower.distrusted == 0
         follower.feed_text(text[split:])
         assert follower.snapshot()["complete"] is True
-        assert follower.distrusted_lines == 0
+        assert follower.distrusted == 0
 
     def test_missing_file_is_a_watch_error(self, tmp_path):
-        with pytest.raises(WatchError, match="cannot read"):
+        with pytest.raises(JournalError, match="cannot read"):
             replay(str(tmp_path / "nope.jsonl"))
 
 
@@ -291,7 +304,24 @@ class TestFollowAndCLI:
                           _sleep=writer_catches_up)
         assert len(polls) == 1
         assert follower.complete
-        assert follower.distrusted_lines == 0
+        assert follower.distrusted == 0
+
+    def test_follow_stops_where_the_trusted_prefix_ends(self, tmp_path):
+        """A finished journal with a damaged line would never complete:
+        follow stops at once instead of tailing it forever."""
+        journal = tmp_path / "journal.jsonl"
+        text = synthetic_stream(EVENTS)
+        journal.write_text(text.replace('"job_start"', '"job_stArt"'))
+        polls = []
+
+        def poll(_seconds):
+            polls.append(_seconds)
+            assert len(polls) < 3, "follow kept tailing a dead prefix"
+
+        follower = follow(str(journal), interval=0, stream=io.StringIO(),
+                          _sleep=poll)
+        assert polls == [] and follower.distrusted == 3
+        assert not follower.complete
 
     def test_follow_timeout_stops_on_incomplete_stream(self, tmp_path):
         journal = tmp_path / "journal.jsonl"

@@ -1,6 +1,5 @@
 """Kill-and-resume: a journaled grid continues exactly where it died."""
 
-import json
 import os
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from repro.durable import read_records
 from repro.durable.resume import JournalError, load_run_state, resume_main
 from repro.exec import ExecOptions, JobFailedError, JobRunner, SimJob
+from repro.perf import RunRecord
 from repro.sanitize.chaos import flip_byte
 
 # -- pluggable payloads (module-level: picklable by reference) ---------------
@@ -73,6 +73,12 @@ def options(roots, **overrides):
     return ExecOptions(**fields)
 
 
+def finished(state):
+    """The keys of the cells the folded journal saw finish."""
+    return {key for key, cell in state.cells.items()
+            if cell["status"] == "ok"}
+
+
 def interrupted_run(roots, names=("a", "b", "c", "d"), boom="c"):
     """Run a grid that dies at cell *boom*; returns (jobs, run_id)."""
     jobs = [scratch_job(roots["scratch"] / name, label=name)
@@ -95,15 +101,18 @@ class TestLoadRunState:
         jobs, run_id = interrupted_run(roots)
         state = load_run_state(run_id, roots["runs"])
         assert state.run_id == run_id
-        assert state.keys == [job.cache_key() for job in jobs]
+        keys = [entry["key"] for entry in state.grid]
+        assert keys == [job.cache_key() for job in jobs]
         done = {jobs[0].cache_key(), jobs[1].cache_key()}
-        assert set(state.completed) == done
-        assert state.incomplete == [jobs[2].cache_key(),
-                                    jobs[3].cache_key()]
-        assert state.ended == "failed"
-        assert not state.truncated
+        assert finished(state) == done
+        # The fatal cell failed (with its error); the last never started.
+        assert [state.cells[key]["status"] for key in keys] == [
+            "ok", "ok", "failed", "queued"]
+        assert "chaos: fatal cell" in state.cells[keys[2]]["error"]
+        assert state.status == "failed"
+        assert not state.distrusted
         rebuilt = state.jobs()
-        assert [j.cache_key() for j in rebuilt] == state.keys
+        assert [j.cache_key() for j in rebuilt] == keys
 
     def test_torn_tail_trusted_prefix(self, roots):
         from repro.sanitize.chaos import truncate_tail
@@ -112,8 +121,37 @@ class TestLoadRunState:
         path = os.path.join(roots["runs"], run_id, "journal.jsonl")
         truncate_tail(path, 10)
         state = load_run_state(run_id, roots["runs"])
-        assert state.truncated and state.bad_lines >= 1
-        assert state.job_records  # the grid announcement is intact
+        assert state.distrusted >= 1
+        assert state.grid  # the grid announcement is intact
+
+    def test_grid_entry_without_machine_is_a_named_error(self, roots,
+                                                         capsys):
+        from repro.durable import frame
+
+        _, run_id = interrupted_run(roots)
+        path = os.path.join(roots["runs"], run_id, "journal.jsonl")
+        records, _, _ = read_records(path)
+        del records[1]["jobs"][0]["job"]["machine"]
+        with open(path, "w") as fh:
+            fh.write("".join(frame(record) for record in records))
+        assert resume_main([run_id, "--runs-root", roots["runs"]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: run_start.jobs[0].job.machine is missing" in err
+
+    def test_unknown_backend_in_the_header_is_a_named_error(self, roots,
+                                                            capsys):
+        from repro.durable import frame
+
+        _, run_id = interrupted_run(roots)
+        path = os.path.join(roots["runs"], run_id, "journal.jsonl")
+        records, _, _ = read_records(path)
+        records[0]["settings"]["backend"] = "turbo"
+        with open(path, "w") as fh:
+            fh.write("".join(frame(record) for record in records))
+        assert resume_main([run_id, "--runs-root", roots["runs"]]) == 2
+        err = capsys.readouterr().err
+        assert "journal_header.settings.backend" in err
+        assert "unknown backend 'turbo'" in err
 
     def test_resume_cli_rejects_headerless_file(self, tmp_path, capsys):
         bogus = tmp_path / "journal.jsonl"
@@ -154,11 +192,10 @@ class TestResumeEngine:
         assert not truncated
         recs = [r["rec"] for r in records]
         assert recs.count("job_finish") == 4
-        # ... and its manifest links back to the run it continued.
-        with open(resumed.last_manifest) as fh:
-            manifest = json.load(fh)
-        assert manifest["resumed_from"] == run_id
-        assert manifest["stats"]["replayed"] == 2
+        # ... and its header links back to the run it continued.
+        record = RunRecord.load(resumed.last_journal)
+        assert record.head["resumed_from"] == run_id
+        assert record.stats["replayed"] == 2
         # Resuming the resume replays everything: the grid is complete.
         again = JobRunner(options(roots), execute=tracking_execute)
         state2 = load_run_state(resumed.last_run_id, roots["runs"])
@@ -180,9 +217,8 @@ class TestResumeEngine:
                   if '"rec":"job_finish"' in line][1]
         flip_byte(path, sum(len(line) for line in lines[:second]) + 20)
         state = load_run_state(run_id, roots["runs"])
-        assert state.truncated
-        assert state.bad_lines == len(lines) - second
-        assert set(state.completed) == {jobs[0].cache_key()}
+        assert state.distrusted == len(lines) - second
+        assert finished(state) == {jobs[0].cache_key()}
         resumed = JobRunner(options(roots), execute=tracking_execute)
         results = resumed.run(state.jobs(), resume=state)
         assert (resumed.stats.replayed, resumed.stats.cache_hits,
@@ -208,8 +244,8 @@ class TestResumeEngine:
                 frame({k: v for k, v in r.items() if k in legacy_fields})
                 for r in records))
         state = load_run_state(run_id, roots["runs"])
-        assert set(state.completed) == {jobs[0].cache_key(),
-                                        jobs[1].cache_key()}
+        assert finished(state) == {jobs[0].cache_key(),
+                                   jobs[1].cache_key()}
         resumed = JobRunner(options(roots), execute=tracking_execute)
         resumed.run(state.jobs(), resume=state)
         assert resumed.stats.replayed == 2 and resumed.stats.executed == 2
@@ -238,7 +274,7 @@ class TestResumeEngine:
             original.run([job])
         assert runs_count(roots["scratch"] / "flaky") == 3
         state = load_run_state(original.last_run_id, roots["runs"])
-        assert state.attempts[job.cache_key()] == 2
+        assert state.cells[job.cache_key()]["attempts"] == 2
         # The resume carries attempt counts: the budget spans both runs,
         # so only one more attempt happens — not three fresh ones.
         resumed = JobRunner(options(roots, retries=2, jobs=jobs_opt),

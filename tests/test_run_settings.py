@@ -8,7 +8,7 @@ record the settings, and ``harness resume`` runs the rest of a grid
 under them.
 """
 
-import json
+import hashlib
 import os
 import sys
 import threading
@@ -20,6 +20,7 @@ from repro.durable.resume import resume_main
 from repro.exec import CollectingSink, ExecOptions, JobRunner, SimJob
 from repro.harness.runner import bar_config, run_bar
 from repro.obs import job_trace_path
+from repro.perf import RunRecord
 from repro.sanitize import InvariantViolation
 from repro.sanitize.invariants import Sanitizer
 from repro.trace import clear_ambient
@@ -165,10 +166,13 @@ def test_header_and_manifest_record_the_settings(tmp_path, monkeypatch):
             "trace_sample": 0.0}
     records, _, _ = read_records(runner.last_journal)
     assert records[0]["settings"] == want
-    with open(runner.last_manifest) as fh:
-        manifest = json.load(fh)
-    assert manifest["settings"] == want
-    assert manifest["cells"][0]["metrics_digest"]
+    run = RunRecord.load(runner.last_journal)
+    assert run.settings == want
+    [cell] = run.cells.values()
+    with open(os.path.join(traces, "compress_inorder_N.metrics.json"),
+              "rb") as fh:
+        assert cell["metrics_digest"] == hashlib.sha256(
+            fh.read()).hexdigest()
 
 
 def test_resume_restores_the_run_settings(tmp_path, monkeypatch, capsys):
@@ -201,11 +205,9 @@ def test_resume_restores_the_run_settings(tmp_path, monkeypatch, capsys):
     assert len(attached) == 2
     assert all(os.path.exists(trace_file(traces, job)) for job in jobs)
     resumed = next(line.split(": ", 1)[1] for line in out.splitlines()
-                   if line.startswith("run manifest: "))
-    with open(first.last_manifest) as fh:
-        original = json.load(fh)
-    with open(resumed) as fh:
-        assert json.load(fh)["settings"] == original["settings"]
+                   if line.startswith("run journal: "))
+    assert (RunRecord.load(resumed).settings
+            == RunRecord.load(first.last_journal).settings)
 
 
 # -- the command lines --------------------------------------------------------
@@ -221,16 +223,16 @@ def test_harness_flags_reach_every_cell(tmp_path, capsys, monkeypatch):
                  "--trace-events", str(traces),
                  "--manifest-dir", str(tmp_path / "runs")]) == 0
     assert dict(os.environ) == before
-    manifest_path = next(line.split(": ", 1)[1]
-                         for line in capsys.readouterr().out.splitlines()
-                         if line.startswith("run manifest: "))
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    assert manifest["settings"] == {"backend": "interp", "sanitize": True,
-                                    "trace_events": str(traces),
-                                    "trace_sample": 0.0}
-    assert len(manifest["cells"]) == 10
-    assert all(os.path.exists(cell["trace"]) for cell in manifest["cells"])
+    journal = next(line.split(": ", 1)[1]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("run journal: "))
+    run = RunRecord.load(journal)
+    assert run.settings == {"backend": "interp", "sanitize": True,
+                            "trace_events": str(traces),
+                            "trace_sample": 0.0}
+    assert len(run.cells) == 10
+    assert all(os.path.exists(cell["trace"])
+               for cell in run.cells.values())
 
 
 @pytest.mark.parametrize("rate", ["5", "-1", "nan"])

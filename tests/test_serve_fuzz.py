@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.exec import SimJob
 from repro.harness.configs import MACHINES
 from repro.harness.runner import bar_config
-from repro.perf.manifest import MANIFEST_KIND, MANIFEST_SCHEMA
+from repro.durable import frame, header_record
 from repro.serve.gateway import Gateway, ServeOptions
 from repro.serve.app import App, Connection
 from repro.serve.http import HttpError, Request, decode_json, parse_request
@@ -386,13 +386,12 @@ RUN_ID = "20260101T000000-serve-1-0"
 @pytest.fixture(scope="module")
 def runs_app(tmp_path_factory):
     """An app serving the manifest root ``<tmp>/runs``, which holds
-    :data:`RUN_ID`; ``<tmp>/elsewhere`` holds a manifest outside it."""
+    :data:`RUN_ID`; ``<tmp>/elsewhere`` holds a run journal outside it."""
     base = tmp_path_factory.mktemp("manifests")
-    manifest = {"kind": MANIFEST_KIND, "schema": MANIFEST_SCHEMA}
     for directory in (base / "runs" / RUN_ID, base / "elsewhere"):
         directory.mkdir(parents=True)
-        (directory / "manifest.json").write_text(json.dumps(
-            dict(manifest, run_id=directory.name)))
+        (directory / "journal.jsonl").write_text(frame(header_record(
+            "exec_run", run_id=directory.name)))
     gateway = Gateway(ServeOptions(cache_dir=str(base / "cache"),
                                    manifest_dir=str(base / "runs")))
     return App(gateway), str(base)
@@ -404,7 +403,7 @@ def runs_app(tmp_path_factory):
 #: percent-encoded ``/`` and NUL, and long ids.
 NEAR_REFS = [
     RUN_ID, "", ".", "..", "%2E%2E", "..%2Felsewhere", "..%2F" + RUN_ID,
-    "../elsewhere", "{base}/elsewhere", "{base}/elsewhere/manifest.json",
+    "../elsewhere", "{base}/elsewhere", "{base}/elsewhere/journal.jsonl",
     "{base}/runs/" + RUN_ID, "%2F{base}%2Felsewhere", "/etc/hostname",
     "pyproject.toml", "src%2Frepro", "%00", RUN_ID + "%00", "%00" + RUN_ID,
     RUN_ID + "%2F", RUN_ID + "/.", "x" * 255, "x" * 256, "y" * 8000]
@@ -428,7 +427,7 @@ def one_json_response(written: bytes):
 
 @given(ref=run_refs)
 @example(ref="..%2Felsewhere")
-@example(ref="{base}/elsewhere/manifest.json")
+@example(ref="{base}/elsewhere/journal.jsonl")
 @example(ref="/etc/hostname")
 @example(ref="pyproject.toml")
 @example(ref=RUN_ID)
@@ -447,3 +446,33 @@ def test_a_run_lookup_reads_only_the_manifest_root(runs_app, ref):
         assert (status, body["run_id"]) == (200, RUN_ID)
     else:
         assert status != 200, ref
+
+
+def test_a_run_lookup_folds_a_failed_cell_as_failed(tmp_path):
+    """``/runs/<id>`` serves the one fold of the run's journal: a cell
+    whose ``job_fail`` carries no violation (an exception, a serial
+    timeout) is ``failed``, with its error."""
+    run_dir = tmp_path / "runs" / RUN_ID
+    run_dir.mkdir(parents=True)
+    key = "a" * 64
+    job = {"kind": "bar", "machine": "ooo", "benchmark": "compress",
+           "instructions": 1, "warmup": 0, "config": {"label": "N"}}
+    records = [
+        header_record("exec_run", run_id=RUN_ID),
+        {"rec": "run_start", "ts": 1.0, "jobs": [{"key": key, "job": job}]},
+        {"rec": "job_start", "key": key, "ts": 1.1, "attempt": 0},
+        {"rec": "job_fail", "key": key, "ts": 1.2, "attempt": 0,
+         "error": "timeout"},
+        {"rec": "run_end", "ts": 1.3, "status": "failed",
+         "error": "JobTimeoutError: slow", "stats": {}}]
+    (run_dir / "journal.jsonl").write_text(
+        "".join(frame(record) for record in records))
+    app = App(Gateway(ServeOptions(cache_dir=str(tmp_path / "cache"),
+                                   manifest_dir=str(tmp_path / "runs"))))
+    written, _ = feed(app, [b"GET /runs/%s HTTP/1.1\r\n\r\n"
+                            % RUN_ID.encode("ascii")])
+    status, body = one_json_response(written)
+    assert (status, body["status"]) == (200, "failed")
+    assert [(cell["label"], cell["status"], cell["error"])
+            for cell in body["cells"]] == [
+        ("compress/ooo/N", "failed", "timeout")]

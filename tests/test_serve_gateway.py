@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.durable import read_records
 from repro.exec import ExecOptions, JobRunner
 from repro.obs.export import parse_openmetrics
+from repro.perf import RunRecord
 from repro.serve.app import App
 from repro.serve.client import ServeClient
 from repro.serve.gateway import (
@@ -112,18 +113,17 @@ class TestParityWithDirectRuns:
             status, outcome = client.submit(spec)
             assert status == 200
             run_id = outcome["meta"]["run_id"]
-            status, served_manifest = client.run_manifest(run_id)
+            status, served_manifest = client.run_record(run_id)
         assert status == 200
 
         direct_runner = JobRunner(ExecOptions(
             jobs=1, cache=False, manifest_dir=str(tmp_path / "direct"),
             run_meta={"experiment": "direct"}))
         direct_result = direct_runner.run([validate_job_spec(spec)])[0]
-        with open(direct_runner.last_manifest) as fh:
-            direct_manifest = json.load(fh)
+        direct_run = RunRecord.load(direct_runner.last_journal)
 
-        assert (served_manifest["config_digest"]
-                == direct_manifest["config_digest"])
+        assert served_manifest["run_id"] == run_id
+        assert served_manifest["config_digest"] == direct_run.config_digest
         assert outcome["result"] == direct_result
 
     def test_second_submit_hits_the_cache(self, served):
@@ -157,7 +157,7 @@ class TestBackend:
             with server.client() as client:
                 status, health = client.healthz()
                 _, outcome = client.submit(tiny_spec(seed=51))
-                _, manifest = client.run_manifest(outcome["meta"]["run_id"])
+                _, manifest = client.run_record(outcome["meta"]["run_id"])
         assert status == 200
         assert health["backend"] == want
         assert outcome["meta"]["cache"] == "miss"
@@ -671,21 +671,23 @@ class TestStructuredErrors:
 
     def test_unknown_run_is_404(self, served):
         with served.client() as client:
-            status, body = client.run_manifest("20000101T000000-none-0-0")
+            status, body = client.run_record("20000101T000000-none-0-0")
         assert status == 404
         assert body["error"] == "run_not_found"
 
     def test_damaged_manifest_is_404(self, served):
+        """A journal that no longer holds its run's header answers 404,
+        as an unknown run does."""
         with served.client() as client:
             _, outcome = client.submit(tiny_spec(seed=42))
             run_id, path = (outcome["meta"]["run_id"],
-                            outcome["meta"]["manifest"])
+                            outcome["meta"]["journal"])
             with open(path, "rb") as fh:
                 data = fh.read()
-            for damaged in (data[:300], b"[1, 2]"):
+            for damaged in (data[:100], b"[1, 2]"):
                 with open(path, "wb") as fh:
                     fh.write(damaged)
-                status, body = client.run_manifest(run_id)
+                status, body = client.run_record(run_id)
                 assert status == 404
                 assert (body["error"], body["run"]) == ("run_not_found",
                                                         run_id)

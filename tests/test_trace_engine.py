@@ -3,7 +3,6 @@ unsampled zero-span path and pool-broken re-parenting.  Spans are read
 back the one way there is: ``span`` records of the run
 journal, through ``read_records``."""
 
-import json
 import os
 
 import pytest
@@ -177,15 +176,38 @@ class TestJournalLink:
         runner = JobRunner(options(trace_sample=1.0,
                                    manifest_dir=str(tmp_path / "runs")))
         runner.run([bar_job()])
-        with open(runner.last_manifest) as fh:
-            manifest = json.load(fh)
-        assert manifest["journal_path"] == runner.last_journal
-        assert os.path.dirname(runner.last_journal) == \
-            os.path.dirname(runner.last_manifest)
+        assert os.listdir(os.path.dirname(runner.last_journal)) == [
+            "journal.jsonl"]
         spans = journal_spans(runner)
         assert spans and spans[0]["trace_id"]
         assert {s["attrs"].get("run_id") for s in spans
-                if s["name"] == "run"} == {manifest["run_id"]}
+                if s["name"] == "run"} == {runner.last_run_id}
+        # No span marks a manifest write: the journal is the one file.
+        assert "manifest.write" not in {s["name"] for s in spans}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_killed_run_keeps_its_finished_jobs_spans(self, tmp_path,
+                                                        capsys, jobs):
+        """Each job's spans reach the journal as the job ends, so a run
+        killed before ``run_end`` still holds them for ``spans``."""
+        from repro.harness.spans_cli import spans_main
+
+        runner = JobRunner(options(trace_sample=1.0, jobs=jobs,
+                                   manifest_dir=str(tmp_path / "runs")))
+        runner.run([bar_job(label="N"), bar_job(label="S10")])
+        with open(runner.last_journal) as fh:
+            lines = fh.readlines()
+        end = next(i for i, line in enumerate(lines)
+                   if '"rec":"run_end"' in line)
+        with open(runner.last_journal, "w") as fh:
+            fh.writelines(lines[:end])
+        kept = journal_spans(runner)
+        assert [s["attrs"]["label"] for s in kept if s["name"] == "job"] \
+            == ["compress/ooo/N", "compress/ooo/S10"]
+        assert "sim.execute" in {s["name"] for s in kept}
+        assert spans_main([runner.last_journal]) == 0
+        # The run span, kept at run end, is what joins the jobs.
+        assert "not one connected tree" in capsys.readouterr().out
 
     def test_span_left_open_is_kept_unfinished(self, tmp_path):
         def leave_open(job):

@@ -70,10 +70,7 @@ class TestTraceparentPropagation:
                 "job", "sim.execute"} <= names
         # ... and the run's own journal holds the whole tree.
         assert spans_path == meta["journal"]
-        with open(spans_path.replace("journal.jsonl",
-                                     "manifest.json")) as fh:
-            manifest = json.load(fh)
-        assert manifest["run_id"] in spans_path
+        assert meta["run_id"] in spans_path
 
     def test_unsampled_header_stays_span_free(self, traced_server,
                                               tmp_path):
@@ -174,7 +171,7 @@ class TestHealthz:
             status, health = client.healthz()
         assert status == 200
         assert health["schemas"]["journal"] == 1
-        assert set(health["schemas"]) == {"job", "manifest", "journal"}
+        assert set(health["schemas"]) == {"job", "journal"}
         subsystems = health["subsystems"]
         assert set(subsystems) == {"trace", "durable"}
         assert subsystems["trace"] is False  # trace_sample 0.0

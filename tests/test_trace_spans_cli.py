@@ -160,15 +160,16 @@ class TestCli:
         runner.run([SimJob.bar(benchmark="compress", machine="ooo",
                                label="S10", instructions=800, warmup=200,
                                seed=0)])
-        run_id = json.loads(open(runner.last_manifest).read())["run_id"]
-        assert spans_main([run_id, "--check"]) == 0
+        assert spans_main([runner.last_run_id, "--check"]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "manifest cross-check" in out
         assert "checks passed" in out
 
-    def test_manifest_path_resolves_to_its_run_journal(self, tmp_path,
+    def test_run_directory_resolves_to_its_run_journal(self, tmp_path,
                                                        capsys):
+        import os
+
         from repro.exec import ExecOptions, JobRunner, SimJob
 
         runner = JobRunner(ExecOptions(
@@ -177,10 +178,11 @@ class TestCli:
         runner.run([SimJob.bar(benchmark="compress", machine="ooo",
                                label="S10", instructions=800, warmup=200,
                                seed=0)])
-        assert spans_main([runner.last_manifest, "--check"]) == 0
+        run_dir = os.path.dirname(runner.last_journal)
+        assert spans_main([run_dir, "--check"]) == 0
         out = capsys.readouterr().out
-        assert runner.last_journal in out
-        assert "manifest cross-check" in out
+        assert f"{runner.last_journal} (run {runner.last_run_id})" in out
+        assert "manifest cross-check: 1 cell(s), 0 suspect" in out
 
     def test_json_and_exports(self, tmp_path, capsys):
         path = write_spans(tmp_path / "journal.jsonl",
@@ -236,6 +238,18 @@ class TestCli:
         assert payload["bad_lines"] == 3
         assert spans_main([path]) == 0
         assert "distrusted 3 line(s)" in capsys.readouterr().out
+
+    def test_a_span_field_of_the_wrong_type_is_distrusted(self, tmp_path,
+                                                          capsys):
+        records = request_shaped_records()
+        records[4]["start"] = "zero"
+        path = write_spans(tmp_path / "journal.jsonl", records)
+        assert spans_main([path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["spans"], payload["bad_lines"]) == (4, 3)
+        assert spans_main([path]) == 0
+        out = capsys.readouterr().out
+        assert f"{path}:5: span.start is not a finite number" in out
 
     def test_nothing_intact_exits_2(self, tmp_path, capsys):
         from repro.sanitize.chaos import flip_byte

@@ -1,18 +1,23 @@
 """CI smoke test for kill-and-resume, out of process.
 
 Launches ``python -m repro.harness figure2 --quick`` as a real
-subprocess with a run journal, SIGKILLs it partway through the grid
-(the honest crash — no cleanup handlers run), then:
+subprocess with a run journal, its cells traced (``--trace-sample 1.0
+--trace-events``), SIGKILLs it partway through the grid (the honest
+crash — no cleanup handlers run), then:
 
 1. ``python -m repro.harness resume <run_id>`` must finish the grid
    with exit code 0;
 2. the resumed results must be digit-exact against
    ``results/golden/figure2_quick.json`` — every field of every cell;
 3. zero journal-completed cells may re-execute: the resumed run's
-   manifest must show ``replayed`` equal to the journal's completed
-   count and ``executed`` covering exactly the remainder.
+   record, folded from its journal, must show ``replayed`` equal to the
+   killed run's completed count and ``executed`` covering exactly the
+   remainder;
+4. the killed run reads like a finished one: ``harness watch``,
+   ``explain`` and ``spans`` exit 0 on it, and ``harness compare KILLED
+   RESUMED`` exits 0, digit-exact over the cells finished on both sides.
 
-The work directory (result cache, journals, manifests) is removed when
+The work directory (result cache, journals, traces) is removed when
 every check passes; a failed run keeps it and prints its path.
 
 Usage::
@@ -35,6 +40,7 @@ from pathlib import Path
 
 from repro.durable import read_records
 from repro.durable.resume import load_run_state
+from repro.perf import RunRecord
 
 GOLDEN = Path(__file__).resolve().parent.parent / "results" / "golden" / \
     "figure2_quick.json"
@@ -68,6 +74,8 @@ def smoke(workdir: Path, args: argparse.Namespace) -> None:
     command = [sys.executable, "-m", "repro.harness", "figure2", "--quick",
                "--jobs", str(args.jobs),
                "--manifest-dir", str(runs_root),
+               "--trace-sample", "1.0",
+               "--trace-events", str(workdir / "traces"),
                "--backend", args.backend]
     print(f"launching: {' '.join(command[2:])}")
     # Own session so the SIGKILL takes the pool workers too; an orphaned
@@ -99,13 +107,14 @@ def smoke(workdir: Path, args: argparse.Namespace) -> None:
             process.wait(timeout=10)
 
     state = load_run_state(run_id, str(runs_root))
-    completed = len(state.completed)
-    total = len(state.job_records)
-    if not state.incomplete:
+    completed = sum(1 for cell in state.cells.values()
+                    if cell["status"] == "ok")
+    total = len(state.grid)
+    if completed == total:
         fail("nothing left incomplete after the kill; smoke is vacuous")
     print(f"SIGKILLed mid-grid: {completed}/{total} cells journaled "
-          f"complete, {len(state.incomplete)} to go "
-          f"(journal tail torn: {state.truncated})")
+          f"complete, {total - completed} to go "
+          f"(journal lines distrusted: {state.distrusted})")
 
     resumed_json = workdir / "resumed.json"
     resume = subprocess.run(
@@ -136,15 +145,16 @@ def smoke(workdir: Path, args: argparse.Namespace) -> None:
           f"backend={args.backend})")
 
     # 3. Zero completed cells re-executed.
-    manifests = sorted(runs_root.glob("*/manifest.json"))
-    stats = None
-    for path in manifests:
-        manifest = json.loads(path.read_text())
-        if manifest.get("resumed_from") == run_id:
-            stats = manifest["stats"]
-            break
-    if stats is None:
-        fail("no manifest claims resumed_from the killed run")
+    resumed_journal = next(
+        (line.split(": ", 1)[1] for line in resume.stdout.splitlines()
+         if line.startswith("run journal: ")), None)
+    if resumed_journal is None:
+        fail("resume announced no run journal")
+    resumed_run = RunRecord.load(resumed_journal)
+    if resumed_run.head.get("resumed_from") != run_id:
+        fail(f"{resumed_journal} does not claim resumed_from the killed "
+             f"run")
+    stats = resumed_run.stats
     if stats["replayed"] != completed:
         fail(f"replayed {stats['replayed']} != journal-completed "
              f"{completed}: a completed cell re-executed (or got lost)")
@@ -155,6 +165,30 @@ def smoke(workdir: Path, args: argparse.Namespace) -> None:
     print(f"no re-execution of completed cells OK "
           f"(replayed={stats['replayed']}, executed={stats['executed']}, "
           f"cache_hits={stats['cache_hits']})")
+
+    # 4. The killed run reads like a finished one.
+    harness = [sys.executable, "-m", "repro.harness"]
+    for reader in ("watch", "explain", "spans"):
+        read = subprocess.run(harness + [reader, run_id],
+                              env=dict(env, REPRO_RUNS_DIR=str(runs_root)),
+                              capture_output=True, text=True, timeout=300)
+        if read.returncode != 0:
+            fail(f"{reader} on the killed run exited {read.returncode}:\n"
+                 f"{read.stdout[-2000:]}{read.stderr[-2000:]}")
+    compare = subprocess.run(
+        harness + ["compare", run_id, resumed_run.run_id,
+                   "--runs-root", str(runs_root), "--json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    if compare.returncode != 0:
+        fail(f"compare KILLED RESUMED exited {compare.returncode}:\n"
+             f"{compare.stdout}{compare.stderr}")
+    report = json.loads(compare.stdout)
+    if report["compared_cells"] != completed or report["sim_drift"]:
+        fail(f"compare KILLED RESUMED compared "
+             f"{report['compared_cells']} cell(s) (want {completed}) "
+             f"with drift {report['sim_drift']}")
+    print(f"killed run reads OK (watch, explain, spans; compare "
+          f"digit-exact over {completed} cells finished on both sides)")
 
 
 def main() -> int:

@@ -19,12 +19,13 @@ report the default ``vec`` backend, then:
    must produce exactly one execution and one coalesce;
 4. scrapes ``/metrics`` (the exposition must parse back losslessly;
    ``serve_memory_hits`` must count all four re-requests) and fetches the
-   served run's manifest, which must record ``settings.backend ==
-   "vec"``;
+   served run's record from ``/runs/<id>`` (folded from its journal),
+   which must be the finished run of that one cell and record
+   ``settings.backend == "vec"``;
 5. sends SIGTERM and requires a clean drain: exit code 0;
 6. boots with ``REPRO_BACKEND=turbo`` and requires exit code 2.
 
-The work directory (result cache, journals, manifests) is removed when
+The work directory (result cache, run journals) is removed when
 every check passes; a failed run keeps it and prints its path.
 
 Usage::
@@ -212,13 +213,20 @@ def smoke(workdir: Path) -> None:
             print(f"memory hits OK ({memory_hits})")
 
             run_id = outcome["meta"]["run_id"]
-            status, manifest = client.run_manifest(run_id)
-            if status != 200 or manifest["run_id"] != run_id:
+            status, run = client.run_record(run_id)
+            if status != 200 or run["run_id"] != run_id:
                 fail(f"/runs/{run_id}: {status}")
-            if manifest["settings"]["backend"] != "vec":
-                fail(f"served run ran {manifest['settings']['backend']!r},"
+            if run["settings"]["backend"] != "vec":
+                fail(f"served run ran {run['settings']['backend']!r},"
                      f" want 'vec'")
-            print(f"manifest lookup OK ({run_id}, backend vec)")
+            if run["status"] != "ok" or [cell["status"] for cell
+                                         in run["cells"]] != ["ok"]:
+                fail(f"/runs/{run_id}: status {run['status']!r}, cells "
+                     f"{[cell['status'] for cell in run['cells']]}")
+            left = os.listdir(workdir / "runs" / run_id)
+            if left != ["journal.jsonl"]:
+                fail(f"served run left {left}")
+            print(f"run lookup OK ({run_id}, backend vec, one file)")
 
         # 5. Clean shutdown on SIGTERM.
         process.send_signal(signal.SIGTERM)

@@ -16,7 +16,7 @@ ready-file handshake), then:
    (>= 2 pids, one root);
 4. sends SIGTERM and requires a clean drain: exit code 0.
 
-The work directory (result cache, journals, manifests) is removed when
+The work directory (result cache, run journals) is removed when
 every check passes; a failed run keeps it and prints its path.
 
 Usage::
@@ -26,7 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -38,6 +37,7 @@ from pathlib import Path
 
 from repro.durable import RunJournal
 from repro.exec import ExecOptions, JobRunner, SimJob
+from repro.perf import RunRecord
 from repro.serve.client import ServeClient
 from repro.serve.spec import validate_job_spec
 from repro.trace import Tracer, TraceContext, format_traceparent
@@ -136,10 +136,10 @@ def smoke(workdir: Path) -> None:
                                label=label, instructions=2000,
                                warmup=500, seed=0)
                     for label in ("N", "S1", "S10", "U10")])
-        manifest = json.loads(Path(runner.last_manifest).read_text())
-        check_spans(manifest["run_id"], "--expect-processes", "2",
+        run_id = RunRecord.load(runner.last_journal).run_id
+        check_spans(run_id, "--expect-processes", "2",
                     "--manifest-dir", str(pool_runs))
-        print(f"pool span propagation OK (run {manifest['run_id']})")
+        print(f"pool span propagation OK (run {run_id})")
 
         # 4. Clean shutdown.
         process.send_signal(signal.SIGTERM)
