@@ -2,8 +2,9 @@
 
 Unlike the figure/table benches in this directory (one expensive
 experiment per test), these isolate the inner loops the profiler blames:
-cache probe/fill, dynamic-stream generation (as rows and as ``DynInst``
-objects), hierarchy access, and the two core cycle loops.  They exist to
+cache probe/fill, the hierarchy's miss and fill path, dynamic-stream
+generation (as rows and as ``DynInst`` objects), and the two cores'
+cycle loops on each backend.  They exist to
 catch hot-path regressions early — run them before and after touching
 anything under ``repro.memory``, ``repro.pipeline``, or the cores.
 
@@ -31,6 +32,7 @@ check).
 import pytest
 
 from repro.harness.runner import bar_config, run_bar
+from repro.memory import HierarchyConfig, MemoryHierarchy
 from repro.memory.cache import Cache
 from repro.memory.config import CacheConfig
 from repro.pipeline.stream import SharedStream, StreamStack
@@ -62,6 +64,27 @@ def cache_fill_evictions() -> int:
             if fill(addr) is not None:
                 evicted += 1
     return evicted
+
+
+def hierarchy_miss_fill() -> int:
+    """20k references through ``MemoryHierarchy.access`` that all miss
+    the L1: a 24-byte-stride sweep of 48 KB through an 8 KB
+    direct-mapped L1, every fourth a store.  Each line's first reference
+    allocates an MSHR and its second merges; fills install lines and
+    write dirty victims back; the first sweep queues on the memory port
+    and retries on a full MSHR file.  Returns the primary misses."""
+    hierarchy = MemoryHierarchy(HierarchyConfig(
+        l1=CacheConfig(size=8 * 1024, assoc=1, line_size=32),
+        l2=CacheConfig(size=64 * 1024, assoc=4, line_size=32)))
+    access = hierarchy.access
+    cycle = 0
+    for index in range(20_000):
+        addr = index * 24 % (48 * 1024)
+        while access(addr, index % 4 == 0, cycle) is None:
+            cycle += 1
+        cycle += 2
+    hierarchy.drain()
+    return hierarchy.stats.l1_misses
 
 
 def row_generation() -> int:
@@ -106,13 +129,30 @@ def ooo_10k() -> int:
     return result.cycles
 
 
+def inorder_10k_vec() -> int:
+    """:func:`inorder_10k` on the vec backend's flat replay kernel."""
+    result = run_bar("compress", "inorder", bar_config("N"), 10_000, 0,
+                     backend="vec")
+    return result.cycles
+
+
+def ooo_10k_vec() -> int:
+    """:func:`ooo_10k` on the vec backend's flat replay kernel."""
+    result = run_bar("compress", "ooo", bar_config("N"), 10_000, 0,
+                     backend="vec")
+    return result.cycles
+
+
 SCENARIOS = {
     "cache_probe_hits": cache_probe_hits,
     "cache_fill_evictions": cache_fill_evictions,
+    "hierarchy_miss_fill": hierarchy_miss_fill,
     "row_generation": row_generation,
     "stream_generation": stream_generation,
     "inorder_10k": inorder_10k,
     "ooo_10k": ooo_10k,
+    "inorder_10k_vec": inorder_10k_vec,
+    "ooo_10k_vec": ooo_10k_vec,
 }
 
 #: Functional pins: the optimized paths must keep producing these exact
@@ -120,6 +160,7 @@ SCENARIOS = {
 EXPECTED = {
     "cache_probe_hits": 40 * 256,
     "cache_fill_evictions": 20 * 512 - 128,
+    "hierarchy_miss_fill": 15_000,
     "row_generation": 20_000,
     "stream_generation": 20_000,
 }

@@ -10,13 +10,15 @@ to the instruction stream even when every reference hits:
 
 Both rewriters are lazy generators so multi-hundred-thousand-instruction
 traces never materialise.  Each has a row twin (:mod:`repro.isa.rows`)
-for the generated streams; the ``DynInst`` pair serves interp's
-instrumented streams and hand-built traces.
+for the generated streams, which rewrites a chunk of rows per step; the
+``DynInst`` pair serves interp's instrumented streams and hand-built
+traces.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator, List
 
 from repro.isa.instructions import DynInst, mhar_set
 from repro.isa.opclass import OpClass
@@ -64,20 +66,42 @@ def add_mhar_sets(stream: Iterable[DynInst]) -> Iterator[DynInst]:
         yield inst
 
 
+#: Rows read from the source per rewriting step.
+_CHUNK = 64
+
+
 def _add_rows(rows: Iterable[tuple], inst: DynInst, offset: int,
               before: bool) -> Iterator[tuple]:
     """Insert *inst*'s row, at the reference's pc + *offset*, before or
     after every informing load/store row."""
-    head, tail = to_row(inst)[:7], to_row(inst)[9:]
+    return chain.from_iterable(_rewrite_chunks(iter(rows), to_row(inst),
+                                               offset, before))
+
+
+def _rewrite_chunks(rows: Iterator[tuple], inst_row: tuple, offset: int,
+                    before: bool) -> Iterator[List[tuple]]:
+    head, tail = inst_row[:7], inst_row[9:]
     op_load, op_store = OP_LOAD, OP_STORE
-    for row in rows:
-        op = row[0]
-        if (op == op_load or op == op_store) and row[9] and not row[10]:
-            pc = row[7] + offset
-            added = head + (pc, pc >> 5) + tail
-            yield from ((added, row) if before else (row, added))
-        else:
-            yield row
+    while True:
+        chunk = list(islice(rows, _CHUNK))
+        if not chunk:
+            return
+        out: List[tuple] = []
+        append = out.append
+        for row in chunk:
+            op = row[0]
+            if (op == op_load or op == op_store) and row[9] and not row[10]:
+                pc = row[7] + offset
+                added = head + (pc, pc >> 5) + tail
+                if before:
+                    append(added)
+                    append(row)
+                else:
+                    append(row)
+                    append(added)
+            else:
+                append(row)
+        yield out
 
 
 def add_cc_check_rows(rows: Iterable[tuple]) -> Iterator[tuple]:

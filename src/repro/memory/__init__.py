@@ -11,7 +11,6 @@ bandwidth-limited main memory (one access per N cycles).
 from repro.memory.config import CacheConfig, HierarchyConfig
 from repro.memory.cache import Cache, EvictedLine, REPLACEMENT_POLICIES
 from repro.memory.mshr import MSHR, MSHRFile
-from repro.memory.main_memory import MainMemory
 from repro.memory.hierarchy import AccessResult, MemoryHierarchy
 from repro.memory.replacement import (
     DEFAULT_REPLACEMENT_SEED,
@@ -38,7 +37,6 @@ __all__ = [
     "get_policy_class",
     "MSHR",
     "MSHRFile",
-    "MainMemory",
     "AccessResult",
     "MemoryHierarchy",
     "MemStats",

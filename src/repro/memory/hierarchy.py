@@ -5,7 +5,10 @@ with a cycle number (non-decreasing); the hierarchy applies any fills whose
 data has arrived, models bank and main-memory-port contention, and returns
 an :class:`AccessResult` with the cycle the data is ready — or ``None`` when
 no MSHR is free, in which case the core retries the access on a later cycle
-(a structural stall, exactly how a lockup-free cache behaves).
+(a structural stall, exactly how a lockup-free cache behaves).  Main memory
+is one port that starts an access at most every ``mem_cycles_per_access``
+cycles (Table 1's bandwidth row); an access arriving while it is busy
+queues behind the previous one.
 
 Fills are deferred: a missed line is installed only when its data returns.
 That deferral is what makes the Section 3.3 guarantee implementable — a
@@ -15,14 +18,13 @@ and one released (squashed) before its fill suppresses the install entirely.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import List, Optional, Tuple
 
 from repro.memory.cache import Cache
 from repro.memory.config import CacheConfig, HierarchyConfig
 from repro.memory.replacement import DEFAULT_REPLACEMENT_SEED
-from repro.memory.main_memory import MainMemory
-from repro.memory.mshr import MSHRFile
+from repro.memory.mshr import MSHR, MSHRFile
 from repro.memory.stats import MemStats
 
 
@@ -99,7 +101,8 @@ class MemoryHierarchy:
         # about the data side.
         self.icache = Cache(icache, "L1I") if icache is not None else None
         self.mshrs = MSHRFile(config.mshr_count, extended_mshr_lifetime)
-        self.memory = MainMemory(config.mem_cycles_per_access)
+        # The main-memory port: the first cycle a new access may start.
+        self._mem_free = 0
         self.stats = MemStats()
         # Jouppi-style stream buffers [Jou90] — the purely-hardware
         # alternative the paper's introduction contrasts informing
@@ -134,29 +137,31 @@ class MemoryHierarchy:
         self.bypassed_fills = 0
 
     # -- internal helpers ----------------------------------------------------
-    def _line_to_byte(self, line_addr: int) -> int:
-        return line_addr << self._line_shift
-
-    def _claim_bank(self, line_addr: int, cycle: int, busy: int) -> int:
-        """Occupy the bank for *busy* cycles; return the start cycle."""
-        bank = line_addr % len(self._bank_free)
-        start = max(cycle, self._bank_free[bank])
-        self.stats.bank_conflict_cycles += start - cycle
-        self._bank_free[bank] = start + busy
-        return start
-
     def _apply_fills(self, cycle: int) -> None:
-        """Install lines whose data has arrived by *cycle*."""
+        """Install lines whose data has arrived by *cycle*.
+
+        One frame per call: the bank clocks and the MSHR file's maps are
+        read directly, and each filled entry retires here exactly as
+        :meth:`MSHRFile.mark_filled` retires one.
+        """
+        pending = self._pending
         probe = self._probe
-        while self._pending and self._pending[0][0] <= cycle:
-            ready, _seq, mshr_id, line_addr, dirty, from_mem = heapq.heappop(
-                self._pending)
+        mshrs = self.mshrs
+        entries = mshrs._entries
+        by_line = mshrs._by_line
+        mshr_probe = mshrs._probe
+        line_shift = self._line_shift
+        bank_free = self._bank_free
+        stats = self.stats
+        while pending and pending[0][0] <= cycle:
+            ready, _seq, mshr_id, line_addr, dirty, from_mem = heappop(
+                pending)
             if probe is not None:
                 probe.on_fill_arrival(ready)
-            byte_addr = self._line_to_byte(line_addr)
+            byte_addr = line_addr << line_shift
             if from_mem:
                 self._install_l2(byte_addr)
-            entry = self.mshrs.get(mshr_id)
+            entry = entries.get(mshr_id)
             if entry is None:
                 # Squashed before the data returned: the MSHR drop already
                 # stopped the forward; we also skip the L1 install.  The L2
@@ -171,25 +176,40 @@ class MemoryHierarchy:
                 self.bypassed_fills += 1
                 if dirty:
                     self.l2.probe(byte_addr, is_write=True)
-                self.mshrs.mark_filled(mshr_id)
-                continue
-            self._claim_bank(line_addr, ready, self.config.fill_time)
-            victim = self.l1.fill(byte_addr, dirty=dirty)
-            if victim is not None and victim.dirty:
-                self.stats.writebacks_l1 += 1
-                self.l2.probe(self._line_to_byte(victim.line_addr),
-                              is_write=True)
-            self.mshrs.mark_filled(mshr_id)
+            else:
+                # The fill occupies its bank for fill_time cycles.
+                bank = line_addr % self._num_banks
+                start = bank_free[bank]
+                if start > ready:
+                    stats.bank_conflict_cycles += start - ready
+                else:
+                    start = ready
+                bank_free[bank] = start + self.config.fill_time
+                victim = self.l1.fill(byte_addr, dirty=dirty)
+                if victim is not None and victim.dirty:
+                    stats.writebacks_l1 += 1
+                    self.l2.probe(victim.line_addr << line_shift,
+                                  is_write=True)
+            # Retire: a filled entry stops being a merge target, and
+            # leaves the file unless an extended lifetime pins it.
+            entry.filled = True
+            if by_line.get(entry.line_addr) is entry:
+                del by_line[entry.line_addr]
+            if not entry.pinned:
+                del entries[mshr_id]
+            if mshr_probe is not None:
+                mshr_probe.on_mshr_fill(mshrs, entry)
 
     def _install_l2(self, byte_addr: int) -> None:
         victim = self.l2.fill(byte_addr)
         if victim is not None:
-            victim_byte = self._line_to_byte(victim.line_addr)
             if victim.dirty:
+                # The writeback takes the memory port.
                 self.stats.writebacks_l2 += 1
-                self.memory.schedule(self._last_cycle)
+                self._mem_free = (max(self._last_cycle, self._mem_free)
+                                  + self.config.mem_cycles_per_access)
             # Maintain inclusion: an L2 eviction purges the L1 copy.
-            self.l1.invalidate(victim_byte)
+            self.l1.invalidate(victim.line_addr << self._line_shift)
 
     # -- public API ----------------------------------------------------------
     def access(self, addr: int, is_write: bool, cycle: int,
@@ -205,7 +225,8 @@ class MemoryHierarchy:
                 f"accesses must be submitted in cycle order "
                 f"({cycle} < {self._last_cycle})")
         self._last_cycle = cycle
-        if self._pending:
+        pending = self._pending
+        if pending and pending[0][0] <= cycle:
             self._apply_fills(cycle)
         probe = self._probe
         if probe is not None:
@@ -221,10 +242,12 @@ class MemoryHierarchy:
         # -- L1-hit fast path ------------------------------------------------
         # The overwhelmingly common case (the paper's §2 premise): resolve a
         # primary-cache hit with one dict lookup, an O(1) recency refresh,
-        # and an inline bank claim — no Cache.probe/_claim_bank call frames.
+        # and an inline bank claim — no Cache.probe call frame.
         l1 = self.l1
         cache_set = l1._sets[line_addr & l1._set_mask]
         dirty = cache_set.get(line_addr)
+        bank_free = self._bank_free
+        bank = line_addr % self._num_banks
         if dirty is not None:
             if l1._is_lru:
                 del cache_set[line_addr]
@@ -239,8 +262,6 @@ class MemoryHierarchy:
                 stats.l1_hits += 1
                 if probe is not None:
                     probe.on_l1_hit(line_addr, is_write)
-            bank_free = self._bank_free
-            bank = line_addr % self._num_banks
             start = bank_free[bank]
             if start > cycle:
                 stats.bank_conflict_cycles += start - cycle
@@ -261,13 +282,17 @@ class MemoryHierarchy:
                 buffer["last_used"] = cycle
                 _line, fetch_ready = buffer["entries"].pop(0)
                 arrived = fetch_ready <= cycle
-                start = self._claim_bank(line_addr, cycle, 1)
+                start = bank_free[bank]
+                if start > cycle:
+                    stats.bank_conflict_cycles += start - cycle
+                else:
+                    start = cycle
+                bank_free[bank] = start + 1
                 ready = max(fetch_ready, start) + self.config.l1_hit_latency
                 if arrived:
                     stats.l1_hits += 1
                 else:
                     stats.l1_misses += 1
-                    stats.note_line(line_addr)
                 if probe is not None:
                     probe.on_stream_buffer(line_addr, arrived)
                 self.l1.fill(addr, dirty=is_write)
@@ -275,19 +300,30 @@ class MemoryHierarchy:
                 return AccessResult(not arrived, 1, start, ready,
                                     needs_inform=not arrived)
 
-        in_flight = self.mshrs.lookup(line_addr)
-        if in_flight is not None:
-            entry = self.mshrs.merge(line_addr, is_write and not prefetch)
+        # -- miss path -------------------------------------------------------
+        # One frame: the MSHR file's maps, the bank clock and the memory
+        # port are read and written here, as MSHRFile.merge/allocate would.
+        mshrs = self.mshrs
+        by_line = mshrs._by_line
+        write = is_write and not prefetch
+        entry = by_line.get(line_addr)
+        if entry is not None:
+            # Secondary miss: merge into the in-flight fetch.
+            entry.merged += 1
+            if write:
+                entry.is_write = True
+            if mshrs._probe is not None:
+                mshrs._probe.on_mshr_merge(mshrs, entry)
             if not prefetch:
                 stats.l1_secondary_misses += 1
                 if probe is not None:
                     probe.on_l1_merge(line_addr, entry.mshr_id,
                                       entry.data_ready)
             return AccessResult(True, 0, cycle, entry.data_ready,
-                                mshr_id=entry.mshr_id, merged=True,
-                                needs_inform=not entry.informed)
+                                entry.mshr_id, True, not entry.informed)
 
-        if self.mshrs.full:
+        entries = mshrs._entries
+        if len(entries) >= mshrs.count:
             if prefetch:
                 stats.prefetches_dropped += 1
             else:
@@ -296,36 +332,51 @@ class MemoryHierarchy:
 
         if not prefetch:
             stats.l1_misses += 1
-            stats.note_line(line_addr)
-        start = self._claim_bank(line_addr, cycle, 1)
+        start = bank_free[bank]
+        if start > cycle:
+            stats.bank_conflict_cycles += start - cycle
+        else:
+            start = cycle
+        bank_free[bank] = start + 1
         stats.l2_accesses += 1
+        config = self.config
         if self.l2.probe(addr):
             stats.l2_hits += 1
             level = 2
-            data_ready = start + self.config.l1_to_l2_latency
+            data_ready = start + config.l1_to_l2_latency
             from_mem = False
         else:
             stats.l2_misses += 1
             level = 3
-            mem_start = self.memory.schedule(start)
-            data_ready = mem_start + self.config.l1_to_mem_latency
+            mem_start = self._mem_free
+            if mem_start < start:
+                mem_start = start
+            self._mem_free = mem_start + config.mem_cycles_per_access
+            data_ready = mem_start + config.l1_to_mem_latency
             from_mem = True
 
-        entry = self.mshrs.allocate(line_addr, data_ready,
-                                    is_write and not prefetch)
-        assert entry is not None  # full-check above guarantees a slot
+        # Primary miss: allocate an MSHR (the full check above guarantees
+        # a free register).
+        mshr_id = mshrs._next_id
+        mshrs._next_id = mshr_id + 1
+        entry = MSHR(mshr_id, line_addr, data_ready, write,
+                     mshrs.extended_lifetime)
+        entries[mshr_id] = entry
+        by_line[line_addr] = entry
+        if len(entries) > mshrs.high_water:
+            mshrs.high_water = len(entries)
+        if mshrs._probe is not None:
+            mshrs._probe.on_mshr_alloc(mshrs, entry)
         if probe is not None and not prefetch:
-            probe.on_l1_miss(line_addr, level, start, data_ready,
-                             entry.mshr_id)
+            probe.on_l1_miss(line_addr, level, start, data_ready, mshr_id)
         self._fill_seq += 1
-        heapq.heappush(self._pending, (data_ready, self._fill_seq,
-                                       entry.mshr_id, line_addr,
-                                       is_write and not prefetch, from_mem))
+        heappush(pending, (data_ready, self._fill_seq, mshr_id, line_addr,
+                           write, from_mem))
         if self._stream_buffers and not prefetch:
             # A miss that matched no buffer starts a new stream behind it.
             self._allocate_stream_buffer(line_addr + 1, data_ready)
-        return AccessResult(True, level, start, data_ready,
-                            mshr_id=entry.mshr_id, needs_inform=True)
+        return AccessResult(True, level, start, data_ready, mshr_id, False,
+                            True)
 
     # -- stream buffers (hardware baseline) -----------------------------------
     def _match_stream_buffer(self, line_addr: int):
@@ -337,11 +388,12 @@ class MemoryHierarchy:
     def _fetch_into_stream_buffer(self, buffer: dict, cycle: int) -> None:
         line_addr = buffer["tail"] + 1
         buffer["tail"] = line_addr
-        byte_addr = self._line_to_byte(line_addr)
+        byte_addr = line_addr << self._line_shift
         if self.l2.probe(byte_addr):
             ready = cycle + self.config.l1_to_l2_latency
         else:
-            start = self.memory.schedule(cycle)
+            start = max(cycle, self._mem_free)
+            self._mem_free = start + self.config.mem_cycles_per_access
             ready = start + self.config.l1_to_mem_latency
             # The fetched line is installed in the L2 as it passes through;
             # modelled at request time (a slight idealisation that only
@@ -362,7 +414,9 @@ class MemoryHierarchy:
 
     def mark_informed(self, mshr_id: int) -> None:
         """A miss handler ran for this line fetch (see AccessResult)."""
-        self.mshrs.mark_informed(mshr_id)
+        entry = self.mshrs._entries.get(mshr_id)
+        if entry is not None:
+            entry.informed = True
 
     def release_mshr(self, mshr_id: int, squashed: bool) -> None:
         """Extended-lifetime release (graduate or squash) of a pinned MSHR."""
@@ -370,7 +424,7 @@ class MemoryHierarchy:
         entry = self.mshrs.get(mshr_id) if probe is not None else None
         line_addr = self.mshrs.release(mshr_id, squashed)
         if line_addr is not None:
-            if self.l1.invalidate(self._line_to_byte(line_addr)):
+            if self.l1.invalidate(line_addr << self._line_shift):
                 self.stats.squash_invalidations += 1
         if entry is not None:
             probe.on_mshr_release(self, entry, squashed)

@@ -48,6 +48,11 @@ class MSHRFile:
         extended_lifetime: if True, entries persist until
             :meth:`release` is called (graduate/squash); otherwise they
             retire automatically once their fill completes.
+
+    :class:`~repro.memory.hierarchy.MemoryHierarchy` makes the allocate,
+    merge and fill transitions on ``_entries``/``_by_line`` in its own
+    access and fill frames, with the same probe hooks; the methods here
+    drive a file on its own.
     """
 
     def __init__(self, count: int, extended_lifetime: bool = False) -> None:
@@ -151,12 +156,6 @@ class MSHRFile:
         if self._by_line.get(entry.line_addr) is entry:
             del self._by_line[entry.line_addr]
         return invalidate
-
-    def mark_informed(self, mshr_id: int) -> None:
-        """Record that a miss handler ran for this line fetch."""
-        entry = self._entries.get(mshr_id)
-        if entry is not None:
-            entry.informed = True
 
     def is_informed(self, mshr_id: int) -> Optional[bool]:
         """Informed status, or None if the entry has retired."""

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Set
+from dataclasses import dataclass
 
 
 @dataclass
@@ -31,8 +30,6 @@ class MemStats:
     bank_conflict_cycles: int = 0
     mshr_stalls: int = 0
     squash_invalidations: int = 0
-    _seen_lines: Set[int] = field(default_factory=set, repr=False)
-    compulsory_misses: int = 0
 
     @property
     def l1_miss_rate(self) -> float:
@@ -40,9 +37,3 @@ class MemStats:
         if self.l1_accesses == 0:
             return 0.0
         return (self.l1_misses + self.l1_secondary_misses) / self.l1_accesses
-
-    def note_line(self, line_addr: int) -> None:
-        """Record a missed line for compulsory/other classification."""
-        if line_addr not in self._seen_lines:
-            self._seen_lines.add(line_addr)
-            self.compulsory_misses += 1

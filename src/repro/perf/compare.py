@@ -25,14 +25,15 @@ Two comparison modes, picked from what A and B actually are:
 
 Exit status: 0 when nothing regressed (warnings included), 1 on any
 simulated-stat drift or a wall regression at/above ``--fail-above``,
-2 on usage/schema errors.  ``--json`` emits the full machine-readable
-report instead of text.
+2 on usage/schema errors and when two BENCH snapshots share no timing.
+``--json`` emits the full machine-readable report instead of text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 from collections import Counter
@@ -49,6 +50,9 @@ _BENCH_SCHEMAS = {"microbenchmarks": 1}
 
 #: Verdicts that carry exit status 1.
 FAILING_VERDICTS = ("regression", "sim drift")
+
+#: The bench verdict when no timing is present on both sides (exit 2).
+NOTHING_COMPARED = "nothing compared"
 
 
 # -- statistics ---------------------------------------------------------------
@@ -112,6 +116,7 @@ def _load_side(ref: str, root: Optional[str]) -> Tuple[str, Any]:
                             f"{ref} has bench schema "
                             f"{data.get('schema')!r}; expected {schema} "
                             f"for a file with {key!r}")
+                    _bench_timings(data, ref)  # named error if malformed
                     return "bench", data
             raise JournalError(
                 f"{ref} is neither a run journal nor a recognised BENCH "
@@ -242,17 +247,32 @@ def compare_runs(a: RunRecord, b: RunRecord,
 
 # -- bench mode ---------------------------------------------------------------
 
-def _bench_timings(data: Dict[str, Any]) -> Dict[str, float]:
-    """Flatten a BENCH snapshot into ``name -> seconds``."""
-    micro = data.get("microbenchmarks", {}).get("timings", {})
-    return {f"micro/{name}": seconds for name, seconds in micro.items()}
+def _bench_timings(data: Dict[str, Any],
+                   source: str = "snapshot") -> Dict[str, float]:
+    """Flatten a BENCH snapshot into ``name -> seconds``; a snapshot of
+    another shape is a :class:`JournalError` naming *source*."""
+    micro = data.get("microbenchmarks", {})
+    if not isinstance(micro, dict):
+        raise JournalError(f"{source}: microbenchmarks is not an object")
+    timings = micro.get("timings", {})
+    if not isinstance(timings, dict):
+        raise JournalError(
+            f"{source}: microbenchmarks.timings is not an object")
+    for name, seconds in timings.items():
+        if (isinstance(seconds, bool)
+                or not isinstance(seconds, (int, float))
+                or not math.isfinite(seconds) or seconds < 0):
+            raise JournalError(
+                f"{source}: microbenchmarks.timings.{name} is "
+                f"{seconds!r}, not a number of seconds")
+    return {f"micro/{name}": seconds for name, seconds in timings.items()}
 
 
 def compare_bench(a: Dict[str, Any], b: Dict[str, Any],
                   fail_above: float = DEFAULT_FAIL_ABOVE,
                   warn_above: float = DEFAULT_WARN_ABOVE) -> Dict[str, Any]:
     """Bench-mode report: timing ratios (B over A) vs thresholds."""
-    timings_a, timings_b = _bench_timings(a), _bench_timings(b)
+    timings_a, timings_b = _bench_timings(a, "A"), _bench_timings(b, "B")
     rows: List[Dict[str, Any]] = []
     notes: List[str] = []
     for name in sorted(set(timings_a) | set(timings_b)):
@@ -274,7 +294,9 @@ def compare_bench(a: Dict[str, Any], b: Dict[str, Any],
             verdict = "ok"
         rows.append({"name": name, "a": ta, "b": tb,
                      "ratio": round(ratio, 4), "verdict": verdict})
-    if any(row["verdict"] == "regression" for row in rows):
+    if not rows:
+        overall = NOTHING_COMPARED
+    elif any(row["verdict"] == "regression" for row in rows):
         overall = "regression"
     elif any(row["verdict"] == "warn" for row in rows):
         overall = "warn"
@@ -320,6 +342,8 @@ def render_compare(report: Dict[str, Any], ref_a: str, ref_b: str) -> str:
         lines.append(f"    {row['name']:<28} {row['a']:.4f}s -> "
                      f"{row['b']:.4f}s  x{row['ratio']:.3f}  "
                      f"{row['verdict']}")
+    if report["verdict"] == NOTHING_COMPARED:
+        lines.append("  no timing is present in both snapshots")
     lines.append(f"  verdict: {report['verdict'].upper()}")
     return "\n".join(lines)
 
@@ -379,4 +403,6 @@ def compare_main(argv=None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(render_compare(report, args.a, args.b))
+    if report["verdict"] == NOTHING_COMPARED:
+        return 2
     return 1 if report["verdict"] in FAILING_VERDICTS else 0

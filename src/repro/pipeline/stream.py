@@ -24,14 +24,15 @@ rewinding below the newest commit is a :class:`StreamError`.
 from __future__ import annotations
 
 import threading
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.isa.instructions import DynInst
 
-#: Instructions pulled from a stream's source per growth step.  Batching
-#: the generator drain through ``islice`` replaces one interpreter-level
-#: ``next()`` round-trip per fetched instruction with one per chunk.
+#: Instructions pulled from a stream's source per growth step, and handed
+#: on per step by :meth:`SharedStream.__iter__`.  Batching the drain
+#: through ``islice`` replaces one interpreter-level ``next()`` round-trip
+#: per instruction with one per chunk.
 _REFILL_CHUNK = 64
 
 
@@ -97,11 +98,18 @@ class SharedStream:
         return index < len(insts)
 
     def __iter__(self) -> Iterator[DynInst]:
+        """Every item, growing the list as the reader gets there; items
+        are handed on a chunk at a time, so no Python frame resumes per
+        item."""
+        return chain.from_iterable(self._chunks())
+
+    def _chunks(self) -> Iterator[List[DynInst]]:
         insts = self.insts
         index = 0
         while index < len(insts) or self.grow(index):
-            yield insts[index]
-            index += 1
+            chunk = insts[index:index + _REFILL_CHUNK]
+            index += len(chunk)
+            yield chunk
 
 
 class _Frame:

@@ -114,20 +114,26 @@ class ChaosInjector:
         return self
 
     def _arm_mshr_leak(self, hierarchy) -> None:
-        mshrs = hierarchy.mshrs
-        orig = mshrs.mark_filled
+        # The hierarchy retires filled MSHRs inside _apply_fills, so the
+        # fault rides on it: each live entry whose fill that call applies
+        # is one eligible event, in fill order.
+        entries = hierarchy.mshrs._entries
+        orig = hierarchy._apply_fills
 
-        def chaotic_mark_filled(mshr_id):
-            entry = mshrs.get(mshr_id)
-            orig(mshr_id)
-            if entry is not None and self._trigger():
-                # Resurrect the register as filled-and-unpinned: the
-                # shape a dropped retire / lost release leaves behind.
-                entry.filled = True
-                entry.pinned = False
-                mshrs._entries[entry.mshr_id] = entry
+        def chaotic_apply_fills(cycle):
+            due = sorted(fill for fill in hierarchy._pending
+                         if fill[0] <= cycle)
+            live = [entries[fill[2]] for fill in due if fill[2] in entries]
+            orig(cycle)
+            for entry in live:
+                if self._trigger():
+                    # Resurrect the register as filled-and-unpinned: the
+                    # shape a dropped retire / lost release leaves behind.
+                    entry.filled = True
+                    entry.pinned = False
+                    entries[entry.mshr_id] = entry
 
-        mshrs.mark_filled = chaotic_mark_filled
+        hierarchy._apply_fills = chaotic_apply_fills
 
     def _arm_duplicate_tag(self, hierarchy) -> None:
         l1 = hierarchy.l1

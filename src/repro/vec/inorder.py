@@ -2,9 +2,9 @@
 
 This kernel advances the same machine state as
 :class:`repro.inorder.InOrderCore.run` — it drives the *identical*
-``MemoryHierarchy``/``MSHRFile``/``MainMemory`` objects, the same
-predictor table, and the same ``GraduationStats``/``MemStats``
-accounting — but replaces the object-per-instruction stream side with
+``MemoryHierarchy``/``MSHRFile`` objects, the same predictor table, and
+the same ``GraduationStats``/``MemStats`` accounting — but replaces the
+object-per-instruction stream side with
 row tuples in the :mod:`repro.isa.rows` layout:
 
 * instructions are 13-tuples of plain ints read out of a shared row

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, List, Tuple
 
 from repro.isa.instructions import DynInst
@@ -123,8 +124,14 @@ class SyntheticWorkload:
     # -- dynamic stream -------------------------------------------------------
     def rows(self, n_instructions: int,
              informing: bool = True) -> Iterator[tuple]:
-        """Yield exactly *n_instructions* dynamic instructions as rows
-        (:mod:`repro.isa.rows`)."""
+        """Exactly *n_instructions* dynamic instructions as rows
+        (:mod:`repro.isa.rows`), built one template pass at a time."""
+        return chain.from_iterable(self._passes(n_instructions, informing))
+
+    def _passes(self, n_instructions: int,
+                informing: bool) -> Iterator[List[tuple]]:
+        """One list of rows per pass over the loop body; the last is cut
+        to *n_instructions* in all."""
         spec = self.spec
         rng = random.Random(spec.seed ^ 0x5EED)
         pattern = spec.pattern_factory()
@@ -139,12 +146,12 @@ class SyntheticWorkload:
         recent_int: List[int] = []
         emitted = 0
 
-        # Hot-loop bindings: this generator produces one row per
-        # simulated instruction, so attribute and global lookups inside
-        # the loop are paid hundreds of thousands of times per experiment.
+        # Hot-loop bindings: the pass loop runs once per simulated
+        # instruction, so attribute and global lookups inside it are paid
+        # hundreds of thousands of times per experiment.
         rng_random = rng.random
-        rng_randrange = rng.randrange
-        next_address = pattern.next_address
+        getrandbits = rng.getrandbits
+        take = pattern.take
         load_use_fraction = spec.load_use_fraction
         # Each slot's constant row fields, resolved once: the template
         # never changes.
@@ -156,27 +163,28 @@ class SyntheticWorkload:
             code, pc = op.op_code, spec.base_pc + 4 * index
             template.append((kind, payload, code, FU_BY_OP[code], pc,
                              pc >> 5, OVH_BY_OP[code], CLS_BY_OP[code]))
+        mem_slots = sum(1 for slot in template if slot[0] == _KIND_MEM)
 
         while emitted < n_instructions:
+            next_address = iter(take(mem_slots)).__next__
+            rows: List[tuple] = []
+            append = rows.append
             for kind, payload, code, fu, pc, line, ovh, cls in template:
-                if emitted >= n_instructions:
-                    return
-
                 if kind == _KIND_MEM:
                     addr = next_address()
                     if payload:  # store
                         src = recent_int[-1] if recent_int else _INT_WINDOW_BASE
-                        yield (code, fu, -1, src, -1, addr, -1, pc, line,
-                               inf, 0, ovh, cls)
+                        append((code, fu, -1, src, -1, addr, -1, pc, line,
+                                inf, 0, ovh, cls))
                     elif serial_chase:
-                        yield (code, fu, _CHASE_REG, _CHASE_REG, -1, addr, -1,
-                               pc, line, inf, 0, ovh, cls)
+                        append((code, fu, _CHASE_REG, _CHASE_REG, -1, addr,
+                                -1, pc, line, inf, 0, ovh, cls))
                         last_load_dest = _CHASE_REG
                     else:
                         dest = _MEM_WINDOW_BASE + mem_next
                         mem_next = (mem_next + 1) % _MEM_WINDOW_SIZE
-                        yield (code, fu, dest, -1, -1, addr, -1, pc, line,
-                               inf, 0, ovh, cls)
+                        append((code, fu, dest, -1, -1, addr, -1, pc, line,
+                                inf, 0, ovh, cls))
                         last_load_dest = dest
                 elif kind == _KIND_INT:
                     dest = _INT_WINDOW_BASE + int_next
@@ -186,11 +194,18 @@ class SyntheticWorkload:
                         src = last_load_dest
                         last_load_dest = -1
                     elif recent_int:
-                        src = recent_int[rng_randrange(len(recent_int))]
+                        # rng.randrange(len(recent_int)), draw for draw: a
+                        # getrandbits(k) word, redrawn while out of range.
+                        count = len(recent_int)
+                        bits = count.bit_length()
+                        pick = getrandbits(bits)
+                        while pick >= count:
+                            pick = getrandbits(bits)
+                        src = recent_int[pick]
                     else:
                         src = -1
-                    yield (code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
-                           ovh, cls)
+                    append((code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
+                            ovh, cls))
                     recent_int.append(dest)
                     if len(recent_int) > window:
                         recent_int.pop(0)
@@ -199,14 +214,18 @@ class SyntheticWorkload:
                     prev = _FP_WINDOW_BASE + (fp_next - 1) % _FP_WINDOW_SIZE
                     fp_next = (fp_next + 1) % _FP_WINDOW_SIZE
                     src = prev if rng_random() < 0.5 else -1
-                    yield (code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
-                           ovh, cls)
+                    append((code, fu, dest, src, -1, -1, -1, pc, line, 1, 0,
+                            ovh, cls))
                 else:  # branch
                     taken = 1 if rng_random() < payload else 0
                     src = recent_int[-1] if recent_int else _INT_WINDOW_BASE
-                    yield (code, fu, -1, src, -1, -1, taken, pc, line, 1, 0,
-                           ovh, cls)
-                emitted += 1
+                    append((code, fu, -1, src, -1, -1, taken, pc, line, 1, 0,
+                            ovh, cls))
+            # The last pass is built whole and cut: what it drew past the
+            # end is never seen.
+            del rows[n_instructions - emitted:]
+            emitted += len(rows)
+            yield rows
 
     def stream(self, n_instructions: int,
                informing: bool = True) -> Iterator[DynInst]:

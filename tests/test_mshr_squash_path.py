@@ -34,7 +34,7 @@ class ReleaseSpy:
         def spying_release(mshr_id, squashed):
             entry = hierarchy.mshrs.get(mshr_id)
             filled = entry.filled if entry is not None else None
-            byte_addr = (hierarchy._line_to_byte(entry.line_addr)
+            byte_addr = (entry.line_addr << hierarchy._line_shift
                          if entry is not None else None)
             l1_before = (hierarchy.l1.contains(byte_addr)
                          if byte_addr is not None else None)

@@ -286,6 +286,40 @@ class TestCLI:
         assert out.startswith("compare: error: ")
         assert "list.json is not a JSON object" in out
 
+    def test_bench_with_a_list_of_microbenchmarks_is_exit_2(self, tmp_path,
+                                                             capsys):
+        good = self._write(tmp_path, "good.json", {
+            "schema": 1, "microbenchmarks": {"timings": {"x": 0.1}}})
+        bad = self._write(tmp_path, "bad.json", {
+            "schema": 1, "microbenchmarks": [{"x": 0.1}]})
+        assert compare_main([good, bad]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("compare: error: ")
+        assert "bad.json: microbenchmarks is not an object" in out
+
+    def test_bench_with_a_string_timing_is_exit_2(self, tmp_path, capsys):
+        good = self._write(tmp_path, "good.json", {
+            "schema": 1, "microbenchmarks": {"timings": {"x": 0.1}}})
+        bad = self._write(tmp_path, "bad.json", {
+            "schema": 1, "microbenchmarks": {"timings": {"x": "0.1"}}})
+        assert compare_main([bad, good]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("compare: error: ")
+        assert ("bad.json: microbenchmarks.timings.x is '0.1', not a "
+                "number of seconds") in out
+
+    def test_bench_with_no_shared_timing_is_exit_2(self, tmp_path, capsys):
+        """Exit 1 means a regression; a gate that compared nothing says
+        so and does not pass."""
+        good = self._write(tmp_path, "good.json", {
+            "schema": 1, "microbenchmarks": {"timings": {"x": 0.1}}})
+        empty = self._write(tmp_path, "empty.json", {
+            "schema": 1, "microbenchmarks": {"timings": {}}})
+        assert compare_main([good, empty, "--fail-above", "1.25"]) == 2
+        out = capsys.readouterr().out
+        assert "no timing is present in both snapshots" in out
+        assert "verdict: NOTHING COMPARED" in out
+
     def test_trace_dir_mode_via_cli(self, tmp_path, capsys):
         """Traced runs compare their metrics digests through the run
         mode; ``--trace-dir`` is gone."""

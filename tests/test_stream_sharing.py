@@ -16,6 +16,7 @@ rewriters).  Sharing is sound only if
 """
 
 import gc
+import inspect
 import os
 import sys
 import threading
@@ -237,9 +238,13 @@ def test_evicted_decode_is_freed_without_gc():
         clear_streams()
         rows = shared_stream("compress", 0, bound, "mhar", rows=True)
         rows.grow(10)
-        generator = shared_stream("compress", 0, bound, rows=True)._source
+        source = shared_stream("compress", 0, bound, rows=True)._source
+        # The rows come from an itertools.chain, which cannot be weakly
+        # referenced, over the generator of template passes, which can.
+        [generator] = [item for item in gc.get_referents(source)
+                       if inspect.isgenerator(item)]
         refs = [weakref.ref(rows), weakref.ref(generator)]
-        del rows, generator
+        del rows, source, generator
         shared_stream("compress", 1, bound, rows=True)  # a newer decode
         assert [ref() for ref in refs] == [None, None]
     finally:
